@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import BoundingBox, Dataset, SceneGraphAnnotation
 from .ingest import EmbeddingTable
-from .metrics import PREDCLS, PairPrediction, build_ranked, match_triples, mean_recall_at_k, iou
+from .metrics import PREDCLS, PairPrediction, build_ranked, match_triples, mean_recall_at_k
 from .reweighting import DEFAULT_MU, InfoWeights, LossBundle, total_loss, uniform_weights, weighted_pred_loss
 from .seeding import substream
 
@@ -159,10 +159,7 @@ def pair_geometry(
     cxo, cyo = obj.center
     dx = (cxo - cxs) / width
     dy = (cyo - cys) / height
-    ix = max(0.0, min(subj.x2, obj.x2) - max(subj.x1, obj.x1))
-    iy = max(0.0, min(subj.y2, obj.y2) - max(subj.y1, obj.y1))
-    inter = ix * iy
-    union = subj.area + obj.area - inter
+    inter, union = subj.overlap(obj)
     return np.array(
         [
             dx,
@@ -170,7 +167,7 @@ def pair_geometry(
             np.log(obj.width / subj.width),
             np.log(obj.height / subj.height),
             np.log(obj.area / subj.area),
-            iou(subj, obj),
+            inter / union,  # IoU; union > 0 for the non-degenerate boxes ingest admits
             union / (width * height),
             float(np.hypot(dx, dy)),
         ]

@@ -15,6 +15,7 @@ import json
 import logging
 import shutil
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import alignment, ingest, metrics, refinement, sampling, synth
 from .core import AnnotationError, LabelSpace, OBJECT, PREDICATE
 from .ingest import ParseError, build_zero_shot_index, load_annotations, load_embeddings, load_labels
-from .reweighting import InfoWeights, info_weights, uniform_weights
+from .reweighting import DEFAULT_MU, InfoWeights, info_weights, uniform_weights
 from .sampling import PredicateStats, build_sampling_plan, count_predicates, resample
 from .seeding import substream
 
@@ -36,20 +37,24 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Fully resolved pipeline configuration; defaults follow the reference setup."""
+    """Fully resolved pipeline configuration; the one declaration of every config key.
 
-    seed: int = 0
+    Defaults come from the module that owns each knob. Only ``use_alignment``
+    differs from its owner: it is off on the CLI and on in ``TrainConfig``.
+    """
+
+    seed: int = alignment.TrainConfig.seed
     alpha: float = refinement.DEFAULT_ALPHA
     tau: float = sampling.DEFAULT_TAU
     beta: float = sampling.DEFAULT_BETA
-    mu: float = 1.2
-    lr: float = 0.001
-    iterations: int = 500
-    patience: int = 3
-    batch_size: int = 16
-    eval_every: int = 100
-    box_loss: float = 0.0
-    object_loss: float = 0.0
+    mu: float = DEFAULT_MU
+    lr: float = alignment.TrainConfig.lr
+    iterations: int = alignment.TrainConfig.iterations
+    patience: int = alignment.TrainConfig.patience
+    batch_size: int = alignment.TrainConfig.batch_size
+    eval_every: int = alignment.TrainConfig.eval_every
+    box_loss: float = alignment.TrainConfig.box_loss
+    object_loss: float = alignment.TrainConfig.object_loss
     use_resampling: bool = False
     use_refinement: bool = False
     use_reweighting: bool = False
@@ -57,19 +62,23 @@ class RunConfig:
     subtask: str = metrics.PREDCLS
     ks: tuple[int, ...] = metrics.DEFAULT_KS
     # Synthetic-corpus knobs.
-    images: int = 300
-    c_obj: int = 30
-    c_pred: int = 20
-    d_roi: int = 32
-    d_emb: int = 16
-    zipf_s: float = 1.5
-    zero_shot_fraction: float = 0.1
-    noise_sigma: float = 0.5
-    min_triples: int = 1
-    max_triples: int = 4
-    max_distractors: int = 2
-    embedding_scale: float = 160.0
-    intra_cluster_sigma: float = 1.0
+    images: int = synth.SynthConfig.images
+    c_obj: int = synth.SynthConfig.c_obj
+    c_pred: int = synth.SynthConfig.c_pred
+    d_roi: int = synth.SynthConfig.d_roi
+    d_emb: int = synth.SynthConfig.d_emb
+    zipf_s: float = synth.SynthConfig.zipf_s
+    zero_shot_fraction: float = synth.SynthConfig.zero_shot_fraction
+    noise_sigma: float = synth.SynthConfig.noise_sigma
+    min_triples: int = synth.SynthConfig.min_triples
+    max_triples: int = synth.SynthConfig.max_triples
+    max_distractors: int = synth.SynthConfig.max_distractors
+    embedding_scale: float = synth.SynthConfig.embedding_scale
+    intra_cluster_sigma: float = synth.SynthConfig.intra_cluster_sigma
+
+
+# Config keys that also have a --flag; a flag wins over the config file.
+_OVERRIDE_KEYS = ("seed", "alpha", "tau", "beta", "mu", "lr")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -81,47 +90,52 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_ks(raw: str) -> tuple[int, ...]:
+def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
+_TYPE_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple[int, ...]: _parse_ints}
 _CONFIG_PARSERS = {
-    "seed": int,
-    "alpha": float,
-    "tau": float,
-    "beta": float,
-    "mu": float,
-    "lr": float,
-    "iterations": int,
-    "patience": int,
-    "batch_size": int,
-    "eval_every": int,
-    "box_loss": float,
-    "object_loss": float,
-    "use_resampling": _parse_bool,
-    "use_refinement": _parse_bool,
-    "use_reweighting": _parse_bool,
-    "use_alignment": _parse_bool,
-    "subtask": str,
-    "ks": _parse_ks,
-    "images": int,
-    "c_obj": int,
-    "c_pred": int,
-    "d_roi": int,
-    "d_emb": int,
-    "zipf_s": float,
-    "zero_shot_fraction": float,
-    "noise_sigma": float,
-    "min_triples": int,
-    "max_triples": int,
-    "max_distractors": int,
-    "embedding_scale": float,
-    "intra_cluster_sigma": float,
+    key: _TYPE_PARSERS[kind] for key, kind in typing.get_type_hints(RunConfig).items()
 }
 
 
+def _sub_config(cls: type, config: RunConfig):
+    """A ``cls`` instance built from the fields it shares with ``config`` by name."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{key: value for key, value in dataclasses.asdict(config).items() if key in names})
+
+
+def _check_ranges(config: RunConfig) -> None:
+    """Reject out-of-range values, naming the key; synth keys go through SynthConfig."""
+    c = config
+    rules = {
+        "alpha": (0.0 <= c.alpha <= 1.0, "in [0, 1]"),
+        "tau": (c.tau > 0.0, "> 0"),
+        "beta": (c.beta > 0.0, "> 0"),
+        "mu": (c.mu >= 0.0, ">= 0"),
+        "lr": (c.lr >= 0.0, ">= 0"),
+        "iterations": (c.iterations >= 0, ">= 0"),
+        "eval_every": (c.eval_every >= 0, ">= 0"),
+        "batch_size": (c.batch_size >= 1, ">= 1"),
+        "patience": (c.patience >= 1, ">= 1"),
+        "ks": (
+            len(c.ks) == len(set(c.ks)) >= 1 and min(c.ks) >= 1,
+            "a non-empty list of distinct cutoffs >= 1",
+        ),
+        "subtask": (c.subtask in metrics.PROTOCOLS, f"one of {', '.join(metrics.PROTOCOLS)}"),
+    }
+    for key, (ok, allowed) in rules.items():
+        if not ok:
+            raise UsageError(f"invalid {key} {getattr(c, key)!r}: must be {allowed}")
+    try:
+        _sub_config(synth.SynthConfig, c).validate()
+    except ValueError as err:
+        raise UsageError(f"invalid synth config: {err}") from err
+
+
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Read a key=value config file, then apply CLI overrides on top."""
+    """Read a key=value config file, apply CLI overrides on top, then check ranges."""
     values: dict = {}
     if path is not None:
         for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -141,15 +155,13 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
-    if values.get("subtask") not in (None, *metrics.PROTOCOLS):
-        raise UsageError(f"invalid subtask {values.get('subtask')!r}")
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    _check_ranges(config)
+    return config
 
 
-def config_echo(config: RunConfig) -> dict:
-    echo = dataclasses.asdict(config)
-    echo["ks"] = list(config.ks)
-    return echo
+# JSON writes the ks tuple as a list.
+config_echo = dataclasses.asdict
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -193,23 +205,7 @@ def load_weights(path: str | Path, space: LabelSpace) -> InfoWeights:
 def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = synth.SynthConfig(
-        c_obj=config.c_obj,
-        c_pred=config.c_pred,
-        d_roi=config.d_roi,
-        d_emb=config.d_emb,
-        images=config.images,
-        zipf_s=config.zipf_s,
-        zero_shot_fraction=config.zero_shot_fraction,
-        noise_sigma=config.noise_sigma,
-        seed=config.seed,
-        min_triples=config.min_triples,
-        max_triples=config.max_triples,
-        max_distractors=config.max_distractors,
-        embedding_scale=config.embedding_scale,
-        intra_cluster_sigma=config.intra_cluster_sigma,
-    )
-    data = synth.generate(cfg)
+    data = synth.generate(_sub_config(synth.SynthConfig, config))
     (out / "object_labels.txt").write_text(
         "".join(n + "\n" for n in data.train.object_space.names), encoding="utf-8"
     )
@@ -291,6 +287,8 @@ def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
         _write_json({"applied": False, "config": config_echo(config)}, out / "sampling_plan.json")
         logger.info("resample: disabled, copied input unchanged")
         return 0
+    if not args.recalls:
+        raise UsageError("--recalls is required when use_resampling is on")
     object_space, predicate_space = _load_spaces(args)
     train = load_annotations(args.train, object_space, predicate_space, args.d_roi, "train")
     recalls = ingest.load_recalls(args.recalls, predicate_space)
@@ -358,18 +356,7 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     model = alignment.RelationModel.init(
         train_set.d_roi, embeddings.dim, predicate_space.size, substream(config.seed, "alignment.init")
     )
-    train_config = alignment.TrainConfig(
-        lr=config.lr,
-        iterations=config.iterations,
-        batch_size=config.batch_size,
-        seed=config.seed,
-        mu=config.mu,
-        patience=config.patience,
-        eval_every=config.eval_every,
-        use_alignment=config.use_alignment,
-        box_loss=config.box_loss,
-        object_loss=config.object_loss,
-    )
+    train_config = _sub_config(alignment.TrainConfig, config)
     result = alignment.train(model, train_set, embeddings, train_config, val_set, weights)
 
     out = Path(args.out)
@@ -400,6 +387,10 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
         report_path.write_text("", encoding="utf-8")
         logger.info("refine: disabled, copied predictions unchanged")
         return 0
+    if not (args.object_embeddings and args.predicate_embeddings):
+        raise UsageError(
+            "--object-embeddings and --predicate-embeddings are required when use_refinement is on"
+        )
     object_space, predicate_space = _load_spaces(args)
     predictions = metrics.load_predictions(args.predictions, object_space)
     object_embeddings = load_embeddings(args.object_embeddings, object_space)
@@ -520,99 +511,72 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--mu", type=float, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--log-file", default=None, help="sidecar log with timestamps")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sgrel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic corpus")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
+    def command(name: str, func, summary: str, labels: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--out", required=True, help="output directory")
+        for key in _OVERRIDE_KEYS:
+            p.add_argument(f"--{key}", type=_CONFIG_PARSERS[key], default=None)
+        p.add_argument("--log-file", default=None, help="sidecar log with timestamps")
+        if labels:
+            p.add_argument("--object-labels", required=True)
+            p.add_argument("--predicate-labels", required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("ingest", help="load and validate an annotation file")
-    _add_common(p)
-    p.add_argument("--object-labels", required=True)
-    p.add_argument("--predicate-labels", required=True)
+    command("synth", cmd_synth, "generate a synthetic corpus", labels=False)
+
+    p = command("ingest", cmd_ingest, "load and validate an annotation file")
     p.add_argument("--annotations", required=True)
     p.add_argument("--d-roi", type=int, required=True)
     p.add_argument("--split", default="train")
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("zsplit", help="build the zero-shot signature index")
-    _add_common(p)
-    p.add_argument("--object-labels", required=True)
-    p.add_argument("--predicate-labels", required=True)
+    p = command("zsplit", cmd_zsplit, "build the zero-shot signature index")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--d-roi", type=int, required=True)
-    p.set_defaults(func=cmd_zsplit)
 
-    p = sub.add_parser("resample", help="recall-guided down-sampling of the train set")
-    _add_common(p)
-    p.add_argument("--object-labels", required=True)
-    p.add_argument("--predicate-labels", required=True)
+    p = command("resample", cmd_resample, "recall-guided down-sampling of the train set")
     p.add_argument("--train", required=True)
-    p.add_argument("--recalls", default=None, help="JSON map predicate-name -> recall")
+    p.add_argument(
+        "--recalls", default=None, help="JSON map predicate -> recall (required with use_resampling)"
+    )
     p.add_argument("--d-roi", type=int, required=True)
-    p.set_defaults(func=cmd_resample)
 
-    p = sub.add_parser("weights", help="information-content loss weights from train counts")
-    _add_common(p)
-    p.add_argument("--object-labels", required=True)
-    p.add_argument("--predicate-labels", required=True)
+    p = command("weights", cmd_weights, "information-content loss weights from train counts")
     p.add_argument("--train", required=True)
     p.add_argument("--d-roi", type=int, required=True)
-    p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("train", help="train the relation model and emit predictions")
-    _add_common(p)
-    p.add_argument("--object-labels", required=True)
-    p.add_argument("--predicate-labels", required=True)
+    p = command("train", cmd_train, "train the relation model and emit predictions")
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--object-embeddings", required=True)
     p.add_argument("--weights", default=None, help="info_weights.json (required with use_reweighting)")
     p.add_argument("--d-roi", type=int, required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("refine", help="refine predictions with label-embedding distances")
-    _add_common(p)
-    p.add_argument("--object-labels", required=True)
-    p.add_argument("--predicate-labels", required=True)
+    p = command("refine", cmd_refine, "refine predictions with label-embedding distances")
     p.add_argument("--predictions", required=True)
-    p.add_argument("--object-embeddings", default=None)
-    p.add_argument("--predicate-embeddings", default=None)
-    p.set_defaults(func=cmd_refine)
+    p.add_argument("--object-embeddings", default=None, help="required with use_refinement")
+    p.add_argument("--predicate-embeddings", default=None, help="required with use_refinement")
 
-    p = sub.add_parser("eval", help="metric report for a prediction file")
-    _add_common(p)
-    p.add_argument("--object-labels", required=True)
-    p.add_argument("--predicate-labels", required=True)
+    p = command("eval", cmd_eval, "metric report for a prediction file")
     p.add_argument("--predictions", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--d-roi", type=int, required=True)
     p.add_argument("--zero-shot", default=None)
     p.add_argument("--weights", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("report", help="combine eval reports into one document / ablation grid")
-    _add_common(p)
+    p = command(
+        "report", cmd_report, "combine eval reports into one document / ablation grid", labels=False
+    )
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--labels", nargs="*", default=None)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -635,11 +599,8 @@ def main(argv: list[str] | None = None) -> int:
         force=True,
     )
 
-    overrides = {
-        key: getattr(args, key, None) for key in ("seed", "alpha", "tau", "beta", "mu", "lr")
-    }
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(args.config, {key: getattr(args, key) for key in _OVERRIDE_KEYS})
         return args.func(args, config)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

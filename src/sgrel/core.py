@@ -79,6 +79,13 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
+    def overlap(self, other: "BoundingBox") -> tuple[float, float]:
+        """Intersection and union areas of this box and ``other``."""
+        ix = max(0.0, min(self.x2, other.x2) - max(self.x1, other.x1))
+        iy = max(0.0, min(self.y2, other.y2) - max(self.y1, other.y1))
+        inter = ix * iy
+        return inter, self.area + other.area - inter
+
     def is_degenerate(self) -> bool:
         return not (self.x1 < self.x2 and self.y1 < self.y2)
 

@@ -128,10 +128,7 @@ class MetricReport:
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    union = a.area + b.area - inter
+    inter, union = a.overlap(b)
     if union <= 0.0:
         return 0.0
     return inter / union
@@ -269,13 +266,6 @@ def mean_recall_at_k(
     return float(np.mean(recalls[has_gt])), recalls
 
 
-def zero_shot_recall_at_k(
-    matched_counts: list[int], gt_counts: list[int]
-) -> float | None:
-    """Recall restricted to zero-shot triples; absent (None) when there are none."""
-    return recall_at_k(matched_counts, gt_counts)
-
-
 def mric_at_k(per_predicate_recall: np.ndarray, info: InfoWeights) -> float:
     """Sum of recall times information content (bits) over predicates with GT."""
     recalls = np.asarray(per_predicate_recall, dtype=np.float64)
@@ -344,7 +334,7 @@ def evaluate(
         mr, recalls_k = mean_recall_at_k(matched_per_pred[k], gt_per_pred)
         mean_recall[k] = mr
         per_pred[k] = recalls_k
-        zs_recall[k] = zero_shot_recall_at_k(zs_image_matched[k], zs_image_gt)
+        zs_recall[k] = recall_at_k(zs_image_matched[k], zs_image_gt)
         mric[k] = mric_at_k(recalls_k, info) if info is not None else None
 
     return MetricReport(

@@ -58,19 +58,23 @@ class SynthConfig:
     val_fraction: float = 0.1
 
     def validate(self) -> None:
-        if min(self.c_obj, self.c_pred, self.d_roi, self.d_emb, self.images) < 1:
-            raise ValueError("all sizes must be >= 1")
+        for key in ("c_obj", "c_pred", "d_roi", "d_emb", "images"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if not 0.0 <= self.zero_shot_fraction < 1.0:
             raise ValueError("zero_shot_fraction must lie in [0, 1)")
-        if self.zipf_s < 0.0:
-            raise ValueError("zipf_s must be non-negative")
+        for key in ("zipf_s", "noise_sigma", "intra_cluster_sigma", "max_distractors"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        if not self.embedding_scale > 0.0:
+            raise ValueError("embedding_scale must be > 0")
         if self.min_triples < 1 or self.max_triples < self.min_triples:
             raise ValueError("need 1 <= min_triples <= max_triples")
         n_clusters = _num_clusters(self.c_pred)
         if self.c_obj < n_clusters:
             raise ValueError(
-                f"infeasible config: need at least {n_clusters} object labels "
-                f"for {self.c_pred} predicates"
+                f"infeasible config: c_obj must be at least {n_clusters} "
+                f"for c_pred={self.c_pred}"
             )
 
 

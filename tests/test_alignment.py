@@ -189,6 +189,19 @@ class TestPairGeometry:
         np.testing.assert_allclose(g[:5], 0.0)  # offsets and log ratios vanish
         assert g[5] == 1.0  # IoU
 
+    def test_overlap_features_match_direct_box_arithmetic(self, rng):
+        for _ in range(200):
+            x1, y1 = rng.uniform(0, 50, 2)
+            a = BoundingBox(x1, y1, x1 + rng.uniform(1, 40), y1 + rng.uniform(1, 40))
+            x1, y1 = rng.uniform(0, 50, 2)
+            b = BoundingBox(x1, y1, x1 + rng.uniform(1, 40), y1 + rng.uniform(1, 40))
+            ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+            iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+            union = a.area + b.area - ix * iy
+            g = pair_geometry(a, b, 100.0, 100.0)
+            assert g[5] == ix * iy / union  # IoU, bit for bit
+            assert g[6] == union / (100.0 * 100.0)
+
 
 # --- forward -----------------------------------------------------------------
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sgrel.cli import RunConfig, load_config, main, UsageError
+from sgrel.cli import RunConfig, config_echo, load_config, main, UsageError
 
 
 def run(argv):
@@ -67,6 +67,50 @@ class TestConfig:
         path = write_config(tmp_path, subtask="segmentation")
         with pytest.raises(UsageError, match="invalid subtask"):
             load_config(path, {})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", "1.5"),
+            ("ks", "-5"),
+            ("ks", "0"),
+            ("ks", "20,20"),
+            ("batch_size", "0"),
+            ("patience", "0"),
+            ("tau", "0"),
+            ("images", "0"),
+            ("c_obj", "2"),
+            ("embedding_scale", "0"),
+            ("max_distractors", "-1"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, **{key: value})
+        assert run(["synth", "--out", tmp_path / "out", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_echo_round_trips_through_the_file_format(self, tmp_path):
+        path = write_config(
+            tmp_path, alpha=0.5, ks="5,10", use_alignment="true", subtask="sggen",
+            images=50, zipf_s=0.75, box_loss=0.25,
+        )
+        config = load_config(path, {"seed": 9})
+        echo = config_echo(config)
+        assert json.loads(json.dumps(echo))["ks"] == [5, 10]
+        again = write_config(
+            tmp_path, name="echo.cfg",
+            **{k: ",".join(map(str, v)) if isinstance(v, tuple) else v for k, v in echo.items()},
+        )
+        assert load_config(again, {}) == config
+
+    def test_non_integer_seed_flag_is_usage_error(self, tmp_path, capsys):
+        assert run(["synth", "--out", tmp_path, "--seed", "1.5"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert "--seed" in err
 
 
 class TestExitCodes:
@@ -154,6 +198,15 @@ class TestResample:
         resampled = (out / "train_resampled.jsonl").read_text().splitlines()
         assert len(resampled) == len((corpus / "train.jsonl").read_text().splitlines())
 
+    def test_enabled_requires_recalls(self, corpus, tmp_path, capsys):
+        config = write_config(tmp_path, use_resampling="true")
+        code = run(
+            ["resample", "--out", tmp_path / "rs", "--config", config, *corpus_flags(corpus),
+             "--train", corpus / "train.jsonl", "--d-roi", 32]
+        )
+        assert code == 1
+        assert "--recalls" in capsys.readouterr().err
+
 
 class TestWeights:
     def test_weights_file(self, corpus, tmp_path):
@@ -226,6 +279,23 @@ class TestTrainRefineEval:
         )
         assert code == 1
         assert "--weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--object-embeddings", "object_embeddings.txt"),
+         ("--predicate-embeddings", "predicate_embeddings.txt")],
+    )
+    def test_refinement_requires_both_embedding_files(self, corpus, tmp_path, capsys, flag, name):
+        config = write_config(tmp_path, use_refinement="true")
+        predictions = tmp_path / "predictions_test.jsonl"
+        predictions.write_text("")
+        code = run(
+            ["refine", "--out", tmp_path / "x", "--config", config, *corpus_flags(corpus),
+             "--predictions", predictions, flag, corpus / name]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--object-embeddings" in err and "--predicate-embeddings" in err
 
     def test_eval_on_oracle_predictions_is_perfect(self, corpus, tmp_path):
         from sgrel.core import OBJECT, PREDICATE

@@ -21,7 +21,6 @@ from sgrel.metrics import (
     mric_at_k,
     recall_at_k,
     save_predictions,
-    zero_shot_recall_at_k,
 )
 from sgrel.reweighting import InfoWeights, info_weights
 
@@ -223,9 +222,9 @@ class TestRecallFamilies:
         mr, _ = mean_recall_at_k(np.array([1, 2, 3]), np.array([2, 4, 6]))
         assert mr == pytest.approx(0.5)
 
-    def test_zero_shot_absent_when_empty(self):
-        assert zero_shot_recall_at_k([], []) is None
-        assert zero_shot_recall_at_k([0, 1], [0, 1]) == 1.0
+    def test_zero_shot_absent_when_empty(self):  # zR is recall_at_k over zero-shot triples
+        assert recall_at_k([], []) is None
+        assert recall_at_k([0, 1], [0, 1]) == 1.0
 
     def test_mric_hand_value(self):
         info = InfoWeights(
