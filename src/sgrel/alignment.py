@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BoundingBox, Dataset, SceneGraphAnnotation
+from .core import Dataset, SceneGraphAnnotation
 from .ingest import EmbeddingTable
 from .metrics import PREDCLS, PairPrediction, build_ranked, match_triples, mean_recall_at_k
 from .reweighting import DEFAULT_MU, InfoWeights, LossBundle, total_loss, uniform_weights, weighted_pred_loss
@@ -75,44 +75,49 @@ class Gradients:
 
 
 @dataclass(eq=False)
-class ImageCache:
-    """Everything the backward pass needs for one image."""
+class PackedDataset:
+    """A split as flat arrays, built once when training or prediction starts.
 
-    features: np.ndarray | None       # (N, d_roi) when the image has >= 2 objects
-    unit_proj: np.ndarray | None      # projections scaled to unit norm (guarded)
-    unit_emb: np.ndarray | None       # label embeddings scaled to unit norm
-    proj_norms: np.ndarray | None     # guarded projection norms
-    clamped: np.ndarray | None        # rows whose projection norm hit the guard
-    sims: np.ndarray | None           # (N, N) cosine similarities
-    pair_inputs: np.ndarray           # (M, 2*d_roi + GEOMETRY_DIM)
-    gold: np.ndarray                  # (M,)
-    probs: np.ndarray                 # (M, c_pred)
-    contrastive: float
+    Image ``i`` owns object rows ``obj_offsets[i]:obj_offsets[i + 1]`` and
+    triple rows ``triple_offsets[i]:triple_offsets[i + 1]``.
+    """
+
+    annotations: tuple[SceneGraphAnnotation, ...]
+    features: np.ndarray        # (sum N, d_roi)
+    labels: np.ndarray          # (sum N,)
+    boxes: np.ndarray           # (sum N, 4) xyxy
+    sizes: np.ndarray           # (images, 2) width, height
+    obj_offsets: np.ndarray     # (images + 1,)
+    preds: np.ndarray           # (sum T,)
+    triple_offsets: np.ndarray  # (images + 1,)
+    pair_inputs: np.ndarray     # (sum T, 2*d_roi + GEOMETRY_DIM); model-independent
+
+    @property
+    def num_images(self) -> int:
+        return len(self.annotations)
 
 
 @dataclass(eq=False)
-class PairBatch:
-    """Forward caches for a batch of images plus their aggregate losses."""
+class Batch:
+    """Forward state of one image mini-batch; the contrastive side is padded to (B, Nmax, .).
 
-    images: list[ImageCache]
+    Padded slots, and every slot of an image with fewer than two objects (no
+    negatives), are masked out: such an image adds 0 to the contrastive loss
+    and still counts in its 1/B average. Contrastive fields are None when off.
+    """
+
     num_images: int
-
-    def contrastive(self) -> float:
-        if self.num_images == 0:
-            return 0.0
-        return float(sum(c.contrastive for c in self.images) / self.num_images)
-
-    def all_probs(self) -> np.ndarray:
-        parts = [c.probs for c in self.images if c.probs.shape[0]]
-        if not parts:
-            return np.zeros((0, 0))
-        return np.concatenate(parts, axis=0)
-
-    def all_gold(self) -> np.ndarray:
-        parts = [c.gold for c in self.images if c.gold.shape[0]]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts, axis=0)
+    contrastive: float
+    pair_inputs: np.ndarray  # (M, 2*d_roi + GEOMETRY_DIM), one row per annotated triple
+    gold: np.ndarray         # (M,)
+    probs: np.ndarray        # (M, c_pred)
+    features: np.ndarray | None = None   # (B, N, d_roi)
+    unit_proj: np.ndarray | None = None  # projections scaled to unit norm (guarded)
+    unit_emb: np.ndarray | None = None   # label embeddings scaled to unit norm
+    proj_norms: np.ndarray | None = None  # guarded projection norms
+    clamped: np.ndarray | None = None    # slots whose projection norm hit the guard
+    sims: np.ndarray | None = None       # (B, N, N) cosine similarities
+    d_sims: np.ndarray | None = None     # d(batch contrastive loss)/d(sims), zero when masked
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
@@ -151,26 +156,34 @@ def contrastive_loss(sims: np.ndarray) -> tuple[float, float, float]:
     return loss_i2t, loss_t2i, 0.5 * (loss_i2t + loss_t2i)
 
 
-def pair_geometry(
-    subj: BoundingBox, obj: BoundingBox, width: float, height: float
-) -> np.ndarray:
-    """8 geometry features for an ordered box pair (offsets, log ratios, overlap)."""
-    cxs, cys = subj.center
-    cxo, cyo = obj.center
-    dx = (cxo - cxs) / width
-    dy = (cyo - cys) / height
-    inter, union = subj.overlap(obj)
-    return np.array(
+def pair_geometry(subj: np.ndarray, obj: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """8 geometry features per ordered box pair (offsets, log ratios, overlap).
+
+    ``subj`` and ``obj`` are (M, 4) xyxy boxes and ``sizes`` the (M, 2) width
+    and height of each pair's image; returns (M, 8).
+    """
+    width, height = sizes[:, 0], sizes[:, 1]
+    ws, hs = subj[:, 2] - subj[:, 0], subj[:, 3] - subj[:, 1]
+    wo, ho = obj[:, 2] - obj[:, 0], obj[:, 3] - obj[:, 1]
+    dx = (0.5 * (obj[:, 0] + obj[:, 2]) - 0.5 * (subj[:, 0] + subj[:, 2])) / width
+    dy = (0.5 * (obj[:, 1] + obj[:, 3]) - 0.5 * (subj[:, 1] + subj[:, 3])) / height
+    # Same arithmetic as BoundingBox.overlap, one pair per row.
+    ix = np.maximum(0.0, np.minimum(subj[:, 2], obj[:, 2]) - np.maximum(subj[:, 0], obj[:, 0]))
+    iy = np.maximum(0.0, np.minimum(subj[:, 3], obj[:, 3]) - np.maximum(subj[:, 1], obj[:, 1]))
+    inter = ix * iy
+    union = ws * hs + wo * ho - inter
+    return np.stack(
         [
             dx,
             dy,
-            np.log(obj.width / subj.width),
-            np.log(obj.height / subj.height),
-            np.log(obj.area / subj.area),
+            np.log(wo / ws),
+            np.log(ho / hs),
+            np.log((wo * ho) / (ws * hs)),
             inter / union,  # IoU; union > 0 for the non-degenerate boxes ingest admits
             union / (width * height),
-            float(np.hypot(dx, dy)),
-        ]
+            np.hypot(dx, dy),
+        ],
+        axis=1,
     )
 
 
@@ -180,94 +193,106 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _image_cache(
-    model: RelationModel,
-    annotation: SceneGraphAnnotation,
-    embeddings: EmbeddingTable,
-    compute_contrastive: bool,
-) -> ImageCache:
-    objs = annotation.objects
-    n = len(objs)
+def _offsets(counts: list[int] | np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
-    # Contrastive side: needs at least two objects to have any negatives.
-    features = unit_proj = unit_emb = proj_norms = clamped = sims = None
-    l_c = 0.0
-    if compute_contrastive and n >= 2:
-        features = np.stack([o.feature for o in objs])
-        emb = np.stack([embeddings.vector(o.label) for o in objs])
-        proj = features @ model.w_proj
-        raw_norms = np.linalg.norm(proj, axis=1)
-        clamped = raw_norms < NORM_EPS
-        proj_norms = np.maximum(raw_norms, NORM_EPS)
-        unit_proj = proj / proj_norms[:, None]
-        unit_emb = emb / np.linalg.norm(emb, axis=1)[:, None]
-        sims = unit_proj @ unit_emb.T
-        _, _, l_c = contrastive_loss(sims)
 
-    # Classifier side: one input row per annotated triple.
-    cls_in = 2 * model.d_roi + GEOMETRY_DIM
-    rows = []
-    gold = []
-    for triple in annotation.triples:
-        subj = annotation.object_by_id(triple.subj)
-        obj = annotation.object_by_id(triple.obj)
-        rows.append(
-            np.concatenate(
-                [
-                    subj.feature,
-                    obj.feature,
-                    pair_geometry(subj.box, obj.box, annotation.width, annotation.height),
-                ]
-            )
-        )
-        gold.append(triple.pred)
-    if rows:
-        pair_inputs = np.stack(rows)
-        probs = _softmax_rows(pair_inputs @ model.w_cls + model.b_cls)
-    else:
-        pair_inputs = np.zeros((0, cls_in))
-        probs = np.zeros((0, model.c_pred))
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For back-to-back segments of the given lengths: each element's segment and its index in it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - _offsets(counts)[owner]
 
-    return ImageCache(
+
+def pack(dataset: Dataset) -> PackedDataset:
+    """Flatten a split into the arrays the batched forward, backward and predict read."""
+    annotations = dataset.annotations
+    objects = [o for a in annotations for o in a.objects]
+    obj_offsets = _offsets([len(a.objects) for a in annotations])
+    triple_offsets = _offsets([len(a.triples) for a in annotations])
+
+    def row(base: int, a: SceneGraphAnnotation, object_id: int) -> int:
+        return base + a.objects.index(a.object_by_id(object_id))  # names a dangling id
+
+    pairs = [(row(base, a, t.subj), row(base, a, t.obj))
+             for base, a in zip(obj_offsets.tolist(), annotations) for t in a.triples]
+    subj, obj = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    features = np.array([o.feature for o in objects], dtype=np.float64).reshape(-1, dataset.d_roi)
+    boxes = np.array([(o.box.x1, o.box.y1, o.box.x2, o.box.y2) for o in objects]).reshape(-1, 4)
+    sizes = np.array([(a.width, a.height) for a in annotations], dtype=np.float64).reshape(-1, 2)
+    image, _ = _segments(np.diff(triple_offsets))
+    geometry = pair_geometry(boxes[subj], boxes[obj], sizes[image])
+    return PackedDataset(
+        annotations=annotations,
         features=features,
-        unit_proj=unit_proj,
-        unit_emb=unit_emb,
-        proj_norms=proj_norms,
-        clamped=clamped,
-        sims=sims,
-        pair_inputs=pair_inputs,
-        gold=np.asarray(gold, dtype=np.int64),
-        probs=probs,
-        contrastive=l_c,
+        labels=np.array([o.label for o in objects], dtype=np.int64),
+        boxes=boxes,
+        sizes=sizes,
+        obj_offsets=obj_offsets,
+        preds=np.array([t.pred for a in annotations for t in a.triples], dtype=np.int64),
+        triple_offsets=triple_offsets,
+        pair_inputs=np.concatenate([features[subj], features[obj], geometry], axis=1),
     )
 
 
 def forward_batch(
     model: RelationModel,
-    annotations: list[SceneGraphAnnotation],
+    data: PackedDataset,
     embeddings: EmbeddingTable,
+    images: np.ndarray | None = None,
     compute_contrastive: bool = True,
-) -> PairBatch:
-    images = [
-        _image_cache(model, a, embeddings, compute_contrastive) for a in annotations
-    ]
-    return PairBatch(images=images, num_images=len(annotations))
+) -> Batch:
+    """Losses and caches for the given images of ``data`` (all of them by default)."""
+    images = np.arange(data.num_images) if images is None else np.asarray(images, dtype=np.int64)
 
+    # Classifier side: one input row per annotated triple.
+    starts = data.triple_offsets[images]
+    owner, local = _segments(data.triple_offsets[images + 1] - starts)
+    rows = starts[owner] + local
+    pair_inputs = data.pair_inputs[rows]
+    batch = Batch(
+        num_images=len(images),
+        contrastive=0.0,
+        pair_inputs=pair_inputs,
+        gold=data.preds[rows],
+        probs=_softmax_rows(pair_inputs @ model.w_cls + model.b_cls),
+    )
+    if not compute_contrastive:
+        return batch
 
-def forward(
-    model: RelationModel,
-    annotation: SceneGraphAnnotation,
-    embeddings: EmbeddingTable,
-    compute_contrastive: bool = True,
-) -> tuple[PairBatch, np.ndarray, float]:
-    """Single-image forward pass: caches, per-pair predicate distributions, contrastive loss."""
-    batch = forward_batch(model, [annotation], embeddings, compute_contrastive)
-    return batch, batch.all_probs(), batch.contrastive()
+    # Contrastive side: needs at least two objects to have any negatives.
+    starts = data.obj_offsets[images]
+    counts = data.obj_offsets[images + 1] - starts
+    counts[counts < 2] = 0
+    slots = np.arange(counts.max(initial=0))
+    mask = slots < counts[:, None]
+    rows = np.where(mask, starts[:, None] + slots, 0)  # padded slots read row 0, masked out
+    batch.features = data.features[rows]
+    emb = embeddings.vectors[data.labels[rows]]
+    proj = batch.features @ model.w_proj
+    raw_norms = np.linalg.norm(proj, axis=2)
+    batch.clamped = raw_norms < NORM_EPS
+    batch.proj_norms = np.maximum(raw_norms, NORM_EPS)
+    batch.unit_proj = proj / batch.proj_norms[..., None]
+    batch.unit_emb = emb / np.linalg.norm(emb, axis=2)[..., None]
+    batch.sims = batch.unit_proj @ batch.unit_emb.transpose(0, 2, 1)
+    # Cosine similarities lie in [-1, 1], so exp needs no max shift.
+    e = np.exp(batch.sims) * (mask[:, :, None] & mask[:, None, :])
+    row_sum = np.where(mask, e.sum(axis=2), 1.0)
+    col_sum = np.where(mask, e.sum(axis=1), 1.0)
+    diag = np.diagonal(batch.sims, axis1=1, axis2=2)
+    # Per image: half the sum of both directions' -log p(diagonal) over N objects.
+    scale = 1.0 / (2.0 * np.maximum(counts, 1) * max(len(images), 1))
+    nll = ((np.log(row_sum) + np.log(col_sum) - 2.0 * diag) * mask).sum(axis=1)
+    batch.contrastive = float(nll @ scale)
+    eye = np.eye(len(slots)) * mask[:, :, None]
+    d_sims = e / row_sum[:, :, None] + e / col_sum[:, None, :] - 2.0 * eye
+    batch.d_sims = d_sims * scale[:, None, None]
+    return batch
 
 
 def backward(
     model: RelationModel,
-    batch: PairBatch,
+    batch: Batch,
     weights: InfoWeights | None = None,
     mu: float = DEFAULT_MU,
 ) -> Gradients:
@@ -278,30 +303,20 @@ def backward(
     g_cls = np.zeros_like(model.w_cls)
     g_b = np.zeros_like(model.b_cls)
 
-    total_pairs = int(sum(c.gold.shape[0] for c in batch.images))
+    if batch.sims is not None:
+        gv = batch.d_sims @ batch.unit_emb
+        row_dot = (batch.d_sims * batch.sims).sum(axis=2)
+        d_proj = np.where(batch.clamped[..., None], gv, gv - row_dot[..., None] * batch.unit_proj)
+        d_proj = d_proj / batch.proj_norms[..., None]
+        g_proj += batch.features.reshape(-1, model.d_roi).T @ d_proj.reshape(-1, model.d_emb)
 
-    for cache in batch.images:
-        if cache.sims is not None:
-            n = cache.sims.shape[0]
-            row_soft = _softmax_rows(cache.sims)
-            col_soft = _softmax_rows(cache.sims.T).T
-            eye = np.eye(n)
-            # d(loss)/d(sims), including the 1/num_images batch averaging.
-            g_s = (row_soft + col_soft - 2.0 * eye) / (2.0 * n * batch.num_images)
-            gv = g_s @ cache.unit_emb
-            row_dot = (g_s * cache.sims).sum(axis=1)
-            d_proj = gv - row_dot[:, None] * cache.unit_proj
-            d_proj[cache.clamped] = gv[cache.clamped]
-            d_proj = d_proj / cache.proj_norms[:, None]
-            g_proj += cache.features.T @ d_proj
-
-        m = cache.gold.shape[0]
-        if m and mu != 0.0 and total_pairs:
-            d_z = cache.probs.copy()
-            d_z[np.arange(m), cache.gold] -= 1.0
-            d_z *= (mu / total_pairs) * weights.weights[cache.gold][:, None]
-            g_cls += cache.pair_inputs.T @ d_z
-            g_b += d_z.sum(axis=0)
+    m = batch.gold.shape[0]
+    if m and mu != 0.0:
+        d_z = batch.probs.copy()
+        d_z[np.arange(m), batch.gold] -= 1.0
+        d_z *= (mu / m) * weights.weights[batch.gold][:, None]
+        g_cls += batch.pair_inputs.T @ d_z
+        g_b += d_z.sum(axis=0)
 
     return Gradients(w_proj=g_proj, w_cls=g_cls, b_cls=g_b)
 
@@ -331,16 +346,13 @@ class TrainResult:
 
 
 def _validation_mean_recall(
-    model: RelationModel, val: Dataset, k: int = 50
+    model: RelationModel, val: PackedDataset, k: int = 50
 ) -> float:
     predictions = predict(model, val)
     ranked = build_ranked(predictions)
-    c_pred = val.predicate_space.size
-    gt = np.zeros(c_pred, dtype=np.int64)
-    matched = np.zeros(c_pred, dtype=np.int64)
+    gt = np.bincount(val.preds, minlength=model.c_pred)
+    matched = np.zeros(model.c_pred, dtype=np.int64)
     for annotation in val.annotations:
-        for triple in annotation.triples:
-            gt[triple.pred] += 1
         prediction = ranked.get(annotation.image_id)
         if prediction is None:
             continue
@@ -369,6 +381,8 @@ def train(
         weights = uniform_weights(model.c_pred)
 
     model = model.copy()
+    data = pack(train_set)
+    val = pack(val_set) if val_set is not None else None
     rng = substream(config.seed, "alignment.batches")
     n = len(train_set.annotations)
     order = rng.permutation(n)
@@ -384,15 +398,13 @@ def train(
             cursor = 0
         idx = order[cursor : cursor + config.batch_size]
         cursor += config.batch_size
-        annotations = [train_set.annotations[i] for i in idx]
 
         batch = forward_batch(
-            model, annotations, embeddings, compute_contrastive=config.use_alignment
+            model, data, embeddings, idx, compute_contrastive=config.use_alignment
         )
-        l_c = batch.contrastive()
-        l_iw = weighted_pred_loss(batch.all_probs(), batch.all_gold(), weights)
+        l_iw = weighted_pred_loss(batch.probs, batch.gold, weights)
         result.history.append(
-            total_loss(config.box_loss, config.object_loss, l_c, l_iw, config.mu)
+            total_loss(config.box_loss, config.object_loss, batch.contrastive, l_iw, config.mu)
         )
         result.learning_rates.append(lr)
 
@@ -403,11 +415,11 @@ def train(
             model.b_cls -= lr * grads.b_cls
 
         if (
-            val_set is not None
+            val is not None
             and config.eval_every > 0
             and (iteration + 1) % config.eval_every == 0
         ):
-            mr = _validation_mean_recall(model, val_set)
+            mr = _validation_mean_recall(model, val)
             result.val_mean_recall.append(mr)
             if best_mr is None or mr > best_mr:
                 best_mr = mr
@@ -423,45 +435,34 @@ def train(
     return result
 
 
-def predict(model: RelationModel, dataset: Dataset) -> list[PairPrediction]:
-    """Score every ordered object pair of every image (labels taken as given)."""
+def predict(model: RelationModel, data: PackedDataset) -> list[PairPrediction]:
+    """Score every ordered object pair of every image (labels taken as given).
+
+    Pairs come in image order, subject-major, object-minor.
+    """
+    n = np.diff(data.obj_offsets)
+    image, k = _segments(n * (n - 1))
+    s, j = np.divmod(k, n[image] - 1)
+    base = data.obj_offsets[image]
+    subj, obj = base + s, base + j + (j >= s)  # object j skips the subject's own slot
+
+    # The classifier is linear: apply its subject and object blocks once per object, then gather.
+    d = model.d_roi
+    probs = _softmax_rows(
+        (data.features @ model.w_cls[:d])[subj]
+        + (data.features @ model.w_cls[d : 2 * d])[obj]
+        + pair_geometry(data.boxes[subj], data.boxes[obj], data.sizes[image]) @ model.w_cls[2 * d :]
+        + model.b_cls
+    )
+
+    objects = [o for a in data.annotations for o in a.objects]
+    image_ids = [a.image_id for a in data.annotations]
     predictions: list[PairPrediction] = []
-    for annotation in dataset.annotations:
-        objs = annotation.objects
-        if len(objs) < 2:
-            continue
-        rows = []
-        pairs = []
-        for subj in objs:
-            for obj in objs:
-                if subj.object_id == obj.object_id:
-                    continue
-                rows.append(
-                    np.concatenate(
-                        [
-                            subj.feature,
-                            obj.feature,
-                            pair_geometry(
-                                subj.box, obj.box, annotation.width, annotation.height
-                            ),
-                        ]
-                    )
-                )
-                pairs.append((subj, obj))
-        probs = _softmax_rows(np.stack(rows) @ model.w_cls + model.b_cls)
-        for (subj, obj), p in zip(pairs, probs):
-            predictions.append(
-                PairPrediction(
-                    image_id=annotation.image_id,
-                    subj_id=subj.object_id,
-                    obj_id=obj.object_id,
-                    subj_label=subj.label,
-                    obj_label=obj.label,
-                    subj_box=subj.box,
-                    obj_box=obj.box,
-                    probs=p,
-                )
-            )
+    for i, si, oi, p in zip(image.tolist(), subj.tolist(), obj.tolist(), probs):
+        so, oo = objects[si], objects[oi]
+        predictions.append(PairPrediction(
+            image_ids[i], so.object_id, oo.object_id, so.label, oo.label, so.box, oo.box, p
+        ))
     return predictions
 
 
@@ -472,6 +473,20 @@ def save_history(history: list[LossBundle], path: str | Path) -> None:
         lines.append(
             f"{i},{bundle.contrastive_loss!r},{bundle.predicate_loss!r},{bundle.total!r}"
         )
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def save_validation(result: TrainResult, eval_every: int, path: str | Path) -> None:
+    """Validation CSV: iteration, lr, val_mean_recall_50; one row per validation evaluation.
+
+    Evaluation ``j`` runs after iteration ``(j + 1) * eval_every - 1``; ``lr`` is
+    the rate that iteration trained with (a decay the evaluation triggers applies
+    from the next iteration).
+    """
+    lines = ["iteration,lr,val_mean_recall_50"]
+    for j, mr in enumerate(result.val_mean_recall):
+        i = (j + 1) * eval_every - 1
+        lines.append(f"{i},{result.learning_rates[i]!r},{mr!r}")
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -497,14 +512,23 @@ def save_model(model: RelationModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> RelationModel:
     with open(path, "rb") as handle:
         header = json.loads(handle.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a model checkpoint")
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-        arrays = {}
-        for name in _ARRAY_ORDER:
-            shape = tuple(header["arrays"][name])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(handle.read(count * 8), dtype="<f8", count=count)
-            arrays[name] = data.reshape(shape).astype(np.float64)
-    return RelationModel(**arrays)
+        payload = handle.read()
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: not a model checkpoint")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    shapes = header.get("arrays")
+    for name in _ARRAY_ORDER:
+        if not isinstance(shapes, dict) or name not in shapes:
+            raise ValueError(f"{path}: checkpoint header has no arrays.{name} shape")
+    counts = [int(np.prod(shapes[name])) for name in _ARRAY_ORDER]
+    if len(payload) != 8 * sum(counts):
+        raise ValueError(
+            f"{path}: expected {8 * sum(counts)} parameter bytes after the header, found {len(payload)}"
+        )
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    bounds = _offsets(counts)
+    return RelationModel(**{
+        name: values[lo:hi].reshape(shapes[name])
+        for name, lo, hi in zip(_ARRAY_ORDER, bounds[:-1], bounds[1:])
+    })

@@ -363,12 +363,13 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     alignment.save_model(result.model, out / "model.ckpt")
     alignment.save_history(result.history, out / "loss_history.csv")
-    metrics.save_predictions(
-        alignment.predict(result.model, val_set), object_space, out / "predictions_val.jsonl"
-    )
-    metrics.save_predictions(
-        alignment.predict(result.model, test_set), object_space, out / "predictions_test.jsonl"
-    )
+    alignment.save_validation(result, train_config.eval_every, out / "validation.csv")
+    for name, split in (("val", val_set), ("test", test_set)):
+        metrics.save_predictions(
+            alignment.predict(result.model, alignment.pack(split)),
+            object_space,
+            out / f"predictions_{name}.jsonl",
+        )
     logger.info(
         "train: %d iterations, final total loss %.5f",
         len(result.history),
@@ -464,28 +465,51 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
+def _key(mapping: object, key: str, where: str) -> object:
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return mapping[key]
+
+
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
     rows = []
+    table = []  # printed cells per report, read before summary.json is written
     seeds = set()
+    first: dict = {}  # ks and subtask of the first report; every other must match
     for idx, path in enumerate(args.inputs):
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        cfg = payload["config"]
-        seeds.add(cfg["seed"])
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not a JSON report: {err}") from None
+        cfg = _key(payload, "config", path)
+        report = _key(payload, "report", path)
+        for key in ("ks", "subtask"):
+            value = _key(report, key, path)
+            first.setdefault(key, (value, path))
+            if value != first[key][0]:
+                raise ValueError(
+                    f"{path}: {key} {value} differs from {first[key][0]} in {first[key][1]}"
+                )
+        seeds.add(_key(cfg, "seed", path))
         toggles = {
-            key: cfg[key]
+            key: _key(cfg, key, path)
             for key in ("use_alignment", "use_refinement", "use_resampling", "use_reweighting")
         }
         label = args.labels[idx] if args.labels and idx < len(args.labels) else None
         if label is None:
             enabled = [key.removeprefix("use_") for key, on in toggles.items() if on]
             label = "+".join(enabled) if enabled else "baseline"
-        rows.append(
-            {
-                "label": label,
-                "toggles": toggles,
-                "metrics": payload["report"]["metrics"],
-            }
-        )
+        families = _key(report, "metrics", path)
+        cells = [label]
+        for family in ("recall", "mean_recall", "zero_shot_recall", "mric"):
+            values = _key(families, family, f"{path} metrics")
+            for k in first["ks"][0]:
+                value = _key(values, str(k), f"{path} metrics.{family}")
+                if value is not None and not isinstance(value, (int, float)):
+                    raise ValueError(f"{path} metrics.{family}: {k!r} is not a number")
+                cells.append("-" if value is None else f"{value:.4f}")
+        rows.append({"label": label, "toggles": toggles, "metrics": families})
+        table.append(cells)
     if len(seeds) > 1:
         raise ValueError(f"seed conflict across reports: {sorted(seeds)}")
     out = Path(args.out)
@@ -493,15 +517,9 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
     payload = {"config": config_echo(config), "seed": sorted(seeds)[0] if seeds else None, "rows": rows}
     _write_json(payload, out / "summary.json")
 
-    ks = rows[0]["metrics"]["recall"].keys() if rows else []
-    header = ["run"] + [f"{fam}@{k}" for fam in ("R", "mR", "zR", "mRIC") for k in ks]
-    print("\t".join(header))
-    for row in rows:
-        cells = [row["label"]]
-        for family in ("recall", "mean_recall", "zero_shot_recall", "mric"):
-            for k in ks:
-                value = row["metrics"][family][k]
-                cells.append("-" if value is None else f"{value:.4f}")
+    ks = first["ks"][0] if rows else []
+    print("\t".join(["run"] + [f"{fam}@{k}" for fam in ("R", "mR", "zR", "mRIC") for k in ks]))
+    for cells in table:
         print("\t".join(cells))
     return 0
 

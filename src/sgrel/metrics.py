@@ -291,6 +291,13 @@ def evaluate(
                 f"prediction shape mismatch: expected ({c_pred},) predicate scores"
             )
     ranked = build_ranked(predictions)
+    unknown = ranked.keys() - {a.image_id for a in test.annotations}
+    if unknown:
+        first = next(image_id for image_id in ranked if image_id in unknown)
+        count = sum(len(ranked[image_id].triples) for image_id in unknown)
+        raise ValueError(
+            f"{count} predictions for image ids not in the {test.split} split, first {first!r}"
+        )
     empty = RankedPrediction(image_id="", triples=())
 
     gt_per_pred = np.zeros(c_pred, dtype=np.int64)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sgrel.core import (
     BoundingBox,
@@ -14,6 +15,11 @@ from sgrel.core import (
 from sgrel.ingest import EmbeddingTable
 
 D_ROI = 5
+
+# Property tests run the same examples every time and keep no example database,
+# so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def make_spaces(c_obj=4, c_pred=3):

@@ -58,10 +58,10 @@ def test_criterion_3_gradient_check_100_batches():
     start = time.time()
     worst = 0.0
     for seed in range(100):
-        model, annotations, table, weights = toy_batch(seed)
-        batch = forward_batch(model, annotations, table)
+        model, data, table, weights = toy_batch(seed)
+        batch = forward_batch(model, data, table)
         analytic = backward(model, batch, weights, mu=1.2)
-        numeric = finite_difference_gradients(model, annotations, table, weights, mu=1.2, h=1e-5)
+        numeric = finite_difference_gradients(model, data, table, weights, mu=1.2, h=1e-5)
         worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4, f"gradient mismatch at seed {seed}: {worst:.3e}"
     elapsed = time.time() - start
@@ -330,11 +330,11 @@ def test_criterion_7_full_pipeline_determinism(ablation, tmp_path_factory):
     assert (other / "refinement" / "report.json").read_bytes() == (
         root / "refinement" / "report.json"
     ).read_bytes()
-    assert (other / "refinement" / "loss_history.csv").read_bytes() == (
-        root / "refinement" / "loss_history.csv"
-    ).read_bytes()
+    for name in ("loss_history.csv", "validation.csv"):
+        assert (other / "refinement" / name).read_bytes() == (root / "refinement" / name).read_bytes()
+    assert len((root / "refinement" / "validation.csv").read_text().splitlines()) == 11
     assert rerun == runs["refinement"]
-    _ok(7, "repeated full pipeline (synth through eval) is byte-identical, reports included")
+    _ok(7, "repeated full pipeline (synth through eval) is byte-identical, reports and histories included")
 
 
 def test_criterion_8_resampling_conservation():

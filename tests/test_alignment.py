@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,30 +10,30 @@ from sgrel.alignment import (
     backward,
     contrastive_loss,
     cosine_sim,
-    forward,
     forward_batch,
     load_model,
+    pack,
     pair_geometry,
     predict,
     save_history,
     save_model,
     train,
 )
-from sgrel.core import BoundingBox, LabelSpace, OBJECT, ObjectInstance, SceneGraphAnnotation, Triple
+from sgrel.core import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple
 from sgrel.ingest import EmbeddingTable
 from sgrel.reweighting import info_weights, weighted_pred_loss
 from sgrel.synth import SynthConfig, generate
 
-from conftest import make_box, make_dataset
+from conftest import make_box, make_dataset, make_spaces
 
 
 # --- shared toy-batch machinery (also used by the acceptance suite) ---------
 
 def toy_batch(seed, d_roi=5, d_emb=4, c_obj=6, c_pred=3, n_images=2):
-    """Small random batch with a model, embeddings, and info weights."""
+    """Small random packed batch with a model, embeddings, and info weights."""
     rng = np.random.default_rng(seed)
-    space = LabelSpace(kind=OBJECT, names=tuple(f"o{i}" for i in range(c_obj)))
-    table = EmbeddingTable(space=space, vectors=rng.normal(size=(c_obj, d_emb)))
+    spaces = make_spaces(c_obj, c_pred)
+    table = EmbeddingTable(space=spaces[0], vectors=rng.normal(size=(c_obj, d_emb)))
     annotations = []
     for i in range(n_images):
         n = int(rng.integers(2, 5))
@@ -60,17 +61,19 @@ def toy_batch(seed, d_roi=5, d_emb=4, c_obj=6, c_pred=3, n_images=2):
         )
     model = RelationModel.init(d_roi, d_emb, c_pred, rng)
     weights = info_weights(rng.integers(1, 50, size=c_pred))
-    return model, annotations, table, weights
+    return model, pack(make_dataset(annotations, spaces, d_roi=d_roi)), table, weights
 
 
-def batch_objective(model, annotations, table, weights, mu):
-    batch = forward_batch(model, annotations, table)
-    return batch.contrastive() + mu * weighted_pred_loss(
-        batch.all_probs(), batch.all_gold(), weights
-    )
+def pack_images(*annotations, d_roi=5):
+    return pack(make_dataset(annotations, d_roi=d_roi))
 
 
-def finite_difference_gradients(model, annotations, table, weights, mu, h=1e-5):
+def batch_objective(model, data, table, weights, mu):
+    batch = forward_batch(model, data, table)
+    return batch.contrastive + mu * weighted_pred_loss(batch.probs, batch.gold, weights)
+
+
+def finite_difference_gradients(model, data, table, weights, mu, h=1e-5):
     """Central finite differences of the batch objective, parameter by parameter."""
     grads = {}
     for name in ("w_proj", "w_cls", "b_cls"):
@@ -81,9 +84,9 @@ def finite_difference_gradients(model, annotations, table, weights, mu, h=1e-5):
             idx = it.multi_index
             original = array[idx]
             array[idx] = original + h
-            f_plus = batch_objective(model, annotations, table, weights, mu)
+            f_plus = batch_objective(model, data, table, weights, mu)
             array[idx] = original - h
-            f_minus = batch_objective(model, annotations, table, weights, mu)
+            f_minus = batch_objective(model, data, table, weights, mu)
             array[idx] = original
             grad[idx] = (f_plus - f_minus) / (2.0 * h)
             it.iternext()
@@ -172,6 +175,12 @@ class TestContrastiveLoss:
 
 # --- geometry features -------------------------------------------------------
 
+def geometry(a, b, width=100.0, height=100.0):
+    """pair_geometry of one box pair."""
+    boxes = np.array([[a.x1, a.y1, a.x2, a.y2], [b.x1, b.y1, b.x2, b.y2]])
+    return pair_geometry(boxes[:1], boxes[1:], np.array([[width, height]]))[0]
+
+
 class TestPairGeometry:
     def test_shape_and_finiteness(self, rng):
         for _ in range(50):
@@ -179,13 +188,13 @@ class TestPairGeometry:
             a = BoundingBox(x1, y1, x1 + rng.uniform(1, 40), y1 + rng.uniform(1, 40))
             x1, y1 = rng.uniform(0, 50, 2)
             b = BoundingBox(x1, y1, x1 + rng.uniform(1, 40), y1 + rng.uniform(1, 40))
-            g = pair_geometry(a, b, 100.0, 100.0)
+            g = geometry(a, b)
             assert g.shape == (8,)
             assert np.all(np.isfinite(g))
 
     def test_identical_boxes(self):
         box = make_box(10, 10, 30, 30)
-        g = pair_geometry(box, box, 100.0, 100.0)
+        g = geometry(box, box)
         np.testing.assert_allclose(g[:5], 0.0)  # offsets and log ratios vanish
         assert g[5] == 1.0  # IoU
 
@@ -198,7 +207,7 @@ class TestPairGeometry:
             ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
             iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
             union = a.area + b.area - ix * iy
-            g = pair_geometry(a, b, 100.0, 100.0)
+            g = geometry(a, b)
             assert g[5] == ix * iy / union  # IoU, bit for bit
             assert g[6] == union / (100.0 * 100.0)
 
@@ -232,36 +241,37 @@ def straight_line_forward(model, annotation, table):
 
 class TestForward:
     def test_matches_straight_line_reimplementation(self):
-        model, annotations, table, _ = toy_batch(42, n_images=1)
+        model, data, table, _ = toy_batch(42, n_images=1)
         # Seed-42 toy image: compare against the independent recomputation.
-        _, probs, l_c = forward(model, annotations[0], table)
-        assert l_c == pytest.approx(straight_line_forward(model, annotations[0], table), abs=1e-10)
-        assert probs.shape[1] == model.c_pred
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        batch = forward_batch(model, data, table)
+        reference = straight_line_forward(model, data.annotations[0], table)
+        assert batch.contrastive == pytest.approx(reference, abs=1e-10)
+        assert batch.probs.shape[1] == model.c_pred
+        np.testing.assert_allclose(batch.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_single_object_contributes_zero_loss(self, rng):
-        model, annotations, table, _ = toy_batch(0, n_images=1)
+        model, data, table, _ = toy_batch(0, n_images=1)
         solo = SceneGraphAnnotation(
-            "solo", 100.0, 100.0, (annotations[0].objects[0],), ()
+            "solo", 100.0, 100.0, (data.annotations[0].objects[0],), ()
         )
-        _, probs, l_c = forward(model, solo, table)
-        assert l_c == 0.0
-        assert probs.shape[0] == 0
+        batch = forward_batch(model, pack_images(solo), table)
+        assert batch.contrastive == 0.0
+        assert batch.probs.shape[0] == 0
 
     def test_empty_image(self):
         model, _, table, _ = toy_batch(0)
         empty = SceneGraphAnnotation("none", 100.0, 100.0, (), ())
-        _, probs, l_c = forward(model, empty, table)
-        assert l_c == 0.0
-        assert probs.shape[0] == 0
+        batch = forward_batch(model, pack_images(empty), table)
+        assert batch.contrastive == 0.0
+        assert batch.probs.shape[0] == 0
 
     def test_duplicate_objects_give_uniform_rows(self):
-        model, annotations, table, _ = toy_batch(1, n_images=1)
-        base = annotations[0].objects[0]
+        model, data, table, _ = toy_batch(1, n_images=1)
+        base = data.annotations[0].objects[0]
         twin = ObjectInstance(1, base.label, base.box, base.feature.copy())
         image = SceneGraphAnnotation("dup", 100.0, 100.0, (base, twin), ())
-        _, _, l_c = forward(model, image, table)
-        assert l_c == pytest.approx(math.log(2.0), abs=1e-12)
+        batch = forward_batch(model, pack_images(image), table)
+        assert batch.contrastive == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 # --- backward ----------------------------------------------------------------
@@ -270,16 +280,16 @@ class TestBackward:
     def test_gradient_check_small_sample(self):
         worst = 0.0
         for seed in range(10):
-            model, annotations, table, weights = toy_batch(seed)
-            batch = forward_batch(model, annotations, table)
+            model, data, table, weights = toy_batch(seed)
+            batch = forward_batch(model, data, table)
             analytic = backward(model, batch, weights, mu=1.2)
-            numeric = finite_difference_gradients(model, annotations, table, weights, mu=1.2)
+            numeric = finite_difference_gradients(model, data, table, weights, mu=1.2)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
 
     def test_mu_zero_decouples_classifier(self):
-        model, annotations, table, weights = toy_batch(5)
-        batch = forward_batch(model, annotations, table)
+        model, data, table, weights = toy_batch(5)
+        batch = forward_batch(model, data, table)
         with_mu = backward(model, batch, weights, mu=1.2)
         without = backward(model, batch, weights, mu=0.0)
         assert np.all(without.w_cls == 0.0)
@@ -288,12 +298,12 @@ class TestBackward:
 
     def test_zero_projection_with_symmetric_inputs(self):
         # All-zero W_proj and identical objects: gradients cancel by symmetry.
-        model, annotations, table, weights = toy_batch(3, n_images=1)
+        model, data, table, weights = toy_batch(3, n_images=1)
         model.w_proj[:] = 0.0
-        base = annotations[0].objects[0]
+        base = data.annotations[0].objects[0]
         twin = ObjectInstance(1, base.label, base.box, base.feature.copy())
         image = SceneGraphAnnotation("sym", 100.0, 100.0, (base, twin), ())
-        batch = forward_batch(model, [image], table)
+        batch = forward_batch(model, pack_images(image), table)
         grads = backward(model, batch, weights, mu=1.2)
         np.testing.assert_allclose(grads.w_proj, 0.0, atol=1e-12)
 
@@ -342,7 +352,7 @@ class TestTrain:
         model = RelationModel.init(6, 4, 4, np.random.default_rng(11))
 
         def dataset_contrastive(m):
-            return forward_batch(m, list(data.train.annotations), data.object_embeddings).contrastive()
+            return forward_batch(m, pack(data.train), data.object_embeddings).contrastive
 
         before = dataset_contrastive(model)
         config = TrainConfig(lr=0.05, iterations=500, batch_size=16, seed=5, mu=1.2)
@@ -379,7 +389,7 @@ class TestPredict:
     def test_all_ordered_pairs_scored(self):
         data = tiny_corpus()
         model = RelationModel.init(6, 4, 4, np.random.default_rng(0))
-        predictions = predict(model, data.test)
+        predictions = predict(model, pack(data.test))
         by_image = {}
         for p in predictions:
             by_image.setdefault(p.image_id, []).append(p)
@@ -398,6 +408,23 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.w_proj, model.w_proj)
         np.testing.assert_array_equal(loaded.w_cls, model.w_cls)
         np.testing.assert_array_equal(loaded.b_cls, model.b_cls)
+
+    @pytest.mark.parametrize("change, found", [(lambda b: b[:-8], -8), (lambda b: b + bytes(8), 8)])
+    def test_rejects_wrong_parameter_byte_count(self, tmp_path, rng, change, found):
+        model = RelationModel.init(6, 4, 5, rng)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        expected = 8 * (model.w_proj.size + model.w_cls.size + model.b_cls.size)
+        path.write_bytes(change(path.read_bytes()))
+        message = f"{path}: expected {expected} parameter bytes after the header, found {expected + found}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
+    def test_rejects_header_without_arrays(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b'{"format": "sgrel-model", "version": 1}\n' + bytes(16))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header has no arrays.w_proj")):
+            load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "nope.ckpt"

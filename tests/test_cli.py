@@ -297,6 +297,38 @@ class TestTrainRefineEval:
         err = capsys.readouterr().err
         assert "--object-embeddings" in err and "--predicate-embeddings" in err
 
+    def test_train_writes_validation_history(self, corpus, tmp_path):
+        config = write_config(tmp_path, iterations=20, eval_every=5, seed=5)
+        out = tmp_path / "run"
+        run_pipeline(corpus, out, config)
+        lines = (out / "validation.csv").read_text().splitlines()
+        assert lines[0] == "iteration,lr,val_mean_recall_50"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [4, 9, 14, 19]
+        assert all(float(r[1]) == 0.001 for r in rows)
+        assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
+
+    def test_eval_rejects_predictions_for_unknown_images(self, corpus, tmp_path, capsys):
+        from sgrel.core import OBJECT, PREDICATE
+        from sgrel.ingest import load_annotations, load_labels
+        from sgrel.metrics import save_predictions
+        from sgrel.synth import load_map, oracle_predictions
+
+        object_space = load_labels(corpus / "object_labels.txt", OBJECT)
+        predicate_space = load_labels(corpus / "predicate_labels.txt", PREDICATE)
+        val = load_annotations(corpus / "val.jsonl", object_space, predicate_space, 32, "val")
+        predictions = oracle_predictions(val, load_map(corpus / "generative_map.json"))
+        path = tmp_path / "val_predictions.jsonl"
+        save_predictions(predictions, object_space, path)
+        code = run(
+            ["eval", "--out", tmp_path / "ev", *corpus_flags(corpus), "--predictions", path,
+             "--dataset", corpus / "test.jsonl", "--d-roi", 32]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{len(predictions)} predictions" in err
+        assert repr(predictions[0].image_id) in err
+
     def test_eval_on_oracle_predictions_is_perfect(self, corpus, tmp_path):
         from sgrel.core import OBJECT, PREDICATE
         from sgrel.ingest import load_annotations, load_labels
@@ -345,6 +377,63 @@ class TestReport:
         code = run(["report", "--out", tmp_path / "s", "--inputs", *paths])
         assert code == 2
         assert "seed conflict" in capsys.readouterr().err
+
+    def combine_with_variant(self, corpus, tmp_path, edit):
+        """Report a real report together with an edited copy of it; returns (code, copy)."""
+        (path,) = self.make_reports(corpus, tmp_path, seeds=(5,))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(payload))
+        return run(["report", "--out", tmp_path / "s", "--inputs", path, other]), other
+
+    @staticmethod
+    def fewer_ks(payload):
+        report = payload["report"]
+        report["ks"] = [10, 50]
+        for family in report["metrics"].values():
+            family.pop("100")
+            family["10"] = family.pop("20")
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [("ks", fewer_ks), ("subtask", lambda payload: payload["report"].update(subtask="sggen"))],
+    )
+    def test_mismatched_protocol_rejected(self, corpus, tmp_path, capsys, key, edit):
+        code, other = self.combine_with_variant(corpus, tmp_path, edit)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(other) in err and key in err
+        assert not (tmp_path / "s" / "summary.json").exists()
+
+    def test_non_numeric_metric_rejected(self, corpus, tmp_path, capsys):
+        code, other = self.combine_with_variant(
+            corpus, tmp_path, lambda p: p["report"]["metrics"]["mric"].update({"20": [1]})
+        )
+        assert code == 2
+        assert f"{other} metrics.mric: 20 is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "summary.json").exists()
+
+    def test_non_json_input_rejected(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("not json\n")
+        assert run(["report", "--out", tmp_path / "s", "--inputs", path]) == 2
+        assert f"{path}: not a JSON report" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [("config", lambda p: p.pop("config")),
+         ("report", lambda p: p.pop("report")),
+         ("mean_recall", lambda p: p["report"]["metrics"].pop("mean_recall")),
+         ("100", lambda p: p["report"]["metrics"]["mric"].pop("100"))],
+    )
+    def test_missing_section_rejected(self, corpus, tmp_path, capsys, key, edit):
+        code, other = self.combine_with_variant(corpus, tmp_path, edit)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(other) in err and repr(key) in err
+        assert not (tmp_path / "s" / "summary.json").exists()
 
 
 class TestDeterminism:

@@ -97,7 +97,7 @@ class TestValidateAnnotation:
     def test_valid_annotation_feeds_downstream(self, spaces, rng):
         # Validity implies every downstream consumer accepts the annotation.
         from conftest import make_dataset, random_embeddings
-        from sgrel.alignment import RelationModel, forward
+        from sgrel.alignment import RelationModel, forward_batch, pack
         from sgrel.sampling import count_predicates
 
         a = make_annotation()
@@ -106,7 +106,7 @@ class TestValidateAnnotation:
         count_predicates(dataset)
         table = random_embeddings(spaces[0], 4, rng)
         model = RelationModel.init(D_ROI, 4, spaces[1].size, rng)
-        forward(model, a, table)
+        forward_batch(model, pack(dataset), table)
 
 
 class TestTripleSignature:
