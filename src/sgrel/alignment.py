@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import Dataset, SceneGraphAnnotation
 from .ingest import EmbeddingTable
-from .metrics import PREDCLS, PairPrediction, build_ranked, match_triples, mean_recall_at_k
+from .metrics import PairPrediction, evaluate
+from .metrics import build_ranked, match_triples  # unused here; perfbench/tracing.py patches these names
 from .reweighting import DEFAULT_MU, InfoWeights, LossBundle, total_loss, uniform_weights, weighted_pred_loss
 from .seeding import substream
 
@@ -345,21 +346,9 @@ class TrainResult:
     val_mean_recall: list[float] = field(default_factory=list)
 
 
-def _validation_mean_recall(
-    model: RelationModel, val: PackedDataset, k: int = 50
-) -> float:
-    predictions = predict(model, val)
-    ranked = build_ranked(predictions)
-    gt = np.bincount(val.preds, minlength=model.c_pred)
-    matched = np.zeros(model.c_pred, dtype=np.int64)
-    for annotation in val.annotations:
-        prediction = ranked.get(annotation.image_id)
-        if prediction is None:
-            continue
-        for idx in match_triples(prediction, annotation, k, PREDCLS):
-            matched[annotation.triples[idx].pred] += 1
-    mr, _ = mean_recall_at_k(matched, gt)
-    return 0.0 if mr is None else mr
+def _validation_mean_recall(model: RelationModel, val: PackedDataset, val_set: Dataset) -> float:
+    """Validation mR@50 under predcls; 0.0 when the split has no GT triples."""
+    return evaluate(predict(model, val), val_set, ks=(50,)).mean_recall[50] or 0.0
 
 
 def train(
@@ -419,7 +408,7 @@ def train(
             and config.eval_every > 0
             and (iteration + 1) % config.eval_every == 0
         ):
-            mr = _validation_mean_recall(model, val)
+            mr = _validation_mean_recall(model, val, val_set)
             result.val_mean_recall.append(mr)
             if best_mr is None or mr > best_mr:
                 best_mr = mr
@@ -511,8 +500,12 @@ def save_model(model: RelationModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> RelationModel:
     with open(path, "rb") as handle:
-        header = json.loads(handle.readline().decode("utf-8"))
+        line = handle.readline()
         payload = handle.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as err:  # invalid UTF-8 or JSON
+        raise ValueError(f"{path}: not a model checkpoint: {err}") from err
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
@@ -521,6 +514,8 @@ def load_model(path: str | Path) -> RelationModel:
     for name in _ARRAY_ORDER:
         if not isinstance(shapes, dict) or name not in shapes:
             raise ValueError(f"{path}: checkpoint header has no arrays.{name} shape")
+        if not isinstance(shapes[name], list) or not all(type(n) is int and n >= 0 for n in shapes[name]):
+            raise ValueError(f"{path}: checkpoint header arrays.{name} is not a list of non-negative integers")
     counts = [int(np.prod(shapes[name])) for name in _ARRAY_ORDER]
     if len(payload) != 8 * sum(counts):
         raise ValueError(

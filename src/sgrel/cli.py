@@ -401,22 +401,20 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     )
     metrics.save_predictions(refined, object_space, target)
     lines = []
+    flipped = 0
     for before, after in zip(predictions, refined):
+        pre_top, post_top = int(np.argmax(before.probs)), int(np.argmax(after.probs))
+        flipped += pre_top != post_top
         record = {
             "image_id": before.image_id,
             "subj_id": before.subj_id,
             "obj_id": before.obj_id,
-            "pre_top": predicate_space.names[int(np.argmax(before.probs))],
-            "post_top": predicate_space.names[int(np.argmax(after.probs))],
+            "pre_top": predicate_space.names[pre_top],
+            "post_top": predicate_space.names[post_top],
             "scores": [float(v) for v in after.probs],
         }
         lines.append(json.dumps(record, separators=(",", ":")))
     report_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    flipped = sum(
-        1
-        for before, after in zip(predictions, refined)
-        if int(np.argmax(before.probs)) != int(np.argmax(after.probs))
-    )
     logger.info("refine: %d/%d pairs flipped", flipped, len(predictions))
     return 0
 

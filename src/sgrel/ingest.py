@@ -301,11 +301,6 @@ def load_recalls(path: str | Path, space: LabelSpace) -> RecallTable:
     return RecallTable(values=values)
 
 
-def save_recalls(recalls: RecallTable, space: LabelSpace, path: str | Path) -> None:
-    payload = {name: float(v) for name, v in zip(space.names, recalls.values)}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def dataset_signatures(dataset: Dataset) -> set[Signature]:
     signatures: set[Signature] = set()
     for annotation in dataset.annotations:

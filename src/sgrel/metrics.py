@@ -12,7 +12,9 @@ sggen
 A ranked prediction list obeys the graph constraint (one predicate per ordered
 instance pair). Within the top-K window, predictions consume ground-truth
 triples one-to-one; consumption is resolved by augmenting paths in rank order,
-which yields the maximum possible number of matched triples.
+which yields the maximum possible number of matched triples. An augmenting path
+never unmatches a triple, so one pass over the top max(K) records, for each
+matched triple, the rank that first matched it, and serves every K.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,10 +33,12 @@ from .core import (
     BoundingBox,
     Dataset,
     LabelSpace,
+    ObjectInstance,
     SceneGraphAnnotation,
+    Triple,
     triple_signature,
 )
-from .ingest import ZeroShotIndex
+from .ingest import ParseError, ZeroShotIndex
 from .reweighting import InfoWeights
 
 logger = logging.getLogger(__name__)
@@ -74,14 +80,6 @@ class PredictedTriple:
     subj_box: BoundingBox
     obj_box: BoundingBox
     score: float
-
-
-@dataclass(frozen=True)
-class RankedPrediction:
-    """Per-image triple list, descending score, one predicate per instance pair."""
-
-    image_id: str
-    triples: tuple[PredictedTriple, ...]
 
 
 @dataclass(eq=False)
@@ -134,8 +132,8 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def build_ranked(predictions: list[PairPrediction]) -> dict[str, RankedPrediction]:
-    """Group pair predictions per image and rank them.
+def build_ranked(predictions: list[PairPrediction]) -> dict[str, tuple[PredictedTriple, ...]]:
+    """Group pair predictions per image and rank them (descending score).
 
     Each pair contributes its top predicate only (graph constraint); the triple
     score is the predicate score times both label confidences. Ties are broken
@@ -145,7 +143,7 @@ def build_ranked(predictions: list[PairPrediction]) -> dict[str, RankedPredictio
     for pair in predictions:
         by_image.setdefault(pair.image_id, []).append(pair)
 
-    ranked: dict[str, RankedPrediction] = {}
+    ranked: dict[str, tuple[PredictedTriple, ...]] = {}
     for image_id, pairs in by_image.items():
         seen_pairs: set[tuple[int, int]] = set()
         triples: list[PredictedTriple] = []
@@ -172,76 +170,64 @@ def build_ranked(predictions: list[PairPrediction]) -> dict[str, RankedPredictio
                 )
             )
         triples.sort(key=lambda t: (-t.score, t.subj_id, t.obj_id))
-        ranked[image_id] = RankedPrediction(image_id=image_id, triples=tuple(triples))
+        ranked[image_id] = tuple(triples)
     return ranked
 
 
 def _compatible(
-    prediction: PredictedTriple,
-    gt_subj_label: int,
-    gt_pred: int,
-    gt_obj_label: int,
-    gt_subj_box: BoundingBox,
-    gt_obj_box: BoundingBox,
-    gt_subj_id: int,
-    gt_obj_id: int,
-    protocol: str,
+    prediction: PredictedTriple, triple: Triple, subj: ObjectInstance, obj: ObjectInstance, protocol: str
 ) -> bool:
+    """Whether ``prediction`` may consume the GT ``triple`` between ``subj`` and ``obj``."""
     if (
-        prediction.pred != gt_pred
-        or prediction.subj_label != gt_subj_label
-        or prediction.obj_label != gt_obj_label
+        prediction.pred != triple.pred
+        or prediction.subj_label != subj.label
+        or prediction.obj_label != obj.label
     ):
         return False
     if protocol in (PREDCLS, SGCLS):
-        return prediction.subj_id == gt_subj_id and prediction.obj_id == gt_obj_id
+        return prediction.subj_id == triple.subj and prediction.obj_id == triple.obj
     return (
-        iou(prediction.subj_box, gt_subj_box) >= SGGEN_IOU_THRESHOLD
-        and iou(prediction.obj_box, gt_obj_box) >= SGGEN_IOU_THRESHOLD
+        iou(prediction.subj_box, subj.box) >= SGGEN_IOU_THRESHOLD
+        and iou(prediction.obj_box, obj.box) >= SGGEN_IOU_THRESHOLD
     )
 
 
 def match_triples(
-    prediction: RankedPrediction,
+    triples: tuple[PredictedTriple, ...],
     annotation: SceneGraphAnnotation,
     k: int,
     protocol: str,
-) -> set[int]:
-    """Indices of GT triples matched by the top-``k`` predictions.
+) -> dict[int, int]:
+    """Match the top-``k`` ranked triples to GT triples; GT index -> first matching rank.
 
     Each prediction consumes at most one GT triple; processing in rank order
     with augmenting paths makes the matched set as large as any assignment
-    could achieve.
+    could achieve. A matched GT triple stays matched, so the triples matched
+    within the top ``j <= k`` are those whose rank is below ``j``.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    top = prediction.triples[:k]
-    gt = []
-    for idx, triple in enumerate(annotation.triples):
-        subj = annotation.object_by_id(triple.subj)
-        obj = annotation.object_by_id(triple.obj)
-        gt.append((idx, subj.label, triple.pred, obj.label, subj.box, obj.box, triple.subj, triple.obj))
+    top = triples[:k]
+    gt = [(t, annotation.object_by_id(t.subj), annotation.object_by_id(t.obj)) for t in annotation.triples]
 
-    owner: dict[int, int] = {}  # gt idx -> position in `top`
-    assigned: dict[int, int] = {}  # position in `top` -> gt idx
+    owner: dict[int, int] = {}  # gt idx -> position in `top` that holds it now
+    first: dict[int, int] = {}  # gt idx -> rank whose augmenting path matched it
 
     def try_assign(pos: int, banned: set[int]) -> bool:
-        p = top[pos]
-        for idx, s_lab, g_pred, o_lab, s_box, o_box, s_id, o_id in gt:
-            if idx in banned:
-                continue
-            if not _compatible(p, s_lab, g_pred, o_lab, s_box, o_box, s_id, o_id, protocol):
+        for idx, (triple, subj, obj) in enumerate(gt):
+            if idx in banned or not _compatible(top[pos], triple, subj, obj, protocol):
                 continue
             banned.add(idx)
-            if idx not in owner or try_assign(owner[idx], banned):
-                owner[idx] = pos
-                assigned[pos] = idx
-                return True
+            if idx in owner and not try_assign(owner[idx], banned):
+                continue
+            first.setdefault(idx, rank)  # `rank`: where this augmenting path started
+            owner[idx] = pos
+            return True
         return False
 
-    for pos in range(len(top)):
-        try_assign(pos, set())
-    return set(owner.keys())
+    for rank in range(len(top)):
+        try_assign(rank, set())
+    return first
 
 
 def recall_at_k(matched_counts: list[int], gt_counts: list[int]) -> float | None:
@@ -294,12 +280,11 @@ def evaluate(
     unknown = ranked.keys() - {a.image_id for a in test.annotations}
     if unknown:
         first = next(image_id for image_id in ranked if image_id in unknown)
-        count = sum(len(ranked[image_id].triples) for image_id in unknown)
+        count = sum(len(ranked[image_id]) for image_id in unknown)
         raise ValueError(
             f"{count} predictions for image ids not in the {test.split} split, first {first!r}"
         )
-    empty = RankedPrediction(image_id="", triples=())
-
+    max_k = max(ks, default=0)
     gt_per_pred = np.zeros(c_pred, dtype=np.int64)
     matched_per_pred = {k: np.zeros(c_pred, dtype=np.int64) for k in ks}
     image_gt: list[int] = []
@@ -321,11 +306,11 @@ def evaluate(
         zs_n = sum(zs_flags)
         num_zs_gt += zs_n
 
-        prediction = ranked.get(annotation.image_id, empty)
+        first_rank = match_triples(ranked.get(annotation.image_id, ()), annotation, max_k, protocol)
         image_gt.append(gt_n)
         zs_image_gt.append(zs_n)
         for k in ks:
-            matched = match_triples(prediction, annotation, k, protocol)
+            matched = [idx for idx, rank in first_rank.items() if rank < k]
             image_matched[k].append(len(matched))
             zs_image_matched[k].append(sum(1 for idx in matched if zs_flags[idx]))
             for idx in matched:
@@ -398,23 +383,55 @@ def save_predictions(
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _string(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _score(value: object) -> float:
+    score = float(value)
+    if not 0.0 <= score < math.inf:  # NaN fails too
+        raise ValueError("must be finite and non-negative")
+    return score
+
+
+def _probs(values: list) -> np.ndarray:
+    # The sum is NaN or infinite when an entry is, so min() need only catch negatives;
+    # comparing entries with each other and with 0.0 rejects anything but numbers.
+    if not (min(values) >= 0.0 and sum(values) < math.inf):
+        raise ValueError("must be finite and non-negative")
+    return np.asarray(values, dtype=np.float64)
+
+
 def load_predictions(path: str | Path, object_space: LabelSpace) -> list[PairPrediction]:
+    """Read the JSON lines ``save_predictions`` writes.
+
+    Invalid JSON, a missing or mistyped key, and probs or label scores that are
+    negative or not finite raise ``ParseError`` naming the line.
+    """
+    label = object_space.index_of
+    box = lambda value: BoundingBox(*map(float, value))
+    parsers = (
+        ("image_id", _string), ("subj_id", operator.index), ("obj_id", operator.index),
+        ("subj_label", label), ("obj_label", label), ("subj_box", box), ("obj_box", box),
+        ("subj_score", _score), ("obj_score", _score), ("probs", _probs),
+    )
     predictions: list[PairPrediction] = []
     text = Path(path).read_text(encoding="utf-8")
-    for raw in text.splitlines():
-        record = json.loads(raw)
-        predictions.append(
-            PairPrediction(
-                image_id=record["image_id"],
-                subj_id=int(record["subj_id"]),
-                obj_id=int(record["obj_id"]),
-                subj_label=object_space.index_of(record["subj_label"]),
-                obj_label=object_space.index_of(record["obj_label"]),
-                subj_box=BoundingBox(*record["subj_box"]),
-                obj_box=BoundingBox(*record["obj_box"]),
-                subj_score=float(record["subj_score"]),
-                obj_score=float(record["obj_score"]),
-                probs=np.asarray(record["probs"], dtype=np.float64),
-            )
-        )
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as err:
+            raise ParseError(path, lineno, f"invalid JSON: {err.msg}") from err
+        if not isinstance(record, dict):
+            raise ParseError(path, lineno, "expected a JSON object")
+        fields = {}
+        for key, parse in parsers:
+            try:
+                fields[key] = parse(record[key])
+            except (KeyError, TypeError, ValueError) as err:
+                problem = f"bad {key!r}: {err}" if key in record else f"missing key {key!r}"
+                raise ParseError(path, lineno, problem) from err
+        predictions.append(PairPrediction(**fields))
     return predictions

@@ -28,6 +28,7 @@ from .core import (
     Triple,
     OBJECT,
     PREDICATE,
+    triple_signature,
 )
 from .ingest import EmbeddingTable
 from .metrics import PairPrediction
@@ -212,15 +213,6 @@ def _coverage_images(
     return annotations
 
 
-def _signatures_of(annotations: list[SceneGraphAnnotation]) -> set[Signature]:
-    out: set[Signature] = set()
-    for a in annotations:
-        by_id = {o.object_id: o for o in a.objects}
-        for t in a.triples:
-            out.add((by_id[t.subj].label, t.pred, by_id[t.obj].label))
-    return out
-
-
 def generate(cfg: SynthConfig) -> SynthData:
     """Produce train/val/test splits, both embedding tables, and the generative map.
 
@@ -291,7 +283,7 @@ def generate(cfg: SynthConfig) -> SynthData:
     )
 
     # Withhold an exact fraction of distinct test signatures from train.
-    test_signatures = sorted(_signatures_of(test_annotations))
+    test_signatures = sorted({triple_signature(t, a) for a in test_annotations for t in a.triples})
     n_withheld = int(round(cfg.zero_shot_fraction * len(test_signatures)))
     rng_withhold = substream(cfg.seed, "synth.withhold")
     withheld_idx = rng_withhold.choice(len(test_signatures), size=n_withheld, replace=False)
@@ -310,7 +302,8 @@ def generate(cfg: SynthConfig) -> SynthData:
     train_annotations = _generate_images(
         substream(cfg.seed, "synth.train"), n_train, "train", cfg, zipf_p, train_pairs, anchors
     )
-    missing = sorted((set(test_signatures) - withheld) - _signatures_of(train_annotations))
+    train_signatures = {triple_signature(t, a) for a in train_annotations for t in a.triples}
+    missing = sorted((set(test_signatures) - withheld) - train_signatures)
     train_annotations += _coverage_images(
         substream(cfg.seed, "synth.coverage"), missing, cfg, anchors
     )

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -426,8 +427,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint header has no arrays.w_proj")):
             load_model(path)
 
+    @pytest.mark.parametrize("shape", [["x"], [-1], [2.0], [True], 5, None])
+    def test_rejects_shape_that_is_not_a_list_of_sizes(self, tmp_path, rng, shape):
+        path = tmp_path / "model.ckpt"
+        save_model(RelationModel.init(6, 4, 5, rng), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["arrays"]["b_cls"] = shape
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        message = f"{path}: checkpoint header arrays.b_cls is not a list of non-negative integers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "nope.ckpt"
-        path.write_bytes(b'{"format": "something-else"}\n')
-        with pytest.raises(ValueError, match="not a model checkpoint"):
-            load_model(path)
+        for content in (b'{"format": "something-else"}\n', b"not json\n", b"\xff\n"):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: not a model checkpoint")):
+                load_model(path)

@@ -244,6 +244,27 @@ def run_pipeline(corpus, out, config_path, extra_train=(), refine_source=None):
     return json.loads((out / "report.json").read_text())
 
 
+def save_oracle_predictions(corpus, split, path):
+    """Perfect predictions for one split of the corpus, written to ``path``."""
+    from sgrel.core import OBJECT, PREDICATE
+    from sgrel.ingest import load_annotations, load_labels
+    from sgrel.metrics import save_predictions
+    from sgrel.synth import load_map, oracle_predictions
+
+    object_space = load_labels(corpus / "object_labels.txt", OBJECT)
+    predicate_space = load_labels(corpus / "predicate_labels.txt", PREDICATE)
+    dataset = load_annotations(corpus / f"{split}.jsonl", object_space, predicate_space, 32, split)
+    predictions = oracle_predictions(dataset, load_map(corpus / "generative_map.json"))
+    save_predictions(predictions, object_space, path)
+    return predictions
+
+
+def set_prob(index, value):
+    def edit(record):
+        record["probs"][index] = value
+    return edit
+
+
 class TestTrainRefineEval:
     def test_smoke_pipeline_emits_all_metric_families(self, corpus, tmp_path):
         config = write_config(tmp_path, iterations=40, seed=5, use_refinement="true")
@@ -309,17 +330,8 @@ class TestTrainRefineEval:
         assert all(0.0 <= float(r[2]) <= 1.0 for r in rows)
 
     def test_eval_rejects_predictions_for_unknown_images(self, corpus, tmp_path, capsys):
-        from sgrel.core import OBJECT, PREDICATE
-        from sgrel.ingest import load_annotations, load_labels
-        from sgrel.metrics import save_predictions
-        from sgrel.synth import load_map, oracle_predictions
-
-        object_space = load_labels(corpus / "object_labels.txt", OBJECT)
-        predicate_space = load_labels(corpus / "predicate_labels.txt", PREDICATE)
-        val = load_annotations(corpus / "val.jsonl", object_space, predicate_space, 32, "val")
-        predictions = oracle_predictions(val, load_map(corpus / "generative_map.json"))
         path = tmp_path / "val_predictions.jsonl"
-        save_predictions(predictions, object_space, path)
+        predictions = save_oracle_predictions(corpus, "val", path)
         code = run(
             ["eval", "--out", tmp_path / "ev", *corpus_flags(corpus), "--predictions", path,
              "--dataset", corpus / "test.jsonl", "--d-roi", 32]
@@ -330,17 +342,8 @@ class TestTrainRefineEval:
         assert repr(predictions[0].image_id) in err
 
     def test_eval_on_oracle_predictions_is_perfect(self, corpus, tmp_path):
-        from sgrel.core import OBJECT, PREDICATE
-        from sgrel.ingest import load_annotations, load_labels
-        from sgrel.metrics import save_predictions
-        from sgrel.synth import load_map, oracle_predictions
-
-        object_space = load_labels(corpus / "object_labels.txt", OBJECT)
-        predicate_space = load_labels(corpus / "predicate_labels.txt", PREDICATE)
-        test = load_annotations(corpus / "test.jsonl", object_space, predicate_space, 32, "test")
-        predictions = oracle_predictions(test, load_map(corpus / "generative_map.json"))
         path = tmp_path / "oracle.jsonl"
-        save_predictions(predictions, object_space, path)
+        save_oracle_predictions(corpus, "test", path)
 
         out = tmp_path / "ev"
         code = run(
@@ -350,6 +353,44 @@ class TestTrainRefineEval:
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
         assert all(v == 1.0 for v in payload["report"]["metrics"]["recall"].values())
+
+    @pytest.mark.parametrize("stage", ["refine", "eval"])
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (None, "invalid JSON"),
+            (lambda record: record.pop("probs"), "missing key 'probs'"),
+            (lambda record: record.update(subj_id="3"), "bad 'subj_id'"),
+            (lambda record: record.update(obj_box=["a", 0, 1, 1]), "bad 'obj_box'"),
+            (lambda record: record.update(subj_score=float("nan")), "bad 'subj_score': must be finite"),
+            (set_prob(0, float("nan")), "bad 'probs': must be finite and non-negative"),
+            (set_prob(1, float("inf")), "bad 'probs': must be finite and non-negative"),
+            (set_prob(1, -0.25), "bad 'probs': must be finite and non-negative"),
+        ],
+    )
+    def test_bad_prediction_line_is_data_error(self, corpus, tmp_path, capsys, stage, edit, problem):
+        path = tmp_path / "predictions.jsonl"
+        save_oracle_predictions(corpus, "test", path)
+        lines = path.read_text().splitlines()
+        if edit is None:
+            lines[1] = lines[1][:-1]
+        else:
+            record = json.loads(lines[1])
+            edit(record)
+            lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path, use_refinement="true")
+        extra = {
+            "refine": ["--object-embeddings", corpus / "object_embeddings.txt",
+                       "--predicate-embeddings", corpus / "predicate_embeddings.txt"],
+            "eval": ["--dataset", corpus / "test.jsonl", "--d-roi", 32],
+        }[stage]
+        code = run(
+            [stage, "--out", tmp_path / "out", "--config", config, *corpus_flags(corpus),
+             "--predictions", path, *extra]
+        )
+        assert code == 2
+        assert f"{path}:2: {problem}" in capsys.readouterr().err
 
 
 class TestReport:

@@ -11,7 +11,6 @@ from sgrel.metrics import (
     SGGEN,
     PairPrediction,
     PredictedTriple,
-    RankedPrediction,
     build_ranked,
     evaluate,
     iou,
@@ -25,6 +24,7 @@ from sgrel.metrics import (
 from sgrel.reweighting import InfoWeights, info_weights
 
 from conftest import make_annotation, make_box, make_dataset, make_object, make_spaces
+from test_acceptance import _random_fixture
 
 
 class TestIou:
@@ -64,11 +64,9 @@ class TestBuildRanked:
             pair("im0", 1, 0, [0.6, 0.2, 0.2]),
         ]
         ranked = build_ranked(pairs)["im0"]
-        assert [t.score for t in ranked.triples] == sorted(
-            (t.score for t in ranked.triples), reverse=True
-        )
-        assert ranked.triples[0].pred == 1
-        assert ranked.triples[0].score == pytest.approx(0.9)
+        assert [t.score for t in ranked] == sorted((t.score for t in ranked), reverse=True)
+        assert ranked[0].pred == 1
+        assert ranked[0].score == pytest.approx(0.9)
 
     def test_graph_constraint_enforced(self):
         pairs = [pair("im0", 0, 1, [1.0, 0.0]), pair("im0", 0, 1, [0.0, 1.0])]
@@ -77,7 +75,7 @@ class TestBuildRanked:
 
     def test_label_confidence_scales_score(self):
         ranked = build_ranked([pair("im0", 0, 1, [0.8, 0.2], subj_score=0.5, obj_score=0.5)])
-        assert ranked["im0"].triples[0].score == pytest.approx(0.2)
+        assert ranked["im0"][0].score == pytest.approx(0.2)
 
 
 def gt_annotation():
@@ -109,27 +107,24 @@ def predicted(annotation, triple, pred=None, score=1.0, jitter=0.0):
 class TestMatchTriples:
     def test_exact_match_predcls(self):
         a = gt_annotation()
-        ranked = RankedPrediction("im0", (predicted(a, a.triples[0]),))
-        assert match_triples(ranked, a, 20, PREDCLS) == {0}
+        ranked = (predicted(a, a.triples[0]),)
+        assert set(match_triples(ranked, a, 20, PREDCLS)) == {0}
 
     def test_full_coverage(self):
         a = gt_annotation()
-        ranked = RankedPrediction(
-            "im0", (predicted(a, a.triples[0]), predicted(a, a.triples[1], score=0.5))
-        )
-        assert match_triples(ranked, a, 20, PREDCLS) == {0, 1}
+        ranked = (predicted(a, a.triples[0]), predicted(a, a.triples[1], score=0.5))
+        assert set(match_triples(ranked, a, 20, PREDCLS)) == {0, 1}
 
     def test_k_window_limits_matches(self):
         a = gt_annotation()
-        ranked = RankedPrediction(
-            "im0", (predicted(a, a.triples[0]), predicted(a, a.triples[1], score=0.5))
-        )
-        assert match_triples(ranked, a, 1, PREDCLS) == {0}
+        ranked = (predicted(a, a.triples[0]), predicted(a, a.triples[1], score=0.5))
+        assert set(match_triples(ranked, a, 1, PREDCLS)) == {0}
+        assert match_triples(ranked, a, 2, PREDCLS) == {0: 0, 1: 1}
 
     def test_wrong_predicate_no_match(self):
         a = gt_annotation()
-        ranked = RankedPrediction("im0", (predicted(a, a.triples[0], pred=2),))
-        assert match_triples(ranked, a, 20, PREDCLS) == set()
+        ranked = (predicted(a, a.triples[0], pred=2),)
+        assert set(match_triples(ranked, a, 20, PREDCLS)) == set()
 
     def test_sgcls_requires_correct_labels(self):
         a = gt_annotation()
@@ -138,17 +133,17 @@ class TestMatchTriples:
             subj_id=hit.subj_id, obj_id=hit.obj_id, subj_label=2, pred=hit.pred,
             obj_label=hit.obj_label, subj_box=hit.subj_box, obj_box=hit.obj_box, score=1.0,
         )
-        assert match_triples(RankedPrediction("im0", (miss,)), a, 20, SGCLS) == set()
-        assert match_triples(RankedPrediction("im0", (hit,)), a, 20, SGCLS) == {0}
+        assert set(match_triples((miss,), a, 20, SGCLS)) == set()
+        assert set(match_triples((hit,), a, 20, SGCLS)) == {0}
 
     def test_sggen_iou_threshold(self):
         a = gt_annotation()
         # 10-wide boxes shifted by 4: IoU = 6/14 = 0.43 < 0.5 -> no match.
         low = predicted(a, a.triples[0], jitter=4.0)
-        assert match_triples(RankedPrediction("im0", (low,)), a, 20, SGGEN) == set()
+        assert set(match_triples((low,), a, 20, SGGEN)) == set()
         # Shifted by 3: IoU = 7/13 = 0.54 -> match.
         high = predicted(a, a.triples[0], jitter=3.0)
-        assert match_triples(RankedPrediction("im0", (high,)), a, 20, SGGEN) == {0}
+        assert set(match_triples((high,), a, 20, SGGEN)) == {0}
 
     def test_sggen_ignores_instance_ids(self):
         a = gt_annotation()
@@ -157,11 +152,12 @@ class TestMatchTriples:
             subj_id=90, obj_id=91, subj_label=hit.subj_label, pred=hit.pred,
             obj_label=hit.obj_label, subj_box=hit.subj_box, obj_box=hit.obj_box, score=1.0,
         )
-        assert match_triples(RankedPrediction("im0", (relabeled,)), a, 20, SGGEN) == {0}
+        assert set(match_triples((relabeled,), a, 20, SGGEN)) == {0}
 
     def test_greedy_agrees_with_exhaustive_optimum(self, rng):
         # Random small SGGen instances; exhaustive oracle enumerates every
-        # one-to-one assignment of predictions to compatible GT triples.
+        # one-to-one assignment of the top-k predictions to compatible GT
+        # triples, for every k, against a single top-5 matching.
         spaces = make_spaces(c_obj=2, c_pred=2)
         for trial in range(300):
             n_gt = int(rng.integers(1, 4))
@@ -186,8 +182,7 @@ class TestMatchTriples:
                     )
                 )
             predictions.sort(key=lambda t: -t.score)
-            ranked = RankedPrediction("im0", tuple(predictions))
-            matched = match_triples(ranked, a, 5, SGGEN)
+            first_rank = match_triples(tuple(predictions), a, 5, SGGEN)
 
             compatible = {
                 p: [
@@ -198,13 +193,105 @@ class TestMatchTriples:
                 ]
                 for p in range(len(predictions))
             }
-            option_lists = [compatible[p] + [None] for p in range(len(predictions))]
-            best = 0
-            for assignment in itertools.product(*option_lists):
-                used = [g for g in assignment if g is not None]
-                if len(used) == len(set(used)):
-                    best = max(best, len(used))
-            assert len(matched) == best
+            for k in range(1, 6):
+                option_lists = [compatible[p] + [None] for p in range(min(k, len(predictions)))]
+                best = 0
+                for assignment in itertools.product(*option_lists):
+                    used = [g for g in assignment if g is not None]
+                    if len(used) == len(set(used)):
+                        best = max(best, len(used))
+                assert sum(rank < k for rank in first_rank.values()) == best
+
+
+def reference_compatible(prediction, gt_subj_label, gt_pred, gt_obj_label, gt_subj_box, gt_obj_box,
+                         gt_subj_id, gt_obj_id, protocol):
+    if (
+        prediction.pred != gt_pred
+        or prediction.subj_label != gt_subj_label
+        or prediction.obj_label != gt_obj_label
+    ):
+        return False
+    if protocol in (PREDCLS, SGCLS):
+        return prediction.subj_id == gt_subj_id and prediction.obj_id == gt_obj_id
+    return iou(prediction.subj_box, gt_subj_box) >= 0.5 and iou(prediction.obj_box, gt_obj_box) >= 0.5
+
+
+def reference_match_triples(triples, annotation, k, protocol):
+    """The per-K matcher that one-pass matching replaced: augmenting paths over the top k from scratch."""
+    top = triples[:k]
+    gt = []
+    for idx, triple in enumerate(annotation.triples):
+        subj = annotation.object_by_id(triple.subj)
+        obj = annotation.object_by_id(triple.obj)
+        gt.append((idx, subj.label, triple.pred, obj.label, subj.box, obj.box, triple.subj, triple.obj))
+
+    owner = {}  # gt idx -> position in `top`
+
+    def try_assign(pos, banned):
+        p = top[pos]
+        for idx, s_lab, g_pred, o_lab, s_box, o_box, s_id, o_id in gt:
+            if idx in banned:
+                continue
+            if not reference_compatible(p, s_lab, g_pred, o_lab, s_box, o_box, s_id, o_id, protocol):
+                continue
+            banned.add(idx)
+            if idx not in owner or try_assign(owner[idx], banned):
+                owner[idx] = pos
+                return True
+        return False
+
+    for pos in range(len(top)):
+        try_assign(pos, set())
+    return set(owner.keys())
+
+
+def assert_one_pass_matches_reference(ranked, annotation, protocol):
+    first_rank = match_triples(ranked, annotation, len(ranked) + 1, protocol)
+    for k in range(len(ranked) + 2):
+        within = {idx for idx, rank in first_rank.items() if rank < k}
+        assert within == reference_match_triples(ranked, annotation, k, protocol)
+
+
+class TestOnePassMatching:
+    def test_agrees_with_per_k_matcher_on_random_fixtures(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            dataset, predictions, _ = _random_fixture(rng)
+            ranked = build_ranked(predictions)
+            for a in dataset.annotations:
+                for protocol in (PREDCLS, SGCLS, SGGEN):
+                    assert_one_pass_matches_reference(ranked.get(a.image_id, ()), a, protocol)
+
+    def test_agrees_with_per_k_matcher_on_overlapping_sggen_boxes(self):
+        # One label and one predicate, boxes jittered around three nearby
+        # anchors: predictions are compatible with several GT triples, and 101
+        # of the 2,440 (image, K) checks below match more triples than
+        # first-fit would, through augmenting paths.
+        rng = np.random.default_rng(17)
+
+        def box_near(anchor):
+            x, y = anchor + rng.uniform(-2.5, 2.5, size=2)
+            return make_box(x, y, x + 10, y + 10)
+
+        for _ in range(300):
+            anchors = rng.uniform(0, 5, size=(3, 2))
+            objects = [make_object(i, box=box_near(anchors[i % 3])) for i in range(int(rng.integers(2, 7)))]
+            pairs = list(itertools.permutations(range(len(objects)), 2))
+            picked = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)), replace=False)
+            a = make_annotation(objects=objects, triples=[Triple(pairs[i][0], 0, pairs[i][1]) for i in picked])
+            ranked = tuple(sorted(
+                (
+                    PredictedTriple(
+                        subj_id=j, obj_id=j + 1, subj_label=0, pred=0, obj_label=0,
+                        subj_box=box_near(anchors[rng.integers(3)]),
+                        obj_box=box_near(anchors[rng.integers(3)]),
+                        score=float(rng.uniform()),
+                    )
+                    for j in range(int(rng.integers(1, 12)))
+                ),
+                key=lambda t: -t.score,
+            ))
+            assert_one_pass_matches_reference(ranked, a, SGGEN)
 
 
 class TestRecallFamilies:
