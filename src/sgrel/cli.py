@@ -393,28 +393,35 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
             "--object-embeddings and --predicate-embeddings are required when use_refinement is on"
         )
     object_space, predicate_space = _load_spaces(args)
-    predictions = metrics.load_predictions(args.predictions, object_space)
+    predictions = metrics.load_predictions(args.predictions, object_space, predicate_space.size)
     object_embeddings = load_embeddings(args.object_embeddings, object_space)
     predicate_embeddings = load_embeddings(args.predicate_embeddings, predicate_space)
     refined = refinement.refine_dataset(
         predictions, object_embeddings, predicate_embeddings, config.alpha
     )
-    metrics.save_predictions(refined, object_space, target)
-    lines = []
-    flipped = 0
-    for before, after in zip(predictions, refined):
-        pre_top, post_top = int(np.argmax(before.probs)), int(np.argmax(after.probs))
-        flipped += pre_top != post_top
-        record = {
-            "image_id": before.image_id,
-            "subj_id": before.subj_id,
-            "obj_id": before.obj_id,
-            "pre_top": predicate_space.names[pre_top],
-            "post_top": predicate_space.names[post_top],
-            "scores": [float(v) for v in after.probs],
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    report_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    scores_text = metrics.save_predictions(refined, object_space, target)
+    pre_top, post_top = (
+        metrics.stack_probs(pairs).argmax(axis=1) if pairs else np.zeros(0, dtype=int)
+        for pairs in (predictions, refined)
+    )
+    flipped = int(np.count_nonzero(pre_top != post_top))
+    names = predicate_space.names
+    lines = (
+        metrics.json_line(
+            {
+                "image_id": pair.image_id,
+                "subj_id": pair.subj_id,
+                "obj_id": pair.obj_id,
+                "pre_top": names[before],
+                "post_top": names[after],
+            },
+            "scores",
+            text,
+        )
+        for pair, before, after, text in zip(predictions, pre_top.tolist(), post_top.tolist(), scores_text)
+    )
+    with open(report_path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
     logger.info("refine: %d/%d pairs flipped", flipped, len(predictions))
     return 0
 
@@ -422,7 +429,7 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     object_space, predicate_space = _load_spaces(args)
     dataset = load_annotations(args.dataset, object_space, predicate_space, args.d_roi, args.split)
-    predictions = metrics.load_predictions(args.predictions, object_space)
+    predictions = metrics.load_predictions(args.predictions, object_space, predicate_space.size)
     zero_shot = (
         ingest.load_zero_shot_index(args.zero_shot, object_space, predicate_space)
         if args.zero_shot

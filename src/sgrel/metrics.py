@@ -23,7 +23,6 @@ import csv
 import json
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,6 +131,11 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
+def stack_probs(predictions: list[PairPrediction]) -> np.ndarray:
+    """The pairs' predicate score vectors as one ``(P, C)`` float64 matrix (``P > 0``)."""
+    return np.array([pair.probs for pair in predictions], dtype=np.float64)
+
+
 def build_ranked(predictions: list[PairPrediction]) -> dict[str, tuple[PredictedTriple, ...]]:
     """Group pair predictions per image and rank them (descending score).
 
@@ -139,39 +143,33 @@ def build_ranked(predictions: list[PairPrediction]) -> dict[str, tuple[Predicted
     score is the predicate score times both label confidences. Ties are broken
     by instance ids so ranking is deterministic.
     """
-    by_image: dict[str, list[PairPrediction]] = {}
-    for pair in predictions:
-        by_image.setdefault(pair.image_id, []).append(pair)
+    if not predictions:
+        return {}
+    probs = stack_probs(predictions)
+    top = probs.argmax(axis=1)
+    label_scores = np.array([(pair.subj_score, pair.obj_score) for pair in predictions])
+    scores = probs[np.arange(len(top)), top] * label_scores[:, 0] * label_scores[:, 1]
 
-    ranked: dict[str, tuple[PredictedTriple, ...]] = {}
-    for image_id, pairs in by_image.items():
-        seen_pairs: set[tuple[int, int]] = set()
-        triples: list[PredictedTriple] = []
-        for pair in pairs:
-            key = (pair.subj_id, pair.obj_id)
-            if key in seen_pairs:
-                raise ValueError(
-                    f"image {image_id}: duplicate prediction for pair {key} "
-                    "violates the graph constraint"
-                )
-            seen_pairs.add(key)
-            probs = np.asarray(pair.probs, dtype=np.float64)
-            top = int(np.argmax(probs))
-            triples.append(
-                PredictedTriple(
-                    subj_id=pair.subj_id,
-                    obj_id=pair.obj_id,
-                    subj_label=pair.subj_label,
-                    pred=top,
-                    obj_label=pair.obj_label,
-                    subj_box=pair.subj_box,
-                    obj_box=pair.obj_box,
-                    score=float(probs[top]) * pair.subj_score * pair.obj_score,
-                )
+    seen_pairs: set[tuple[str, int, int]] = set()
+    by_image: dict[str, list[PredictedTriple]] = {}
+    for pair, pred, score in zip(predictions, top.tolist(), scores.tolist()):
+        key = (pair.image_id, pair.subj_id, pair.obj_id)
+        if key in seen_pairs:
+            raise ValueError(
+                f"image {pair.image_id}: duplicate prediction for pair {key[1:]} "
+                "violates the graph constraint"
             )
-        triples.sort(key=lambda t: (-t.score, t.subj_id, t.obj_id))
-        ranked[image_id] = tuple(triples)
-    return ranked
+        seen_pairs.add(key)
+        by_image.setdefault(pair.image_id, []).append(
+            PredictedTriple(
+                pair.subj_id, pair.obj_id, pair.subj_label, pred, pair.obj_label,
+                pair.subj_box, pair.obj_box, score,
+            )
+        )
+    return {
+        image_id: tuple(sorted(triples, key=lambda t: (-t.score, t.subj_id, t.obj_id)))
+        for image_id, triples in by_image.items()
+    }
 
 
 def _compatible(
@@ -359,28 +357,49 @@ def per_predicate_csv(
             writer.writerow(row)
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def json_line(record: dict, key: str, encoded: str) -> str:
+    """``record`` as one compact JSON line, with ``key`` added last holding the JSON text ``encoded``."""
+    return f'{_ENCODER.encode(record)[:-1]},"{key}":{encoded}}}\n'
+
+
 def save_predictions(
     predictions: list[PairPrediction],
     object_space: LabelSpace,
     path: str | Path,
-) -> None:
-    """Serialize pair predictions as JSON lines (labels stored as names)."""
-    lines = []
-    for pair in predictions:
-        record = {
-            "image_id": pair.image_id,
-            "subj_id": pair.subj_id,
-            "obj_id": pair.obj_id,
-            "subj_label": object_space.names[pair.subj_label],
-            "obj_label": object_space.names[pair.obj_label],
-            "subj_box": [pair.subj_box.x1, pair.subj_box.y1, pair.subj_box.x2, pair.subj_box.y2],
-            "obj_box": [pair.obj_box.x1, pair.obj_box.y1, pair.obj_box.x2, pair.obj_box.y2],
-            "subj_score": pair.subj_score,
-            "obj_score": pair.obj_score,
-            "probs": [float(p) for p in pair.probs],
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+) -> list[str]:
+    """Serialize pair predictions as JSON lines (labels stored as names).
+
+    Returns the JSON text of each pair's ``probs`` as written, for a caller
+    that writes the same vectors again.
+    """
+    names = object_space.names
+    probs_text = [
+        _ENCODER.encode(np.asarray(pair.probs, dtype=np.float64).tolist()) for pair in predictions
+    ]
+    lines = (
+        json_line(
+            {
+                "image_id": pair.image_id,
+                "subj_id": pair.subj_id,
+                "obj_id": pair.obj_id,
+                "subj_label": names[pair.subj_label],
+                "obj_label": names[pair.obj_label],
+                "subj_box": [pair.subj_box.x1, pair.subj_box.y1, pair.subj_box.x2, pair.subj_box.y2],
+                "obj_box": [pair.obj_box.x1, pair.obj_box.y1, pair.obj_box.x2, pair.obj_box.y2],
+                "subj_score": pair.subj_score,
+                "obj_score": pair.obj_score,
+            },
+            "probs",
+            text,
+        )
+        for pair, text in zip(predictions, probs_text)
+    )
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+    return probs_text
 
 
 def _string(value: object) -> str:
@@ -389,37 +408,63 @@ def _string(value: object) -> str:
     return value
 
 
+def _id(value: object) -> int:
+    if type(value) is not int:  # bool is a subclass of int
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+_NUMBER_TYPES = {int, float}  # what JSON numbers parse to; a boolean is not one
+
+
 def _score(value: object) -> float:
-    score = float(value)
-    if not 0.0 <= score < math.inf:  # NaN fails too
+    if type(value) not in _NUMBER_TYPES:
+        raise TypeError(f"expected a number, got {value!r}")
+    if not 0.0 <= value < math.inf:  # NaN fails too
         raise ValueError("must be finite and non-negative")
-    return score
+    return float(value)
 
 
-def _probs(values: list) -> np.ndarray:
-    # The sum is NaN or infinite when an entry is, so min() need only catch negatives;
-    # comparing entries with each other and with 0.0 rejects anything but numbers.
-    if not (min(values) >= 0.0 and sum(values) < math.inf):
+def _box(value: object) -> BoundingBox:
+    if not (type(value) is list and len(value) == 4 and _NUMBER_TYPES.issuperset(map(type, value))):
+        raise TypeError(f"expected [x1, y1, x2, y2], got {value!r}")
+    if not all(map(math.isfinite, value)):
+        raise ValueError(f"coordinates must be finite, got {value!r}")
+    return BoundingBox(*map(float, value))
+
+
+def _probs(values: object, size: int) -> list:
+    if not (type(values) is list and _NUMBER_TYPES.issuperset(map(type, values))):
+        raise TypeError("expected a list of numbers")
+    if len(values) != size:
+        raise ValueError(f"expected {size} predicate scores, got {len(values)}")
+    # The sum is NaN or infinite when an entry is, so min() need only catch negatives.
+    if not (min(values) >= 0.0 and float(sum(values)) < math.inf):
         raise ValueError("must be finite and non-negative")
-    return np.asarray(values, dtype=np.float64)
+    return values
 
 
-def load_predictions(path: str | Path, object_space: LabelSpace) -> list[PairPrediction]:
+def load_predictions(
+    path: str | Path, object_space: LabelSpace, num_predicates: int
+) -> list[PairPrediction]:
     """Read the JSON lines ``save_predictions`` writes.
 
-    Invalid JSON, a missing or mistyped key, and probs or label scores that are
-    negative or not finite raise ``ParseError`` naming the line.
+    Invalid JSON, a missing or mistyped key (a boolean is not a number), probs
+    or label scores that are negative or not finite, box coordinates that are
+    not finite, and a ``probs`` list that does not hold ``num_predicates``
+    scores raise ``ParseError`` naming the line.
     """
     label = object_space.index_of
-    box = lambda value: BoundingBox(*map(float, value))
     parsers = (
-        ("image_id", _string), ("subj_id", operator.index), ("obj_id", operator.index),
-        ("subj_label", label), ("obj_label", label), ("subj_box", box), ("obj_box", box),
-        ("subj_score", _score), ("obj_score", _score), ("probs", _probs),
+        ("image_id", _string), ("subj_id", _id), ("obj_id", _id),
+        ("subj_label", label), ("obj_label", label), ("subj_box", _box), ("obj_box", _box),
+        ("subj_score", _score), ("obj_score", _score),
+        ("probs", lambda values: _probs(values, num_predicates)),
     )
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    probs = np.empty((len(lines), num_predicates))  # one matrix; each pair's probs is a row of it
     predictions: list[PairPrediction] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         try:
             record = json.loads(raw)
         except json.JSONDecodeError as err:
@@ -430,8 +475,10 @@ def load_predictions(path: str | Path, object_space: LabelSpace) -> list[PairPre
         for key, parse in parsers:
             try:
                 fields[key] = parse(record[key])
-            except (KeyError, TypeError, ValueError) as err:
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 problem = f"bad {key!r}: {err}" if key in record else f"missing key {key!r}"
                 raise ParseError(path, lineno, problem) from err
+        probs[lineno - 1] = fields["probs"]
+        fields["probs"] = probs[lineno - 1]
         predictions.append(PairPrediction(**fields))
     return predictions

@@ -9,12 +9,12 @@ boosted rather than penalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import EmbeddingTable
-from .metrics import PairPrediction
+from .metrics import PairPrediction, stack_probs
 
 DEFAULT_ALPHA = 0.35
 
@@ -57,23 +57,25 @@ def refinement_vector(
     return RefinementVector(v=v, w=np.exp(-v))
 
 
-def refine(probs: np.ndarray, rv: RefinementVector) -> tuple[int, np.ndarray]:
-    """Re-rank a predicate distribution by elementwise affinity.
+def refine(probs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re-rank predicate distributions by elementwise affinity.
 
-    Returns the refined top predicate (ties broken by lowest index) and the
-    renormalized score vector used for ranking.
+    ``probs`` is one distribution ``(C,)`` or a stack of them ``(P, C)``, and
+    ``w`` the affinity (``RefinementVector.w``) of each, of the same shape.
+    Returns each refined top predicate (ties broken by lowest index) and the
+    renormalized score vectors used for ranking.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != rv.w.shape:
+    if probs.shape != w.shape:
         raise ValueError(
-            f"length mismatch: distribution {probs.shape} vs refinement {rv.w.shape}"
+            f"length mismatch: distribution {probs.shape} vs refinement {w.shape}"
         )
-    scores = probs * rv.w
-    total = scores.sum()
-    if total <= 0.0:
+    scores = probs * w
+    total = scores.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValueError("degenerate refinement: all refined scores are zero")
-    scores = scores / total
-    return int(np.argmax(scores)), scores
+    scores /= total
+    return scores.argmax(axis=-1), scores
 
 
 def refine_dataset(
@@ -85,23 +87,32 @@ def refine_dataset(
     """Refine every pair prediction's score vector and top predicate.
 
     The subject/object embeddings come from each pair's predicted labels, and
-    the predicate-side embedding from the pre-refinement argmax predicate.
+    the predicate-side embedding from the pre-refinement argmax predicate. One
+    refinement vector serves every pair with the same three labels.
     """
-    refined: list[PairPrediction] = []
-    cache: dict[tuple[int, int, int], RefinementVector] = {}
-    for pair in predictions:
-        pre_top = int(np.argmax(pair.probs))
-        key = (pair.subj_label, pair.obj_label, pre_top)
-        rv = cache.get(key)
-        if rv is None:
-            rv = refinement_vector(
-                object_embeddings.vector(pair.subj_label),
-                object_embeddings.vector(pair.obj_label),
-                predicate_embeddings.vector(pre_top),
-                predicate_embeddings,
-                alpha,
-            )
-            cache[key] = rv
-        _, scores = refine(pair.probs, rv)
-        refined.append(replace(pair, probs=scores))
-    return refined
+    if not predictions:
+        return []
+    probs = stack_probs(predictions)
+    slots: dict[tuple[int, int, int], int] = {}
+    rows = [
+        slots.setdefault((pair.subj_label, pair.obj_label, pre_top), len(slots))
+        for pair, pre_top in zip(predictions, probs.argmax(axis=1).tolist())
+    ]
+    affinity = np.array([
+        refinement_vector(
+            object_embeddings.vector(subj_label),
+            object_embeddings.vector(obj_label),
+            predicate_embeddings.vector(pre_top),
+            predicate_embeddings,
+            alpha,
+        ).w
+        for subj_label, obj_label, pre_top in slots
+    ])
+    _, scores = refine(probs, affinity[rows])
+    return [
+        PairPrediction(
+            pair.image_id, pair.subj_id, pair.obj_id, pair.subj_label, pair.obj_label,
+            pair.subj_box, pair.obj_box, refined, pair.subj_score, pair.obj_score,
+        )
+        for pair, refined in zip(predictions, scores)
+    ]

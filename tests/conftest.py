@@ -13,6 +13,7 @@ from sgrel.core import (
     Triple,
 )
 from sgrel.ingest import EmbeddingTable
+from sgrel.metrics import PairPrediction
 
 D_ROI = 5
 
@@ -80,3 +81,43 @@ def rng():
 
 def random_embeddings(space, dim, rng):
     return EmbeddingTable(space=space, vectors=rng.normal(size=(space.size, dim)))
+
+
+def awkward_pairs(rng, c_pred, c_obj=4, images=3, objects=4):
+    """Every ordered pair of a few images, with score rows that stress vectorized code.
+
+    Rows cycle through five kinds: plain, zero entries, a tie at the maximum,
+    a copy of the previous row (equal triple scores), and float32. Plain rows
+    carry label scores below one.
+    """
+    pairs = []
+    for image in range(images):
+        for subj_id in range(objects):
+            for obj_id in range(objects):
+                if subj_id == obj_id:
+                    continue
+                kind = len(pairs) % 5
+                probs = rng.dirichlet(np.ones(c_pred))
+                if kind == 1 and c_pred > 1:
+                    probs[rng.choice(c_pred, size=c_pred // 2, replace=False)] = 0.0
+                    probs[rng.integers(c_pred)] += 0.25
+                elif kind == 2:
+                    probs[rng.integers(c_pred)] = probs.max()
+                elif kind == 3 and pairs:
+                    probs = pairs[-1].probs.copy()
+                elif kind == 4:
+                    probs = probs.astype(np.float32)
+                x, y = rng.uniform(0, 50, size=2)
+                pairs.append(PairPrediction(
+                    image_id=f"im{image}",
+                    subj_id=subj_id,
+                    obj_id=obj_id,
+                    subj_label=int(rng.integers(c_obj)),
+                    obj_label=int(rng.integers(c_obj)),
+                    subj_box=make_box(x, y, x + 10.0, y + 20.0),
+                    obj_box=make_box(y, x, y + 30.0, x + 5.0),
+                    probs=probs,
+                    subj_score=float(rng.uniform(0.1, 1.0)) if kind == 0 else 1.0,
+                    obj_score=float(rng.uniform(0.1, 1.0)) if kind == 0 else 1.0,
+                ))
+    return pairs

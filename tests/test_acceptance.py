@@ -18,7 +18,7 @@ from sgrel.cli import main as cli_main
 from sgrel.core import Triple
 from sgrel.ingest import RecallTable, ZeroShotIndex, build_zero_shot_index, dataset_signatures
 from sgrel.metrics import PairPrediction, evaluate
-from sgrel.refinement import RefinementVector, refine
+from sgrel.refinement import refine
 from sgrel.reweighting import info_weights, total_loss
 from sgrel.sampling import PredicateStats, build_sampling_plan, count_predicates, resample, sampling_rate
 from sgrel.synth import SynthConfig, generate, oracle_predictions
@@ -74,7 +74,7 @@ def test_criterion_4_refinement_oracle_equivalence():
         c = int(rng.integers(2, 7))
         v = rng.uniform(0.0, 5.0, size=c)
         probs = rng.dirichlet(np.ones(c))
-        idx, _ = refine(probs, RefinementVector(v=v, w=np.exp(-v)))
+        idx, _ = refine(probs, np.exp(-v))
         scores = [probs[j] * math.exp(-v[j]) for j in range(c)]
         assert idx == max(range(c), key=lambda j: (scores[j], -j))
 
@@ -82,7 +82,7 @@ def test_criterion_4_refinement_oracle_equivalence():
         c = int(rng.integers(2, 7))
         v = np.full(c, float(rng.uniform(0.0, 5.0)))
         probs = rng.dirichlet(np.ones(c))
-        idx, _ = refine(probs, RefinementVector(v=v, w=np.exp(-v)))
+        idx, _ = refine(probs, np.exp(-v))
         assert idx == int(np.argmax(probs))
     _ok(4, "refine == exhaustive argmax of D*exp(-v) on 1000 instances; constant v is identity on 1000")
 

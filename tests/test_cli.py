@@ -259,6 +259,16 @@ def save_oracle_predictions(corpus, split, path):
     return predictions
 
 
+def rescore_flags(corpus, tmp_path, stage):
+    """Every flag of a ``refine`` (refinement on) or ``eval`` run except --out and --predictions."""
+    extra = {
+        "refine": ["--object-embeddings", corpus / "object_embeddings.txt",
+                   "--predicate-embeddings", corpus / "predicate_embeddings.txt"],
+        "eval": ["--dataset", corpus / "test.jsonl", "--d-roi", 32],
+    }[stage]
+    return ["--config", write_config(tmp_path, use_refinement="true"), *corpus_flags(corpus), *extra]
+
+
 def set_prob(index, value):
     def edit(record):
         record["probs"][index] = value
@@ -366,6 +376,16 @@ class TestTrainRefineEval:
             (set_prob(0, float("nan")), "bad 'probs': must be finite and non-negative"),
             (set_prob(1, float("inf")), "bad 'probs': must be finite and non-negative"),
             (set_prob(1, -0.25), "bad 'probs': must be finite and non-negative"),
+            (lambda record: record.update(subj_id=True), "bad 'subj_id': expected an integer, got True"),
+            (lambda record: record.update(obj_id=False), "bad 'obj_id': expected an integer, got False"),
+            (lambda record: record.update(obj_score=True), "bad 'obj_score': expected a number, got True"),
+            (lambda record: record["subj_box"].__setitem__(2, True), "bad 'subj_box': expected [x1, y1, x2, y2]"),
+            (lambda record: record["obj_box"].__setitem__(0, float("nan")),
+             "bad 'obj_box': coordinates must be finite"),
+            (lambda record: record["subj_box"].__setitem__(3, float("-inf")),
+             "bad 'subj_box': coordinates must be finite"),
+            (set_prob(2, False), "bad 'probs': expected a list of numbers"),
+            (set_prob(0, 10**400), "bad 'probs': int too large to convert to float"),
         ],
     )
     def test_bad_prediction_line_is_data_error(self, corpus, tmp_path, capsys, stage, edit, problem):
@@ -379,18 +399,42 @@ class TestTrainRefineEval:
             edit(record)
             lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
-        config = write_config(tmp_path, use_refinement="true")
-        extra = {
-            "refine": ["--object-embeddings", corpus / "object_embeddings.txt",
-                       "--predicate-embeddings", corpus / "predicate_embeddings.txt"],
-            "eval": ["--dataset", corpus / "test.jsonl", "--d-roi", 32],
-        }[stage]
-        code = run(
-            [stage, "--out", tmp_path / "out", "--config", config, *corpus_flags(corpus),
-             "--predictions", path, *extra]
-        )
+        code = run([stage, "--out", tmp_path / "out", *rescore_flags(corpus, tmp_path, stage),
+                    "--predictions", path])
         assert code == 2
         assert f"{path}:2: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["refine", "eval"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_probs_of_the_wrong_length_name_the_line(self, corpus, tmp_path, capsys, stage, change):
+        path = tmp_path / "predictions.jsonl"
+        save_oracle_predictions(corpus, "test", path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        size = len(record["probs"])
+        record["probs"] = (record["probs"] + [0.0])[: size + change]
+        lines[2] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code = run([stage, "--out", tmp_path / "out", *rescore_flags(corpus, tmp_path, stage),
+                    "--predictions", path])
+        assert code == 2
+        expected = f"{path}:3: bad 'probs': expected {size} predicate scores, got {size + change}"
+        assert expected in capsys.readouterr().err
+
+    def test_empty_predictions_refine_and_evaluate_to_zero_recall(self, corpus, tmp_path):
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("")
+        out = tmp_path / "out"
+        assert run(["refine", "--out", out, *rescore_flags(corpus, tmp_path, "refine"),
+                    "--predictions", path]) == 0
+        assert (out / "predictions_refined.jsonl").read_bytes() == b""
+        assert (out / "refinement_report.jsonl").read_bytes() == b""
+        assert run(["eval", "--out", out, *rescore_flags(corpus, tmp_path, "eval"),
+                    "--predictions", out / "predictions_refined.jsonl"]) == 0
+        recalls = json.loads((out / "recalls.json").read_text())
+        assert recalls and set(recalls.values()) == {0.0}
+        metrics = json.loads((out / "report.json").read_text())["report"]["metrics"]
+        assert set(metrics["recall"].values()) == set(metrics["mean_recall"].values()) == {0.0}
 
 
 class TestReport:

@@ -1,10 +1,13 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sgrel.cli import main
 from sgrel.core import BoundingBox, Triple
-from sgrel.ingest import ZeroShotIndex
+from sgrel.ingest import EmbeddingTable, ZeroShotIndex, load_embeddings, save_embeddings
 from sgrel.metrics import (
     PREDCLS,
     SGCLS,
@@ -23,8 +26,9 @@ from sgrel.metrics import (
 )
 from sgrel.reweighting import InfoWeights, info_weights
 
-from conftest import make_annotation, make_box, make_dataset, make_object, make_spaces
+from conftest import awkward_pairs, make_annotation, make_box, make_dataset, make_object, make_spaces
 from test_acceptance import _random_fixture
+from test_refinement import per_pair_refine_dataset
 
 
 class TestIou:
@@ -407,7 +411,7 @@ class TestPredictionIO:
         ]
         path = tmp_path / "preds.jsonl"
         save_predictions(pairs, object_space, path)
-        loaded = load_predictions(path, object_space)
+        loaded = load_predictions(path, object_space, 3)
         assert len(loaded) == 2
         for a, b in zip(pairs, loaded):
             assert (a.image_id, a.subj_id, a.obj_id, a.subj_label, a.obj_label) == (
@@ -415,3 +419,141 @@ class TestPredictionIO:
             )
             np.testing.assert_array_equal(a.probs, b.probs)
             assert a.subj_box == b.subj_box
+
+
+# The per-pair ranking, writer and refinement report that the stacked versions
+# replaced: the differential oracles below.
+def per_pair_build_ranked(predictions):
+    by_image = {}
+    for pair in predictions:
+        by_image.setdefault(pair.image_id, []).append(pair)
+    ranked = {}
+    for image_id, pairs in by_image.items():
+        seen_pairs = set()
+        triples = []
+        for pair in pairs:
+            key = (pair.subj_id, pair.obj_id)
+            if key in seen_pairs:
+                raise ValueError(
+                    f"image {image_id}: duplicate prediction for pair {key} "
+                    "violates the graph constraint"
+                )
+            seen_pairs.add(key)
+            probs = np.asarray(pair.probs, dtype=np.float64)
+            top = int(np.argmax(probs))
+            triples.append(
+                PredictedTriple(
+                    subj_id=pair.subj_id,
+                    obj_id=pair.obj_id,
+                    subj_label=pair.subj_label,
+                    pred=top,
+                    obj_label=pair.obj_label,
+                    subj_box=pair.subj_box,
+                    obj_box=pair.obj_box,
+                    score=float(probs[top]) * pair.subj_score * pair.obj_score,
+                )
+            )
+        triples.sort(key=lambda t: (-t.score, t.subj_id, t.obj_id))
+        ranked[image_id] = tuple(triples)
+    return ranked
+
+
+def per_pair_save_predictions(predictions, object_space, path):
+    lines = []
+    for pair in predictions:
+        record = {
+            "image_id": pair.image_id,
+            "subj_id": pair.subj_id,
+            "obj_id": pair.obj_id,
+            "subj_label": object_space.names[pair.subj_label],
+            "obj_label": object_space.names[pair.obj_label],
+            "subj_box": [pair.subj_box.x1, pair.subj_box.y1, pair.subj_box.x2, pair.subj_box.y2],
+            "obj_box": [pair.obj_box.x1, pair.obj_box.y1, pair.obj_box.x2, pair.obj_box.y2],
+            "subj_score": pair.subj_score,
+            "obj_score": pair.obj_score,
+            "probs": [float(p) for p in pair.probs],
+        }
+        lines.append(json.dumps(record, separators=(",", ":")))
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def per_pair_refinement_report(predictions, refined, predicate_space, path):
+    lines = []
+    for before, after in zip(predictions, refined):
+        pre_top, post_top = int(np.argmax(before.probs)), int(np.argmax(after.probs))
+        record = {
+            "image_id": before.image_id,
+            "subj_id": before.subj_id,
+            "obj_id": before.obj_id,
+            "pre_top": predicate_space.names[pre_top],
+            "post_top": predicate_space.names[post_top],
+            "scores": [float(v) for v in after.probs],
+        }
+        lines.append(json.dumps(record, separators=(",", ":")))
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+class TestStackedRanking:
+    """Stacked ranking and writing against the per-pair code they replaced, exactly."""
+
+    def test_build_ranked_equals_per_pair_ranking_for_every_width(self):
+        rng = np.random.default_rng(13)
+        for c_pred in range(1, 131):
+            pairs = awkward_pairs(rng, c_pred)
+            ranked = build_ranked(pairs)
+            assert ranked == per_pair_build_ranked(pairs)
+            assert all(type(t.pred) is int and type(t.score) is float for ts in ranked.values() for t in ts)
+
+    def test_build_ranked_of_nothing(self):
+        assert build_ranked([]) == per_pair_build_ranked([]) == {}
+
+    def test_save_predictions_writes_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(17)
+        object_space, _ = make_spaces(c_obj=4)
+        for c_pred in (1, 2, 7, 8, 9, 20, 127, 128, 129, 130):
+            pairs = awkward_pairs(rng, c_pred)
+            pairs[0].subj_box = make_box(-0.0, 1e-300, 3.0, 1e300)
+            pairs[1].probs[0] = 5e-324
+            texts = save_predictions(pairs, object_space, tmp_path / "new.jsonl")
+            per_pair_save_predictions(pairs, object_space, tmp_path / "old.jsonl")
+            written = (tmp_path / "new.jsonl").read_bytes()
+            assert written == (tmp_path / "old.jsonl").read_bytes()
+            assert [json.loads(line)["probs"] for line in written.splitlines()] == [
+                json.loads(text) for text in texts
+            ]
+
+    def test_save_predictions_of_nothing(self, tmp_path):
+        object_space, _ = make_spaces()
+        assert save_predictions([], object_space, tmp_path / "new.jsonl") == []
+        assert (tmp_path / "new.jsonl").read_bytes() == b""
+
+    @pytest.mark.parametrize("c_pred", [1, 2, 7, 8, 9, 20, 127, 128, 129, 130])
+    def test_refine_stage_writes_the_same_files(self, tmp_path, c_pred):
+        rng = np.random.default_rng(c_pred)
+        object_space, predicate_space = make_spaces(c_obj=4, c_pred=c_pred)
+        (tmp_path / "objects.txt").write_text("".join(n + "\n" for n in object_space.names))
+        (tmp_path / "predicates.txt").write_text("".join(n + "\n" for n in predicate_space.names))
+        save_embeddings(EmbeddingTable(object_space, rng.normal(size=(4, 3))), tmp_path / "obj.txt")
+        save_embeddings(EmbeddingTable(predicate_space, rng.normal(size=(c_pred, 3))), tmp_path / "pred.txt")
+        pairs = awkward_pairs(rng, c_pred)
+        per_pair_save_predictions(pairs, object_space, tmp_path / "predictions.jsonl")
+        (tmp_path / "run.cfg").write_text("use_refinement=true\nalpha=0.6\n")
+        out = tmp_path / "out"
+        assert main([str(a) for a in (
+            "refine", "--out", out, "--config", tmp_path / "run.cfg",
+            "--object-labels", tmp_path / "objects.txt", "--predicate-labels", tmp_path / "predicates.txt",
+            "--predictions", tmp_path / "predictions.jsonl",
+            "--object-embeddings", tmp_path / "obj.txt", "--predicate-embeddings", tmp_path / "pred.txt",
+        )]) == 0
+
+        loaded = load_predictions(tmp_path / "predictions.jsonl", object_space, c_pred)
+        refined = per_pair_refine_dataset(
+            loaded,
+            load_embeddings(tmp_path / "obj.txt", object_space),
+            load_embeddings(tmp_path / "pred.txt", predicate_space),
+            alpha=0.6,
+        )
+        per_pair_save_predictions(refined, object_space, tmp_path / "refined.jsonl")
+        per_pair_refinement_report(loaded, refined, predicate_space, tmp_path / "report.jsonl")
+        assert (out / "predictions_refined.jsonl").read_bytes() == (tmp_path / "refined.jsonl").read_bytes()
+        assert (out / "refinement_report.jsonl").read_bytes() == (tmp_path / "report.jsonl").read_bytes()

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from sgrel import refinement
 from sgrel.core import LabelSpace, OBJECT, PREDICATE
 from sgrel.ingest import EmbeddingTable
 from sgrel.metrics import PairPrediction
@@ -12,7 +16,7 @@ from sgrel.refinement import (
     refinement_vector,
 )
 
-from conftest import make_box
+from conftest import awkward_pairs, make_box
 
 
 def table(vectors, kind=PREDICATE, prefix="rel"):
@@ -87,14 +91,14 @@ class TestRefine:
     def test_constant_affinity_is_identity_on_argmax(self):
         rv = RefinementVector(v=np.full(3, 2.0), w=np.exp(-np.full(3, 2.0)))
         probs = np.array([0.2, 0.5, 0.3])
-        idx, scores = refine(probs, rv)
+        idx, scores = refine(probs, rv.w)
         assert idx == 1
         np.testing.assert_allclose(scores, probs, atol=1e-12)
 
     def test_semantics_can_override_distribution(self):
         # D=(0.6, 0.4), v=(1, 0.5): scores renormalize to favor index 1.
         rv = RefinementVector(v=np.array([1.0, 0.5]), w=np.exp(-np.array([1.0, 0.5])))
-        idx, scores = refine(np.array([0.6, 0.4]), rv)
+        idx, scores = refine(np.array([0.6, 0.4]), rv.w)
         assert idx == 1
         raw = np.array([0.6 * np.exp(-1.0), 0.4 * np.exp(-0.5)])
         np.testing.assert_allclose(raw, [0.22073, 0.24261], atol=1e-5)
@@ -102,25 +106,25 @@ class TestRefine:
 
     def test_one_hot_dominance(self):
         rv = RefinementVector(v=np.array([5.0, 0.0, 1.0]), w=np.exp(-np.array([5.0, 0.0, 1.0])))
-        idx, _ = refine(np.array([1.0, 0.0, 0.0]), rv)
+        idx, _ = refine(np.array([1.0, 0.0, 0.0]), rv.w)
         assert idx == 0
 
     def test_degenerate_refinement_rejected(self):
         rv = RefinementVector(v=np.zeros(2), w=np.exp(-np.zeros(2)))
         with pytest.raises(ValueError, match="degenerate refinement"):
-            refine(np.zeros(2), rv)
+            refine(np.zeros(2), rv.w)
 
     def test_tie_breaks_to_lowest_index(self):
         rv = RefinementVector(v=np.zeros(2), w=np.ones(2))
-        idx, _ = refine(np.array([0.5, 0.5]), rv)
+        idx, _ = refine(np.array([0.5, 0.5]), rv.w)
         assert idx == 0
 
     def test_shifting_v_by_constant_preserves_argmax(self, rng):
         for _ in range(200):
             v = rng.uniform(0.0, 4.0, size=5)
             probs = rng.dirichlet(np.ones(5))
-            base, _ = refine(probs, RefinementVector(v=v, w=np.exp(-v)))
-            shifted, _ = refine(probs, RefinementVector(v=v + 3.7, w=np.exp(-(v + 3.7))))
+            base, _ = refine(probs, np.exp(-v))
+            shifted, _ = refine(probs, np.exp(-(v + 3.7)))
             assert base == shifted
 
     def test_scale_invariance_in_distribution(self, rng):
@@ -128,8 +132,8 @@ class TestRefine:
             v = rng.uniform(0.0, 4.0, size=4)
             rv = RefinementVector(v=v, w=np.exp(-v))
             probs = rng.dirichlet(np.ones(4))
-            idx_a, scores_a = refine(probs, rv)
-            idx_b, scores_b = refine(37.0 * probs, rv)
+            idx_a, scores_a = refine(probs, rv.w)
+            idx_b, scores_b = refine(37.0 * probs, rv.w)
             assert idx_a == idx_b
             np.testing.assert_allclose(scores_a, scores_b, atol=1e-12)
 
@@ -139,7 +143,7 @@ class TestRefine:
             c = int(rng.integers(2, 7))
             v = rng.uniform(0.0, 5.0, size=c)
             probs = rng.dirichlet(np.ones(c))
-            idx, _ = refine(probs, RefinementVector(v=v, w=np.exp(-v)))
+            idx, _ = refine(probs, np.exp(-v))
             best, best_score = 0, -1.0
             for j in range(c):
                 score = probs[j] * np.exp(-v[j])
@@ -181,3 +185,135 @@ class TestRefineDataset:
         objects = table(rng.normal(size=(2, 2)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(2, 2)))
         assert refine_dataset([], objects, predicates) == []
+
+
+def per_pair_refine(probs, rv):
+    """The per-vector ``refine`` that the row-stacked one replaced."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape != rv.w.shape:
+        raise ValueError(
+            f"length mismatch: distribution {probs.shape} vs refinement {rv.w.shape}"
+        )
+    scores = probs * rv.w
+    total = scores.sum()
+    if total <= 0.0:
+        raise ValueError("degenerate refinement: all refined scores are zero")
+    scores = scores / total
+    return int(np.argmax(scores)), scores
+
+
+def per_pair_refine_dataset(predictions, object_embeddings, predicate_embeddings, alpha=0.35):
+    """The per-pair ``refine_dataset`` that the row-stacked one replaced: the differential oracle."""
+    refined = []
+    cache = {}
+    for pair in predictions:
+        pre_top = int(np.argmax(pair.probs))
+        key = (pair.subj_label, pair.obj_label, pre_top)
+        rv = cache.get(key)
+        if rv is None:
+            rv = refinement_vector(
+                object_embeddings.vector(pair.subj_label),
+                object_embeddings.vector(pair.obj_label),
+                predicate_embeddings.vector(pre_top),
+                predicate_embeddings,
+                alpha,
+            )
+            cache[key] = rv
+        _, scores = per_pair_refine(pair.probs, rv)
+        refined.append(replace(pair, probs=scores))
+    return refined
+
+
+def assert_same_pairs(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert (a.image_id, a.subj_id, a.obj_id, a.subj_label, a.obj_label) == (
+            e.image_id, e.subj_id, e.obj_id, e.subj_label, e.obj_label
+        )
+        assert (a.subj_box, a.obj_box, a.subj_score, a.obj_score) == (
+            e.subj_box, e.obj_box, e.subj_score, e.obj_score
+        )
+        assert a.probs.dtype == e.probs.dtype and np.array_equal(a.probs, e.probs)
+
+
+class TestStackedRefinement:
+    """``refine_dataset`` on stacked rows against the per-pair code it replaced, bit for bit."""
+
+    # numpy sums a row of fewer than 8 entries in order, up to 128 in eight
+    # interleaved partial sums, and beyond that by recursive halving.
+    @pytest.mark.parametrize("alpha", [0.0, 0.35, 1.0])
+    def test_equals_per_pair_refinement_for_every_width(self, alpha):
+        rng = np.random.default_rng(11)
+        for c_pred in range(1, 131):
+            objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
+            predicates = table(rng.normal(size=(c_pred, 3)))
+            pairs = awkward_pairs(rng, c_pred)
+            assert_same_pairs(
+                refine_dataset(pairs, objects, predicates, alpha),
+                per_pair_refine_dataset(pairs, objects, predicates, alpha),
+            )
+
+    def test_one_refinement_vector_per_label_triple(self, rng, monkeypatch):
+        calls = []
+        original = refinement.refinement_vector
+        monkeypatch.setattr(
+            refinement, "refinement_vector", lambda *args: calls.append(args) or original(*args)
+        )
+        objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
+        predicates = table(rng.normal(size=(6, 3)))
+        pairs = awkward_pairs(rng, 6, images=5)
+        refine_dataset(pairs, objects, predicates)
+        keys = {(p.subj_label, p.obj_label, int(np.argmax(p.probs))) for p in pairs}
+        assert len(calls) == len(keys) < len(pairs)
+
+    def test_input_pairs_are_left_as_they_were(self, rng):
+        objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
+        predicates = table(rng.normal(size=(5, 3)))
+        pairs = awkward_pairs(rng, 5)
+        before = [p.probs.copy() for p in pairs]
+        refine_dataset(pairs, objects, predicates)
+        assert all(np.array_equal(p.probs, b) and p.probs.dtype == b.dtype for p, b in zip(pairs, before))
+
+    def test_empty_list(self, rng):
+        objects = table(rng.normal(size=(2, 2)), kind=OBJECT, prefix="thing")
+        predicates = table(rng.normal(size=(3, 2)))
+        assert refine_dataset([], objects, predicates) == per_pair_refine_dataset([], objects, predicates)
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_degenerate_row_raises_the_same_error(self, rng, far):
+        # An all-zero row, or one whose affinities underflow to zero because
+        # every predicate embedding lies far from the pair's.
+        objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
+        predicates = table(rng.normal(size=(4, 3)) + (1e4 if far else 0.0))
+        pairs = awkward_pairs(rng, 4)
+        if not far:
+            pairs[5].probs = np.zeros(4)
+        with pytest.raises(ValueError) as expected:
+            per_pair_refine_dataset(pairs, objects, predicates, alpha=1.0)
+        with pytest.raises(ValueError) as actual:
+            refine_dataset(pairs, objects, predicates, alpha=1.0)
+        assert str(actual.value) == str(expected.value)
+        assert "degenerate refinement" in str(actual.value)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c_pred=st.integers(1, 40),
+    factor=st.floats(1e-3, 1e3),
+)
+def test_positive_scaling_of_probs_leaves_refinement_unchanged(seed, c_pred, factor):
+    # Scores on a 1/64 grid: scaling keeps every tie a tie and every order an
+    # order, so the pre-refinement argmax, and with it the refinement vector, stays.
+    rng = np.random.default_rng(seed)
+    objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
+    predicates = table(rng.normal(size=(c_pred, 3)))
+    pairs = awkward_pairs(rng, c_pred, images=2, objects=3)
+    for pair in pairs:
+        grid = rng.integers(0, 65, size=c_pred) / 64.0
+        grid[rng.integers(c_pred)] = 1.0
+        pair.probs = grid
+    scaled = [replace(pair, probs=pair.probs * factor) for pair in pairs]
+    base = np.stack([p.probs for p in refine_dataset(pairs, objects, predicates)])
+    rescaled = np.stack([p.probs for p in refine_dataset(scaled, objects, predicates)])
+    np.testing.assert_array_equal(base.argmax(axis=1), rescaled.argmax(axis=1))
+    np.testing.assert_allclose(rescaled, base, rtol=0.0, atol=1e-12)
