@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, SceneGraphAnnotation
+from .core import Dataset, SceneGraphAnnotation, box_overlap
 from .ingest import EmbeddingTable
 from .metrics import PairPrediction, evaluate
 from .metrics import build_ranked, match_triples  # unused here; perfbench/tracing.py patches these names
@@ -168,11 +168,7 @@ def pair_geometry(subj: np.ndarray, obj: np.ndarray, sizes: np.ndarray) -> np.nd
     wo, ho = obj[:, 2] - obj[:, 0], obj[:, 3] - obj[:, 1]
     dx = (0.5 * (obj[:, 0] + obj[:, 2]) - 0.5 * (subj[:, 0] + subj[:, 2])) / width
     dy = (0.5 * (obj[:, 1] + obj[:, 3]) - 0.5 * (subj[:, 1] + subj[:, 3])) / height
-    # Same arithmetic as BoundingBox.overlap, one pair per row.
-    ix = np.maximum(0.0, np.minimum(subj[:, 2], obj[:, 2]) - np.maximum(subj[:, 0], obj[:, 0]))
-    iy = np.maximum(0.0, np.minimum(subj[:, 3], obj[:, 3]) - np.maximum(subj[:, 1], obj[:, 1]))
-    inter = ix * iy
-    union = ws * hs + wo * ho - inter
+    inter, union = box_overlap(subj, obj)
     return np.stack(
         [
             dx,

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import shutil
 import sys
 import typing
@@ -109,6 +110,9 @@ def _sub_config(cls: type, config: RunConfig):
 def _check_ranges(config: RunConfig) -> None:
     """Reject out-of-range values, naming the key; synth keys go through SynthConfig."""
     c = config
+    for key, value in dataclasses.asdict(c).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"invalid {key} {value!r}: must be finite")
     rules = {
         "alpha": (0.0 <= c.alpha <= 1.0, "in [0, 1]"),
         "tau": (c.tau > 0.0, "> 0"),
@@ -165,7 +169,7 @@ config_echo = dataclasses.asdict
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _load_spaces(args: argparse.Namespace) -> tuple[LabelSpace, LabelSpace]:
@@ -190,16 +194,29 @@ def save_weights(info: InfoWeights, counts: np.ndarray, space: LabelSpace, path:
 
 
 def load_weights(path: str | Path, space: LabelSpace) -> InfoWeights:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    frequencies = np.zeros(space.size)
-    bits = np.zeros(space.size)
-    weights = np.zeros(space.size)
-    for row in payload["predicates"]:
-        j = space.index_of(row["name"])
-        frequencies[j] = row["frequency"]
-        bits[j] = row["bits"]
-        weights[j] = row["weight"]
-    return InfoWeights(frequencies=frequencies, bits=bits, weights=weights)
+    """Read ``save_weights``' file: each predicate once, with finite, non-negative values."""
+    rows = _key(ingest.read_json(path), "predicates", str(path))
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: 'predicates' must be a list")
+    values = np.zeros((3, space.size))  # frequency, bits and weight per predicate
+    seen: set[str] = set()
+    for row in rows:
+        name = _key(row, "name", f"{path}: predicates")
+        where = f"{path}: predicate {name!r}"
+        if name not in space.names:
+            raise ValueError(f"{where}: not a predicate label")
+        if name in seen:
+            raise ValueError(f"{where}: listed twice")
+        seen.add(name)
+        for i, key in enumerate(("frequency", "bits", "weight")):
+            value = _key(row, key, where)
+            if type(value) not in (int, float) or not 0.0 <= value < math.inf:
+                raise ValueError(f"{where}: {key} must be a finite, non-negative number, got {value!r}")
+            values[i, space.index_of(name)] = value
+    missing = [name for name in space.names if name not in seen]
+    if missing:
+        raise ValueError(f"{path}: no row for predicates {missing}")
+    return InfoWeights(*values)
 
 
 def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
@@ -446,16 +463,8 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         out / "report.json",
     )
     metrics.per_predicate_csv(report, predicate_space, out / "per_predicate.csv")
-    max_k = max(config.ks)
-    recalls = {
-        name: (
-            0.0
-            if np.isnan(report.per_predicate_recall[max_k][j])
-            else float(report.per_predicate_recall[max_k][j])
-        )
-        for j, name in enumerate(predicate_space.names)
-    }
-    _write_json(recalls, out / "recalls.json")
+    recalls = np.nan_to_num(report.per_predicate_recall[max(config.ks)], nan=0.0)  # 0 where no GT
+    _write_json(dict(zip(predicate_space.names, recalls.tolist())), out / "recalls.json")
     headline = {
         f"{family}@{k}": value
         for family, values in (

@@ -76,15 +76,12 @@ class BoundingBox:
         return self.width * self.height
 
     @property
+    def xyxy(self) -> tuple[float, float, float, float]:
+        return (self.x1, self.y1, self.x2, self.y2)
+
+    @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
-    def overlap(self, other: "BoundingBox") -> tuple[float, float]:
-        """Intersection and union areas of this box and ``other``."""
-        ix = max(0.0, min(self.x2, other.x2) - max(self.x1, other.x1))
-        iy = max(0.0, min(self.y2, other.y2) - max(self.y1, other.y1))
-        inter = ix * iy
-        return inter, self.area + other.area - inter
 
     def is_degenerate(self) -> bool:
         return not (self.x1 < self.x2 and self.y1 < self.y2)
@@ -97,6 +94,16 @@ class BoundingBox:
             x2=min(max(self.x2, 0.0), width),
             y2=min(max(self.y2, 0.0), height),
         )
+
+
+def box_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union areas of xyxy boxes ``a`` and ``b`` (``(..., 4)``, broadcast)."""
+    ix = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+    iy = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
+    inter = ix * iy
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return inter, area_a + area_b - inter
 
 
 @dataclass(frozen=True, eq=False)

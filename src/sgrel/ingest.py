@@ -34,6 +34,14 @@ class ParseError(ValueError):
         super().__init__(f"{self.path}:{line}: {message}")
 
 
+def read_json(path: str | Path) -> object:
+    """The JSON document in ``path``; invalid JSON raises ``ParseError`` naming the line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ParseError(path, err.lineno, f"invalid JSON: {err.msg}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """One semantic vector per label index of a space."""
@@ -285,8 +293,8 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
 
 
 def load_recalls(path: str | Path, space: LabelSpace) -> RecallTable:
-    """Read a {predicate-name: recall} JSON map covering every predicate."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a {predicate-name: recall} JSON map covering every predicate, each recall in [0, 1]."""
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: recalls file must be a JSON object")
     values = np.zeros(space.size)
@@ -297,7 +305,9 @@ def load_recalls(path: str | Path, space: LabelSpace) -> RecallTable:
     if unknown:
         raise ValueError(f"{path}: unknown predicates {unknown}")
     for name, value in raw.items():
-        values[space.index_of(name)] = float(value)
+        if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+            raise ValueError(f"{path}: recall of {name!r} must be a number in [0, 1], got {value!r}")
+        values[space.index_of(name)] = value
     return RecallTable(values=values)
 
 
@@ -329,16 +339,17 @@ def save_zero_shot_index(
     Path(path).write_text(json.dumps(rows, indent=0) + "\n", encoding="utf-8")
 
 
-def load_zero_shot_index(
-    path: str | Path, object_space: LabelSpace, predicate_space: LabelSpace
-) -> ZeroShotIndex:
-    rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    signatures = frozenset(
-        (
-            object_space.index_of(s),
-            predicate_space.index_of(p),
-            object_space.index_of(o),
-        )
-        for s, p, o in rows
-    )
-    return ZeroShotIndex(signatures=signatures)
+def load_zero_shot_index(path: str | Path, object_space: LabelSpace, predicate_space: LabelSpace) -> ZeroShotIndex:
+    """Read a JSON list of [subject, predicate, object] label rows; a bad row names the path and row."""
+    rows = read_json(path)
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: expected a JSON list of [subject, predicate, object] rows")
+    signatures = set()
+    for number, row in enumerate(rows, start=1):
+        if not (isinstance(row, list) and len(row) == 3 and all(isinstance(name, str) for name in row)):
+            raise ValueError(f"{path}: row {number}: expected [subject, predicate, object] labels, got {row!r}")
+        try:
+            signatures.add((object_space.index_of(row[0]), predicate_space.index_of(row[1]), object_space.index_of(row[2])))
+        except KeyError as err:
+            raise ValueError(f"{path}: row {number}: {err.args[0]}") from None
+    return ZeroShotIndex(signatures=frozenset(signatures))

@@ -23,20 +23,12 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    BoundingBox,
-    Dataset,
-    LabelSpace,
-    ObjectInstance,
-    SceneGraphAnnotation,
-    Triple,
-    triple_signature,
-)
+from .core import BoundingBox, Dataset, LabelSpace, SceneGraphAnnotation, box_overlap, triple_signature
 from .ingest import ParseError, ZeroShotIndex
 from .reweighting import InfoWeights
 
@@ -65,20 +57,6 @@ class PairPrediction:
     probs: np.ndarray
     subj_score: float = 1.0
     obj_score: float = 1.0
-
-
-@dataclass(frozen=True)
-class PredictedTriple:
-    """One ranked triple: labels, boxes, predicate, and its ranking score."""
-
-    subj_id: int
-    obj_id: int
-    subj_label: int
-    pred: int
-    obj_label: int
-    subj_box: BoundingBox
-    obj_box: BoundingBox
-    score: float
 
 
 @dataclass(eq=False)
@@ -123,79 +101,88 @@ class MetricReport:
         return payload
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes."""
-    inter, union = a.overlap(b)
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def stack_probs(predictions: list[PairPrediction]) -> np.ndarray:
     """The pairs' predicate score vectors as one ``(P, C)`` float64 matrix (``P > 0``)."""
     return np.array([pair.probs for pair in predictions], dtype=np.float64)
 
 
-def build_ranked(predictions: list[PairPrediction]) -> dict[str, tuple[PredictedTriple, ...]]:
+@dataclass(frozen=True, eq=False)
+class RankedTriples:
+    """Pair columns, named as in the predictions, plus each pair's top predicate and triple score."""
+
+    subj_id: np.ndarray
+    obj_id: np.ndarray
+    subj_label: np.ndarray
+    obj_label: np.ndarray
+    subj_box: np.ndarray  # (n, 4) xyxy
+    obj_box: np.ndarray
+    pred: np.ndarray
+    score: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.score)
+
+    def __getitem__(self, rows: slice | np.ndarray) -> "RankedTriples":
+        return RankedTriples(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+
+def build_ranked(predictions: list[PairPrediction], num_predicates: int) -> dict[str, RankedTriples]:
     """Group pair predictions per image and rank them (descending score).
 
     Each pair contributes its top predicate only (graph constraint); the triple
     score is the predicate score times both label confidences. Ties are broken
-    by instance ids so ranking is deterministic.
+    by instance ids so ranking is deterministic. Probs that do not stack into
+    ``num_predicates`` columns, a pair repeated within an image and a triple
+    score that is not finite raise ``ValueError``.
     """
     if not predictions:
         return {}
-    probs = stack_probs(predictions)
-    top = probs.argmax(axis=1)
-    label_scores = np.array([(pair.subj_score, pair.obj_score) for pair in predictions])
-    scores = probs[np.arange(len(top)), top] * label_scores[:, 0] * label_scores[:, 1]
+    try:
+        probs = stack_probs(predictions)
+        if probs.shape[1:] != (num_predicates,):
+            raise ValueError
+    except ValueError:  # ragged vectors do not stack either
+        raise ValueError(f"prediction shape mismatch: expected ({num_predicates},) predicate scores") from None
+    image_index: dict[str, int] = {}  # image id -> index, in order of first appearance
+    image, subj_id, obj_id, subj_label, obj_label = np.array([
+        (image_index.setdefault(p.image_id, len(image_index)), p.subj_id, p.obj_id, p.subj_label, p.obj_label)
+        for p in predictions
+    ], dtype=np.int64).T
+    subj_box, obj_box = np.array([(p.subj_box.xyxy, p.obj_box.xyxy) for p in predictions]).transpose(1, 0, 2)
+    label_scores = np.array([(p.subj_score, p.obj_score) for p in predictions])
 
-    seen_pairs: set[tuple[str, int, int]] = set()
-    by_image: dict[str, list[PredictedTriple]] = {}
-    for pair, pred, score in zip(predictions, top.tolist(), scores.tolist()):
-        key = (pair.image_id, pair.subj_id, pair.obj_id)
-        if key in seen_pairs:
-            raise ValueError(
-                f"image {pair.image_id}: duplicate prediction for pair {key[1:]} "
-                "violates the graph constraint"
-            )
-        seen_pairs.add(key)
-        by_image.setdefault(pair.image_id, []).append(
-            PredictedTriple(
-                pair.subj_id, pair.obj_id, pair.subj_label, pred, pair.obj_label,
-                pair.subj_box, pair.obj_box, score,
-            )
+    # A stable sort keeps input order within equal pairs, so every row after
+    # the first of its run repeats an earlier pair.
+    by_pair = np.lexsort((obj_id, subj_id, image))
+    keys = np.stack([image, subj_id, obj_id])[:, by_pair]
+    repeats = by_pair[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]
+    if repeats.size:
+        pair = predictions[repeats.min()]
+        raise ValueError(
+            f"image {pair.image_id}: duplicate prediction for pair {(pair.subj_id, pair.obj_id)} "
+            "violates the graph constraint"
         )
-    return {
-        image_id: tuple(sorted(triples, key=lambda t: (-t.score, t.subj_id, t.obj_id)))
-        for image_id, triples in by_image.items()
-    }
+    top = probs.argmax(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = probs[np.arange(len(top)), top] * label_scores[:, 0] * label_scores[:, 1]
+    bad = np.flatnonzero(~np.isfinite(score))
+    if bad.size:
+        pair = predictions[bad[0]]
+        raise ValueError(f"image {pair.image_id}: pair {(pair.subj_id, pair.obj_id)} has a non-finite triple score")
+
+    order = np.lexsort((obj_id, subj_id, -score, image))
+    ranked = RankedTriples(subj_id, obj_id, subj_label, obj_label, subj_box, obj_box, top, score)[order]
+    bounds = np.searchsorted(image[order], np.arange(len(image_index) + 1)).tolist()
+    return {image_id: ranked[bounds[i] : bounds[i + 1]] for i, image_id in enumerate(image_index)}
 
 
-def _compatible(
-    prediction: PredictedTriple, triple: Triple, subj: ObjectInstance, obj: ObjectInstance, protocol: str
-) -> bool:
-    """Whether ``prediction`` may consume the GT ``triple`` between ``subj`` and ``obj``."""
-    if (
-        prediction.pred != triple.pred
-        or prediction.subj_label != subj.label
-        or prediction.obj_label != obj.label
-    ):
-        return False
-    if protocol in (PREDCLS, SGCLS):
-        return prediction.subj_id == triple.subj and prediction.obj_id == triple.obj
-    return (
-        iou(prediction.subj_box, subj.box) >= SGGEN_IOU_THRESHOLD
-        and iou(prediction.obj_box, obj.box) >= SGGEN_IOU_THRESHOLD
-    )
+def iou_matrix(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
+    """IoU of xyxy ``boxes[i]`` and ``gt_boxes[j]`` at ``[i, j, ...]``; 0 where their union is not positive."""
+    inter, union = box_overlap(boxes[:, None], gt_boxes[None])
+    return np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
 
 
-def match_triples(
-    triples: tuple[PredictedTriple, ...],
-    annotation: SceneGraphAnnotation,
-    k: int,
-    protocol: str,
-) -> dict[int, int]:
+def match_triples(triples: RankedTriples, annotation: SceneGraphAnnotation, k: int, protocol: str) -> dict[int, int]:
     """Match the top-``k`` ranked triples to GT triples; GT index -> first matching rank.
 
     Each prediction consumes at most one GT triple; processing in rank order
@@ -206,14 +193,32 @@ def match_triples(
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     top = triples[:k]
-    gt = [(t, annotation.object_by_id(t.subj), annotation.object_by_id(t.obj)) for t in annotation.triples]
+    gt = annotation.triples
+    if not (len(top) and gt):
+        return {}
+    subj = [annotation.object_by_id(t.subj) for t in gt]
+    obj = [annotation.object_by_id(t.obj) for t in gt]
+    compatible = (  # (top, GT): may this prediction consume this GT triple?
+        (top.pred[:, None] == [t.pred for t in gt])
+        & (top.subj_label[:, None] == [o.label for o in subj])
+        & (top.obj_label[:, None] == [o.label for o in obj])
+    )
+    if protocol == SGGEN:
+        ends = np.array([(s.box.xyxy, o.box.xyxy) for s, o in zip(subj, obj)])
+        overlaps = iou_matrix(np.stack([top.subj_box, top.obj_box], axis=1), ends)
+        compatible &= (overlaps >= SGGEN_IOU_THRESHOLD).all(axis=2)
+    else:
+        compatible &= (top.subj_id[:, None] == [t.subj for t in gt]) & (top.obj_id[:, None] == [t.obj for t in gt])
+    options: list[list[int]] = [[] for _ in range(len(top))]  # compatible GT indices per rank
+    for pos, idx in np.argwhere(compatible).tolist():
+        options[pos].append(idx)
 
     owner: dict[int, int] = {}  # gt idx -> position in `top` that holds it now
     first: dict[int, int] = {}  # gt idx -> rank whose augmenting path matched it
 
     def try_assign(pos: int, banned: set[int]) -> bool:
-        for idx, (triple, subj, obj) in enumerate(gt):
-            if idx in banned or not _compatible(top[pos], triple, subj, obj, protocol):
+        for idx in options[pos]:
+            if idx in banned:
                 continue
             banned.add(idx)
             if idx in owner and not try_assign(owner[idx], banned):
@@ -228,12 +233,10 @@ def match_triples(
     return first
 
 
-def recall_at_k(matched_counts: list[int], gt_counts: list[int]) -> float | None:
+def recall_at_k(matched_counts: list[int] | np.ndarray, gt_counts: list[int] | np.ndarray) -> float | None:
     """Mean per-image recall; images without GT triples are skipped."""
     recalls = [m / g for m, g in zip(matched_counts, gt_counts) if g > 0]
-    if not recalls:
-        return None
-    return float(np.mean(recalls))
+    return float(np.mean(recalls)) if recalls else None
 
 
 def mean_recall_at_k(
@@ -245,9 +248,7 @@ def mean_recall_at_k(
     recalls = np.full(gt.shape, np.nan)
     has_gt = gt > 0
     recalls[has_gt] = matched[has_gt] / gt[has_gt]
-    if not has_gt.any():
-        return None, recalls
-    return float(np.mean(recalls[has_gt])), recalls
+    return (float(np.mean(recalls[has_gt])) if has_gt.any() else None), recalls
 
 
 def mric_at_k(per_predicate_recall: np.ndarray, info: InfoWeights) -> float:
@@ -269,12 +270,7 @@ def evaluate(
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     c_pred = test.predicate_space.size
-    for pair in predictions:
-        if np.asarray(pair.probs).shape != (c_pred,):
-            raise ValueError(
-                f"prediction shape mismatch: expected ({c_pred},) predicate scores"
-            )
-    ranked = build_ranked(predictions)
+    ranked = build_ranked(predictions, c_pred)
     unknown = ranked.keys() - {a.image_id for a in test.annotations}
     if unknown:
         first = next(image_id for image_id in ranked if image_id in unknown)
@@ -283,62 +279,39 @@ def evaluate(
             f"{count} predictions for image ids not in the {test.split} split, first {first!r}"
         )
     max_k = max(ks, default=0)
-    gt_per_pred = np.zeros(c_pred, dtype=np.int64)
-    matched_per_pred = {k: np.zeros(c_pred, dtype=np.int64) for k in ks}
-    image_gt: list[int] = []
-    image_matched = {k: [] for k in ks}
-    zs_image_gt: list[int] = []
-    zs_image_matched = {k: [] for k in ks}
-    num_zs_gt = 0
-
-    for annotation in test.annotations:
-        gt_n = len(annotation.triples)
-        zs_flags = []
-        for triple in annotation.triples:
-            gt_per_pred[triple.pred] += 1
-            is_zs = (
-                zero_shot is not None
-                and triple_signature(triple, annotation) in zero_shot
-            )
-            zs_flags.append(is_zs)
-        zs_n = sum(zs_flags)
-        num_zs_gt += zs_n
-
+    rows = []  # per GT triple of the split: image, predicate, zero-shot flag, first matching rank
+    for i, annotation in enumerate(test.annotations):
         first_rank = match_triples(ranked.get(annotation.image_id, ()), annotation, max_k, protocol)
-        image_gt.append(gt_n)
-        zs_image_gt.append(zs_n)
-        for k in ks:
-            matched = [idx for idx, rank in first_rank.items() if rank < k]
-            image_matched[k].append(len(matched))
-            zs_image_matched[k].append(sum(1 for idx in matched if zs_flags[idx]))
-            for idx in matched:
-                matched_per_pred[k][annotation.triples[idx].pred] += 1
+        rows += [
+            (i, t.pred, zero_shot is not None and triple_signature(t, annotation) in zero_shot,
+             first_rank.get(idx, max_k))
+            for idx, t in enumerate(annotation.triples)
+        ]
+    image, pred, zs, rank = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    zs = zs.astype(bool)
+    n_images = len(test.annotations)
+    image_gt = np.bincount(image, minlength=n_images)
+    zs_image_gt = np.bincount(image[zs], minlength=n_images)
+    gt_per_pred = np.bincount(pred, minlength=c_pred)
 
-    recall: dict[int, float | None] = {}
     mean_recall: dict[int, float | None] = {}
-    zs_recall: dict[int, float | None] = {}
-    mric: dict[int, float | None] = {}
     per_pred: dict[int, np.ndarray] = {}
     for k in ks:
-        recall[k] = recall_at_k(image_matched[k], image_gt)
-        mr, recalls_k = mean_recall_at_k(matched_per_pred[k], gt_per_pred)
-        mean_recall[k] = mr
-        per_pred[k] = recalls_k
-        zs_recall[k] = recall_at_k(zs_image_matched[k], zs_image_gt)
-        mric[k] = mric_at_k(recalls_k, info) if info is not None else None
-
+        mean_recall[k], per_pred[k] = mean_recall_at_k(np.bincount(pred[rank < k], minlength=c_pred), gt_per_pred)
     return MetricReport(
         subtask=protocol,
         ks=tuple(ks),
-        recall=recall,
+        recall={k: recall_at_k(np.bincount(image[rank < k], minlength=n_images), image_gt) for k in ks},
         mean_recall=mean_recall,
-        zero_shot_recall=zs_recall,
-        mric=mric,
+        zero_shot_recall={
+            k: recall_at_k(np.bincount(image[(rank < k) & zs], minlength=n_images), zs_image_gt) for k in ks
+        },
+        mric={k: mric_at_k(per_pred[k], info) if info is not None else None for k in ks},
         per_predicate_recall=per_pred,
         predicate_gt_counts=gt_per_pred,
-        num_images=len(test.annotations),
-        num_gt_triples=int(sum(image_gt)),
-        num_zero_shot_gt=num_zs_gt,
+        num_images=n_images,
+        num_gt_triples=len(rank),
+        num_zero_shot_gt=int(zs.sum()),
     )
 
 
@@ -411,6 +384,8 @@ def _string(value: object) -> str:
 def _id(value: object) -> int:
     if type(value) is not int:  # bool is a subclass of int
         raise TypeError(f"expected an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is outside the 64-bit integer range")
     return value
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sgrel.cli import RunConfig, config_echo, load_config, main, UsageError
+from sgrel.cli import RunConfig, _write_json, config_echo, load_config, main, UsageError
 
 
 def run(argv):
@@ -82,6 +82,9 @@ class TestConfig:
             ("c_obj", "2"),
             ("embedding_scale", "0"),
             ("max_distractors", "-1"),
+            ("box_loss", "nan"),
+            ("object_loss", "-inf"),
+            ("zipf_s", "inf"),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, key, value):
@@ -130,6 +133,10 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            _write_json({"mRIC@100": float("nan")}, tmp_path / "report.json")
 
     def test_missing_file_is_two(self, tmp_path):
         code = run(
@@ -219,6 +226,38 @@ class TestWeights:
         rows = json.loads((out / "info_weights.json").read_text())["predicates"]
         observed = [r["weight"] for r in rows if r["count"] > 0]
         assert abs(np.mean(observed) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda rows: rows.pop(2), "no row for predicates ['{name}']"),
+            (lambda rows: rows.append(dict(rows[2])), "predicate '{name}': listed twice"),
+            (lambda rows: rows[2].update(bits=float("nan")),
+             "predicate '{name}': bits must be a finite, non-negative number, got nan"),
+            (lambda rows: rows[2].update(weight=-0.5),
+             "predicate '{name}': weight must be a finite, non-negative number, got -0.5"),
+            (lambda rows: rows[2].update(frequency=True),
+             "predicate '{name}': frequency must be a finite, non-negative number, got True"),
+            (lambda rows: rows[2].update(name="no such predicate"), "predicate 'no such predicate': not a predicate label"),
+        ],
+    )
+    def test_weights_file_needs_each_predicate_once_with_valid_values(
+        self, corpus, tmp_path, capsys, edit, problem
+    ):
+        assert run(["weights", "--out", tmp_path, *corpus_flags(corpus),
+                    "--train", corpus / "train.jsonl", "--d-roi", 32]) == 0
+        path = tmp_path / "info_weights.json"
+        rows = json.loads(path.read_text())["predicates"]
+        name = rows[2]["name"]
+        edit(rows)
+        path.write_text(json.dumps({"predicates": rows}))
+        predictions = tmp_path / "oracle.jsonl"
+        save_oracle_predictions(corpus, "test", predictions)
+        code = run(["eval", "--out", tmp_path / "ev", *rescore_flags(corpus, tmp_path, "eval"),
+                    "--predictions", predictions, "--weights", path])
+        assert code == 2
+        assert f"{path}: {problem.format(name=name)}" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "report.json").exists()
 
 
 def run_pipeline(corpus, out, config_path, extra_train=(), refine_source=None):
@@ -386,6 +425,7 @@ class TestTrainRefineEval:
              "bad 'subj_box': coordinates must be finite"),
             (set_prob(2, False), "bad 'probs': expected a list of numbers"),
             (set_prob(0, 10**400), "bad 'probs': int too large to convert to float"),
+            (lambda record: record.update(obj_id=2**63), f"bad 'obj_id': {2**63} is outside the 64-bit integer range"),
         ],
     )
     def test_bad_prediction_line_is_data_error(self, corpus, tmp_path, capsys, stage, edit, problem):
@@ -420,6 +460,59 @@ class TestTrainRefineEval:
         assert code == 2
         expected = f"{path}:3: bad 'probs': expected {size} predicate scores, got {size + change}"
         assert expected in capsys.readouterr().err
+
+    def test_non_finite_triple_score_is_data_error(self, corpus, tmp_path, capsys):
+        path = tmp_path / "predictions.jsonl"
+        save_oracle_predictions(corpus, "test", path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["probs"][0] = 1e308
+        record.update(subj_score=1e308, obj_score=0)  # inf * 0 is NaN
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["eval", "--out", tmp_path / "out", *rescore_flags(corpus, tmp_path, "eval"),
+                    "--predictions", path])
+        assert code == 2
+        pair = (record["subj_id"], record["obj_id"])
+        expected = f"image {record['image_id']}: pair {pair} has a non-finite triple score"
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, content, problem",
+        [
+            ("--weights", "not json\n", ":1: invalid JSON: Expecting value"),
+            ("--weights", "{}", ": missing key 'predicates'"),
+            ("--weights", '{"predicates": 3}', ": 'predicates' must be a list"),
+            ("--zero-shot", "[\n[1,\n", ":3: invalid JSON: Expecting value"),
+            ("--zero-shot", '[["a", "b"]]', ": row 1: expected [subject, predicate, object] labels, got ['a', 'b']"),
+            ("--zero-shot", '[["a", "b", "c"]]', ": row 1: unknown object label 'a'"),
+            ("--zero-shot", '{"a": 1}', ": expected a JSON list of [subject, predicate, object] rows"),
+            ("--recalls", "", ":1: invalid JSON: Expecting value"),
+            ("--recalls", "[]", ": recalls file must be a JSON object"),
+        ],
+    )
+    def test_bad_side_file_names_the_file(self, corpus, tmp_path, capsys, flag, content, problem):
+        side = tmp_path / "side.json"
+        side.write_text(content)
+        if flag == "--recalls":
+            argv = ["resample", "--config", write_config(tmp_path, use_resampling="true"), *corpus_flags(corpus),
+                    "--train", corpus / "train.jsonl", "--d-roi", 32]
+        else:
+            predictions = tmp_path / "oracle.jsonl"
+            save_oracle_predictions(corpus, "test", predictions)
+            argv = ["eval", *rescore_flags(corpus, tmp_path, "eval"), "--predictions", predictions]
+        assert run([*argv, "--out", tmp_path / "out", flag, side]) == 2
+        assert f"{side}{problem}" in capsys.readouterr().err
+
+    def test_recall_outside_the_unit_interval_is_data_error(self, corpus, tmp_path, capsys):
+        names = (corpus / "predicate_labels.txt").read_text().split()
+        recalls = tmp_path / "recalls.json"
+        recalls.write_text(json.dumps({name: float("nan") if i == 1 else 0.5 for i, name in enumerate(names)}))
+        code = run(["resample", "--out", tmp_path / "out", "--config", write_config(tmp_path, use_resampling="true"),
+                    *corpus_flags(corpus), "--train", corpus / "train.jsonl", "--recalls", recalls, "--d-roi", 32])
+        assert code == 2
+        assert f"{recalls}: recall of '{names[1]}' must be a number in [0, 1], got nan" in capsys.readouterr().err
 
     def test_empty_predictions_refine_and_evaluate_to_zero_recall(self, corpus, tmp_path):
         path = tmp_path / "predictions.jsonl"

@@ -23,6 +23,7 @@ from sgrel.ingest import EmbeddingTable
 from sgrel.reweighting import info_weights, weighted_pred_loss
 
 from conftest import make_dataset, make_spaces
+from reference_ranking import overlap
 
 TOL = 1e-12
 
@@ -34,7 +35,7 @@ def reference_geometry(subj, obj, width, height):
     cxo, cyo = obj.center
     dx = (cxo - cxs) / width
     dy = (cyo - cys) / height
-    inter, union = subj.overlap(obj)
+    inter, union = overlap(subj, obj)
     return np.array([
         dx, dy,
         np.log(obj.width / subj.width), np.log(obj.height / subj.height),
