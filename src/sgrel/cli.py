@@ -24,7 +24,8 @@ import numpy as np
 
 from . import alignment, ingest, metrics, refinement, sampling, synth
 from .core import AnnotationError, LabelSpace, OBJECT, PREDICATE
-from .ingest import ParseError, build_zero_shot_index, load_annotations, load_embeddings, load_labels
+from .ingest import ParseError, build_zero_shot_index, load_annotations, load_embeddings, load_labels, parse_fields
+from .ingest import boolean, integer, json_list, json_object, number, string
 from .reweighting import DEFAULT_MU, InfoWeights, info_weights, uniform_weights
 from .sampling import PredicateStats, build_sampling_plan, count_predicates, resample
 from .seeding import substream
@@ -142,7 +143,11 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     """Read a key=value config file, apply CLI overrides on top, then check ranges."""
     values: dict = {}
     if path is not None:
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = ingest.read_text(path)
+        except (OSError, ParseError) as err:
+            raise UsageError(f"cannot read config: {err}") from None
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -172,11 +177,16 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _naming(path: str | Path, func, *args):
+    """``func(*args)``; a ``ValueError`` it raises gets ``path`` prefixed to its message."""
+    try:
+        return func(*args)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def _load_spaces(args: argparse.Namespace) -> tuple[LabelSpace, LabelSpace]:
-    return (
-        load_labels(args.object_labels, OBJECT),
-        load_labels(args.predicate_labels, PREDICATE),
-    )
+    return load_labels(args.object_labels, OBJECT), load_labels(args.predicate_labels, PREDICATE)
 
 
 def save_weights(info: InfoWeights, counts: np.ndarray, space: LabelSpace, path: Path) -> None:
@@ -195,25 +205,17 @@ def save_weights(info: InfoWeights, counts: np.ndarray, space: LabelSpace, path:
 
 def load_weights(path: str | Path, space: LabelSpace) -> InfoWeights:
     """Read ``save_weights``' file: each predicate once, with finite, non-negative values."""
-    rows = _key(ingest.read_json(path), "predicates", str(path))
-    if not isinstance(rows, list):
-        raise ValueError(f"{path}: 'predicates' must be a list")
+    (rows,) = parse_fields(ingest.read_json(path), (("predicates", json_list),), str(path))
+    table = (("name", space.index_of), ("frequency", number), ("bits", number), ("weight", number))
     values = np.zeros((3, space.size))  # frequency, bits and weight per predicate
-    seen: set[str] = set()
-    for row in rows:
-        name = _key(row, "name", f"{path}: predicates")
-        where = f"{path}: predicate {name!r}"
-        if name not in space.names:
-            raise ValueError(f"{where}: not a predicate label")
-        if name in seen:
-            raise ValueError(f"{where}: listed twice")
-        seen.add(name)
-        for i, key in enumerate(("frequency", "bits", "weight")):
-            value = _key(row, key, where)
-            if type(value) not in (int, float) or not 0.0 <= value < math.inf:
-                raise ValueError(f"{where}: {key} must be a finite, non-negative number, got {value!r}")
-            values[i, space.index_of(name)] = value
-    missing = [name for name in space.names if name not in seen]
+    seen: set[int] = set()
+    for i, row in enumerate(rows):
+        j, *row_values = parse_fields(row, table, f"{path}: predicates[{i}]")
+        if j in seen:
+            raise ValueError(f"{path}: predicate {space.names[j]!r}: listed twice")
+        seen.add(j)
+        values[:, j] = row_values
+    missing = [name for j, name in enumerate(space.names) if j not in seen]
     if missing:
         raise ValueError(f"{path}: no row for predicates {missing}")
     return InfoWeights(*values)
@@ -223,49 +225,24 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = synth.generate(_sub_config(synth.SynthConfig, config))
-    (out / "object_labels.txt").write_text(
-        "".join(n + "\n" for n in data.train.object_space.names), encoding="utf-8"
-    )
-    (out / "predicate_labels.txt").write_text(
-        "".join(n + "\n" for n in data.train.predicate_space.names), encoding="utf-8"
-    )
-    ingest.save_embeddings(data.object_embeddings, out / "object_embeddings.txt")
-    ingest.save_embeddings(data.predicate_embeddings, out / "predicate_embeddings.txt")
-    ingest.save_annotations(data.train, out / "train.jsonl")
-    ingest.save_annotations(data.val, out / "val.jsonl")
-    ingest.save_annotations(data.test, out / "test.jsonl")
+    for kind, embeddings in ((OBJECT, data.object_embeddings), (PREDICATE, data.predicate_embeddings)):
+        labels = "".join(name + "\n" for name in embeddings.space.names)
+        (out / f"{kind}_labels.txt").write_text(labels, encoding="utf-8")
+        ingest.save_embeddings(embeddings, out / f"{kind}_embeddings.txt")
+    splits = {"train": data.train, "val": data.val, "test": data.test}
+    for name, split in splits.items():
+        ingest.save_annotations(split, out / f"{name}.jsonl")
     synth.save_map(data.map, out / "generative_map.json")
-    _write_json(
-        {
-            "config": config_echo(config),
-            "images": {
-                "train": len(data.train.annotations),
-                "val": len(data.val.annotations),
-                "test": len(data.test.annotations),
-            },
-            "triples": {
-                "train": data.train.num_triples(),
-                "val": data.val.num_triples(),
-                "test": data.test.num_triples(),
-            },
-        },
-        out / "synth_manifest.json",
-    )
-    logger.info(
-        "synth: %d/%d/%d train/val/test images -> %s",
-        len(data.train.annotations),
-        len(data.val.annotations),
-        len(data.test.annotations),
-        out,
-    )
+    images = {name: len(split.annotations) for name, split in splits.items()}
+    triples = {name: split.num_triples() for name, split in splits.items()}
+    _write_json({"config": config_echo(config), "images": images, "triples": triples}, out / "synth_manifest.json")
+    logger.info("synth: %d/%d/%d train/val/test images -> %s", *images.values(), out)
     return 0
 
 
 def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     object_space, predicate_space = _load_spaces(args)
-    dataset = load_annotations(
-        args.annotations, object_space, predicate_space, args.d_roi, split=args.split
-    )
+    dataset = load_annotations(args.annotations, object_space, predicate_space, args.d_roi, args.split)
     summary = {
         "config": config_echo(config),
         "split": dataset.split,
@@ -348,7 +325,7 @@ def cmd_weights(args: argparse.Namespace, config: RunConfig) -> int:
     object_space, predicate_space = _load_spaces(args)
     train = load_annotations(args.train, object_space, predicate_space, args.d_roi, "train")
     counts = count_predicates(train)
-    info = info_weights(counts)
+    info = _naming(args.train, info_weights, counts)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_weights(info, counts, predicate_space, out / "info_weights.json")
@@ -374,7 +351,7 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
         train_set.d_roi, embeddings.dim, predicate_space.size, substream(config.seed, "alignment.init")
     )
     train_config = _sub_config(alignment.TrainConfig, config)
-    result = alignment.train(model, train_set, embeddings, train_config, val_set, weights)
+    result = _naming(args.train, alignment.train, model, train_set, embeddings, train_config, val_set, weights)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -413,9 +390,8 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     predictions = metrics.load_predictions(args.predictions, object_space, predicate_space.size)
     object_embeddings = load_embeddings(args.object_embeddings, object_space)
     predicate_embeddings = load_embeddings(args.predicate_embeddings, predicate_space)
-    refined = refinement.refine_dataset(
-        predictions, object_embeddings, predicate_embeddings, config.alpha
-    )
+    refined = _naming(args.predictions, refinement.refine_dataset,
+                      predictions, object_embeddings, predicate_embeddings, config.alpha)
     scores_text = metrics.save_predictions(refined, object_space, target)
     pre_top, post_top = (
         metrics.stack_probs(pairs).argmax(axis=1) if pairs else np.zeros(0, dtype=int)
@@ -447,15 +423,10 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     object_space, predicate_space = _load_spaces(args)
     dataset = load_annotations(args.dataset, object_space, predicate_space, args.d_roi, args.split)
     predictions = metrics.load_predictions(args.predictions, object_space, predicate_space.size)
-    zero_shot = (
-        ingest.load_zero_shot_index(args.zero_shot, object_space, predicate_space)
-        if args.zero_shot
-        else None
-    )
+    zero_shot = ingest.load_zero_shot_index(args.zero_shot, object_space, predicate_space) if args.zero_shot else None
     info = load_weights(args.weights, predicate_space) if args.weights else None
-    report = metrics.evaluate(
-        predictions, dataset, zero_shot, info, ks=config.ks, protocol=config.subtask
-    )
+    report = _naming(args.predictions, metrics.evaluate,
+                     predictions, dataset, zero_shot, info, config.ks, config.subtask)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -466,23 +437,23 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     recalls = np.nan_to_num(report.per_predicate_recall[max(config.ks)], nan=0.0)  # 0 where no GT
     _write_json(dict(zip(predicate_space.names, recalls.tolist())), out / "recalls.json")
     headline = {
-        f"{family}@{k}": value
-        for family, values in (
-            ("R", report.recall),
-            ("mR", report.mean_recall),
-            ("zR", report.zero_shot_recall),
-            ("mRIC", report.mric),
-        )
-        for k, value in values.items()
+        f"{short}@{k}": value
+        for family, short in metrics.FAMILIES.items()
+        for k, value in getattr(report, family).items()
     }
     print(json.dumps(headline, sort_keys=True))
     return 0
 
 
-def _key(mapping: object, key: str, where: str) -> object:
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ValueError(f"{where}: missing key {key!r}")
-    return mapping[key]
+_TOGGLES = ("use_alignment", "use_refinement", "use_resampling", "use_reweighting")
+_REPORT_FIELDS = (("config", json_object), ("report", json_object))
+_CONFIG_FIELDS = (("seed", integer), *((key, boolean) for key in _TOGGLES))
+_PROTOCOL_FIELDS = (("ks", json_list), ("subtask", string), ("metrics", json_object))
+_FAMILY_FIELDS = tuple((family, json_object) for family in metrics.FAMILIES)
+
+
+def _metric(value: object) -> float | None:
+    return None if value is None else number(value)
 
 
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
@@ -491,37 +462,24 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
     seeds = set()
     first: dict = {}  # ks and subtask of the first report; every other must match
     for idx, path in enumerate(args.inputs):
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: not a JSON report: {err}") from None
-        cfg = _key(payload, "config", path)
-        report = _key(payload, "report", path)
-        for key in ("ks", "subtask"):
-            value = _key(report, key, path)
+        cfg, report = parse_fields(ingest.read_json(path), _REPORT_FIELDS, str(path))
+        seed, *switches = parse_fields(cfg, _CONFIG_FIELDS, f"{path}: config")
+        ks, subtask, families = parse_fields(report, _PROTOCOL_FIELDS, f"{path}: report")
+        for key, value in (("ks", ks), ("subtask", subtask)):
             first.setdefault(key, (value, path))
             if value != first[key][0]:
-                raise ValueError(
-                    f"{path}: {key} {value} differs from {first[key][0]} in {first[key][1]}"
-                )
-        seeds.add(_key(cfg, "seed", path))
-        toggles = {
-            key: _key(cfg, key, path)
-            for key in ("use_alignment", "use_refinement", "use_resampling", "use_reweighting")
-        }
+                raise ValueError(f"{path}: {key} {value} differs from {first[key][0]} in {first[key][1]}")
+        seeds.add(seed)
+        toggles = dict(zip(_TOGGLES, switches))
         label = args.labels[idx] if args.labels and idx < len(args.labels) else None
         if label is None:
             enabled = [key.removeprefix("use_") for key, on in toggles.items() if on]
             label = "+".join(enabled) if enabled else "baseline"
-        families = _key(report, "metrics", path)
         cells = [label]
-        for family in ("recall", "mean_recall", "zero_shot_recall", "mric"):
-            values = _key(families, family, f"{path} metrics")
-            for k in first["ks"][0]:
-                value = _key(values, str(k), f"{path} metrics.{family}")
-                if value is not None and not isinstance(value, (int, float)):
-                    raise ValueError(f"{path} metrics.{family}: {k!r} is not a number")
-                cells.append("-" if value is None else f"{value:.4f}")
+        value_fields = tuple((str(k), _metric) for k in first["ks"][0])
+        for family, values in zip(metrics.FAMILIES, parse_fields(families, _FAMILY_FIELDS, f"{path}: metrics")):
+            values = parse_fields(values, value_fields, f"{path}: metrics.{family}")
+            cells += ["-" if value is None else f"{value:.4f}" for value in values]
         rows.append({"label": label, "toggles": toggles, "metrics": families})
         table.append(cells)
     if len(seeds) > 1:
@@ -532,7 +490,7 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
     _write_json(payload, out / "summary.json")
 
     ks = first["ks"][0] if rows else []
-    print("\t".join(["run"] + [f"{fam}@{k}" for fam in ("R", "mR", "zR", "mRIC") for k in ks]))
+    print("\t".join(["run"] + [f"{short}@{k}" for short in metrics.FAMILIES.values() for k in ks]))
     for cells in table:
         print("\t".join(cells))
     return 0

@@ -88,6 +88,10 @@ class BoundingBox:
 
     def clamped(self, width: float, height: float) -> "BoundingBox":
         """Box clipped to the image frame; may come out degenerate."""
+        if 0.0 <= self.x1 <= width and 0.0 <= self.x2 <= width and (
+            0.0 <= self.y1 <= height and 0.0 <= self.y2 <= height
+        ):
+            return self  # already inside: clipping would give the same coordinates
         return BoundingBox(
             x1=min(max(self.x1, 0.0), width),
             y1=min(max(self.y1, 0.0), height),
@@ -196,7 +200,7 @@ def validate_annotation(
             violations.append(
                 f"{tag}: feature dimension mismatch (got {feature.size}, expected {d_roi})"
             )
-        elif not np.all(np.isfinite(feature)):
+        elif not np.isfinite(feature).all():
             violations.append(f"{tag}: non-finite feature values")
         box = obj.box
         if box.is_degenerate():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,12 +36,135 @@ class ParseError(ValueError):
         super().__init__(f"{self.path}:{line}: {message}")
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; bytes that are not UTF-8 raise ``ParseError`` naming the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ParseError(path, line, f"not UTF-8 text: byte 0x{data[err.start]:02x} ({err.reason})") from None
+
+
 def read_json(path: str | Path) -> object:
     """The JSON document in ``path``; invalid JSON raises ``ParseError`` naming the line."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise ParseError(path, err.lineno, f"invalid JSON: {err.msg}") from None
+
+
+def read_jsonl(path: str | Path) -> tuple[int, Iterator[dict]]:
+    """The line count of ``path`` and its lines, decoded one at a time as JSON objects.
+
+    An empty line, invalid JSON or a value that is not an object raises
+    ``ParseError`` naming the line.
+    """
+    lines = read_text(path).splitlines()
+
+    def records() -> Iterator[dict]:
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                record = json.loads(raw)
+            except json.JSONDecodeError as err:
+                problem = "empty line" if not raw.strip() else f"invalid JSON: {err.msg}"
+                raise ParseError(path, lineno, problem) from None
+            if type(record) is not dict:
+                raise ParseError(path, lineno, "expected a JSON object")
+            yield record
+
+    return len(lines), records()
+
+
+# The field vocabulary: what a valid value of each kind is in every file the
+# CLI reads. Each parser returns the value or raises TypeError/ValueError.
+_NUMBER_TYPES = {int, float}  # what JSON numbers parse to; a boolean is not one
+
+
+def _typed(kind: type, expected: str) -> Callable[[object], object]:
+    def parse(value: object):
+        if type(value) is not kind:
+            raise TypeError(f"expected {expected}, got {value!r}")
+        return value
+
+    return parse
+
+
+string = _typed(str, "a string")
+boolean = _typed(bool, "true or false")
+json_list = _typed(list, "a list")
+json_object = _typed(dict, "a JSON object")
+
+
+def integer(value: object) -> int:
+    """A 64-bit integer."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise TypeError(f"expected an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is outside the 64-bit integer range")
+    return value
+
+
+def number(value: object) -> float:
+    """A finite, non-negative number."""
+    if type(value) not in _NUMBER_TYPES:
+        raise TypeError(f"expected a number, got {value!r}")
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise ValueError(f"must be finite and non-negative, got {value!r}")
+    return float(value)
+
+
+def numbers(value: object) -> list:
+    if not (type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))):
+        raise TypeError("expected a list of numbers")
+    return value
+
+
+def box(value: object) -> BoundingBox:
+    """Four finite numbers ``[x1, y1, x2, y2]``."""
+    if not (type(value) is list and len(value) == 4 and _NUMBER_TYPES.issuperset(map(type, value))):
+        raise TypeError(f"expected [x1, y1, x2, y2], got {value!r}")
+    if not all(map(math.isfinite, value)):
+        raise ValueError(f"coordinates must be finite, got {value!r}")
+    return BoundingBox(*map(float, value))
+
+
+def scores(size: int) -> Callable[[object], list]:
+    """Parser of a list of ``size`` finite, non-negative numbers."""
+
+    def parse(value: object) -> list:
+        if len(numbers(value)) != size:
+            raise ValueError(f"expected {size} predicate scores, got {len(value)}")
+        # The sum is NaN or infinite when an entry is, so min() need only catch negatives.
+        if not (min(value) >= 0.0 and float(sum(value)) < math.inf):
+            raise ValueError("must be finite and non-negative")
+        return value
+
+    return parse
+
+
+Fields = tuple[tuple[str, Callable[[object], object]], ...]
+
+
+def parse_fields(record: object, table: Fields, where: str = "") -> list:
+    """``record``'s value at each key of ``table``, through that key's parser, in table order.
+
+    A record that is not a JSON object, a missing key or a value its parser
+    refuses raises ``ValueError``, prefixed with ``where``.
+    """
+    prefix = f"{where}: " if where else ""
+    if type(record) is not dict:
+        raise ValueError(f"{prefix}expected a JSON object, got {record!r}")
+    values = []
+    for key, parse in table:
+        try:
+            values.append(parse(record[key]))
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            if key not in record:
+                raise ValueError(f"{prefix}missing key {key!r}") from None
+            detail = err.args[0] if isinstance(err, KeyError) else err
+            raise ValueError(f"{prefix}bad {key!r}: {detail}") from None
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +228,7 @@ def load_labels(path: str | Path, kind: str) -> LabelSpace:
     """Read a one-label-per-line file; the index of a label is its line number."""
     names: list[str] = []
     seen: set[str] = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         name = raw.strip()
         if not name:
             raise ParseError(path, lineno, "empty label line")
@@ -113,48 +237,6 @@ def load_labels(path: str | Path, kind: str) -> LabelSpace:
         seen.add(name)
         names.append(name)
     return LabelSpace(kind=kind, names=tuple(names))
-
-
-def _parse_annotation_record(
-    record: dict,
-    object_space: LabelSpace,
-    predicate_space: LabelSpace,
-) -> tuple[SceneGraphAnnotation, int]:
-    width = float(record["width"])
-    height = float(record["height"])
-    objects = []
-    for entry in record["objects"]:
-        box = BoundingBox(*[float(v) for v in entry["box"]]).clamped(width, height)
-        objects.append(
-            ObjectInstance(
-                object_id=int(entry["id"]),
-                label=object_space.index_of(entry["label"]),
-                box=box,
-                feature=np.asarray(entry["feature"], dtype=np.float64),
-            )
-        )
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
-    duplicates = 0
-    for entry in record["relations"]:
-        triple = Triple(
-            subj=int(entry["subj"]),
-            pred=predicate_space.index_of(entry["pred"]),
-            obj=int(entry["obj"]),
-        )
-        if triple in seen:
-            duplicates += 1
-            continue
-        seen.add(triple)
-        triples.append(triple)
-    annotation = SceneGraphAnnotation(
-        image_id=str(record["image_id"]),
-        width=width,
-        height=height,
-        objects=tuple(objects),
-        triples=tuple(triples),
-    )
-    return annotation, duplicates
 
 
 def load_annotations(
@@ -166,40 +248,44 @@ def load_annotations(
 ) -> Dataset:
     """Read a JSON-lines annotation file into a validated ``Dataset``.
 
-    Boxes are clamped to the image frame; duplicate ground-truth triples are
-    dropped with a logged count. Any remaining invariant violation aborts the
-    load with the offending line number.
+    A missing key or a value the field vocabulary refuses aborts the load, naming
+    the line, the ``objects[i]``/``relations[i]`` position and the key. Boxes are
+    clamped to the image frame; duplicate ground-truth triples are dropped with a
+    logged count. Any other invariant violation aborts the load with the line number.
     """
+    image_fields: Fields = (
+        ("image_id", string), ("width", number), ("height", number), ("objects", json_list), ("relations", json_list)
+    )
+    object_fields: Fields = (
+        ("id", integer), ("label", object_space.index_of), ("box", box),
+        ("feature", lambda value: np.asarray(numbers(value), dtype=np.float64)),
+    )
+    relation_fields: Fields = (("subj", integer), ("pred", predicate_space.index_of), ("obj", integer))
     annotations: list[SceneGraphAnnotation] = []
     total_duplicates = 0
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            raise ParseError(path, lineno, "empty annotation line")
+    _, records = read_jsonl(path)
+    for lineno, record in enumerate(records, start=1):
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise ParseError(path, lineno, f"invalid JSON: {err.msg}") from err
-        try:
-            annotation, duplicates = _parse_annotation_record(
-                record, object_space, predicate_space
+            image_id, width, height, objects, relations = parse_fields(record, image_fields)
+            instances = []
+            for i, entry in enumerate(objects):
+                object_id, label, bounds, feature = parse_fields(entry, object_fields, f"objects[{i}]")
+                instances.append(ObjectInstance(object_id, label, bounds.clamped(width, height), feature))
+            triples = dict.fromkeys(  # first occurrence of each triple, in order
+                Triple(*parse_fields(entry, relation_fields, f"relations[{i}]"))
+                for i, entry in enumerate(relations)
             )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ParseError(path, lineno, f"malformed annotation record: {err}") from err
-        total_duplicates += duplicates
+        except ValueError as err:
+            raise ParseError(path, lineno, str(err)) from None
+        total_duplicates += len(relations) - len(triples)
+        annotation = SceneGraphAnnotation(image_id, width, height, tuple(instances), tuple(triples))
         violations = validate_annotation(annotation, object_space, predicate_space, d_roi)
         if violations:
             raise ParseError(path, lineno, "; ".join(violations))
         annotations.append(annotation)
     if total_duplicates:
         logger.info("%s: dropped %d duplicate triples at ingest", path, total_duplicates)
-    return Dataset(
-        split=split,
-        annotations=tuple(annotations),
-        object_space=object_space,
-        predicate_space=predicate_space,
-        d_roi=d_roi,
-    )
+    return Dataset(split, tuple(annotations), object_space, predicate_space, d_roi)
 
 
 def annotation_to_record(annotation: SceneGraphAnnotation, dataset: Dataset) -> dict:
@@ -257,8 +343,7 @@ def load_embeddings(path: str | Path, space: LabelSpace) -> EmbeddingTable:
     """Read a token-per-line vector file and pool one vector per label of ``space``."""
     token_vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         parts = raw.split(" ")
         if len(parts) < 2:
             raise ParseError(path, lineno, "expected 'token v1 v2 ... vD'")
@@ -279,7 +364,10 @@ def load_embeddings(path: str | Path, space: LabelSpace) -> EmbeddingTable:
     vectors = np.stack(
         [_pool_label_vector(label, token_vectors, path) for label in space.names]
     ) if space.size else np.zeros((0, dim or 0))
-    return EmbeddingTable(space=space, vectors=vectors)
+    try:
+        return EmbeddingTable(space=space, vectors=vectors)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
@@ -297,26 +385,24 @@ def load_recalls(path: str | Path, space: LabelSpace) -> RecallTable:
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: recalls file must be a JSON object")
-    values = np.zeros(space.size)
     missing = [name for name in space.names if name not in raw]
     if missing:
         raise ValueError(f"{path}: missing recall for predicates {missing}")
     unknown = [name for name in raw if name not in space.names]
     if unknown:
         raise ValueError(f"{path}: unknown predicates {unknown}")
-    for name, value in raw.items():
-        if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
-            raise ValueError(f"{path}: recall of {name!r} must be a number in [0, 1], got {value!r}")
-        values[space.index_of(name)] = value
-    return RecallTable(values=values)
+    table = tuple((name, _recall) for name in space.names)
+    return RecallTable(values=np.array(parse_fields(raw, table, str(path))))
+
+
+def _recall(value: object) -> float:
+    if number(value) > 1.0:
+        raise ValueError(f"must be at most 1, got {value!r}")
+    return float(value)
 
 
 def dataset_signatures(dataset: Dataset) -> set[Signature]:
-    signatures: set[Signature] = set()
-    for annotation in dataset.annotations:
-        for triple in annotation.triples:
-            signatures.add(triple_signature(triple, annotation))
-    return signatures
+    return {triple_signature(t, a) for a in dataset.annotations for t in a.triples}
 
 
 def build_zero_shot_index(train: Dataset, test: Dataset) -> ZeroShotIndex:
@@ -345,11 +431,13 @@ def load_zero_shot_index(path: str | Path, object_space: LabelSpace, predicate_s
     if not isinstance(rows, list):
         raise ValueError(f"{path}: expected a JSON list of [subject, predicate, object] rows")
     signatures = set()
-    for number, row in enumerate(rows, start=1):
-        if not (isinstance(row, list) and len(row) == 3 and all(isinstance(name, str) for name in row)):
-            raise ValueError(f"{path}: row {number}: expected [subject, predicate, object] labels, got {row!r}")
+    for index, row in enumerate(rows, start=1):
         try:
-            signatures.add((object_space.index_of(row[0]), predicate_space.index_of(row[1]), object_space.index_of(row[2])))
-        except KeyError as err:
-            raise ValueError(f"{path}: row {number}: {err.args[0]}") from None
+            if type(row) is not list or len(row) != 3:
+                raise ValueError(f"expected [subject, predicate, object] labels, got {row!r}")
+            subj, pred, obj = map(string, row)
+            signatures.add((object_space.index_of(subj), predicate_space.index_of(pred),
+                            object_space.index_of(obj)))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{path}: row {index}: {err.args[0]}") from None
     return ZeroShotIndex(signatures=frozenset(signatures))

@@ -22,14 +22,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import BoundingBox, Dataset, LabelSpace, SceneGraphAnnotation, box_overlap, triple_signature
-from .ingest import ParseError, ZeroShotIndex
+from .ingest import ParseError, ZeroShotIndex, box, integer, number, parse_fields, read_jsonl, scores, string
 from .reweighting import InfoWeights
 
 logger = logging.getLogger(__name__)
@@ -41,6 +40,9 @@ PROTOCOLS = (PREDCLS, SGCLS, SGGEN)
 
 SGGEN_IOU_THRESHOLD = 0.5
 DEFAULT_KS = (20, 50, 100)
+
+# Each metric family's report key (a ``MetricReport`` field) and its short name, in report order.
+FAMILIES = {"recall": "R", "mean_recall": "mR", "zero_shot_recall": "zR", "mric": "mRIC"}
 
 
 @dataclass(eq=False)
@@ -80,10 +82,7 @@ class MetricReport:
             "subtask": self.subtask,
             "ks": list(self.ks),
             "metrics": {
-                "recall": {str(k): self.recall[k] for k in self.ks},
-                "mean_recall": {str(k): self.mean_recall[k] for k in self.ks},
-                "zero_shot_recall": {str(k): self.zero_shot_recall[k] for k in self.ks},
-                "mric": {str(k): self.mric[k] for k in self.ks},
+                family: {str(k): getattr(self, family)[k] for k in self.ks} for family in FAMILIES
             },
             "num_images": self.num_images,
             "num_gt_triples": self.num_gt_triples,
@@ -375,85 +374,30 @@ def save_predictions(
     return probs_text
 
 
-def _string(value: object) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _id(value: object) -> int:
-    if type(value) is not int:  # bool is a subclass of int
-        raise TypeError(f"expected an integer, got {value!r}")
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(f"{value} is outside the 64-bit integer range")
-    return value
-
-
-_NUMBER_TYPES = {int, float}  # what JSON numbers parse to; a boolean is not one
-
-
-def _score(value: object) -> float:
-    if type(value) not in _NUMBER_TYPES:
-        raise TypeError(f"expected a number, got {value!r}")
-    if not 0.0 <= value < math.inf:  # NaN fails too
-        raise ValueError("must be finite and non-negative")
-    return float(value)
-
-
-def _box(value: object) -> BoundingBox:
-    if not (type(value) is list and len(value) == 4 and _NUMBER_TYPES.issuperset(map(type, value))):
-        raise TypeError(f"expected [x1, y1, x2, y2], got {value!r}")
-    if not all(map(math.isfinite, value)):
-        raise ValueError(f"coordinates must be finite, got {value!r}")
-    return BoundingBox(*map(float, value))
-
-
-def _probs(values: object, size: int) -> list:
-    if not (type(values) is list and _NUMBER_TYPES.issuperset(map(type, values))):
-        raise TypeError("expected a list of numbers")
-    if len(values) != size:
-        raise ValueError(f"expected {size} predicate scores, got {len(values)}")
-    # The sum is NaN or infinite when an entry is, so min() need only catch negatives.
-    if not (min(values) >= 0.0 and float(sum(values)) < math.inf):
-        raise ValueError("must be finite and non-negative")
-    return values
-
-
 def load_predictions(
     path: str | Path, object_space: LabelSpace, num_predicates: int
 ) -> list[PairPrediction]:
-    """Read the JSON lines ``save_predictions`` writes.
+    """Read the JSON lines ``save_predictions`` writes, each value through ``ingest``'s field vocabulary.
 
-    Invalid JSON, a missing or mistyped key (a boolean is not a number), probs
-    or label scores that are negative or not finite, box coordinates that are
-    not finite, and a ``probs`` list that does not hold ``num_predicates``
-    scores raise ``ParseError`` naming the line.
+    Invalid JSON, a missing key or a refused value (a boolean is not a number;
+    probs and label scores are finite and non-negative, ``num_predicates`` of
+    them; box coordinates are finite) raise ``ParseError`` naming the line.
     """
     label = object_space.index_of
-    parsers = (
-        ("image_id", _string), ("subj_id", _id), ("obj_id", _id),
-        ("subj_label", label), ("obj_label", label), ("subj_box", _box), ("obj_box", _box),
-        ("subj_score", _score), ("obj_score", _score),
-        ("probs", lambda values: _probs(values, num_predicates)),
+    table = (  # in PairPrediction's field order
+        ("image_id", string), ("subj_id", integer), ("obj_id", integer),
+        ("subj_label", label), ("obj_label", label), ("subj_box", box), ("obj_box", box),
+        ("probs", scores(num_predicates)), ("subj_score", number), ("obj_score", number),
     )
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    probs = np.empty((len(lines), num_predicates))  # one matrix; each pair's probs is a row of it
+    count, records = read_jsonl(path)
+    probs = np.empty((count, num_predicates))  # one matrix; each pair's probs is a row of it
     predictions: list[PairPrediction] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for row, record in enumerate(records):
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise ParseError(path, lineno, f"invalid JSON: {err.msg}") from err
-        if not isinstance(record, dict):
-            raise ParseError(path, lineno, "expected a JSON object")
-        fields = {}
-        for key, parse in parsers:
-            try:
-                fields[key] = parse(record[key])
-            except (KeyError, TypeError, ValueError, OverflowError) as err:
-                problem = f"bad {key!r}: {err}" if key in record else f"missing key {key!r}"
-                raise ParseError(path, lineno, problem) from err
-        probs[lineno - 1] = fields["probs"]
-        fields["probs"] = probs[lineno - 1]
-        predictions.append(PairPrediction(**fields))
+            pair = PairPrediction(*parse_fields(record, table))
+        except ValueError as err:
+            raise ParseError(path, row + 1, str(err)) from None
+        probs[row] = pair.probs
+        pair.probs = probs[row]
+        predictions.append(pair)
     return predictions

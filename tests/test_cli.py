@@ -109,6 +109,22 @@ class TestConfig:
         )
         assert load_config(again, {}) == config
 
+    @pytest.mark.parametrize(
+        "make, problem",
+        [
+            (lambda path: None, "No such file or directory"),
+            (lambda path: path.mkdir(), "Is a directory"),
+            (lambda path: path.write_bytes(b"seed=1\nalpha=0.5\xe9\n"), ":2: not UTF-8 text: byte 0xe9"),
+        ],
+    )
+    def test_unreadable_config_file_is_usage_error_naming_the_path(self, tmp_path, capsys, make, problem):
+        path = tmp_path / "run.cfg"
+        make(path)
+        assert run(["synth", "--out", tmp_path / "out", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and str(path) in err and problem in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_integer_seed_flag_is_usage_error(self, tmp_path, capsys):
         assert run(["synth", "--out", tmp_path, "--seed", "1.5"]) == 1
         err = capsys.readouterr().err
@@ -163,6 +179,99 @@ class TestSynthAndIngest:
         manifest = json.loads((corpus / "synth_manifest.json").read_text())
         assert manifest["config"]["seed"] == 5
         assert manifest["images"]["train"] > 0
+
+
+INF = "__overflowing number__"  # written into the file as 1e999, which JSON reads as infinity
+
+
+def set_in(*keys, value):
+    """An edit of an annotation record that sets ``record[k1][k2]...`` to ``value``."""
+    def edit(record):
+        *path, last = keys
+        for key in path:
+            record = record[key]
+        record[last] = value
+    return edit
+
+
+# One-value annotation edits that were coerced or accepted before every value went
+# through the field vocabulary: (edit, position, key).
+ANNOTATION_EDITS = [
+    (set_in("objects", 0, "id", value=1.7), "objects[0]: ", "id"),
+    (set_in("objects", 0, "id", value=True), "objects[0]: ", "id"),
+    (set_in("relations", 0, "subj", value=0.9), "relations[0]: ", "subj"),
+    (set_in("relations", 0, "obj", value="1"), "relations[0]: ", "obj"),
+    (set_in("width", value="1000"), "", "width"),
+    (set_in("width", value=INF), "", "width"),
+    (set_in("image_id", value=None), "", "image_id"),
+    (set_in("objects", 1, "feature", 0, value="1.5"), "objects[1]: ", "feature"),
+    (set_in("objects", 1, "feature", 2, value=True), "objects[1]: ", "feature"),
+    (set_in("objects", 0, "box", 1, value=True), "objects[0]: ", "box"),
+    (set_in("objects", 0, "box", 3, value="3"), "objects[0]: ", "box"),
+    (set_in("objects", value={}), "", "objects"),
+]
+
+
+class TestAnnotationValues:
+    @pytest.mark.parametrize("stage", ["ingest", "zsplit", "eval"])
+    @pytest.mark.parametrize("edit, position, key", ANNOTATION_EDITS)
+    def test_mistyped_annotation_value_is_data_error(self, corpus, tmp_path, capsys, stage, edit, position, key):
+        lines = (corpus / "test.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        edit(record)
+        lines[1] = json.dumps(record).replace(json.dumps(INF), "1e999")
+        path = tmp_path / "test.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        save_oracle_predictions(corpus, "test", tmp_path / "predictions.jsonl")
+        argv = {
+            "ingest": ["--annotations", path],
+            "zsplit": ["--train", corpus / "train.jsonl", "--test", path],
+            "eval": ["--dataset", path, "--predictions", tmp_path / "predictions.jsonl"],
+        }[stage]
+        code = run([stage, "--out", tmp_path / "out", *corpus_flags(corpus), *argv, "--d-roi", 32])
+        assert code == 2
+        assert f"{path}:2: {position}bad {key!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def edit_first_vector(replace):
+    """An edit of an embedding file that replaces its first token's values with ``replace(values)``."""
+    def edit(text):
+        first, *rest = text.splitlines(keepends=True)
+        token, *values = first.split()
+        return " ".join([token, *replace(values)]) + "\n" + "".join(rest)
+    return edit
+
+
+class TestDataErrorsNameTheFile:
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (edit_first_vector(lambda values: ["nan", *values[1:]]), "embedding table contains non-finite entries"),
+            (edit_first_vector(lambda values: ["0.0"] * len(values)), "zero-norm vector for label 'obj00'"),
+        ],
+    )
+    def test_bad_embedding_table(self, corpus, tmp_path, capsys, edit, problem):
+        path = tmp_path / "object_embeddings.txt"
+        path.write_text(edit((corpus / "object_embeddings.txt").read_text()))
+        code = run(["train", "--out", tmp_path / "out", *corpus_flags(corpus), "--train", corpus / "train.jsonl",
+                    "--val", corpus / "val.jsonl", "--test", corpus / "test.jsonl",
+                    "--object-embeddings", path, "--d-roi", 32])
+        assert code == 2
+        assert f"{path}: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, problem",
+        [("train", "cannot train on an empty dataset"), ("weights", "at least one predicate count must be positive")],
+    )
+    def test_empty_train_file(self, corpus, tmp_path, capsys, stage, problem):
+        path = tmp_path / "train.jsonl"
+        path.write_text("")
+        extra = ["--val", corpus / "val.jsonl", "--test", corpus / "test.jsonl",
+                 "--object-embeddings", corpus / "object_embeddings.txt"] if stage == "train" else []
+        code = run([stage, "--out", tmp_path / "out", *corpus_flags(corpus), "--train", path, *extra, "--d-roi", 32])
+        assert code == 2
+        assert f"{path}: {problem}" in capsys.readouterr().err
 
 
 class TestZsplit:
@@ -233,12 +342,13 @@ class TestWeights:
             (lambda rows: rows.pop(2), "no row for predicates ['{name}']"),
             (lambda rows: rows.append(dict(rows[2])), "predicate '{name}': listed twice"),
             (lambda rows: rows[2].update(bits=float("nan")),
-             "predicate '{name}': bits must be a finite, non-negative number, got nan"),
+             "predicates[2]: bad 'bits': must be finite and non-negative, got nan"),
             (lambda rows: rows[2].update(weight=-0.5),
-             "predicate '{name}': weight must be a finite, non-negative number, got -0.5"),
+             "predicates[2]: bad 'weight': must be finite and non-negative, got -0.5"),
             (lambda rows: rows[2].update(frequency=True),
-             "predicate '{name}': frequency must be a finite, non-negative number, got True"),
-            (lambda rows: rows[2].update(name="no such predicate"), "predicate 'no such predicate': not a predicate label"),
+             "predicates[2]: bad 'frequency': expected a number, got True"),
+            (lambda rows: rows[2].update(name="no such predicate"),
+             "predicates[2]: bad 'name': unknown predicate label 'no such predicate'"),
         ],
     )
     def test_weights_file_needs_each_predicate_once_with_valid_values(
@@ -483,7 +593,7 @@ class TestTrainRefineEval:
         [
             ("--weights", "not json\n", ":1: invalid JSON: Expecting value"),
             ("--weights", "{}", ": missing key 'predicates'"),
-            ("--weights", '{"predicates": 3}', ": 'predicates' must be a list"),
+            ("--weights", '{"predicates": 3}', ": bad 'predicates': expected a list, got 3"),
             ("--zero-shot", "[\n[1,\n", ":3: invalid JSON: Expecting value"),
             ("--zero-shot", '[["a", "b"]]', ": row 1: expected [subject, predicate, object] labels, got ['a', 'b']"),
             ("--zero-shot", '[["a", "b", "c"]]', ": row 1: unknown object label 'a'"),
@@ -512,7 +622,7 @@ class TestTrainRefineEval:
         code = run(["resample", "--out", tmp_path / "out", "--config", write_config(tmp_path, use_resampling="true"),
                     *corpus_flags(corpus), "--train", corpus / "train.jsonl", "--recalls", recalls, "--d-roi", 32])
         assert code == 2
-        assert f"{recalls}: recall of '{names[1]}' must be a number in [0, 1], got nan" in capsys.readouterr().err
+        assert f"{recalls}: bad '{names[1]}': must be finite and non-negative, got nan" in capsys.readouterr().err
 
     def test_empty_predictions_refine_and_evaluate_to_zero_recall(self, corpus, tmp_path):
         path = tmp_path / "predictions.jsonl"
@@ -584,19 +694,36 @@ class TestReport:
         assert str(other) in err and key in err
         assert not (tmp_path / "s" / "summary.json").exists()
 
-    def test_non_numeric_metric_rejected(self, corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("value", [[1], True])
+    def test_non_numeric_metric_rejected(self, corpus, tmp_path, capsys, value):
         code, other = self.combine_with_variant(
-            corpus, tmp_path, lambda p: p["report"]["metrics"]["mric"].update({"20": [1]})
+            corpus, tmp_path, lambda p: p["report"]["metrics"]["mric"].update({"20": value})
         )
         assert code == 2
-        assert f"{other} metrics.mric: 20 is not a number" in capsys.readouterr().err
+        assert f"{other}: metrics.mric: bad '20': expected a number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda p: p["report"].update(ks=5), "report: bad 'ks': expected a list, got 5"),
+            (lambda p: p["config"].update(seed=[1]), "config: bad 'seed': expected an integer, got [1]"),
+            (lambda p: p["config"].update(use_refinement="yes"),
+             "config: bad 'use_refinement': expected true or false, got 'yes'"),
+            (lambda p: p["report"]["metrics"].update(mric=[]), "metrics: bad 'mric': expected a JSON object, got []"),
+        ],
+    )
+    def test_mistyped_section_rejected(self, corpus, tmp_path, capsys, edit, problem):
+        code, other = self.combine_with_variant(corpus, tmp_path, edit)
+        assert code == 2
+        assert f"{other}: {problem}" in capsys.readouterr().err
         assert not (tmp_path / "s" / "summary.json").exists()
 
     def test_non_json_input_rejected(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         path.write_text("not json\n")
         assert run(["report", "--out", tmp_path / "s", "--inputs", path]) == 2
-        assert f"{path}: not a JSON report" in capsys.readouterr().err
+        assert f"{path}:1: invalid JSON: Expecting value" in capsys.readouterr().err
         assert not (tmp_path / "s" / "summary.json").exists()
 
     @pytest.mark.parametrize(

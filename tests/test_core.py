@@ -42,6 +42,14 @@ class TestBoundingBox:
     def test_clamp_can_degenerate(self):
         assert BoundingBox(150.0, 0.0, 160.0, 10.0).clamped(100.0, 50.0).is_degenerate()
 
+    def test_clamp_matches_clipping_every_coordinate(self, rng):
+        """A box already inside the frame comes back as is; that equals clipping each coordinate."""
+        values = np.concatenate([rng.uniform(-20.0, 120.0, 4000), [-0.0, 0.0, 50.0, 100.0, np.nan] * 40])
+        for x1, y1, x2, y2 in rng.permutation(values).reshape(-1, 4).tolist():
+            clipped = tuple(min(max(v, 0.0), size) for v, size in zip((x1, y1, x2, y2), (100.0, 50.0) * 2))
+            got = BoundingBox(x1, y1, x2, y2).clamped(100.0, 50.0).xyxy
+            assert [repr(v) for v in got] == [repr(v) for v in clipped]  # -0.0 and nan included
+
 
 class TestValidateAnnotation:
     def test_empty_annotation_is_valid(self, spaces):

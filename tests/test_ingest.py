@@ -13,8 +13,12 @@ from sgrel.ingest import (
     load_embeddings,
     load_labels,
     load_recalls,
+    number,
+    parse_fields,
+    read_json,
     save_annotations,
     save_embeddings,
+    string,
 )
 
 from conftest import make_annotation, make_dataset, make_object
@@ -50,6 +54,51 @@ class TestLoadLabels:
     def test_multi_word_labels_allowed(self, tmp_path):
         space = load_labels(write(tmp_path, "p.txt", "sitting on\non\n"), PREDICATE)
         assert space.index_of("sitting on") == 0
+
+
+class TestReaders:
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(b"on\nund\xe9r\n")
+        with pytest.raises(ParseError, match=r"p.txt:2: not UTF-8 text: byte 0xe9"):
+            load_labels(path, PREDICATE)
+
+    def test_invalid_json_names_the_line(self, tmp_path):
+        with pytest.raises(ParseError, match=r"w.json:2: invalid JSON"):
+            read_json(write(tmp_path, "w.json", '{"a": 1,\n}'))
+
+    @pytest.mark.parametrize("line, problem", [("", "empty line"), ("  ", "empty line"), ("[1]", "expected a JSON object")])
+    def test_jsonl_line_that_is_not_an_object(self, tmp_path, spaces, line, problem):
+        path = write(tmp_path, "ann.jsonl", json.dumps(annotation_record()) + "\n" + line + "\n")
+        with pytest.raises(ParseError, match=rf"ann.jsonl:2: {problem}"):
+            load_annotations(path, *spaces, 5)
+
+
+class TestParseFields:
+    TABLE = (("name", string), ("score", number))
+
+    def test_values_in_table_order(self):
+        assert parse_fields({"score": 2, "name": "a", "other": None}, self.TABLE) == ["a", 2.0]
+
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            ({"name": "a"}, "row 3: missing key 'score'"),
+            ({"name": "a", "score": True}, "row 3: bad 'score': expected a number, got True"),
+            ({"name": "a", "score": -1}, "row 3: bad 'score': must be finite and non-negative, got -1"),
+            ({"name": 5, "score": 1}, "row 3: bad 'name': expected a string, got 5"),
+            (["a", 1], "row 3: expected a JSON object, got ['a', 1]"),
+        ],
+    )
+    def test_refusal_names_the_place_and_the_key(self, record, problem):
+        with pytest.raises(ValueError) as err:
+            parse_fields(record, self.TABLE, "row 3")
+        assert str(err.value) == problem
+
+    def test_unknown_label_message_is_unquoted(self, spaces):
+        with pytest.raises(ValueError) as err:
+            parse_fields({"label": "dragon"}, (("label", spaces[0].index_of),))
+        assert str(err.value) == "bad 'label': unknown object label 'dragon'"
 
 
 def annotation_record(image_id="im1", width=100.0, height=100.0):
@@ -108,6 +157,19 @@ class TestLoadAnnotations:
         path = write(tmp_path, "ann.jsonl", good + "\n" + json.dumps(bad_record) + "\n")
         with pytest.raises(ParseError, match=r"ann.jsonl:2: .*feature dimension mismatch"):
             load_annotations(path, *spaces, 5)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_box_coordinates_must_be_finite(self, tmp_path, spaces, value):
+        record = annotation_record()
+        record["objects"][1]["box"][2] = value
+        path = write(tmp_path, "ann.jsonl", json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=r"ann.jsonl:1: objects\[1\]: bad 'box': coordinates must be finite"):
+            load_annotations(path, *spaces, 5)
+
+    def test_integer_width_and_coordinates_load_as_floats(self, tmp_path, spaces):
+        path = write(tmp_path, "ann.jsonl", json.dumps(annotation_record(width=100, height=100)) + "\n")
+        annotation = load_annotations(path, *spaces, 5).annotations[0]
+        assert type(annotation.width) is float and type(annotation.objects[0].box.x2) is float
 
     def test_invalid_json_line(self, tmp_path, spaces):
         with pytest.raises(ParseError, match="invalid JSON"):

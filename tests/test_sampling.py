@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sgrel.core import Triple
 from sgrel.ingest import RecallTable, annotations_to_jsonl
@@ -171,3 +174,60 @@ class TestResample:
                 before = counts.max() / counts.sum()
                 after = targets.max() / targets.sum()
                 assert after <= before + 1e-12
+
+
+def scene_dataset(images):
+    """One image per entry of ``images``, holding one triple per listed predicate, all on distinct objects."""
+    return make_dataset([
+        make_annotation(
+            f"im{i}",
+            objects=tuple(make_object(j) for j in range(len(preds) + 1)),
+            triples=tuple(Triple(0, pred, j + 1) for j, pred in enumerate(preds)),
+        )
+        for i, preds in enumerate(images)
+    ])
+
+
+def assert_resampled_to_targets(dataset, plan):
+    """Exactly ``plan.targets[j]`` triples of predicate ``j`` survive.
+
+    Every image keeps its objects, and its kept triples are an in-order
+    subsequence of its own.
+    """
+    out = resample(dataset, plan)
+    np.testing.assert_array_equal(count_predicates(out), plan.targets)
+    assert len(out.annotations) == len(dataset.annotations)
+    for before, after in zip(dataset.annotations, out.annotations):
+        assert after.image_id == before.image_id and after.objects == before.objects
+        remaining = iter(before.triples)
+        assert all(triple in remaining for triple in after.triples)
+
+
+IMAGES = st.lists(st.lists(st.integers(0, 2), max_size=5), max_size=25)
+
+
+@given(
+    images=IMAGES,
+    recalls=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    tau=st.floats(1.0, 40.0),
+    beta=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resample_keeps_exactly_the_targets_and_never_up_samples(images, recalls, tau, beta, seed):
+    dataset = scene_dataset(images)
+    counts = count_predicates(dataset)
+    plan = build_sampling_plan(
+        PredicateStats(counts=counts, recalls=RecallTable(values=np.array(recalls))), tau=tau, beta=beta, seed=seed
+    )
+    assert (plan.targets <= counts).all()
+    assert_resampled_to_targets(dataset, plan)
+
+
+@given(images=IMAGES, data=st.data())
+def test_resample_keeps_any_target_up_to_the_count(images, data):
+    """Every target from 0 to the whole count, boundaries included, is met exactly."""
+    dataset = scene_dataset(images)
+    counts = count_predicates(dataset)
+    targets = [data.draw(st.integers(0, int(n))) for n in counts]
+    plan = build_sampling_plan(PredicateStats(counts=counts, recalls=RecallTable(values=np.ones(3))), seed=5)
+    assert_resampled_to_targets(dataset, dataclasses.replace(plan, targets=np.array(targets, dtype=np.int64)))
