@@ -83,7 +83,7 @@ class PackedDataset:
     triple rows ``triple_offsets[i]:triple_offsets[i + 1]``.
     """
 
-    annotations: tuple[SceneGraphAnnotation, ...]
+    dataset: Dataset
     features: np.ndarray        # (sum N, d_roi)
     labels: np.ndarray          # (sum N,)
     boxes: np.ndarray           # (sum N, 4) xyxy
@@ -95,7 +95,7 @@ class PackedDataset:
 
     @property
     def num_images(self) -> int:
-        return len(self.annotations)
+        return len(self.dataset.annotations)
 
 
 @dataclass(eq=False)
@@ -119,19 +119,6 @@ class Batch:
     clamped: np.ndarray | None = None    # slots whose projection norm hit the guard
     sims: np.ndarray | None = None       # (B, N, N) cosine similarities
     d_sims: np.ndarray | None = None     # d(batch contrastive loss)/d(sims), zero when masked
-
-
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; rejects zero-norm inputs."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity of a zero-norm vector is undefined")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def _diag_nll(sims: np.ndarray) -> float:
@@ -219,7 +206,7 @@ def pack(dataset: Dataset) -> PackedDataset:
     image, _ = _segments(np.diff(triple_offsets))
     geometry = pair_geometry(boxes[subj], boxes[obj], sizes[image])
     return PackedDataset(
-        annotations=annotations,
+        dataset=dataset,
         features=features,
         labels=np.array([o.label for o in objects], dtype=np.int64),
         boxes=boxes,
@@ -342,9 +329,9 @@ class TrainResult:
     val_mean_recall: list[float] = field(default_factory=list)
 
 
-def _validation_mean_recall(model: RelationModel, val: PackedDataset, val_set: Dataset) -> float:
+def _validation_mean_recall(model: RelationModel, val: PackedDataset) -> float:
     """Validation mR@50 under predcls; 0.0 when the split has no GT triples."""
-    return evaluate(predict(model, val), val_set, ks=(50,)).mean_recall[50] or 0.0
+    return evaluate(predict(model, val), val.dataset, ks=(50,)).mean_recall[50] or 0.0
 
 
 def train(
@@ -352,13 +339,14 @@ def train(
     train_set: Dataset,
     embeddings: EmbeddingTable,
     config: TrainConfig,
-    val_set: Dataset | None = None,
+    val: PackedDataset | None = None,
     weights: InfoWeights | None = None,
 ) -> TrainResult:
     """Plain SGD over image mini-batches; deterministic given the config seed.
 
-    The learning rate decays by 10x whenever validation mean recall@50 fails to
-    improve for ``patience`` consecutive evaluations.
+    The learning rate decays by 10x whenever mean recall@50 on the packed
+    validation split ``val`` fails to improve for ``patience`` consecutive
+    evaluations.
     """
     if not train_set.annotations:
         raise ValueError("cannot train on an empty dataset")
@@ -367,7 +355,6 @@ def train(
 
     model = model.copy()
     data = pack(train_set)
-    val = pack(val_set) if val_set is not None else None
     rng = substream(config.seed, "alignment.batches")
     n = len(train_set.annotations)
     order = rng.permutation(n)
@@ -404,7 +391,7 @@ def train(
             and config.eval_every > 0
             and (iteration + 1) % config.eval_every == 0
         ):
-            mr = _validation_mean_recall(model, val, val_set)
+            mr = _validation_mean_recall(model, val)
             result.val_mean_recall.append(mr)
             if best_mr is None or mr > best_mr:
                 best_mr = mr
@@ -440,8 +427,9 @@ def predict(model: RelationModel, data: PackedDataset) -> list[PairPrediction]:
         + model.b_cls
     )
 
-    objects = [o for a in data.annotations for o in a.objects]
-    image_ids = [a.image_id for a in data.annotations]
+    annotations = data.dataset.annotations
+    objects = [o for a in annotations for o in a.objects]
+    image_ids = [a.image_id for a in annotations]
     predictions: list[PairPrediction] = []
     for i, si, oi, p in zip(image.tolist(), subj.tolist(), obj.tolist(), probs):
         so, oo = objects[si], objects[oi]

@@ -27,7 +27,7 @@ from .core import AnnotationError, LabelSpace, OBJECT, PREDICATE
 from .ingest import ParseError, build_zero_shot_index, load_annotations, load_embeddings, load_labels, parse_fields
 from .ingest import boolean, integer, json_list, json_object, number, string
 from .reweighting import DEFAULT_MU, InfoWeights, info_weights, uniform_weights
-from .sampling import PredicateStats, build_sampling_plan, count_predicates, resample
+from .sampling import build_sampling_plan, count_predicates, resample
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -169,10 +169,6 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     return config
 
 
-# JSON writes the ks tuple as a list.
-config_echo = dataclasses.asdict
-
-
 def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
@@ -235,7 +231,8 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
     synth.save_map(data.map, out / "generative_map.json")
     images = {name: len(split.annotations) for name, split in splits.items()}
     triples = {name: split.num_triples() for name, split in splits.items()}
-    _write_json({"config": config_echo(config), "images": images, "triples": triples}, out / "synth_manifest.json")
+    manifest = {"config": dataclasses.asdict(config), "images": images, "triples": triples}
+    _write_json(manifest, out / "synth_manifest.json")
     logger.info("synth: %d/%d/%d train/val/test images -> %s", *images.values(), out)
     return 0
 
@@ -244,7 +241,7 @@ def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     object_space, predicate_space = _load_spaces(args)
     dataset = load_annotations(args.annotations, object_space, predicate_space, args.d_roi, args.split)
     summary = {
-        "config": config_echo(config),
+        "config": dataclasses.asdict(config),
         "split": dataset.split,
         "images": len(dataset.annotations),
         "triples": dataset.num_triples(),
@@ -278,7 +275,7 @@ def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
     target = out / "train_resampled.jsonl"
     if not config.use_resampling:
         shutil.copyfile(args.train, target)
-        _write_json({"applied": False, "config": config_echo(config)}, out / "sampling_plan.json")
+        _write_json({"applied": False, "config": dataclasses.asdict(config)}, out / "sampling_plan.json")
         logger.info("resample: disabled, copied input unchanged")
         return 0
     if not args.recalls:
@@ -287,18 +284,13 @@ def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
     train = load_annotations(args.train, object_space, predicate_space, args.d_roi, "train")
     recalls = ingest.load_recalls(args.recalls, predicate_space)
     counts = count_predicates(train)
-    plan = build_sampling_plan(
-        PredicateStats(counts=counts, recalls=recalls),
-        tau=config.tau,
-        beta=config.beta,
-        seed=config.seed,
-    )
+    plan = build_sampling_plan(counts, recalls.values, tau=config.tau, beta=config.beta, seed=config.seed)
     resampled = resample(train, plan)
     ingest.save_annotations(resampled, target)
     _write_json(
         {
             "applied": True,
-            "config": config_echo(config),
+            "config": dataclasses.asdict(config),
             "seed": plan.seed,
             "tau": plan.tau,
             "beta": plan.beta,
@@ -351,18 +343,17 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
         train_set.d_roi, embeddings.dim, predicate_space.size, substream(config.seed, "alignment.init")
     )
     train_config = _sub_config(alignment.TrainConfig, config)
-    result = _naming(args.train, alignment.train, model, train_set, embeddings, train_config, val_set, weights)
+    val = alignment.pack(val_set)
+    result = _naming(args.train, alignment.train, model, train_set, embeddings, train_config, val, weights)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alignment.save_model(result.model, out / "model.ckpt")
     alignment.save_history(result.history, out / "loss_history.csv")
     alignment.save_validation(result, train_config.eval_every, out / "validation.csv")
-    for name, split in (("val", val_set), ("test", test_set)):
+    for name, packed in (("val", val), ("test", alignment.pack(test_set))):
         metrics.save_predictions(
-            alignment.predict(result.model, alignment.pack(split)),
-            object_space,
-            out / f"predictions_{name}.jsonl",
+            alignment.predict(result.model, packed), object_space, out / f"predictions_{name}.jsonl"
         )
     logger.info(
         "train: %d iterations, final total loss %.5f",
@@ -392,7 +383,7 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     predicate_embeddings = load_embeddings(args.predicate_embeddings, predicate_space)
     refined = _naming(args.predictions, refinement.refine_dataset,
                       predictions, object_embeddings, predicate_embeddings, config.alpha)
-    scores_text = metrics.save_predictions(refined, object_space, target)
+    metrics.save_predictions(refined, object_space, target)
     pre_top, post_top = (
         metrics.stack_probs(pairs).argmax(axis=1) if pairs else np.zeros(0, dtype=int)
         for pairs in (predictions, refined)
@@ -400,7 +391,7 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     flipped = int(np.count_nonzero(pre_top != post_top))
     names = predicate_space.names
     lines = (
-        metrics.json_line(
+        json.dumps(
             {
                 "image_id": pair.image_id,
                 "subj_id": pair.subj_id,
@@ -408,10 +399,9 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
                 "pre_top": names[before],
                 "post_top": names[after],
             },
-            "scores",
-            text,
-        )
-        for pair, before, after, text in zip(predictions, pre_top.tolist(), post_top.tolist(), scores_text)
+            separators=(",", ":"),
+        ) + "\n"
+        for pair, before, after in zip(predictions, pre_top.tolist(), post_top.tolist())
     )
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.writelines(lines)
@@ -430,7 +420,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
-        {"config": config_echo(config), "report": report.to_dict(predicate_space)},
+        {"config": dataclasses.asdict(config), "report": report.to_dict(predicate_space)},
         out / "report.json",
     )
     metrics.per_predicate_csv(report, predicate_space, out / "per_predicate.csv")
@@ -486,7 +476,7 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
         raise ValueError(f"seed conflict across reports: {sorted(seeds)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"config": config_echo(config), "seed": sorted(seeds)[0] if seeds else None, "rows": rows}
+    payload = {"config": dataclasses.asdict(config), "seed": sorted(seeds)[0] if seeds else None, "rows": rows}
     _write_json(payload, out / "summary.json")
 
     ks = first["ks"][0] if rows else []

@@ -41,9 +41,6 @@ class LabelSpace:
     def size(self) -> int:
         return len(self.names)
 
-    def __len__(self) -> int:
-        return len(self.names)
-
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
@@ -64,24 +61,8 @@ class BoundingBox:
     y2: float
 
     @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
     def xyxy(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
     def is_degenerate(self) -> bool:
         return not (self.x1 < self.x2 and self.y1 < self.y2)

@@ -192,9 +192,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return int(self.vectors.shape[1])
 
-    def vector(self, index: int) -> np.ndarray:
-        return self.vectors[index]
-
 
 @dataclass(frozen=True, eq=False)
 class RecallTable:
@@ -209,19 +206,6 @@ class RecallTable:
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValueError("recall values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class ZeroShotIndex:
-    """Label-level signatures present in test but never seen in train."""
-
-    signatures: frozenset[Signature]
-
-    def __contains__(self, signature: Signature) -> bool:
-        return signature in self.signatures
-
-    def __len__(self) -> int:
-        return len(self.signatures)
 
 
 def load_labels(path: str | Path, kind: str) -> LabelSpace:
@@ -251,7 +235,8 @@ def load_annotations(
     A missing key or a value the field vocabulary refuses aborts the load, naming
     the line, the ``objects[i]``/``relations[i]`` position and the key. Boxes are
     clamped to the image frame; duplicate ground-truth triples are dropped with a
-    logged count. Any other invariant violation aborts the load with the line number.
+    logged count. An ``image_id`` that an earlier line holds, or any other
+    invariant violation, aborts the load with the line number.
     """
     image_fields: Fields = (
         ("image_id", string), ("width", number), ("height", number), ("objects", json_list), ("relations", json_list)
@@ -262,6 +247,7 @@ def load_annotations(
     )
     relation_fields: Fields = (("subj", integer), ("pred", predicate_space.index_of), ("obj", integer))
     annotations: list[SceneGraphAnnotation] = []
+    first_line: dict[str, int] = {}  # image id -> line that holds it
     total_duplicates = 0
     _, records = read_jsonl(path)
     for lineno, record in enumerate(records, start=1):
@@ -277,6 +263,9 @@ def load_annotations(
             )
         except ValueError as err:
             raise ParseError(path, lineno, str(err)) from None
+        if image_id in first_line:
+            raise ParseError(path, lineno, f"image_id {image_id!r} repeats line {first_line[image_id]}")
+        first_line[image_id] = lineno
         total_duplicates += len(relations) - len(triples)
         annotation = SceneGraphAnnotation(image_id, width, height, tuple(instances), tuple(triples))
         violations = validate_annotation(annotation, object_space, predicate_space, d_roi)
@@ -405,27 +394,29 @@ def dataset_signatures(dataset: Dataset) -> set[Signature]:
     return {triple_signature(t, a) for a in dataset.annotations for t in a.triples}
 
 
-def build_zero_shot_index(train: Dataset, test: Dataset) -> ZeroShotIndex:
+def build_zero_shot_index(train: Dataset, test: Dataset) -> frozenset[Signature]:
     """Signatures of ``test`` that never occur in ``train`` (novel label combinations)."""
     if not train.object_space.same_labels(test.object_space) or not (
         train.predicate_space.same_labels(test.predicate_space)
     ):
         raise ValueError("mismatched label spaces between train and test")
     novel = dataset_signatures(test) - dataset_signatures(train)
-    return ZeroShotIndex(signatures=frozenset(novel))
+    return frozenset(novel)
 
 
 def save_zero_shot_index(
-    index: ZeroShotIndex, object_space: LabelSpace, predicate_space: LabelSpace, path: str | Path
+    index: frozenset[Signature], object_space: LabelSpace, predicate_space: LabelSpace, path: str | Path
 ) -> None:
     rows = sorted(
         [object_space.names[s], predicate_space.names[p], object_space.names[o]]
-        for (s, p, o) in index.signatures
+        for (s, p, o) in index
     )
     Path(path).write_text(json.dumps(rows, indent=0) + "\n", encoding="utf-8")
 
 
-def load_zero_shot_index(path: str | Path, object_space: LabelSpace, predicate_space: LabelSpace) -> ZeroShotIndex:
+def load_zero_shot_index(
+    path: str | Path, object_space: LabelSpace, predicate_space: LabelSpace
+) -> frozenset[Signature]:
     """Read a JSON list of [subject, predicate, object] label rows; a bad row names the path and row."""
     rows = read_json(path)
     if not isinstance(rows, list):
@@ -440,4 +431,4 @@ def load_zero_shot_index(path: str | Path, object_space: LabelSpace, predicate_s
                             object_space.index_of(obj)))
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: row {index}: {err.args[0]}") from None
-    return ZeroShotIndex(signatures=frozenset(signatures))
+    return frozenset(signatures)

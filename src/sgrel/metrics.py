@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BoundingBox, Dataset, LabelSpace, SceneGraphAnnotation, box_overlap, triple_signature
-from .ingest import ParseError, ZeroShotIndex, box, integer, number, parse_fields, read_jsonl, scores, string
+from .core import BoundingBox, Dataset, LabelSpace, SceneGraphAnnotation, Signature, box_overlap, triple_signature
+from .ingest import ParseError, box, integer, number, parse_fields, read_jsonl, scores, string
 from .reweighting import InfoWeights
 
 logger = logging.getLogger(__name__)
@@ -260,7 +260,7 @@ def mric_at_k(per_predicate_recall: np.ndarray, info: InfoWeights) -> float:
 def evaluate(
     predictions: list[PairPrediction],
     test: Dataset,
-    zero_shot: ZeroShotIndex | None = None,
+    zero_shot: frozenset[Signature] | None = None,
     info: InfoWeights | None = None,
     ks: tuple[int, ...] = DEFAULT_KS,
     protocol: str = PREDCLS,
@@ -332,46 +332,30 @@ def per_predicate_csv(
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def json_line(record: dict, key: str, encoded: str) -> str:
-    """``record`` as one compact JSON line, with ``key`` added last holding the JSON text ``encoded``."""
-    return f'{_ENCODER.encode(record)[:-1]},"{key}":{encoded}}}\n'
-
-
 def save_predictions(
     predictions: list[PairPrediction],
     object_space: LabelSpace,
     path: str | Path,
-) -> list[str]:
-    """Serialize pair predictions as JSON lines (labels stored as names).
-
-    Returns the JSON text of each pair's ``probs`` as written, for a caller
-    that writes the same vectors again.
-    """
+) -> None:
+    """Serialize pair predictions as JSON lines (labels stored as names, ``probs`` last)."""
     names = object_space.names
-    probs_text = [
-        _ENCODER.encode(np.asarray(pair.probs, dtype=np.float64).tolist()) for pair in predictions
-    ]
     lines = (
-        json_line(
-            {
-                "image_id": pair.image_id,
-                "subj_id": pair.subj_id,
-                "obj_id": pair.obj_id,
-                "subj_label": names[pair.subj_label],
-                "obj_label": names[pair.obj_label],
-                "subj_box": [pair.subj_box.x1, pair.subj_box.y1, pair.subj_box.x2, pair.subj_box.y2],
-                "obj_box": [pair.obj_box.x1, pair.obj_box.y1, pair.obj_box.x2, pair.obj_box.y2],
-                "subj_score": pair.subj_score,
-                "obj_score": pair.obj_score,
-            },
-            "probs",
-            text,
-        )
-        for pair, text in zip(predictions, probs_text)
+        _ENCODER.encode({
+            "image_id": pair.image_id,
+            "subj_id": pair.subj_id,
+            "obj_id": pair.obj_id,
+            "subj_label": names[pair.subj_label],
+            "obj_label": names[pair.obj_label],
+            "subj_box": [pair.subj_box.x1, pair.subj_box.y1, pair.subj_box.x2, pair.subj_box.y2],
+            "obj_box": [pair.obj_box.x1, pair.obj_box.y1, pair.obj_box.x2, pair.obj_box.y2],
+            "subj_score": pair.subj_score,
+            "obj_score": pair.obj_score,
+            "probs": np.asarray(pair.probs, dtype=np.float64).tolist(),
+        }) + "\n"
+        for pair in predictions
     )
     with open(path, "w", encoding="utf-8") as handle:
         handle.writelines(lines)
-    return probs_text
 
 
 def load_predictions(

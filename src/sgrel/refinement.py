@@ -9,22 +9,12 @@ boosted rather than penalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ingest import EmbeddingTable
 from .metrics import PairPrediction, stack_probs
 
 DEFAULT_ALPHA = 0.35
-
-
-@dataclass(frozen=True, eq=False)
-class RefinementVector:
-    """Distance profile ``v`` over predicates and its affinity transform ``w = exp(-v)``."""
-
-    v: np.ndarray
-    w: np.ndarray
 
 
 def distance_vector(vector: np.ndarray, predicates: EmbeddingTable) -> np.ndarray:
@@ -43,25 +33,25 @@ def refinement_vector(
     pred_emb: np.ndarray,
     predicates: EmbeddingTable,
     alpha: float = DEFAULT_ALPHA,
-) -> RefinementVector:
-    """Blend object-side and predicate-side distance profiles.
+) -> np.ndarray:
+    """Distance profile ``v`` over predicates: object-side and predicate-side profiles blended.
 
     ``alpha`` weighs how much the subject/object embeddings count against the
     originally predicted predicate's embedding.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    v = alpha * (
+    return alpha * (
         distance_vector(subj_emb, predicates) + distance_vector(obj_emb, predicates)
     ) + (1.0 - alpha) * distance_vector(pred_emb, predicates)
-    return RefinementVector(v=v, w=np.exp(-v))
 
 
 def refine(probs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Re-rank predicate distributions by elementwise affinity.
 
     ``probs`` is one distribution ``(C,)`` or a stack of them ``(P, C)``, and
-    ``w`` the affinity (``RefinementVector.w``) of each, of the same shape.
+    ``w`` the affinity ``exp(-v)`` of each (``v`` a ``refinement_vector``
+    profile), of the same shape.
     Returns each refined top predicate (ties broken by lowest index) and the
     renormalized score vectors used for ranking.
     """
@@ -99,13 +89,13 @@ def refine_dataset(
         for pair, pre_top in zip(predictions, probs.argmax(axis=1).tolist())
     ]
     affinity = np.array([
-        refinement_vector(
-            object_embeddings.vector(subj_label),
-            object_embeddings.vector(obj_label),
-            predicate_embeddings.vector(pre_top),
+        np.exp(-refinement_vector(
+            object_embeddings.vectors[subj_label],
+            object_embeddings.vectors[obj_label],
+            predicate_embeddings.vectors[pre_top],
             predicate_embeddings,
             alpha,
-        ).w
+        ))
         for subj_label, obj_label, pre_top in slots
     ])
     _, scores = refine(probs, affinity[rows])

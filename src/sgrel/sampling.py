@@ -13,19 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Dataset, SceneGraphAnnotation
-from .ingest import RecallTable
 from .seeding import substream
 
 DEFAULT_TAU = 1100.0
 DEFAULT_BETA = 0.3
-
-
-@dataclass(frozen=True, eq=False)
-class PredicateStats:
-    """Training triple count and baseline recall per predicate."""
-
-    counts: np.ndarray  # (C_pred,) int
-    recalls: RecallTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +64,18 @@ def _round_half_up(x: float) -> int:
 
 
 def build_sampling_plan(
-    stats: PredicateStats,
+    counts: np.ndarray,
+    recalls: np.ndarray,
     tau: float = DEFAULT_TAU,
     beta: float = DEFAULT_BETA,
     seed: int = 0,
 ) -> SamplingPlan:
-    counts = np.asarray(stats.counts, dtype=np.int64)
-    if counts.shape != stats.recalls.values.shape:
+    """Keep rate and target count per predicate from its training count and baseline recall."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != np.shape(recalls):
         raise ValueError("counts and recalls must cover the same predicate space")
     rates = np.array(
-        [sampling_rate(int(n), float(c), tau, beta) for n, c in zip(counts, stats.recalls.values)]
+        [sampling_rate(int(n), float(c), tau, beta) for n, c in zip(counts, recalls)]
     )
     targets = np.array(
         [_round_half_up(int(n) * r) for n, r in zip(counts, rates)], dtype=np.int64

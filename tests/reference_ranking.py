@@ -1,7 +1,8 @@
 """The per-object ranking and matching that the stacked columns replaced, kept as the differential oracle.
 
 Each definition is the replaced code unchanged, except that ``overlap`` was the
-``BoundingBox.overlap`` method and is called as a function here.
+``BoundingBox.overlap`` method and is called as a function here, and box areas
+are computed inline.
 """
 
 from dataclasses import dataclass
@@ -9,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from sgrel.core import BoundingBox, Dataset, ObjectInstance, SceneGraphAnnotation, Triple, triple_signature
-from sgrel.ingest import ZeroShotIndex
 from sgrel.metrics import (
     DEFAULT_KS,
     PREDCLS,
@@ -31,7 +31,9 @@ def overlap(self: BoundingBox, other: BoundingBox) -> tuple[float, float]:
     ix = max(0.0, min(self.x2, other.x2) - max(self.x1, other.x1))
     iy = max(0.0, min(self.y2, other.y2) - max(self.y1, other.y1))
     inter = ix * iy
-    return inter, self.area + other.area - inter
+    area = (self.x2 - self.x1) * (self.y2 - self.y1)
+    other_area = (other.x2 - other.x1) * (other.y2 - other.y1)
+    return inter, area + other_area - inter
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def match_triples(
 def evaluate(
     predictions: list[PairPrediction],
     test: Dataset,
-    zero_shot: ZeroShotIndex | None = None,
+    zero_shot: frozenset | None = None,
     info: InfoWeights | None = None,
     ks: tuple[int, ...] = DEFAULT_KS,
     protocol: str = PREDCLS,

@@ -16,11 +16,11 @@ import pytest
 from sgrel.alignment import backward, contrastive_loss, forward_batch
 from sgrel.cli import main as cli_main
 from sgrel.core import Triple
-from sgrel.ingest import RecallTable, ZeroShotIndex, build_zero_shot_index, dataset_signatures
+from sgrel.ingest import RecallTable, build_zero_shot_index, dataset_signatures
 from sgrel.metrics import PairPrediction, evaluate
 from sgrel.refinement import refine
 from sgrel.reweighting import info_weights, total_loss
-from sgrel.sampling import PredicateStats, build_sampling_plan, count_predicates, resample, sampling_rate
+from sgrel.sampling import build_sampling_plan, count_predicates, resample, sampling_rate
 from sgrel.synth import SynthConfig, generate, oracle_predictions
 
 from conftest import make_annotation, make_dataset, make_object, make_spaces
@@ -119,7 +119,7 @@ def _random_fixture(rng):
     signatures = sorted(dataset_signatures(dataset))
     n_zs = int(rng.integers(0, len(signatures) + 1))
     picked = rng.choice(len(signatures), size=n_zs, replace=False)
-    zs = ZeroShotIndex(signatures=frozenset(signatures[int(i)] for i in picked))
+    zs = frozenset(signatures[int(i)] for i in picked)
     return dataset, predictions, zs
 
 
@@ -360,8 +360,7 @@ def test_criterion_8_resampling_conservation():
         recalls = RecallTable(values=rng.uniform(0.0, 1.0, size=4))
         tau = float(rng.integers(1, 150))
         beta = float(rng.uniform(0.1, 2.0))
-        stats = PredicateStats(counts=count_predicates(dataset), recalls=recalls)
-        plan = build_sampling_plan(stats, tau=tau, beta=beta, seed=trial)
+        plan = build_sampling_plan(count_predicates(dataset), recalls.values, tau=tau, beta=beta, seed=trial)
         expected = np.array(
             [math.floor(n * sampling_rate(n, float(r), tau, beta) + 0.5)
              for n, r in zip(counts, recalls.values)],

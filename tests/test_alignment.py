@@ -10,7 +10,6 @@ from sgrel.alignment import (
     TrainConfig,
     backward,
     contrastive_loss,
-    cosine_sim,
     forward_batch,
     load_model,
     pack,
@@ -105,29 +104,6 @@ def max_relative_error(analytic, numeric):
     return worst
 
 
-# --- cosine similarity -------------------------------------------------------
-
-class TestCosineSim:
-    def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_scale_invariance(self):
-        assert cosine_sim([2.0, 0.0], [1.0, 0.0]) == 1.0
-
-    def test_hand_value(self):
-        assert cosine_sim([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-5)
-
-    def test_positive_rescaling_invariant(self, rng):
-        for _ in range(100):
-            u, v = rng.normal(size=6), rng.normal(size=6)
-            a, b = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.1, 10.0))
-            assert cosine_sim(a * u, b * v) == pytest.approx(cosine_sim(u, v), abs=1e-12)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine_sim([0.0, 0.0], [1.0, 0.0])
-
-
 # --- contrastive loss --------------------------------------------------------
 
 class TestContrastiveLoss:
@@ -207,7 +183,7 @@ class TestPairGeometry:
             b = BoundingBox(x1, y1, x1 + rng.uniform(1, 40), y1 + rng.uniform(1, 40))
             ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
             iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-            union = a.area + b.area - ix * iy
+            union = (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - ix * iy
             g = geometry(a, b)
             assert g[5] == ix * iy / union  # IoU, bit for bit
             assert g[6] == union / (100.0 * 100.0)
@@ -221,7 +197,7 @@ def straight_line_forward(model, annotation, table):
     n = len(objs)
     proj = [[sum(o.feature[d] * model.w_proj[d][e] for d in range(model.d_roi))
              for e in range(model.d_emb)] for o in objs]
-    emb = [table.vector(o.label) for o in objs]
+    emb = [table.vectors[o.label] for o in objs]
 
     def cos(u, v):
         nu = math.sqrt(sum(x * x for x in u))
@@ -245,7 +221,7 @@ class TestForward:
         model, data, table, _ = toy_batch(42, n_images=1)
         # Seed-42 toy image: compare against the independent recomputation.
         batch = forward_batch(model, data, table)
-        reference = straight_line_forward(model, data.annotations[0], table)
+        reference = straight_line_forward(model, data.dataset.annotations[0], table)
         assert batch.contrastive == pytest.approx(reference, abs=1e-10)
         assert batch.probs.shape[1] == model.c_pred
         np.testing.assert_allclose(batch.probs.sum(axis=1), 1.0, atol=1e-12)
@@ -253,7 +229,7 @@ class TestForward:
     def test_single_object_contributes_zero_loss(self, rng):
         model, data, table, _ = toy_batch(0, n_images=1)
         solo = SceneGraphAnnotation(
-            "solo", 100.0, 100.0, (data.annotations[0].objects[0],), ()
+            "solo", 100.0, 100.0, (data.dataset.annotations[0].objects[0],), ()
         )
         batch = forward_batch(model, pack_images(solo), table)
         assert batch.contrastive == 0.0
@@ -268,7 +244,7 @@ class TestForward:
 
     def test_duplicate_objects_give_uniform_rows(self):
         model, data, table, _ = toy_batch(1, n_images=1)
-        base = data.annotations[0].objects[0]
+        base = data.dataset.annotations[0].objects[0]
         twin = ObjectInstance(1, base.label, base.box, base.feature.copy())
         image = SceneGraphAnnotation("dup", 100.0, 100.0, (base, twin), ())
         batch = forward_batch(model, pack_images(image), table)
@@ -301,7 +277,7 @@ class TestBackward:
         # All-zero W_proj and identical objects: gradients cancel by symmetry.
         model, data, table, weights = toy_batch(3, n_images=1)
         model.w_proj[:] = 0.0
-        base = data.annotations[0].objects[0]
+        base = data.dataset.annotations[0].objects[0]
         twin = ObjectInstance(1, base.label, base.box, base.feature.copy())
         image = SceneGraphAnnotation("sym", 100.0, 100.0, (base, twin), ())
         batch = forward_batch(model, pack_images(image), table)
@@ -368,7 +344,7 @@ class TestTrain:
         # eval sets the best, `patience` stale evals force a 10x decay.
         config = TrainConfig(lr=1e-12, iterations=40, batch_size=8, seed=1,
                              eval_every=5, patience=2)
-        result = train(model, data.train, data.object_embeddings, config, val_set=data.val)
+        result = train(model, data.train, data.object_embeddings, config, val=pack(data.val))
         assert len(result.val_mean_recall) == 8
         assert result.learning_rates[0] == 1e-12
         # Evals 3, 5, and 7 each accumulate `patience` stale results -> 3 decays.

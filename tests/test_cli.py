@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sgrel.cli import RunConfig, _write_json, config_echo, load_config, main, UsageError
+from sgrel.cli import RunConfig, _write_json, load_config, main, UsageError
 
 
 def run(argv):
@@ -101,7 +102,7 @@ class TestConfig:
             images=50, zipf_s=0.75, box_loss=0.25,
         )
         config = load_config(path, {"seed": 9})
-        echo = config_echo(config)
+        echo = dataclasses.asdict(config)
         assert json.loads(json.dumps(echo))["ks"] == [5, 10]
         again = write_config(
             tmp_path, name="echo.cfg",
@@ -231,6 +232,26 @@ class TestAnnotationValues:
         code = run([stage, "--out", tmp_path / "out", *corpus_flags(corpus), *argv, "--d-roi", 32])
         assert code == 2
         assert f"{path}:2: {position}bad {key!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["ingest", "zsplit", "eval", "train"])
+    def test_repeated_image_id_is_data_error(self, corpus, tmp_path, capsys, stage):
+        split = "val" if stage == "train" else "test"
+        lines = (corpus / f"{split}.jsonl").read_text().splitlines(keepends=True)
+        path = tmp_path / f"{split}.jsonl"
+        path.write_text("".join([lines[0], *lines]))
+        save_oracle_predictions(corpus, "test", tmp_path / "predictions.jsonl")
+        argv = {
+            "ingest": ["--annotations", path],
+            "zsplit": ["--train", corpus / "train.jsonl", "--test", path],
+            "eval": ["--dataset", path, "--predictions", tmp_path / "predictions.jsonl"],
+            "train": ["--train", corpus / "train.jsonl", "--val", path, "--test", corpus / "test.jsonl",
+                      "--object-embeddings", corpus / "object_embeddings.txt"],
+        }[stage]
+        code = run([stage, "--out", tmp_path / "out", *corpus_flags(corpus), *argv, "--d-roi", 32])
+        assert code == 2
+        image_id = json.loads(lines[0])["image_id"]
+        assert f"{path}:2: image_id {image_id!r} repeats line 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -439,7 +460,7 @@ class TestTrainRefineEval:
         csv_lines = (out / "per_predicate.csv").read_text().splitlines()
         assert len(csv_lines) == len(names) + 1
         record = json.loads((out / "refinement_report.jsonl").read_text().splitlines()[0])
-        assert {"image_id", "subj_id", "obj_id", "pre_top", "post_top", "scores"} <= set(record)
+        assert list(record) == ["image_id", "subj_id", "obj_id", "pre_top", "post_top"]
 
     def test_refine_disabled_copies_predictions(self, corpus, tmp_path):
         out = tmp_path / "run"

@@ -150,6 +150,12 @@ class TestLoadAnnotations:
         assert dataset.num_triples() == 1
         assert any("duplicate" in message for message in caplog.messages)
 
+    def test_repeated_image_id_names_both_lines(self, tmp_path, spaces):
+        lines = [json.dumps(annotation_record(image_id)) for image_id in ("im0", "im1", "im2", "im1")]
+        path = write(tmp_path, "ann.jsonl", "".join(line + "\n" for line in lines))
+        with pytest.raises(ParseError, match=r"ann.jsonl:4: image_id 'im1' repeats line 2$"):
+            load_annotations(path, *spaces, 5)
+
     def test_dimension_mismatch_aborts_with_line(self, tmp_path, spaces):
         good = json.dumps(annotation_record("im0"))
         bad_record = annotation_record("im1")
@@ -201,25 +207,25 @@ class TestLoadEmbeddings:
         space = LabelSpace(kind=PREDICATE, names=("on",))
         table = load_embeddings(write(tmp_path, "e.txt", "on 1.0 0.0\n"), space)
         assert table.dim == 2
-        np.testing.assert_array_equal(table.vector(0), [1.0, 0.0])
+        np.testing.assert_array_equal(table.vectors[0], [1.0, 0.0])
 
     def test_multi_word_mean_pooling(self, tmp_path):
         space = LabelSpace(kind=PREDICATE, names=("sitting on",))
         path = write(tmp_path, "e.txt", "sitting 1.0 0.0\non 0.0 1.0\n")
         table = load_embeddings(path, space)
-        np.testing.assert_allclose(table.vector(0), [0.5, 0.5])
+        np.testing.assert_allclose(table.vectors[0], [0.5, 0.5])
 
     def test_pooling_is_idempotent_for_single_tokens(self, tmp_path):
         space = LabelSpace(kind=PREDICATE, names=("on",))
         path = write(tmp_path, "e.txt", "on 0.25 0.75\nunused 1.0 1.0\n")
-        np.testing.assert_array_equal(load_embeddings(path, space).vector(0), [0.25, 0.75])
+        np.testing.assert_array_equal(load_embeddings(path, space).vectors[0], [0.25, 0.75])
 
     def test_pooling_permutation_invariant(self, tmp_path):
         tokens = "a 1.0 2.0\nb 3.0 -1.0\nc 0.5 0.5\n"
         one = LabelSpace(kind=PREDICATE, names=("a b c",))
         other = LabelSpace(kind=PREDICATE, names=("c a b",))
-        va = load_embeddings(write(tmp_path, "e1.txt", tokens), one).vector(0)
-        vb = load_embeddings(write(tmp_path, "e2.txt", tokens), other).vector(0)
+        va = load_embeddings(write(tmp_path, "e1.txt", tokens), one).vectors[0]
+        vb = load_embeddings(write(tmp_path, "e2.txt", tokens), other).vectors[0]
         np.testing.assert_allclose(va, vb)
 
     def test_inconsistent_dimension(self, tmp_path):
@@ -285,7 +291,7 @@ class TestZeroShotIndex:
         train = signature_dataset([(0, 0, 1)], spaces)
         test = signature_dataset([(0, 0, 1), (1, 0, 0)], spaces)
         index = build_zero_shot_index(train, test)
-        assert index.signatures == {(1, 0, 0)}
+        assert index == {(1, 0, 0)}
 
     def test_subset_gives_empty_index(self, spaces):
         train = signature_dataset([(0, 0, 1), (1, 0, 0)], spaces)

@@ -12,7 +12,7 @@ import reference_ranking as reference
 from reference_ranking import PredictedTriple
 from sgrel.cli import main
 from sgrel.core import BoundingBox, Triple, box_overlap
-from sgrel.ingest import EmbeddingTable, ZeroShotIndex, load_embeddings, save_embeddings
+from sgrel.ingest import EmbeddingTable, load_embeddings, save_embeddings
 from sgrel.metrics import (
     PREDCLS,
     PROTOCOLS,
@@ -459,7 +459,7 @@ class TestRankingAndMatchingAgainstReplacedCode:
         rng = np.random.default_rng(29)
         for _ in range(20):
             dataset, predictions = awkward_scene(rng)
-            zero_shot = ZeroShotIndex(signatures=frozenset({(0, 0, 1), (1, 2, 3), (2, 1, 0)}))
+            zero_shot = frozenset({(0, 0, 1), (1, 2, 3), (2, 1, 0)})
             info = info_weights(rng.integers(1, 100, size=3))
             assert_same_as_replaced_code(predictions, dataset, zero_shot, info, protocol=protocol)
             assert_same_as_replaced_code([], dataset, zero_shot, info, protocol=protocol)
@@ -501,7 +501,7 @@ class TestMatchingProperties:
         ks = (1, 2, 3, 5, 8, 13)
         info = info_weights(np.array([3, 1]))
         dataset = make_dataset([a], make_spaces(c_obj=2, c_pred=2))
-        report = evaluate(predictions, dataset, ZeroShotIndex(frozenset(zero_shot)), info, ks, protocol)
+        report = evaluate(predictions, dataset, frozenset(zero_shot), info, ks, protocol)
         for family in (report.recall, report.mean_recall, report.zero_shot_recall, report.mric):
             values = [family[k] for k in ks]
             if values[0] is None:
@@ -594,7 +594,7 @@ class TestEvaluate:
 
     def test_zero_shot_restriction(self, spaces):
         dataset = make_dataset([gt_annotation()], spaces)
-        zs = ZeroShotIndex(signatures=frozenset({(1, 1, 2)}))
+        zs = frozenset({(1, 1, 2)})
         predictions = [p for p in oracle_pairs(dataset) if p.subj_id == 0]  # matches only triple 0
         report = evaluate(predictions, dataset, zero_shot=zs, ks=(20,))
         assert report.zero_shot_recall[20] == 0.0
@@ -602,7 +602,7 @@ class TestEvaluate:
 
     def test_zero_shot_covering_split_equals_recall(self, spaces):
         dataset = make_dataset([gt_annotation()], spaces)
-        zs = ZeroShotIndex(signatures=frozenset({(0, 0, 1), (1, 1, 2)}))
+        zs = frozenset({(0, 0, 1), (1, 1, 2)})
         predictions = [p for p in oracle_pairs(dataset) if p.subj_id == 0]
         report = evaluate(predictions, dataset, zero_shot=zs, ks=(20,))
         assert report.zero_shot_recall[20] == report.recall[20]
@@ -726,7 +726,6 @@ def per_pair_refinement_report(predictions, refined, predicate_space, path):
             "obj_id": before.obj_id,
             "pre_top": predicate_space.names[pre_top],
             "post_top": predicate_space.names[post_top],
-            "scores": [float(v) for v in after.probs],
         }
         lines.append(json.dumps(record, separators=(",", ":")))
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -753,17 +752,13 @@ class TestStackedRanking:
             pairs = awkward_pairs(rng, c_pred)
             pairs[0].subj_box = make_box(-0.0, 1e-300, 3.0, 1e300)
             pairs[1].probs[0] = 5e-324
-            texts = save_predictions(pairs, object_space, tmp_path / "new.jsonl")
+            save_predictions(pairs, object_space, tmp_path / "new.jsonl")
             per_pair_save_predictions(pairs, object_space, tmp_path / "old.jsonl")
-            written = (tmp_path / "new.jsonl").read_bytes()
-            assert written == (tmp_path / "old.jsonl").read_bytes()
-            assert [json.loads(line)["probs"] for line in written.splitlines()] == [
-                json.loads(text) for text in texts
-            ]
+            assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
 
     def test_save_predictions_of_nothing(self, tmp_path):
         object_space, _ = make_spaces()
-        assert save_predictions([], object_space, tmp_path / "new.jsonl") == []
+        save_predictions([], object_space, tmp_path / "new.jsonl")
         assert (tmp_path / "new.jsonl").read_bytes() == b""
 
     @pytest.mark.parametrize("c_pred", [1, 2, 7, 8, 9, 20, 127, 128, 129, 130])

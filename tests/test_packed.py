@@ -31,15 +31,17 @@ TOL = 1e-12
 # --- per-image reference -------------------------------------------------------
 
 def reference_geometry(subj, obj, width, height):
-    cxs, cys = subj.center
-    cxo, cyo = obj.center
+    cxs, cys = 0.5 * (subj.x1 + subj.x2), 0.5 * (subj.y1 + subj.y2)
+    cxo, cyo = 0.5 * (obj.x1 + obj.x2), 0.5 * (obj.y1 + obj.y2)
+    ws, hs = subj.x2 - subj.x1, subj.y2 - subj.y1
+    wo, ho = obj.x2 - obj.x1, obj.y2 - obj.y1
     dx = (cxo - cxs) / width
     dy = (cyo - cys) / height
     inter, union = overlap(subj, obj)
     return np.array([
         dx, dy,
-        np.log(obj.width / subj.width), np.log(obj.height / subj.height),
-        np.log(obj.area / subj.area),
+        np.log(wo / ws), np.log(ho / hs),
+        np.log((wo * ho) / (ws * hs)),
         inter / union, union / (width * height), float(np.hypot(dx, dy)),
     ])
 
@@ -49,7 +51,7 @@ def reference_image(model, annotation, table, compute_contrastive=True):
     cache = {"sims": None, "contrastive": 0.0}
     if compute_contrastive and len(objs) >= 2:
         features = np.stack([o.feature for o in objs])
-        emb = np.stack([table.vector(o.label) for o in objs])
+        emb = np.stack([table.vectors[o.label] for o in objs])
         proj = features @ model.w_proj
         raw = np.linalg.norm(proj, axis=1)
         norms = np.maximum(raw, NORM_EPS)

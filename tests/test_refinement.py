@@ -9,7 +9,6 @@ from sgrel.core import LabelSpace, OBJECT, PREDICATE
 from sgrel.ingest import EmbeddingTable
 from sgrel.metrics import PairPrediction
 from sgrel.refinement import (
-    RefinementVector,
     distance_vector,
     refine,
     refine_dataset,
@@ -51,24 +50,23 @@ class TestRefinementVector:
         # predicates at {(0,0), (1,0)} -> v = (1, 0.5).
         predicates = table([[1e-12, 0.0], [1.0, 0.0]])
         subj = obj = np.array([1.0, 0.0])
-        rv = refinement_vector(subj, obj, np.array([0.0, 0.0]), predicates, alpha=0.5)
-        np.testing.assert_allclose(rv.v, [1.0, 0.5], atol=1e-9)
-        np.testing.assert_allclose(rv.w, np.exp(-rv.v))
+        v = refinement_vector(subj, obj, np.array([0.0, 0.0]), predicates, alpha=0.5)
+        np.testing.assert_allclose(v, [1.0, 0.5], atol=1e-9)
 
     def test_alpha_zero_peaks_at_original_predicate(self):
         predicates = table([[0.0, 1.0], [3.0, 0.0], [0.0, -2.0]])
-        rv = refinement_vector(
-            np.array([9.0, 9.0]), np.array([-9.0, 0.0]), predicates.vector(1), predicates, alpha=0.0
+        v = refinement_vector(
+            np.array([9.0, 9.0]), np.array([-9.0, 0.0]), predicates.vectors[1], predicates, alpha=0.0
         )
-        assert rv.v[1] == 0.0
-        assert np.argmax(rv.w) == 1
+        assert v[1] == 0.0
+        assert np.argmax(np.exp(-v)) == 1
 
     def test_alpha_one_ignores_predicate_embedding(self, rng):
         predicates = table(rng.normal(size=(4, 3)))
         subj, obj = rng.normal(size=3), rng.normal(size=3)
-        a = refinement_vector(subj, obj, predicates.vector(0), predicates, alpha=1.0)
-        b = refinement_vector(subj, obj, predicates.vector(3), predicates, alpha=1.0)
-        np.testing.assert_array_equal(a.v, b.v)
+        a = refinement_vector(subj, obj, predicates.vectors[0], predicates, alpha=1.0)
+        b = refinement_vector(subj, obj, predicates.vectors[3], predicates, alpha=1.0)
+        np.testing.assert_array_equal(a, b)
 
     def test_alpha_out_of_range(self):
         predicates = table([[1.0, 0.0]])
@@ -79,44 +77,40 @@ class TestRefinementVector:
 
     def test_monotone_coupling_of_v_and_w(self, rng):
         predicates = table(rng.normal(size=(5, 4)))
-        rv = refinement_vector(
+        v = refinement_vector(
             rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), predicates
         )
-        order_v = np.argsort(rv.v)
-        order_w = np.argsort(-rv.w)
+        order_v = np.argsort(v)
+        order_w = np.argsort(-np.exp(-v))
         np.testing.assert_array_equal(order_v, order_w)
 
 
 class TestRefine:
     def test_constant_affinity_is_identity_on_argmax(self):
-        rv = RefinementVector(v=np.full(3, 2.0), w=np.exp(-np.full(3, 2.0)))
+        w = np.exp(-np.full(3, 2.0))
         probs = np.array([0.2, 0.5, 0.3])
-        idx, scores = refine(probs, rv.w)
+        idx, scores = refine(probs, w)
         assert idx == 1
         np.testing.assert_allclose(scores, probs, atol=1e-12)
 
     def test_semantics_can_override_distribution(self):
         # D=(0.6, 0.4), v=(1, 0.5): scores renormalize to favor index 1.
-        rv = RefinementVector(v=np.array([1.0, 0.5]), w=np.exp(-np.array([1.0, 0.5])))
-        idx, scores = refine(np.array([0.6, 0.4]), rv.w)
+        idx, scores = refine(np.array([0.6, 0.4]), np.exp(-np.array([1.0, 0.5])))
         assert idx == 1
         raw = np.array([0.6 * np.exp(-1.0), 0.4 * np.exp(-0.5)])
         np.testing.assert_allclose(raw, [0.22073, 0.24261], atol=1e-5)
         np.testing.assert_allclose(scores, raw / raw.sum())
 
     def test_one_hot_dominance(self):
-        rv = RefinementVector(v=np.array([5.0, 0.0, 1.0]), w=np.exp(-np.array([5.0, 0.0, 1.0])))
-        idx, _ = refine(np.array([1.0, 0.0, 0.0]), rv.w)
+        idx, _ = refine(np.array([1.0, 0.0, 0.0]), np.exp(-np.array([5.0, 0.0, 1.0])))
         assert idx == 0
 
     def test_degenerate_refinement_rejected(self):
-        rv = RefinementVector(v=np.zeros(2), w=np.exp(-np.zeros(2)))
         with pytest.raises(ValueError, match="degenerate refinement"):
-            refine(np.zeros(2), rv.w)
+            refine(np.zeros(2), np.exp(-np.zeros(2)))
 
     def test_tie_breaks_to_lowest_index(self):
-        rv = RefinementVector(v=np.zeros(2), w=np.ones(2))
-        idx, _ = refine(np.array([0.5, 0.5]), rv.w)
+        idx, _ = refine(np.array([0.5, 0.5]), np.ones(2))
         assert idx == 0
 
     def test_shifting_v_by_constant_preserves_argmax(self, rng):
@@ -130,10 +124,10 @@ class TestRefine:
     def test_scale_invariance_in_distribution(self, rng):
         for _ in range(100):
             v = rng.uniform(0.0, 4.0, size=4)
-            rv = RefinementVector(v=v, w=np.exp(-v))
+            w = np.exp(-v)
             probs = rng.dirichlet(np.ones(4))
-            idx_a, scores_a = refine(probs, rv.w)
-            idx_b, scores_b = refine(37.0 * probs, rv.w)
+            idx_a, scores_a = refine(probs, w)
+            idx_b, scores_b = refine(37.0 * probs, w)
             assert idx_a == idx_b
             np.testing.assert_allclose(scores_a, scores_b, atol=1e-12)
 
@@ -187,14 +181,14 @@ class TestRefineDataset:
         assert refine_dataset([], objects, predicates) == []
 
 
-def per_pair_refine(probs, rv):
+def per_pair_refine(probs, w):
     """The per-vector ``refine`` that the row-stacked one replaced."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != rv.w.shape:
+    if probs.shape != w.shape:
         raise ValueError(
-            f"length mismatch: distribution {probs.shape} vs refinement {rv.w.shape}"
+            f"length mismatch: distribution {probs.shape} vs refinement {w.shape}"
         )
-    scores = probs * rv.w
+    scores = probs * w
     total = scores.sum()
     if total <= 0.0:
         raise ValueError("degenerate refinement: all refined scores are zero")
@@ -209,17 +203,17 @@ def per_pair_refine_dataset(predictions, object_embeddings, predicate_embeddings
     for pair in predictions:
         pre_top = int(np.argmax(pair.probs))
         key = (pair.subj_label, pair.obj_label, pre_top)
-        rv = cache.get(key)
-        if rv is None:
-            rv = refinement_vector(
-                object_embeddings.vector(pair.subj_label),
-                object_embeddings.vector(pair.obj_label),
-                predicate_embeddings.vector(pre_top),
+        w = cache.get(key)
+        if w is None:
+            w = np.exp(-refinement_vector(
+                object_embeddings.vectors[pair.subj_label],
+                object_embeddings.vectors[pair.obj_label],
+                predicate_embeddings.vectors[pre_top],
                 predicate_embeddings,
                 alpha,
-            )
-            cache[key] = rv
-        _, scores = per_pair_refine(pair.probs, rv)
+            ))
+            cache[key] = w
+        _, scores = per_pair_refine(pair.probs, w)
         refined.append(replace(pair, probs=scores))
     return refined
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgrel.core import Triple
-from sgrel.ingest import RecallTable, annotations_to_jsonl
+from sgrel.ingest import annotations_to_jsonl
 from sgrel.sampling import (
-    PredicateStats,
     build_sampling_plan,
     count_predicates,
     resample,
@@ -99,31 +98,26 @@ def long_tailed_dataset(counts, spaces):
 class TestResample:
     def test_identity_plan_preserves_dataset(self, spaces):
         dataset = long_tailed_dataset([4, 3, 2], spaces)
-        stats = PredicateStats(counts=count_predicates(dataset), recalls=RecallTable(values=np.full(3, 0.5)))
-        plan = build_sampling_plan(stats, tau=1100.0, beta=0.3, seed=9)
+        plan = build_sampling_plan(count_predicates(dataset), np.full(3, 0.5), tau=1100.0, beta=0.3, seed=9)
         assert (plan.rates == 1.0).all()
         out = resample(dataset, plan)
         assert annotations_to_jsonl(out) == annotations_to_jsonl(dataset)
 
     def test_exact_half_retained(self, spaces):
         dataset = long_tailed_dataset([100, 10, 10], spaces)
-        stats = PredicateStats(
-            counts=count_predicates(dataset),
-            recalls=RecallTable(values=np.array([2.0 / 3.0, 0.5, 0.5])),
-        )
         # tau=20, beta=1.5: rate = 20 / (100 * 1.5 * 2/3) = 0.2 on the head.
-        plan = build_sampling_plan(stats, tau=20.0, beta=1.5, seed=9)
+        plan = build_sampling_plan(
+            count_predicates(dataset), np.array([2.0 / 3.0, 0.5, 0.5]), tau=20.0, beta=1.5, seed=9
+        )
         assert plan.targets[0] == 20
         out = resample(dataset, plan)
         np.testing.assert_array_equal(count_predicates(out), [20, 10, 10])
 
     def test_round_half_up_targets(self):
-        stats = PredicateStats(counts=np.array([7]), recalls=RecallTable(values=np.array([1.0])))
-        plan = build_sampling_plan(stats, tau=2.0, beta=1.0, seed=0)
+        plan = build_sampling_plan(np.array([7]), np.array([1.0]), tau=2.0, beta=1.0, seed=0)
         # rate = 2/7 -> 7 * 2/7 = 2.0 exactly; and 2.5-style cases round up.
         assert plan.targets[0] == 2
-        stats = PredicateStats(counts=np.array([5]), recalls=RecallTable(values=np.array([1.0])))
-        plan = build_sampling_plan(stats, tau=2.5, beta=1.0, seed=0)
+        plan = build_sampling_plan(np.array([5]), np.array([1.0]), tau=2.5, beta=1.0, seed=0)
         # rate = 2.5 / 5 = 0.5 -> 2.5 rounds half-up to 3.
         assert plan.targets[0] == 3
 
@@ -131,10 +125,10 @@ class TestResample:
         counts = [int(rng.integers(1, 60)) for _ in range(3)]
         dataset = long_tailed_dataset(counts, spaces)
         for _ in range(20):
-            recalls = RecallTable(values=rng.uniform(0.0, 1.0, size=3))
-            stats = PredicateStats(counts=count_predicates(dataset), recalls=recalls)
+            recalls = rng.uniform(0.0, 1.0, size=3)
             plan = build_sampling_plan(
-                stats, tau=float(rng.integers(1, 80)), beta=float(rng.uniform(0.1, 2.0)), seed=1
+                count_predicates(dataset), recalls, tau=float(rng.integers(1, 80)), beta=float(rng.uniform(0.1, 2.0)),
+                seed=1,
             )
             assert (plan.targets <= plan.counts).all()
             out = resample(dataset, plan)
@@ -142,18 +136,14 @@ class TestResample:
 
     def test_deterministic_given_seed(self, spaces):
         dataset = long_tailed_dataset([40, 5, 5], spaces)
-        stats = PredicateStats(
-            counts=count_predicates(dataset), recalls=RecallTable(values=np.array([1.0, 1.0, 1.0]))
-        )
-        plan = build_sampling_plan(stats, tau=10.0, beta=1.0, seed=77)
+        plan = build_sampling_plan(count_predicates(dataset), np.array([1.0, 1.0, 1.0]), tau=10.0, beta=1.0, seed=77)
         first = annotations_to_jsonl(resample(dataset, plan))
         second = annotations_to_jsonl(resample(dataset, plan))
         assert first == second
 
     def test_objects_and_empty_annotations_kept(self, spaces):
         dataset = long_tailed_dataset([30], (spaces[0], spaces[1]))
-        stats = PredicateStats(counts=count_predicates(dataset), recalls=RecallTable(values=np.array([1.0, 0.0, 0.0])))
-        plan = build_sampling_plan(stats, tau=3.0, beta=1.0, seed=5)
+        plan = build_sampling_plan(count_predicates(dataset), np.array([1.0, 0.0, 0.0]), tau=3.0, beta=1.0, seed=5)
         out = resample(dataset, plan)
         assert len(out.annotations) == len(dataset.annotations)
         assert all(len(a.objects) == 2 for a in out.annotations)
@@ -216,9 +206,7 @@ IMAGES = st.lists(st.lists(st.integers(0, 2), max_size=5), max_size=25)
 def test_resample_keeps_exactly_the_targets_and_never_up_samples(images, recalls, tau, beta, seed):
     dataset = scene_dataset(images)
     counts = count_predicates(dataset)
-    plan = build_sampling_plan(
-        PredicateStats(counts=counts, recalls=RecallTable(values=np.array(recalls))), tau=tau, beta=beta, seed=seed
-    )
+    plan = build_sampling_plan(counts, np.array(recalls), tau=tau, beta=beta, seed=seed)
     assert (plan.targets <= counts).all()
     assert_resampled_to_targets(dataset, plan)
 
@@ -229,5 +217,5 @@ def test_resample_keeps_any_target_up_to_the_count(images, data):
     dataset = scene_dataset(images)
     counts = count_predicates(dataset)
     targets = [data.draw(st.integers(0, int(n))) for n in counts]
-    plan = build_sampling_plan(PredicateStats(counts=counts, recalls=RecallTable(values=np.ones(3))), seed=5)
+    plan = build_sampling_plan(counts, np.ones(3), seed=5)
     assert_resampled_to_targets(dataset, dataclasses.replace(plan, targets=np.array(targets, dtype=np.int64)))

@@ -65,12 +65,12 @@ class TestGenerate:
         test_signatures = dataset_signatures(data.test)
         index = build_zero_shot_index(data.train, data.test)
         assert len(index) == round(0.2 * len(test_signatures))
-        assert index.signatures == data.withheld
+        assert index == data.withheld
 
     def test_withheld_absent_from_val_too(self):
         data = generate(SynthConfig(images=200, zero_shot_fraction=0.2, seed=11))
         index = build_zero_shot_index(data.train, data.test)
-        assert not (index.signatures & dataset_signatures(data.val))
+        assert not (index & dataset_signatures(data.val))
 
     def test_zero_fraction_gives_empty_index(self):
         data = generate(SynthConfig(images=100, zero_shot_fraction=0.0, seed=2))

@@ -1,19 +1,76 @@
-"""The traced benchmark patches functions by module and name; each must still exist."""
+"""The traced benchmark patches functions by module and name, and its counters read what they return."""
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
+
+import pytest
+
+from sgrel.cli import main
+
+from test_fuzz import STAGE_CONFIG, TINY_CORPUS, write_config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_every_trace_target_resolves_to_a_callable(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look themselves up
-    spec.loader.exec_module(tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_resolves_to_a_callable(tracing):
     assert tracing.TARGETS
     for module_name, attr, *_ in tracing.TARGETS:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert callable(target), f"{module_name}.{attr} is gone; the traced benchmark patches it"
+
+
+def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path):
+    """zsplit -> weights -> resample -> train -> refine -> eval, traced, with every mechanism on."""
+    corpus, out = tmp_path / "corpus", tmp_path / "run"
+    synth_config = write_config(tmp_path / "synth.cfg", TINY_CORPUS)
+    assert main(["synth", "--out", str(corpus), "--config", str(synth_config)]) == 0
+    names = (corpus / "predicate_labels.txt").read_text().split()
+    recalls = tmp_path / "recalls.json"
+    recalls.write_text("{" + ", ".join(f'"{name}": {i % 2}' for i, name in enumerate(names)) + "}\n")
+    common = [
+        "--config", write_config(tmp_path / "stages.cfg", STAGE_CONFIG),
+        "--object-labels", corpus / "object_labels.txt", "--predicate-labels", corpus / "predicate_labels.txt",
+    ]
+    d_roi = ["--d-roi", TINY_CORPUS["d_roi"]]
+    embeddings = ["--object-embeddings", corpus / "object_embeddings.txt"]
+    stages = {
+        "zsplit": ["--out", out / "zs", "--train", corpus / "train.jsonl", "--test", corpus / "test.jsonl", *d_roi],
+        "weights": ["--out", out / "w", "--train", corpus / "train.jsonl", *d_roi],
+        "resample": ["--out", out, "--train", corpus / "train.jsonl", "--recalls", recalls, *d_roi],
+        "train": ["--out", out, "--train", out / "train_resampled.jsonl", "--val", corpus / "val.jsonl",
+                  "--test", corpus / "test.jsonl", *embeddings, "--weights", out / "w" / "info_weights.json", *d_roi],
+        "refine": ["--out", out, "--predictions", out / "predictions_test.jsonl", *embeddings,
+                   "--predicate-embeddings", corpus / "predicate_embeddings.txt"],
+        "eval": ["--out", out, "--predictions", out / "predictions_refined.jsonl", "--dataset", corpus / "test.jsonl",
+                 "--zero-shot", out / "zs" / "zero_shot.json", "--weights", out / "w" / "info_weights.json", *d_roi],
+    }
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        for stage, argv in stages.items():
+            span = tracer.begin(f"cli.{stage}")
+            try:
+                code = main([str(a) for a in [stage, *common, *argv]])
+            finally:
+                tracer.end(span)
+            assert code == 0, stage
+    finally:
+        restore()
+
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert all(math.isfinite(value) for value in metrics.values())
+    refined = (out / "predictions_refined.jsonl").read_text().splitlines()
+    assert metrics["refinement.pairs_refined"] == len(refined) > 0
+    assert 0 < metrics["sampling.triples_kept"] <= metrics["sampling.triples_in"]
