@@ -15,7 +15,6 @@ suite, so everything here sticks to plain float64 numpy.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, SceneGraphAnnotation, box_overlap
-from .ingest import EmbeddingTable
+from .ingest import EmbeddingTable, framed_arrays, load_framed, save_framed
 from .metrics import PairPrediction, evaluate
 from .metrics import build_ranked, match_triples  # unused here; perfbench/tracing.py patches these names
 from .reweighting import DEFAULT_MU, InfoWeights, LossBundle, total_loss, uniform_weights, weighted_pred_loss
@@ -470,44 +469,19 @@ _ARRAY_ORDER = ("w_proj", "w_cls", "b_cls")
 
 def save_model(model: RelationModel, path: str | Path) -> None:
     """Binary checkpoint: one JSON header line, then row-major float64 params."""
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "dtype": "<f8",
-        "arrays": {name: list(getattr(model, name).shape) for name in _ARRAY_ORDER},
-    }
-    with open(path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for name in _ARRAY_ORDER:
-            handle.write(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes())
+    header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, "dtype": "<f8"}
+    arrays = {name: np.asarray(getattr(model, name), dtype="<f8") for name in _ARRAY_ORDER}
+    save_framed(path, header, arrays)
 
 
 def load_model(path: str | Path) -> RelationModel:
-    with open(path, "rb") as handle:
-        line = handle.readline()
-        payload = handle.read()
     try:
-        header = json.loads(line.decode("utf-8"))
+        header, payload = load_framed(path)
     except ValueError as err:  # invalid UTF-8 or JSON
         raise ValueError(f"{path}: not a model checkpoint: {err}") from err
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    shapes = header.get("arrays")
-    for name in _ARRAY_ORDER:
-        if not isinstance(shapes, dict) or name not in shapes:
-            raise ValueError(f"{path}: checkpoint header has no arrays.{name} shape")
-        if not isinstance(shapes[name], list) or not all(type(n) is int and n >= 0 for n in shapes[name]):
-            raise ValueError(f"{path}: checkpoint header arrays.{name} is not a list of non-negative integers")
-    counts = [int(np.prod(shapes[name])) for name in _ARRAY_ORDER]
-    if len(payload) != 8 * sum(counts):
-        raise ValueError(
-            f"{path}: expected {8 * sum(counts)} parameter bytes after the header, found {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    bounds = _offsets(counts)
-    return RelationModel(**{
-        name: values[lo:hi].reshape(shapes[name])
-        for name, lo, hi in zip(_ARRAY_ORDER, bounds[:-1], bounds[1:])
-    })
+    dtypes = dict.fromkeys(_ARRAY_ORDER, "<f8")
+    return RelationModel(**framed_arrays(path, header, payload, dtypes, "checkpoint", "parameter"))

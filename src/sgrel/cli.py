@@ -370,6 +370,11 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     report_path = out / "refinement_report.jsonl"
     if not config.use_refinement:
         shutil.copyfile(args.predictions, target)
+        source, companion = metrics.companion_path(args.predictions), metrics.companion_path(target)
+        if source.is_file():
+            shutil.copyfile(source, companion)
+        else:
+            companion.unlink(missing_ok=True)
         report_path.write_text("", encoding="utf-8")
         logger.info("refine: disabled, copied predictions unchanged")
         return 0

@@ -57,10 +57,14 @@ def read_json(path: str | Path) -> object:
 def read_jsonl(path: str | Path) -> tuple[int, Iterator[dict]]:
     """The line count of ``path`` and its lines, decoded one at a time as JSON objects.
 
+    Lines end at ``\\n`` only (a ``\\r`` before it is JSON whitespace): JSON strings
+    may hold U+2028 and the other characters ``str.splitlines`` also breaks at.
     An empty line, invalid JSON or a value that is not an object raises
     ``ParseError`` naming the line.
     """
-    lines = read_text(path).splitlines()
+    lines = read_text(path).split("\n")
+    if not lines[-1]:  # the text after the last newline, or an empty file
+        lines.pop()
 
     def records() -> Iterator[dict]:
         for lineno, raw in enumerate(lines, start=1):
@@ -74,6 +78,55 @@ def read_jsonl(path: str | Path) -> tuple[int, Iterator[dict]]:
             yield record
 
     return len(lines), records()
+
+
+# Framed binary files (the model checkpoint, the prediction companion): one
+# JSON header line with sorted keys, whose "arrays" maps each array's name to
+# its shape, then each array's raw bytes, in the order the format defines.
+def save_framed(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``header`` plus the shapes of ``arrays`` (already in their file dtypes), then their bytes."""
+    header = {**header, "arrays": {name: list(array.shape) for name, array in arrays.items()}}
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for array in arrays.values():
+            handle.write(np.ascontiguousarray(array).tobytes())
+
+
+def load_framed(path: str | Path) -> tuple[object, bytes]:
+    """The decoded header line of a framed file and the bytes after it.
+
+    A header line that is not UTF-8 JSON raises ``ValueError``.
+    """
+    with open(path, "rb") as handle:
+        line = handle.readline()
+        payload = handle.read()
+    return json.loads(line.decode("utf-8")), payload
+
+
+def framed_arrays(
+    path: str | Path, header: dict, payload: bytes, dtypes: dict[str, str], kind: str, unit: str
+) -> dict[str, np.ndarray]:
+    """The arrays named by ``dtypes``, in its order, as native writable copies of ``payload``'s bytes.
+
+    A header without a valid shape for each array, or a payload of another byte
+    count, raises ``ValueError`` naming ``path``, the ``kind`` of file and the
+    ``unit`` its bytes hold.
+    """
+    shapes = header.get("arrays")
+    for name in dtypes:
+        if not isinstance(shapes, dict) or name not in shapes:
+            raise ValueError(f"{path}: {kind} header has no arrays.{name} shape")
+        if not isinstance(shapes[name], list) or not all(type(n) is int and n >= 0 for n in shapes[name]):
+            raise ValueError(f"{path}: {kind} header arrays.{name} is not a list of non-negative integers")
+    expected = sum(np.dtype(dtype).itemsize * math.prod(shapes[name]) for name, dtype in dtypes.items())
+    if len(payload) != expected:
+        raise ValueError(f"{path}: expected {expected} {unit} bytes after the header, found {len(payload)}")
+    arrays, offset = {}, 0
+    for name, dtype in dtypes.items():
+        values = np.frombuffer(payload, dtype, math.prod(shapes[name]), offset)
+        arrays[name] = values.astype(values.dtype.newbyteorder("=")).reshape(shapes[name])
+        offset += values.nbytes
+    return arrays
 
 
 # The field vocabulary: what a valid value of each kind is in every file the

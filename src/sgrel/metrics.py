@@ -20,15 +20,19 @@ matched triple, the rank that first matched it, and serves every K.
 from __future__ import annotations
 
 import csv
+import hashlib
+import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import BoundingBox, Dataset, LabelSpace, SceneGraphAnnotation, Signature, box_overlap, triple_signature
-from .ingest import ParseError, box, integer, number, parse_fields, read_jsonl, scores, string
+from .ingest import ParseError, box, framed_arrays, integer, load_framed, number, parse_fields, read_jsonl, scores
+from .ingest import save_framed, string
 from .reweighting import InfoWeights
 
 logger = logging.getLogger(__name__)
@@ -331,13 +335,85 @@ def per_predicate_csv(
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
+COMPANION_FORMAT = "sgrel-predictions"
+COMPANION_VERSION = 1
+# The companion's arrays, in file order, with their file dtypes; boxes are subject then object xyxy.
+_COLUMNS = {
+    "image": "<i8", "subj_id": "<i8", "obj_id": "<i8", "subj_label": "<i8", "obj_label": "<i8",
+    "boxes": "<f8", "label_scores": "<f8", "probs": "<f8",
+}
+
+
+def companion_path(path: str | Path) -> Path:
+    """The binary companion of the prediction file ``path``: the same name with the suffix ``.cols``."""
+    return Path(path).with_suffix(".cols")
+
+
+def _shapes(count: int, num_predicates: int) -> dict[str, list[int]]:
+    """Each companion array's shape for ``count`` pairs."""
+    return {**{name: [count] for name in _COLUMNS}, "boxes": [count, 8], "label_scores": [count, 2],
+            "probs": [count, num_predicates]}
+
+
+def _header_sha256(header: dict) -> str:
+    return hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _sha256_file(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _columns(predictions: list[PairPrediction], object_space: LabelSpace) -> tuple[list[str], dict] | None:
+    """The image id table and the companion's arrays; None when the JSON lines would read a value otherwise.
+
+    That is: no pairs, an image id that is not a ``str``, an id or label that
+    is not a plain ``int`` (a boolean or a NumPy integer), a coordinate or
+    label score that is neither a plain ``int`` nor a ``float``, an id outside
+    int64, a number too large for a float, a label outside ``object_space``
+    or probs that do not stack into at least one column.
+    """
+    if not predictions or set(map(type, (p.image_id for p in predictions))) != {str}:
+        return None
+    image_ids: dict[str, int] = {}
+    ints = [(image_ids.setdefault(p.image_id, len(image_ids)), p.subj_id, p.obj_id, p.subj_label, p.obj_label)
+            for p in predictions]
+    floats = [(*p.subj_box.xyxy, *p.obj_box.xyxy, p.subj_score, p.obj_score) for p in predictions]
+    float_types = set(map(type, itertools.chain.from_iterable(floats)))
+    if set(map(type, itertools.chain.from_iterable(ints))) != {int} or not all(
+        kind is int or issubclass(kind, float) for kind in float_types  # JSON writes a float subclass as a float
+    ):
+        return None
+    try:
+        int_columns = np.array(ints, dtype="<i8").T.copy()
+        float_columns = np.array(floats, dtype="<f8")
+        probs = np.asarray(stack_probs(predictions), dtype="<f8")
+    except (OverflowError, ValueError):  # outside int64 or float range, or ragged probs
+        return None
+    labels = int_columns[3:]
+    if probs.ndim != 2 or not probs.shape[1] or labels.min() < 0 or labels.max() >= object_space.size:
+        return None
+    columns = dict(zip(_COLUMNS, int_columns))
+    columns.update(boxes=float_columns[:, :8].copy(), label_scores=float_columns[:, 8:].copy(), probs=probs)
+    return list(image_ids), columns
+
 
 def save_predictions(
     predictions: list[PairPrediction],
     object_space: LabelSpace,
     path: str | Path,
 ) -> None:
-    """Serialize pair predictions as JSON lines (labels stored as names, ``probs`` last)."""
+    """Serialize pair predictions as JSON lines (labels stored as names, ``probs`` last), plus their companion.
+
+    The binary companion (``companion_path``; read by ``load_predictions``) is
+    written only when every value reads back from the JSON lines as it is
+    stored (see ``_columns``); otherwise an earlier companion is removed.
+    """
+    companion = companion_path(path)
+    companion.unlink(missing_ok=True)
     names = object_space.names
     lines = (
         _ENCODER.encode({
@@ -354,8 +430,74 @@ def save_predictions(
         }) + "\n"
         for pair in predictions
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines)
+    jsonl_digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        while text := "".join(itertools.islice(lines, 512)):  # hashed as written, never held whole
+            data = text.encode("utf-8")
+            jsonl_digest.update(data)
+            handle.write(data)
+    table = _columns(predictions, object_space)
+    if table is None or companion == Path(path):
+        return
+    image_ids, columns = table
+    count, num_predicates = columns["probs"].shape
+    payload_digest = hashlib.sha256()
+    for array in columns.values():
+        payload_digest.update(array)
+    header = {
+        "format": COMPANION_FORMAT, "version": COMPANION_VERSION, "count": count,
+        "num_predicates": num_predicates, "object_labels": list(names), "image_ids": image_ids,
+        "jsonl_sha256": jsonl_digest.hexdigest(), "payload_sha256": payload_digest.hexdigest(),
+    }
+    arrays = {"arrays": _shapes(count, num_predicates)}  # as save_framed adds them
+    save_framed(companion, {**header, "header_sha256": _header_sha256({**header, **arrays})}, columns)
+
+
+def _load_companion(
+    path: str | Path, object_space: LabelSpace, num_predicates: int
+) -> list[PairPrediction] | None:
+    """The pairs stored in ``path``'s companion; None when it is missing or anything about it is in doubt."""
+    companion = companion_path(path)
+    try:
+        header, payload = load_framed(companion)
+        if not isinstance(header, dict):
+            return None
+        sealed, count = header.pop("header_sha256", None), header.get("count")
+        if not (
+            sealed == _header_sha256(header)
+            and header.get("format") == COMPANION_FORMAT and header.get("version") == COMPANION_VERSION
+            and header.get("object_labels") == list(object_space.names)
+            and type(count) is int and count > 0 and num_predicates > 0
+            and header.get("arrays") == _shapes(count, num_predicates)
+            and header.get("payload_sha256") == hashlib.sha256(payload).hexdigest()
+            and header.get("jsonl_sha256") == _sha256_file(path)
+        ):
+            return None
+        columns = framed_arrays(companion, header, payload, _COLUMNS, "companion", "column")
+    except (OSError, ValueError, RecursionError):  # RecursionError: a header nested too deep for json
+        return None
+    image_ids = header.get("image_ids")
+    image, subj_id, obj_id, subj_label, obj_label, boxes, label_scores, probs = columns.values()
+    if not (  # the JSON lines' value checks, vectorised; entries below 1e300 / C sum to a finite number
+        type(image_ids) is list and set(map(type, image_ids)) == {str}
+        and 0 <= image.min() and image.max() < len(image_ids)
+        and 0 <= min(subj_label.min(), obj_label.min())
+        and max(subj_label.max(), obj_label.max()) < object_space.size
+        and np.isfinite(boxes).all() and ((0.0 <= label_scores) & (label_scores < math.inf)).all()
+        and (probs >= 0.0).all() and probs.max() < 1e300 / num_predicates
+    ):
+        return None
+    # An object's box recurs in every pair it is part of: one BoundingBox per distinct 32-byte row.
+    distinct, which = np.unique(boxes.reshape(-1, 4).view("V32").ravel(), return_inverse=True)
+    made = list(itertools.starmap(BoundingBox, distinct.view(boxes.dtype).reshape(-1, 4).tolist()))
+    corners = [made[k] for k in which.tolist()]  # subject, object, subject, ... in pair order
+    return [
+        PairPrediction(image_ids[i], s, o, s_label, o_label, s_box, o_box, row, s_score, o_score)
+        for i, s, o, s_label, o_label, s_box, o_box, row, (s_score, o_score) in zip(
+            image.tolist(), subj_id.tolist(), obj_id.tolist(), subj_label.tolist(), obj_label.tolist(),
+            corners[0::2], corners[1::2], probs, label_scores.tolist(),
+        )
+    ]
 
 
 def load_predictions(
@@ -366,7 +508,14 @@ def load_predictions(
     Invalid JSON, a missing key or a refused value (a boolean is not a number;
     probs and label scores are finite and non-negative, ``num_predicates`` of
     them; box coordinates are finite) raise ``ParseError`` naming the line.
+    When ``path``'s companion still matches it (format, version, label names,
+    shapes, its own digests and that of ``path``'s bytes) and its values pass
+    the same checks, the pairs come from the companion's arrays instead: the
+    same list, without parsing text. Any doubt falls back to the JSON lines.
     """
+    predictions = _load_companion(path, object_space, num_predicates)
+    if predictions is not None:
+        return predictions
     label = object_space.index_of
     table = (  # in PairPrediction's field order
         ("image_id", string), ("subj_id", integer), ("obj_id", integer),

@@ -330,7 +330,8 @@ def test_criterion_7_full_pipeline_determinism(ablation, tmp_path_factory):
     assert (other / "refinement" / "report.json").read_bytes() == (
         root / "refinement" / "report.json"
     ).read_bytes()
-    for name in ("loss_history.csv", "validation.csv"):
+    for name in ("loss_history.csv", "validation.csv",
+                 "predictions_val.cols", "predictions_test.cols", "predictions_refined.cols"):
         assert (other / "refinement" / name).read_bytes() == (root / "refinement" / name).read_bytes()
     assert len((root / "refinement" / "validation.csv").read_text().splitlines()) == 11
     assert rerun == runs["refinement"]

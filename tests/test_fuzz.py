@@ -11,10 +11,12 @@ output may hold ``NaN`` or ``Infinity``.
 
 import random
 import re
+import shutil
 
 import pytest
 
 from sgrel.cli import main
+from sgrel.metrics import companion_path
 
 SEED = 7
 TINY_CORPUS = {
@@ -29,6 +31,7 @@ STAGE_CONFIG = {
 # A JSON (or embedding-file) number token, not the digits inside a name such as "obj03".
 NUMBER = re.compile(r'(?<![\w.\-"])-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?(?![\w."])')
 NON_FINITE = re.compile(r"\bNaN\b|Infinity")
+LOG_TIME = re.compile(r"^\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3} ", re.MULTILINE)
 
 
 def run(argv):
@@ -166,3 +169,55 @@ def test_single_mutation_exits_cleanly(tiny, tmp_path, capsys, stage, flag, muta
         assert code == 2, f"{mutation} of {original.name} was accepted"
     for path in out.rglob("*.json*") if out.exists() else ():
         assert not NON_FINITE.search(path.read_text()), f"{path.name} holds a non-finite number"
+
+
+# Twins of the cases above for the binary companion ``train`` writes beside each
+# prediction file: whatever its state, refine and eval act as if it were absent.
+def stage_result(capsys, stage, flags, extra, out):
+    """Exit code, standard error without log times, and every output file's bytes of one stage run."""
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    code = run([stage, "--out", out, *flat(flags), *extra])
+    err = LOG_TIME.sub("", capsys.readouterr().err)
+    return code, err, {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def prediction_cases(seed, mutations=tuple(MUTATIONS)):
+    rng = random.Random(seed)
+    for stage in ("refine", "eval"):
+        for mutation in mutations:
+            yield stage, mutation, rng.randrange(2**32)
+
+
+@pytest.mark.parametrize("stage, mutation, seed", list(prediction_cases(SEED + 1)))
+def test_companion_beside_a_mutated_prediction_file_changes_nothing(tiny, tmp_path, capsys, stage, mutation, seed):
+    flags, extra = tiny[stage]
+    original = flags["--predictions"]
+    target = tmp_path / "in" / original.name
+    target.parent.mkdir()
+    target.write_bytes(MUTATIONS[mutation](original.read_bytes(), random.Random(seed)))
+    flags = {**flags, "--predictions": target}
+    alone = stage_result(capsys, stage, flags, extra, tmp_path / "out")
+    shutil.copyfile(companion_path(original), companion_path(target))
+    assert stage_result(capsys, stage, flags, extra, tmp_path / "out") == alone
+
+
+@pytest.mark.parametrize(
+    "stage, mutation, seed", list(prediction_cases(SEED + 2, ("flip_byte",) * 6 + ("truncate",) * 4))
+)
+def test_damaged_companion_of_an_untouched_prediction_file_changes_nothing(
+    tiny, tmp_path, capsys, stage, mutation, seed
+):
+    flags, extra = tiny[stage]
+    original = flags["--predictions"]
+    target = tmp_path / "in" / original.name
+    target.parent.mkdir()
+    shutil.copyfile(original, target)
+    flags = {**flags, "--predictions": target}
+    alone = stage_result(capsys, stage, flags, extra, tmp_path / "out")
+    assert alone[0] == 0, alone[1]
+    shutil.copyfile(companion_path(original), companion_path(target))
+    assert stage_result(capsys, stage, flags, extra, tmp_path / "out") == alone
+    damaged = MUTATIONS[mutation](companion_path(original).read_bytes(), random.Random(seed))
+    companion_path(target).write_bytes(damaged)
+    assert stage_result(capsys, stage, flags, extra, tmp_path / "out") == alone

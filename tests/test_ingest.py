@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgrel.core import LabelSpace, OBJECT, PREDICATE, Triple
+from sgrel.metrics import load_predictions
 from sgrel.ingest import (
     EmbeddingTable,
     ParseError,
@@ -72,6 +73,36 @@ class TestReaders:
         path = write(tmp_path, "ann.jsonl", json.dumps(annotation_record()) + "\n" + line + "\n")
         with pytest.raises(ParseError, match=rf"ann.jsonl:2: {problem}"):
             load_annotations(path, *spaces, 5)
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_annotation_line_holding_a_line_separator_loads(self, tmp_path, spaces, separator):
+        lines = [json.dumps(annotation_record(f"im{i}{separator}"), ensure_ascii=False) for i in range(2)]
+        path = write(tmp_path, "ann.jsonl", "".join(line + "\n" for line in lines))
+        dataset = load_annotations(path, *spaces, 5)
+        assert [a.image_id for a in dataset.annotations] == [f"im0{separator}", f"im1{separator}"]
+        path = write(tmp_path, "ann.jsonl", "".join(line + "\n" for line in lines) + "{nope\n")
+        with pytest.raises(ParseError, match=r"ann.jsonl:3: invalid JSON"):
+            load_annotations(path, *spaces, 5)
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_prediction_line_holding_a_line_separator_loads(self, tmp_path, spaces, separator):
+        object_space, _ = spaces
+        record = {"image_id": f"im{separator}0", "subj_id": 0, "obj_id": 1, "subj_label": "thing0",
+                  "obj_label": "thing1", "subj_box": [0, 0, 1, 1], "obj_box": [1, 1, 2, 2],
+                  "subj_score": 1.0, "obj_score": 1.0, "probs": [0.5, 0.25, 0.25]}
+        line = json.dumps(record, ensure_ascii=False) + "\n"
+        path = write(tmp_path, "p.jsonl", line + line)
+        assert [pair.image_id for pair in load_predictions(path, object_space, 3)] == [f"im{separator}0"] * 2
+        path = write(tmp_path, "p.jsonl", line + line + line.replace("0.5", "-0.5"))
+        with pytest.raises(ParseError, match=r"p.jsonl:3: bad 'probs'"):
+            load_predictions(path, object_space, 3)
+
+    def test_crlf_lines_and_blank_lines(self, tmp_path, spaces):
+        line = json.dumps(annotation_record())
+        assert len(load_annotations(write(tmp_path, "a.jsonl", line + "\r\n"), *spaces, 5).annotations) == 1
+        for text in (line + "\r\n\r\n", line + "\n\n" + line + "\n"):
+            with pytest.raises(ParseError, match=r"a.jsonl:2: empty line"):
+                load_annotations(write(tmp_path, "a.jsonl", text), *spaces, 5)
 
 
 class TestParseFields:

@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
 import json
+import math
+import random
 import re
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +15,9 @@ from hypothesis import given, strategies as st
 import reference_ranking as reference
 from reference_ranking import PredictedTriple
 from sgrel.cli import main
-from sgrel.core import BoundingBox, Triple, box_overlap
-from sgrel.ingest import EmbeddingTable, load_embeddings, save_embeddings
+from sgrel import metrics
+from sgrel.core import BoundingBox, LabelSpace, Triple, box_overlap
+from sgrel.ingest import EmbeddingTable, ParseError, load_embeddings, save_embeddings
 from sgrel.metrics import (
     PREDCLS,
     PROTOCOLS,
@@ -22,6 +27,7 @@ from sgrel.metrics import (
     PairPrediction,
     RankedTriples,
     build_ranked,
+    companion_path,
     evaluate,
     iou_matrix,
     load_predictions,
@@ -658,6 +664,225 @@ class TestPredictionIO:
             )
             np.testing.assert_array_equal(a.probs, b.probs)
             assert a.subj_box == b.subj_box
+
+
+def outcome(path, object_space, num_predicates):
+    """``load_predictions``'s result, every value with its type and bits, or its error's type and text."""
+    try:
+        pairs = load_predictions(path, object_space, num_predicates)
+    except ValueError as err:
+        return type(err), str(err)
+    return [
+        (
+            (type(p.image_id), p.image_id),
+            *((type(v), v) for v in (p.subj_id, p.obj_id, p.subj_label, p.obj_label)),
+            *((type(v), struct.pack("<d", v))
+              for v in (*p.subj_box.xyxy, *p.obj_box.xyxy, p.subj_score, p.obj_score)),
+            (type(p.probs), p.probs.dtype, p.probs.tobytes(), p.probs.flags.writeable,
+             p.probs.base is pairs[0].probs.base),
+        )
+        for p in pairs
+    ]
+
+
+def jsonl_outcome(path, object_space, num_predicates):
+    """``outcome`` with no companion beside ``path`` (the companion, if any, is put back)."""
+    companion = companion_path(path)
+    kept = companion.read_bytes() if companion.exists() else None
+    companion.unlink(missing_ok=True)
+    try:
+        return outcome(path, object_space, num_predicates)
+    finally:
+        if kept is not None:
+            companion.write_bytes(kept)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, 1.0, 0.1])  # all valid scores
+coordinate = st.one_of(finite, edge_floats, st.integers(-(2**53), 2**53))
+label_score = st.one_of(st.floats(0.0, 1e308), edge_floats, st.integers(0, 2**53))
+prob = st.one_of(st.floats(0.0, 1e250), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0]), st.integers(0, 7))
+image_id = st.one_of(st.text(st.characters(exclude_categories=()), max_size=6),
+                     st.sampled_from(['"', "\\", "\n", " ", "\x85", "é", "\ud800", "{}"]))
+
+
+@st.composite
+def prediction_lists(draw, c_obj=4, c_pred=3, values=(coordinate, label_score, prob)):
+    coordinate, label_score, prob = values
+    size = draw(st.integers(0, 6))
+    return [
+        PairPrediction(
+            image_id=draw(image_id),
+            subj_id=draw(st.integers(-(2**63), 2**63 - 1)),
+            obj_id=draw(st.integers(-(2**63), 2**63 - 1)),
+            subj_label=draw(st.integers(0, c_obj - 1)),
+            obj_label=draw(st.integers(0, c_obj - 1)),
+            subj_box=BoundingBox(*draw(st.lists(coordinate, min_size=4, max_size=4))),
+            obj_box=BoundingBox(*draw(st.lists(coordinate, min_size=4, max_size=4))),
+            probs=np.array(draw(st.lists(prob, min_size=c_pred, max_size=c_pred)), dtype=np.float64),
+            subj_score=draw(label_score),
+            obj_score=draw(label_score),
+        )
+        for _ in range(size)
+    ]
+
+
+def saved(pairs, object_space, directory):
+    path = Path(directory) / "preds.jsonl"
+    save_predictions(pairs, object_space, path)
+    return path
+
+
+class TestCompanion:
+    """The binary companion changes nothing that ``load_predictions`` returns or refuses."""
+
+    @given(prediction_lists())
+    def test_round_trip_agrees_bit_for_bit_and_in_type(self, pairs):
+        object_space, _ = make_spaces()
+        with tempfile.TemporaryDirectory() as directory:
+            path = saved(pairs, object_space, directory)
+            assert companion_path(path).exists() == bool(pairs)
+            from_companion = outcome(path, object_space, 3)
+            assert from_companion == jsonl_outcome(path, object_space, 3)
+            if pairs:
+                assert metrics._load_companion(path, object_space, 3) is not None  # the arrays were read
+        expected = [
+            (
+                (str, p.image_id),
+                *((int, v) for v in (p.subj_id, p.obj_id, p.subj_label, p.obj_label)),
+                *((float, struct.pack("<d", v))
+                  for v in (*p.subj_box.xyxy, *p.obj_box.xyxy, p.subj_score, p.obj_score)),
+                (np.ndarray, np.dtype(np.float64), p.probs.tobytes(), True, True),
+            )
+            for p in pairs
+        ]
+        assert from_companion == expected
+
+    @given(prediction_lists(values=(st.floats(), st.one_of(st.floats(), st.integers()), st.floats())))
+    def test_any_values_give_the_jsonl_result(self, pairs):
+        object_space, _ = make_spaces()
+        with tempfile.TemporaryDirectory() as directory:
+            try:
+                path = saved(pairs, object_space, directory)
+            except OverflowError:  # an integer too large for a float cannot be written
+                return
+            assert outcome(path, object_space, 3) == jsonl_outcome(path, object_space, 3)
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        object_space, _ = make_spaces(c_obj=4)
+        pairs = awkward_pairs(np.random.default_rng(5), 3)
+        pairs[0].image_id = "im é"
+        path = saved(pairs, object_space, tmp_path)
+        return path, object_space, jsonl_outcome(path, object_space, 3)
+
+    def test_every_flipped_header_byte_and_sampled_payload_bytes(self, written):
+        path, object_space, expected = written
+        companion = companion_path(path)
+        data = companion.read_bytes()
+        header_end = data.index(b"\n") + 1
+        rng = random.Random(3)
+        positions = [*range(header_end), *rng.sample(range(header_end, len(data)), 64)]
+        for position in positions:
+            flipped = bytearray(data)
+            flipped[position] ^= rng.randrange(1, 256)
+            companion.write_bytes(flipped)
+            assert outcome(path, object_space, 3) == expected, position
+
+    @pytest.mark.parametrize("cut", [1, 8, 100, 10**9])
+    def test_truncated_payload(self, written, cut):
+        path, object_space, expected = written
+        companion = companion_path(path)
+        data = companion.read_bytes()
+        companion.write_bytes(data[: max(data.index(b"\n") + 1, len(data) - cut)])
+        assert outcome(path, object_space, 3) == expected
+
+    @pytest.mark.parametrize("header", [b"[" * 100_000, b"{}", b'{"format": "sgrel-predictions"}', b"\xff"],
+                             ids=["nested-too-deep", "empty", "format-only", "not-utf8"])
+    def test_foreign_header(self, written, header):
+        path, object_space, expected = written
+        companion = companion_path(path)
+        companion.write_bytes(header + b"\n" + companion.read_bytes().split(b"\n", 1)[1])
+        assert outcome(path, object_space, 3) == expected
+
+    def test_jsonl_edited_after_it_was_written(self, written):
+        path, object_space, expected = written
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["probs"] = [0.0, 0.0, 1.0]
+        record["image_id"] = "edited"
+        path.write_text("".join(lines[:2] + [json.dumps(record) + "\n"] + lines[3:]))
+        edited = outcome(path, object_space, 3)
+        assert edited == jsonl_outcome(path, object_space, 3) != expected
+        assert edited[2][0] == (str, "edited")
+
+    @pytest.mark.parametrize("names", [("thing1", "thing0", "thing2", "thing3"),
+                                       ("thing0", "thing1", "thing2", "thing3", "x")])
+    def test_another_label_space(self, written, names):
+        path, _, _ = written
+        other = LabelSpace("object", names)
+        assert outcome(path, other, 3) == jsonl_outcome(path, other, 3)
+
+    @pytest.mark.parametrize("num_predicates", [2, 4])
+    def test_another_predicate_count(self, written, num_predicates):
+        path, object_space, _ = written
+        refused = outcome(path, object_space, num_predicates)
+        assert refused == jsonl_outcome(path, object_space, num_predicates)
+        assert refused[0] is ParseError and f"expected {num_predicates} predicate scores" in refused[1]
+
+    @pytest.mark.parametrize("change", [
+        lambda p: setattr(p, "probs", np.array([1e308, 1e308, 0.0])),  # each finite, the sum is not
+        lambda p: setattr(p, "probs", np.array([0.5, np.nan, 0.5])),
+        lambda p: setattr(p, "probs", np.array([0.5, -1e-300, 0.5])),
+        lambda p: setattr(p, "subj_score", -0.5),
+        lambda p: setattr(p, "obj_score", math.inf),
+        lambda p: setattr(p, "obj_box", BoundingBox(0.0, 0.0, math.inf, 1.0)),
+    ])
+    def test_values_the_jsonl_refuses_are_refused_alike(self, tmp_path, change):
+        object_space, _ = make_spaces(c_obj=4)
+        pairs = awkward_pairs(np.random.default_rng(5), 3)
+        change(pairs[4])
+        path = saved(pairs, object_space, tmp_path)
+        assert companion_path(path).exists()
+        refused = outcome(path, object_space, 3)
+        assert refused == jsonl_outcome(path, object_space, 3)
+        assert refused[0] is ParseError and refused[1].startswith(f"{path}:5: bad ")
+
+    def test_missing_companion(self, written):
+        path, object_space, expected = written
+        companion_path(path).unlink()
+        assert outcome(path, object_space, 3) == expected
+
+    @pytest.mark.parametrize("change", [
+        lambda p: setattr(p, "subj_id", True),
+        lambda p: setattr(p, "obj_score", True),
+        lambda p: setattr(p, "subj_label", np.int64(1)),
+        lambda p: setattr(p, "obj_id", 2**63),
+        lambda p: setattr(p, "subj_label", -1),
+        lambda p: setattr(p, "image_id", 7),
+        lambda p: setattr(p, "probs", np.ones(4)),
+    ])
+    def test_values_the_jsonl_reads_otherwise_leave_no_companion(self, written, change):
+        path, object_space, _ = written
+        pairs = awkward_pairs(np.random.default_rng(5), 3)
+        change(pairs[1])
+        assert companion_path(path).exists()
+        save_predictions(pairs, object_space, path)  # the earlier companion is stale now
+        assert not companion_path(path).exists()
+
+    def test_numpy_integer_id_removes_the_stale_companion(self, written):
+        path, object_space, _ = written
+        pairs = awkward_pairs(np.random.default_rng(5), 3)
+        pairs[1].subj_id = np.int64(1)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_predictions(pairs, object_space, path)
+        assert not companion_path(path).exists()
+
+    def test_no_pairs_leave_no_companion(self, written):
+        path, object_space, _ = written
+        save_predictions([], object_space, path)
+        assert not companion_path(path).exists()
+        assert load_predictions(path, object_space, 3) == []
 
 
 # The per-pair ranking, writer and refinement report that the stacked versions
