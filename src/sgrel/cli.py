@@ -18,6 +18,7 @@ import shutil
 import sys
 import typing
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -144,10 +145,10 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
     values: dict = {}
     if path is not None:
         try:
-            text = ingest.read_text(path)
+            lines = ingest.read_lines(path)
         except (OSError, ParseError) as err:
             raise UsageError(f"cannot read config: {err}") from None
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -394,18 +395,13 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
         for pairs in (predictions, refined)
     )
     flipped = int(np.count_nonzero(pre_top != post_top))
-    names = predicate_space.names
+    # The JSON lines json.dumps(..., separators=(",", ":")) writes, each id and name escaped once.
+    image_text = {image_id: f'{{"image_id":{encode_basestring_ascii(image_id)},"subj_id":'
+                  for image_id in {pair.image_id for pair in predictions}}
+    top_text = list(map(encode_basestring_ascii, predicate_space.names))
     lines = (
-        json.dumps(
-            {
-                "image_id": pair.image_id,
-                "subj_id": pair.subj_id,
-                "obj_id": pair.obj_id,
-                "pre_top": names[before],
-                "post_top": names[after],
-            },
-            separators=(",", ":"),
-        ) + "\n"
+        f'{image_text[pair.image_id]}{pair.subj_id},"obj_id":{pair.obj_id},'
+        f'"pre_top":{top_text[before]},"post_top":{top_text[after]}}}\n'
         for pair, before, after in zip(predictions, pre_top.tolist(), post_top.tolist())
     )
     with open(report_path, "w", encoding="utf-8") as handle:

@@ -54,17 +54,26 @@ def read_json(path: str | Path) -> object:
         raise ParseError(path, err.lineno, f"invalid JSON: {err.msg}") from None
 
 
-def read_jsonl(path: str | Path) -> tuple[int, Iterator[dict]]:
-    """The line count of ``path`` and its lines, decoded one at a time as JSON objects.
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of ``path``'s text (``read_text``), each without its ``\\n`` or ``\\r\\n``.
 
-    Lines end at ``\\n`` only (a ``\\r`` before it is JSON whitespace): JSON strings
-    may hold U+2028 and the other characters ``str.splitlines`` also breaks at.
-    An empty line, invalid JSON or a value that is not an object raises
-    ``ParseError`` naming the line.
+    Lines end at ``\\n`` only: labels, tokens and JSON strings may hold U+0085,
+    U+2028 and the other characters ``str.splitlines`` also breaks at. A
+    final line without a newline counts; the empty text after one does not.
     """
     lines = read_text(path).split("\n")
     if not lines[-1]:  # the text after the last newline, or an empty file
         lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
+def read_jsonl(path: str | Path) -> tuple[int, Iterator[dict]]:
+    """The line count of ``path`` and its lines (``read_lines``), decoded one at a time as JSON objects.
+
+    An empty line, invalid JSON or a value that is not an object raises
+    ``ParseError`` naming the line.
+    """
+    lines = read_lines(path)
 
     def records() -> Iterator[dict]:
         for lineno, raw in enumerate(lines, start=1):
@@ -265,7 +274,7 @@ def load_labels(path: str | Path, kind: str) -> LabelSpace:
     """Read a one-label-per-line file; the index of a label is its line number."""
     names: list[str] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         name = raw.strip()
         if not name:
             raise ParseError(path, lineno, "empty label line")
@@ -385,7 +394,7 @@ def load_embeddings(path: str | Path, space: LabelSpace) -> EmbeddingTable:
     """Read a token-per-line vector file and pool one vector per label of ``space``."""
     token_vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         parts = raw.split(" ")
         if len(parts) < 2:
             raise ParseError(path, lineno, "expected 'token v1 v2 ... vD'")

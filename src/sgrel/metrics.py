@@ -26,7 +26,9 @@ import json
 import logging
 import math
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -334,6 +336,7 @@ def per_predicate_csv(
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+_LINES_PER_WRITE = 512
 
 COMPANION_FORMAT = "sgrel-predictions"
 COMPANION_VERSION = 1
@@ -367,14 +370,19 @@ def _sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _columns(predictions: list[PairPrediction], object_space: LabelSpace) -> tuple[list[str], dict] | None:
-    """The image id table and the companion's arrays; None when the JSON lines would read a value otherwise.
+def _columns(
+    predictions: list[PairPrediction], object_space: LabelSpace
+) -> tuple[list[str], dict, bool] | None:
+    """The image id table, the companion's arrays and whether they give back the JSON text exactly.
 
-    That is: no pairs, an image id that is not a ``str``, an id or label that
-    is not a plain ``int`` (a boolean or a NumPy integer), a coordinate or
-    label score that is neither a plain ``int`` nor a ``float``, an id outside
-    int64, a number too large for a float, a label outside ``object_space``
-    or probs that do not stack into at least one column.
+    None when the JSON lines would read a value otherwise: no pairs, an image
+    id that is not a ``str``, an id or label that is not a plain ``int`` (a
+    boolean or a NumPy integer), a coordinate or label score that is neither a
+    plain ``int`` nor a ``float``, an id outside int64, a number too large for
+    a float, a label outside ``object_space`` or probs that do not stack into
+    at least one column. The text is not exact when a coordinate or label
+    score is an ``int`` (JSON writes ``1``, the column ``1.0``), a float is
+    not finite (JSON writes ``NaN``) or a label name is not a ``str``.
     """
     if not predictions or set(map(type, (p.image_id for p in predictions))) != {str}:
         return None
@@ -398,25 +406,25 @@ def _columns(predictions: list[PairPrediction], object_space: LabelSpace) -> tup
         return None
     columns = dict(zip(_COLUMNS, int_columns))
     columns.update(boxes=float_columns[:, :8].copy(), label_scores=float_columns[:, 8:].copy(), probs=probs)
-    return list(image_ids), columns
+    exact = (int not in float_types and np.isfinite(float_columns).all() and np.isfinite(probs).all()
+             and all(isinstance(name, str) for name in object_space.names))
+    return list(image_ids), columns, bool(exact)
 
 
-def save_predictions(
-    predictions: list[PairPrediction],
-    object_space: LabelSpace,
-    path: str | Path,
-) -> None:
-    """Serialize pair predictions as JSON lines (labels stored as names, ``probs`` last), plus their companion.
+def _distinct_boxes(boxes: np.ndarray) -> tuple[list[list[float]], np.ndarray]:
+    """The distinct 32-byte rows of ``boxes`` (``(P, 8)`` float64: subject, object) and each corner's row.
 
-    The binary companion (``companion_path``; read by ``load_predictions``) is
-    written only when every value reads back from the JSON lines as it is
-    stored (see ``_columns``); otherwise an earlier companion is removed.
+    Rows are told apart by their bytes, so -0.0 and 0.0 stay apart. The index
+    array runs subject, object, subject, ... in pair order.
     """
-    companion = companion_path(path)
-    companion.unlink(missing_ok=True)
-    names = object_space.names
-    lines = (
-        _ENCODER.encode({
+    distinct, which = np.unique(boxes.reshape(-1, 4).view("V32").ravel(), return_inverse=True)
+    return distinct.view(boxes.dtype).reshape(-1, 4).tolist(), which
+
+
+def _pair_lines(predictions: list[PairPrediction], names: tuple[str, ...]) -> Iterator[str]:
+    """The JSON line of each pair, one encoder call per pair: text for values the columns do not hold exactly."""
+    for pair in predictions:
+        yield _ENCODER.encode({
             "image_id": pair.image_id,
             "subj_id": pair.subj_id,
             "obj_id": pair.obj_id,
@@ -428,18 +436,61 @@ def save_predictions(
             "obj_score": pair.obj_score,
             "probs": np.asarray(pair.probs, dtype=np.float64).tolist(),
         }) + "\n"
-        for pair in predictions
-    )
+
+
+def _column_lines(image_ids: list[str], columns: dict, names: tuple[str, ...]) -> Iterator[str]:
+    """The same JSON lines from the columns: each image id, label name and distinct box formatted once.
+
+    Strings go through the encoder's own escaping and floats through
+    ``float.__repr__``, as ``json`` writes them.
+    """
+    image_text = [f'{{"image_id":{encode_basestring_ascii(image_id)},"subj_id":' for image_id in image_ids]
+    label_text = list(map(encode_basestring_ascii, names))
+    rows, which = _distinct_boxes(columns["boxes"])
+    box_text = ["[" + ",".join(map(float.__repr__, row)) + "]" for row in rows]
+    corners = which.reshape(-1, 2)
+    ints = [columns[name] for name in ("image", "subj_id", "obj_id", "subj_label", "obj_label")]
+    for start in range(0, len(corners), _LINES_PER_WRITE):
+        chunk = slice(start, start + _LINES_PER_WRITE)
+        yield from (
+            f'{image_text[i]}{s},"obj_id":{o},"subj_label":{label_text[s_label]},'
+            f'"obj_label":{label_text[o_label]},"subj_box":{box_text[s_box]},"obj_box":{box_text[o_box]},'
+            f'"subj_score":{s_score!r},"obj_score":{o_score!r},"probs":[{",".join(map(float.__repr__, row))}]}}\n'
+            for i, s, o, s_label, o_label, (s_box, o_box), (s_score, o_score), row in zip(
+                *(column[chunk].tolist() for column in ints), corners[chunk].tolist(),
+                columns["label_scores"][chunk].tolist(), columns["probs"][chunk].tolist(),
+            )
+        )
+
+
+def save_predictions(
+    predictions: list[PairPrediction],
+    object_space: LabelSpace,
+    path: str | Path,
+) -> None:
+    """Serialize pair predictions as JSON lines (labels stored as names, ``probs`` last), plus their companion.
+
+    The lines are formatted from the companion's columns, with the bytes
+    ``json`` would write; values the columns do not hold exactly (see
+    ``_columns``) are encoded pair by pair instead. The binary companion
+    (``companion_path``; read by ``load_predictions``) is written only when
+    every value reads back from the JSON lines as it is stored; otherwise an
+    earlier companion is removed.
+    """
+    companion = companion_path(path)
+    companion.unlink(missing_ok=True)
+    names = object_space.names
+    table = _columns(predictions, object_space)
+    lines = _column_lines(*table[:2], names) if table is not None and table[2] else _pair_lines(predictions, names)
     jsonl_digest = hashlib.sha256()
     with open(path, "wb") as handle:
-        while text := "".join(itertools.islice(lines, 512)):  # hashed as written, never held whole
+        while text := "".join(itertools.islice(lines, _LINES_PER_WRITE)):  # hashed as written, never held whole
             data = text.encode("utf-8")
             jsonl_digest.update(data)
             handle.write(data)
-    table = _columns(predictions, object_space)
     if table is None or companion == Path(path):
         return
-    image_ids, columns = table
+    image_ids, columns, _ = table
     count, num_predicates = columns["probs"].shape
     payload_digest = hashlib.sha256()
     for array in columns.values():
@@ -487,9 +538,9 @@ def _load_companion(
         and (probs >= 0.0).all() and probs.max() < 1e300 / num_predicates
     ):
         return None
-    # An object's box recurs in every pair it is part of: one BoundingBox per distinct 32-byte row.
-    distinct, which = np.unique(boxes.reshape(-1, 4).view("V32").ravel(), return_inverse=True)
-    made = list(itertools.starmap(BoundingBox, distinct.view(boxes.dtype).reshape(-1, 4).tolist()))
+    # An object's box recurs in every pair it is part of: one BoundingBox per distinct row.
+    rows, which = _distinct_boxes(boxes)
+    made = list(itertools.starmap(BoundingBox, rows))
     corners = [made[k] for k in which.tolist()]  # subject, object, subject, ... in pair order
     return [
         PairPrediction(image_ids[i], s, o, s_label, o_label, s_box, o_box, row, s_score, o_score)

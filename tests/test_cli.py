@@ -54,6 +54,15 @@ class TestConfig:
         path.write_text("# comment\n\nmu=2.0\n")
         assert load_config(path, {}).mu == 2.0
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_newlines_only(self, tmp_path, separator):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"# comment{separator}mu=oops\r\nmu=2.0\r\n", encoding="utf-8")
+        assert load_config(path, {}).mu == 2.0
+        path.write_text(f"# comment{separator}mu=oops\nmu=2.0\nmu=soon\n", encoding="utf-8")
+        with pytest.raises(UsageError, match=r"c.cfg:3: bad value for mu"):
+            load_config(path, {})
+
     def test_invalid_key_fails_fast(self, tmp_path):
         path = write_config(tmp_path, nonsense=1)
         with pytest.raises(UsageError, match="invalid config key"):

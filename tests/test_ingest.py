@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,21 @@ class TestLoadLabels:
     def test_multi_word_labels_allowed(self, tmp_path):
         space = load_labels(write(tmp_path, "p.txt", "sitting on\non\n"), PREDICATE)
         assert space.index_of("sitting on") == 0
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_label_holding_a_line_separator_is_one_label(self, tmp_path, separator):
+        space = load_labels(write(tmp_path, "p.txt", f"sitting{separator}on\nunder\n"), PREDICATE)
+        assert space.names == (f"sitting{separator}on", "under")
+        with pytest.raises(ParseError, match=r"p.txt:3: duplicate label 'under'"):
+            load_labels(write(tmp_path, "p.txt", f"sitting{separator}on\nunder\nunder\n"), PREDICATE)
+
+    def test_crlf_lines(self, tmp_path):
+        for text in ("on\r\nunder\r\n", "on\r\nunder"):
+            assert load_labels(write(tmp_path, "p.txt", text), PREDICATE).names == ("on", "under")
+        with pytest.raises(ParseError, match=r"p.txt:2: empty label line"):
+            load_labels(write(tmp_path, "p.txt", "on\r\n\r\nunder\r\n"), PREDICATE)
+        with pytest.raises(ParseError, match=r"p.txt:3: duplicate label 'on'"):
+            load_labels(write(tmp_path, "p.txt", "on\r\nunder\r\non\r\n"), PREDICATE)
 
 
 class TestReaders:
@@ -258,6 +274,25 @@ class TestLoadEmbeddings:
         va = load_embeddings(write(tmp_path, "e1.txt", tokens), one).vectors[0]
         vb = load_embeddings(write(tmp_path, "e2.txt", tokens), other).vectors[0]
         np.testing.assert_allclose(va, vb)
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_token_holding_a_line_separator_is_one_token(self, tmp_path, separator):
+        space = LabelSpace(kind=PREDICATE, names=("on",))
+        lines = f"a{separator}b 1.0 0.0\non 0.0 1.0\n"
+        np.testing.assert_array_equal(load_embeddings(write(tmp_path, "e.txt", lines), space).vectors, [[0.0, 1.0]])
+        with pytest.raises(ParseError, match=r"e.txt:3: inconsistent dimension"):
+            load_embeddings(write(tmp_path, "e.txt", lines + "under 1.0\n"), space)
+        with pytest.raises(ParseError, match=r"e.txt:2: duplicate token " + re.escape(repr(f"a{separator}b"))):
+            load_embeddings(write(tmp_path, "e.txt", lines.replace("on", f"a{separator}b")), space)
+
+    def test_crlf_lines(self, tmp_path):
+        space = LabelSpace(kind=PREDICATE, names=("on", "under"))
+        for text in ("on 1.0 0.0\r\nunder 0.0 1.0\r\n", "on 1.0 0.0\r\nunder 0.0 1.0"):
+            np.testing.assert_array_equal(load_embeddings(write(tmp_path, "e.txt", text), space).vectors, np.eye(2))
+        with pytest.raises(ParseError, match=r"e.txt:2: inconsistent dimension"):
+            load_embeddings(write(tmp_path, "e.txt", "on 1.0 0.0\r\nunder 1.0\r\n"), space)
+        with pytest.raises(ParseError, match=r"e.txt:2: expected 'token v1 v2 ... vD'"):
+            load_embeddings(write(tmp_path, "e.txt", "on 1.0 0.0\r\n\r\nunder 0.0 1.0\r\n"), space)
 
     def test_inconsistent_dimension(self, tmp_path):
         space = LabelSpace(kind=PREDICATE, names=("on",))

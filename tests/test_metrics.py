@@ -956,8 +956,78 @@ def per_pair_refinement_report(predictions, refined, predicate_space, path):
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+escaped = st.one_of(  # strings the JSON encoder escapes: quotes, backslashes, control characters, non-ASCII
+    st.text(st.characters(exclude_categories=()), min_size=1, max_size=6),
+    st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f\x7f", "\t\n\r", "é", "雪", "\ud800", "\udfff", "\U0001f600",
+                     "\u2028"]),
+)
+written_float = st.one_of(finite, st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, 0.1, -2.5]))
+# Values the columns do not hold as JSON writes them; the per-pair encoder writes these lines.
+FALLBACK_TRIGGERS = {
+    "int coordinate": lambda p: setattr(p, "obj_box", BoundingBox(7, *p.obj_box.xyxy[1:])),
+    "int label score": lambda p: setattr(p, "obj_score", 1),
+    "boolean id": lambda p: setattr(p, "subj_id", True),
+    "boolean score": lambda p: setattr(p, "subj_score", False),
+    "nan prob": lambda p: p.probs.__setitem__(0, math.nan),
+    "inf prob": lambda p: p.probs.__setitem__(-1, math.inf),
+    "-inf prob": lambda p: p.probs.__setitem__(-1, -math.inf),
+    "numpy id": lambda p: setattr(p, "obj_id", np.int64(p.obj_id)),
+}
+NO_COMPANION = {"boolean id", "boolean score", "numpy id"}  # the JSON lines would read these otherwise
+
+
+@st.composite
+def written_cases(draw):
+    """An object space with names to escape, pairs sharing boxes (0.0 and -0.0 among them), and a trigger."""
+    object_space = LabelSpace("object", tuple(draw(st.lists(escaped, min_size=1, max_size=4, unique=True))))
+    c_pred = draw(st.integers(1, 4))
+    box = st.builds(BoundingBox, written_float, written_float, written_float, written_float)
+    boxes = [*draw(st.lists(box, min_size=1, max_size=3)), BoundingBox(0.0, 0.0, 1.0, 1.0),
+             BoundingBox(-0.0, 0.0, 1.0, 1.0)]
+    label = st.integers(0, object_space.size - 1)
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            probs = np.array(draw(st.lists(written_float, min_size=c_pred, max_size=c_pred)))
+        else:
+            width32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+            probs = np.array(draw(st.lists(width32, min_size=c_pred, max_size=c_pred)), dtype=np.float32)
+        pairs.append(PairPrediction(
+            draw(st.one_of(st.just(""), escaped)), draw(st.integers(-(2**63), 2**63 - 1)),
+            draw(st.integers(-(2**63), 2**63 - 1)), draw(label), draw(label), draw(st.sampled_from(boxes)),
+            draw(st.sampled_from(boxes)), probs, draw(written_float), draw(written_float),
+        ))
+    trigger = draw(st.sampled_from([None, *FALLBACK_TRIGGERS])) if pairs else None
+    if trigger:
+        FALLBACK_TRIGGERS[trigger](draw(st.sampled_from(pairs)))
+    return object_space, pairs, trigger
+
+
 class TestStackedRanking:
     """Stacked ranking and writing against the per-pair code they replaced, exactly."""
+
+    @given(written_cases())
+    def test_save_predictions_writes_what_the_per_pair_encoder_writes(self, case):
+        object_space, pairs, trigger = case
+        if trigger is None and pairs:  # the columns give the text
+            assert metrics._columns(pairs, object_space)[2]
+        with tempfile.TemporaryDirectory() as directory:
+            results = []
+            for save, path in ((save_predictions, Path(directory) / "new.jsonl"),
+                               (per_pair_save_predictions, Path(directory) / "old.jsonl")):
+                try:
+                    save(pairs, object_space, path)
+                    results.append(path.read_bytes())
+                except TypeError as err:
+                    results.append((type(err), str(err)))
+            assert results[0] == results[1]
+            if trigger == "numpy id":
+                assert results[0] == (TypeError, "Object of type int64 is not JSON serializable")
+            new = Path(directory) / "new.jsonl"
+            assert companion_path(new).exists() == (bool(pairs) and trigger not in NO_COMPANION)
+            if companion_path(new).exists():
+                c_pred = pairs[0].probs.size
+                assert outcome(new, object_space, c_pred) == jsonl_outcome(new, object_space, c_pred)
 
     def test_build_ranked_equals_per_pair_ranking_for_every_width(self):
         rng = np.random.default_rng(13)
@@ -989,12 +1059,15 @@ class TestStackedRanking:
     @pytest.mark.parametrize("c_pred", [1, 2, 7, 8, 9, 20, 127, 128, 129, 130])
     def test_refine_stage_writes_the_same_files(self, tmp_path, c_pred):
         rng = np.random.default_rng(c_pred)
-        object_space, predicate_space = make_spaces(c_obj=4, c_pred=c_pred)
-        (tmp_path / "objects.txt").write_text("".join(n + "\n" for n in object_space.names))
-        (tmp_path / "predicates.txt").write_text("".join(n + "\n" for n in predicate_space.names))
+        object_space = LabelSpace("object", ('thing"0', "thing\\1", "thïng2", "雪"))
+        predicate_space = LabelSpace("predicate", tuple(f'rel"{i}\\é' for i in range(c_pred)))
+        (tmp_path / "objects.txt").write_text("".join(n + "\n" for n in object_space.names), encoding="utf-8")
+        (tmp_path / "predicates.txt").write_text("".join(n + "\n" for n in predicate_space.names), encoding="utf-8")
         save_embeddings(EmbeddingTable(object_space, rng.normal(size=(4, 3))), tmp_path / "obj.txt")
         save_embeddings(EmbeddingTable(predicate_space, rng.normal(size=(c_pred, 3))), tmp_path / "pred.txt")
         pairs = awkward_pairs(rng, c_pred)
+        for p in pairs:  # image ids the JSON encoder escapes
+            p.image_id = {"im0": 'im "0"', "im1": "im\\1\t\x00", "im2": "ïm2\ud800\u2028"}[p.image_id]
         per_pair_save_predictions(pairs, object_space, tmp_path / "predictions.jsonl")
         (tmp_path / "run.cfg").write_text("use_refinement=true\nalpha=0.6\n")
         out = tmp_path / "out"
