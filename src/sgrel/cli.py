@@ -14,7 +14,6 @@ import dataclasses
 import json
 import logging
 import math
-import shutil
 import sys
 import typing
 from dataclasses import dataclass
@@ -275,7 +274,7 @@ def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     target = out / "train_resampled.jsonl"
     if not config.use_resampling:
-        shutil.copyfile(args.train, target)
+        ingest.copy_with_companion(args.train, target)
         _write_json({"applied": False, "config": dataclasses.asdict(config)}, out / "sampling_plan.json")
         logger.info("resample: disabled, copied input unchanged")
         return 0
@@ -370,12 +369,7 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     target = out / "predictions_refined.jsonl"
     report_path = out / "refinement_report.jsonl"
     if not config.use_refinement:
-        shutil.copyfile(args.predictions, target)
-        source, companion = metrics.companion_path(args.predictions), metrics.companion_path(target)
-        if source.is_file():
-            shutil.copyfile(source, companion)
-        else:
-            companion.unlink(missing_ok=True)
+        ingest.copy_with_companion(args.predictions, target)
         report_path.write_text("", encoding="utf-8")
         logger.info("refine: disabled, copied predictions unchanged")
         return 0

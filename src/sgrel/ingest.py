@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import logging
 import math
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -89,9 +92,9 @@ def read_jsonl(path: str | Path) -> tuple[int, Iterator[dict]]:
     return len(lines), records()
 
 
-# Framed binary files (the model checkpoint, the prediction companion): one
-# JSON header line with sorted keys, whose "arrays" maps each array's name to
-# its shape, then each array's raw bytes, in the order the format defines.
+# Framed binary files (the model checkpoint, the companions): one JSON header
+# line with sorted keys, whose "arrays" maps each array's name to its shape,
+# then each array's raw bytes, in the order the format defines.
 def save_framed(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``header`` plus the shapes of ``arrays`` (already in their file dtypes), then their bytes."""
     header = {**header, "arrays": {name: list(array.shape) for name, array in arrays.items()}}
@@ -136,6 +139,88 @@ def framed_arrays(
         arrays[name] = values.astype(values.dtype.newbyteorder("=")).reshape(shapes[name])
         offset += values.nbytes
     return arrays
+
+
+# A companion is a framed copy of the values of a JSON-lines file that this
+# program writes (annotations, predictions), read instead of the text while
+# three digests still match: of the text, of the arrays and of the header's
+# other keys (a flipped byte inside a header string leaves valid JSON).
+LINES_PER_WRITE = 512
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def companion_path(path: str | Path) -> Path:
+    """The binary companion of the JSON-lines file ``path``: the same name with the suffix ``.cols``."""
+    return Path(path).with_suffix(".cols")
+
+
+def _header_sha256(header: dict) -> str:
+    return hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _sha256_file(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def save_with_companion(
+    path: str | Path, lines: Iterator[str], companion: tuple[dict, dict[str, np.ndarray]] | None
+) -> None:
+    """Write ``lines`` to ``path`` (hashed as written, never held whole), then ``companion``'s header, with the
+    arrays' shapes and the three digests, and arrays. An earlier companion goes first: a failed write leaves none."""
+    target = companion_path(path)
+    target.unlink(missing_ok=True)
+    text_digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        while text := "".join(itertools.islice(lines, LINES_PER_WRITE)):
+            data = text.encode("utf-8")
+            text_digest.update(data)
+            handle.write(data)
+    if companion is None or target == Path(path):
+        return
+    header, arrays = companion
+    payload_digest = hashlib.sha256()
+    for array in arrays.values():
+        payload_digest.update(np.ascontiguousarray(array))
+    header = {**header, "arrays": {name: list(array.shape) for name, array in arrays.items()},
+              "jsonl_sha256": text_digest.hexdigest(), "payload_sha256": payload_digest.hexdigest()}
+    save_framed(target, {**header, "header_sha256": _header_sha256(header)}, arrays)
+
+
+def load_companion(
+    path: str | Path, expected: dict, dtypes: dict[str, str]
+) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """The header, whose ``image_ids`` are distinct strings, and the arrays (``dtypes``' names, in order) of
+    ``path``'s companion; the caller checks the values. None, for the caller to parse ``path``, when it is
+    missing, holds a header value other than ``expected``'s or a digest that does not match (of its header, of
+    its payload, of ``path``'s bytes), or its image ids or shapes do not fit."""
+    companion = companion_path(path)
+    try:
+        header, payload = load_framed(companion)
+        if not (
+            isinstance(header, dict) and header.pop("header_sha256", None) == _header_sha256(header)
+            and all(header.get(key) == value for key, value in expected.items())
+            and header.get("payload_sha256") == hashlib.sha256(payload).hexdigest()
+            and header.get("jsonl_sha256") == _sha256_file(path)
+            and type(ids := header.get("image_ids")) is list and set(map(type, ids)) <= {str}
+            and len(set(ids)) == len(ids)
+        ):
+            return None
+        return header, framed_arrays(companion, header, payload, dtypes, "companion", "column")
+    except (OSError, ValueError, RecursionError):  # RecursionError: a header nested too deep for json
+        return None
+
+
+def copy_with_companion(source: str | Path, target: str | Path) -> None:
+    """Copy ``source`` to ``target``, and ``source``'s companion with it; a stale one at ``target`` goes."""
+    shutil.copyfile(source, target)
+    if companion_path(source).is_file():
+        shutil.copyfile(companion_path(source), companion_path(target))
+    else:
+        companion_path(target).unlink(missing_ok=True)
 
 
 # The field vocabulary: what a valid value of each kind is in every file the
@@ -285,6 +370,63 @@ def load_labels(path: str | Path, kind: str) -> LabelSpace:
     return LabelSpace(kind=kind, names=tuple(names))
 
 
+# The annotation companion's arrays, in file order, with their file dtypes:
+# per image, then per object (boxes xyxy), then per triple (subj, pred, obj).
+_ANNOTATION_COLUMNS = {
+    "sizes": "<f8", "object_counts": "<i8", "triple_counts": "<i8", "object_ids": "<i8", "labels": "<i8",
+    "boxes": "<f8", "features": "<f8", "triples": "<i8",
+}
+
+
+def _annotation_header(object_space: LabelSpace, predicate_space: LabelSpace, d_roi: int) -> dict:
+    return {"format": "sgrel-annotations", "version": 1, "object_labels": list(object_space.names),
+            "predicate_labels": list(predicate_space.names), "d_roi": d_roi}
+
+
+def _companion_dataset(
+    path: str | Path, object_space: LabelSpace, predicate_space: LabelSpace, d_roi: int, split: str
+) -> Dataset | None:
+    """The dataset in ``path``'s companion; None when it is missing or in doubt, or holds a value that the
+    parser would refuse, clamp or drop (its checks and ``validate_annotation``'s, vectorised)."""
+    loaded = load_companion(path, _annotation_header(object_space, predicate_space, d_roi), _ANNOTATION_COLUMNS)
+    if loaded is None:
+        return None
+    image_ids, columns = loaded[0]["image_ids"], loaded[1]
+    sizes, object_counts, triple_counts, object_ids, labels, boxes, features, triples = columns.values()
+    n_images, n_objects, n_triples = len(image_ids), int(object_counts.sum()), int(triple_counts.sum())
+    shapes = [(n_images, 2), (n_images,), (n_images,), (n_objects,), (n_objects,), (n_objects, 4),
+              (n_objects, d_roi), (n_triples, 3)]
+    if [array.shape for array in columns.values()] != shapes or (object_counts < 0).any() or (triple_counts < 0).any():
+        return None
+    image, triple_image = (np.repeat(np.arange(n_images), counts) for counts in (object_counts, triple_counts))
+    (width, height), (x1, y1, x2, y2), (subj, pred, obj) = sizes[image].T, boxes.T, triples.T
+    # Each (image, object id) as one integer: the image times the number of distinct ids, plus the id's rank.
+    ids, rank = np.unique(np.concatenate([object_ids, subj, obj]), return_inverse=True)
+    place = np.concatenate([image, triple_image, triple_image]) * len(ids) + rank
+    object_at, ends_at = np.sort(place[:n_objects]), place[n_objects:]
+    triple_keys = np.stack([ends_at[:n_triples], pred, ends_at[n_triples:]])
+    triple_keys = triple_keys[:, np.lexsort(triple_keys)]  # equal triples end up side by side
+    if not (
+        ((0.0 < sizes) & (sizes < math.inf)).all() and np.isfinite(features).all()
+        and ((0 <= labels) & (labels < object_space.size)).all()
+        and ((0 <= pred) & (pred < predicate_space.size)).all()
+        # inside the frame, so the parser's clamp changes nothing, and not degenerate
+        and ((0.0 <= x1) & (x1 < x2) & (x2 <= width) & (0.0 <= y1) & (y1 < y2) & (y2 <= height)).all()
+        and (object_at[1:] != object_at[:-1]).all()  # no object id twice in an image
+        and np.isin(ends_at, object_at).all() and (subj != obj).all()
+        and (triple_keys[:, 1:] != triple_keys[:, :-1]).any(axis=0).all()  # no triple the parser would drop
+    ):
+        return None
+    made = map(ObjectInstance, object_ids.tolist(), labels.tolist(), itertools.starmap(BoundingBox, boxes.tolist()),
+               features)  # consumed image by image, in file order
+    made_triples = itertools.starmap(Triple, triples.tolist())
+    annotations = tuple(
+        SceneGraphAnnotation(image_id, w, h, tuple(itertools.islice(made, n)), tuple(itertools.islice(made_triples, t)))
+        for image_id, (w, h), n, t in zip(image_ids, sizes.tolist(), object_counts.tolist(), triple_counts.tolist())
+    )
+    return Dataset(split, annotations, object_space, predicate_space, d_roi)
+
+
 def load_annotations(
     path: str | Path,
     object_space: LabelSpace,
@@ -298,8 +440,13 @@ def load_annotations(
     the line, the ``objects[i]``/``relations[i]`` position and the key. Boxes are
     clamped to the image frame; duplicate ground-truth triples are dropped with a
     logged count. An ``image_id`` that an earlier line holds, or any other
-    invariant violation, aborts the load with the line number.
+    invariant violation, aborts the load with the line number. The same dataset
+    comes from ``path``'s companion (``save_annotations``) instead while it
+    still matches and its values need no refusal, clamp or drop.
     """
+    dataset = _companion_dataset(path, object_space, predicate_space, d_roi, split)
+    if dataset is not None:
+        return dataset
     image_fields: Fields = (
         ("image_id", string), ("width", number), ("height", number), ("objects", json_list), ("relations", json_list)
     )
@@ -339,51 +486,81 @@ def load_annotations(
     return Dataset(split, tuple(annotations), object_space, predicate_space, d_roi)
 
 
-def annotation_to_record(annotation: SceneGraphAnnotation, dataset: Dataset) -> dict:
-    return {
-        "image_id": annotation.image_id,
-        "width": annotation.width,
-        "height": annotation.height,
-        "objects": [
-            {
-                "id": obj.object_id,
-                "label": dataset.object_space.names[obj.label],
-                "box": [obj.box.x1, obj.box.y1, obj.box.x2, obj.box.y2],
-                "feature": [float(v) for v in obj.feature],
-            }
-            for obj in annotation.objects
-        ],
-        "relations": [
-            {
-                "subj": t.subj,
-                "pred": dataset.predicate_space.names[t.pred],
-                "obj": t.obj,
-            }
-            for t in annotation.triples
-        ],
-    }
+def _annotation_columns(dataset: Dataset) -> tuple[np.ndarray | None, dict[str, np.ndarray] | None]:
+    """The objects' stacked features (None when they do not stack) and the companion's arrays; no arrays
+    when the text would read a value otherwise: an id that is not a plain ``int`` or lies outside int64, a size or
+    coordinate that is neither an ``int`` nor a ``float`` or overflows one, or a feature not ``d_roi`` long."""
+    annotations = dataset.annotations
+    objects = [obj for a in annotations for obj in a.objects]
+    try:
+        features = np.array([obj.feature for obj in objects], dtype=np.float64)
+    except ValueError:  # features of different lengths
+        return None, None
+    sizes, boxes = [(a.width, a.height) for a in annotations], [obj.box.xyxy for obj in objects]
+    object_ids = [obj.object_id for obj in objects]
+    triples = [(t.subj, t.pred, t.obj) for a in annotations for t in a.triples]
+    if not (
+        set(map(type, object_ids + [end for subj, _, obj in triples for end in (subj, obj)])) <= {int}
+        and all(kind is int or issubclass(kind, float)  # a bool is neither
+                for kind in set(map(type, itertools.chain.from_iterable(sizes + boxes))))
+        and type(dataset.d_roi) is int and (features.shape == (len(objects), dataset.d_roi) or not objects)
+    ):
+        return features, None
+    try:
+        columns = dict(zip(_ANNOTATION_COLUMNS, (
+            np.array(sizes, dtype="<f8").reshape(-1, 2), np.array([len(a.objects) for a in annotations], "<i8"),
+            np.array([len(a.triples) for a in annotations], "<i8"), np.array(object_ids, "<i8"),
+            np.array([obj.label for obj in objects], "<i8"), np.array(boxes, "<f8").reshape(-1, 4),
+            features.astype("<f8", copy=False).reshape(len(objects), dataset.d_roi),
+            np.array(triples, "<i8").reshape(-1, 3),
+        )))
+    except (OverflowError, TypeError, ValueError):  # outside int64 or float range, or refused by the text writer
+        return features, None
+    return features, columns
+
+
+def _annotation_lines(dataset: Dataset, features: np.ndarray | None) -> Iterator[str]:
+    """The JSON line of each image, its objects' features from one ``tolist()`` of their rows of the stacked
+    ``features`` (object by object when they do not stack)."""
+    object_names, predicate_names = dataset.object_space.names, dataset.predicate_space.names
+    end = 0
+    for a in dataset.annotations:
+        start, end = end, end + len(a.objects)
+        rows = iter(features[start:end].tolist() if features is not None else
+                    [np.asarray(obj.feature, dtype=np.float64).tolist() for obj in a.objects])
+        yield COMPACT_JSON.encode({
+            "image_id": a.image_id,
+            "width": a.width,
+            "height": a.height,
+            "objects": [
+                {"id": obj.object_id, "label": object_names[obj.label],
+                 "box": [obj.box.x1, obj.box.y1, obj.box.x2, obj.box.y2], "feature": next(rows)}
+                for obj in a.objects
+            ],
+            "relations": [{"subj": t.subj, "pred": predicate_names[t.pred], "obj": t.obj} for t in a.triples],
+        }) + "\n"
 
 
 def annotations_to_jsonl(dataset: Dataset) -> str:
     """Serialize a dataset in the format ``load_annotations`` reads (lossless round-trip)."""
-    lines = [
-        json.dumps(annotation_to_record(a, dataset), separators=(",", ":"))
-        for a in dataset.annotations
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(_annotation_lines(dataset, _annotation_columns(dataset)[0]))
 
 
 def save_annotations(dataset: Dataset, path: str | Path) -> None:
-    Path(path).write_text(annotations_to_jsonl(dataset), encoding="utf-8")
+    """Write ``annotations_to_jsonl``'s text to ``path`` and its companion: a header with ``image_ids``, both label
+    spaces' names and ``d_roi``, then ``_ANNOTATION_COLUMNS`` (none when ``_annotation_columns`` gives none)."""
+    features, columns = _annotation_columns(dataset)
+    header = {**_annotation_header(dataset.object_space, dataset.predicate_space, dataset.d_roi),
+              "image_ids": [a.image_id for a in dataset.annotations]}
+    save_with_companion(path, _annotation_lines(dataset, features), None if columns is None else (header, columns))
 
 
 def _pool_label_vector(
     label: str, token_vectors: dict[str, np.ndarray], path: str | Path
 ) -> np.ndarray:
     """Mean of the per-token vectors; multi-word labels average their tokens."""
-    parts = label.split()
     vectors = []
-    for token in parts:
+    for token in filter(None, label.split(" ")):  # the token rule of load_embeddings: spaces only
         if token not in token_vectors:
             raise ValueError(f"{path}: no embedding for token {token!r} (label {label!r})")
         vectors.append(token_vectors[token])

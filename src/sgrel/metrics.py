@@ -20,9 +20,7 @@ matched triple, the rank that first matched it, and serves every K.
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -33,8 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .core import BoundingBox, Dataset, LabelSpace, SceneGraphAnnotation, Signature, box_overlap, triple_signature
-from .ingest import ParseError, box, framed_arrays, integer, load_framed, number, parse_fields, read_jsonl, scores
-from .ingest import save_framed, string
+from .ingest import COMPACT_JSON, LINES_PER_WRITE, ParseError, box, integer, load_companion, number, parse_fields
+from .ingest import read_jsonl, save_with_companion, scores, string
 from .reweighting import InfoWeights
 
 logger = logging.getLogger(__name__)
@@ -335,9 +333,6 @@ def per_predicate_csv(
             writer.writerow(row)
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-_LINES_PER_WRITE = 512
-
 COMPANION_FORMAT = "sgrel-predictions"
 COMPANION_VERSION = 1
 # The companion's arrays, in file order, with their file dtypes; boxes are subject then object xyxy.
@@ -345,29 +340,6 @@ _COLUMNS = {
     "image": "<i8", "subj_id": "<i8", "obj_id": "<i8", "subj_label": "<i8", "obj_label": "<i8",
     "boxes": "<f8", "label_scores": "<f8", "probs": "<f8",
 }
-
-
-def companion_path(path: str | Path) -> Path:
-    """The binary companion of the prediction file ``path``: the same name with the suffix ``.cols``."""
-    return Path(path).with_suffix(".cols")
-
-
-def _shapes(count: int, num_predicates: int) -> dict[str, list[int]]:
-    """Each companion array's shape for ``count`` pairs."""
-    return {**{name: [count] for name in _COLUMNS}, "boxes": [count, 8], "label_scores": [count, 2],
-            "probs": [count, num_predicates]}
-
-
-def _header_sha256(header: dict) -> str:
-    return hashlib.sha256(json.dumps(header, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def _sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while block := handle.read(1 << 20):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _columns(
@@ -424,7 +396,7 @@ def _distinct_boxes(boxes: np.ndarray) -> tuple[list[list[float]], np.ndarray]:
 def _pair_lines(predictions: list[PairPrediction], names: tuple[str, ...]) -> Iterator[str]:
     """The JSON line of each pair, one encoder call per pair: text for values the columns do not hold exactly."""
     for pair in predictions:
-        yield _ENCODER.encode({
+        yield COMPACT_JSON.encode({
             "image_id": pair.image_id,
             "subj_id": pair.subj_id,
             "obj_id": pair.obj_id,
@@ -450,8 +422,8 @@ def _column_lines(image_ids: list[str], columns: dict, names: tuple[str, ...]) -
     box_text = ["[" + ",".join(map(float.__repr__, row)) + "]" for row in rows]
     corners = which.reshape(-1, 2)
     ints = [columns[name] for name in ("image", "subj_id", "obj_id", "subj_label", "obj_label")]
-    for start in range(0, len(corners), _LINES_PER_WRITE):
-        chunk = slice(start, start + _LINES_PER_WRITE)
+    for start in range(0, len(corners), LINES_PER_WRITE):
+        chunk = slice(start, start + LINES_PER_WRITE)
         yield from (
             f'{image_text[i]}{s},"obj_id":{o},"subj_label":{label_text[s_label]},'
             f'"obj_label":{label_text[o_label]},"subj_box":{box_text[s_box]},"obj_box":{box_text[o_box]},'
@@ -473,64 +445,39 @@ def save_predictions(
     The lines are formatted from the companion's columns, with the bytes
     ``json`` would write; values the columns do not hold exactly (see
     ``_columns``) are encoded pair by pair instead. The binary companion
-    (``companion_path``; read by ``load_predictions``) is written only when
-    every value reads back from the JSON lines as it is stored; otherwise an
-    earlier companion is removed.
+    (``ingest.save_with_companion``; read by ``load_predictions``) is written
+    only when every value reads back from the JSON lines as it is stored;
+    otherwise an earlier companion is removed.
     """
-    companion = companion_path(path)
-    companion.unlink(missing_ok=True)
     names = object_space.names
     table = _columns(predictions, object_space)
-    lines = _column_lines(*table[:2], names) if table is not None and table[2] else _pair_lines(predictions, names)
-    jsonl_digest = hashlib.sha256()
-    with open(path, "wb") as handle:
-        while text := "".join(itertools.islice(lines, _LINES_PER_WRITE)):  # hashed as written, never held whole
-            data = text.encode("utf-8")
-            jsonl_digest.update(data)
-            handle.write(data)
-    if table is None or companion == Path(path):
-        return
-    image_ids, columns, _ = table
+    if table is None:
+        return save_with_companion(path, _pair_lines(predictions, names), None)
+    image_ids, columns, exact = table
     count, num_predicates = columns["probs"].shape
-    payload_digest = hashlib.sha256()
-    for array in columns.values():
-        payload_digest.update(array)
     header = {
         "format": COMPANION_FORMAT, "version": COMPANION_VERSION, "count": count,
         "num_predicates": num_predicates, "object_labels": list(names), "image_ids": image_ids,
-        "jsonl_sha256": jsonl_digest.hexdigest(), "payload_sha256": payload_digest.hexdigest(),
     }
-    arrays = {"arrays": _shapes(count, num_predicates)}  # as save_framed adds them
-    save_framed(companion, {**header, "header_sha256": _header_sha256({**header, **arrays})}, columns)
+    lines = _column_lines(image_ids, columns, names) if exact else _pair_lines(predictions, names)
+    save_with_companion(path, lines, (header, columns))
 
 
 def _load_companion(
     path: str | Path, object_space: LabelSpace, num_predicates: int
 ) -> list[PairPrediction] | None:
     """The pairs stored in ``path``'s companion; None when it is missing or anything about it is in doubt."""
-    companion = companion_path(path)
-    try:
-        header, payload = load_framed(companion)
-        if not isinstance(header, dict):
-            return None
-        sealed, count = header.pop("header_sha256", None), header.get("count")
-        if not (
-            sealed == _header_sha256(header)
-            and header.get("format") == COMPANION_FORMAT and header.get("version") == COMPANION_VERSION
-            and header.get("object_labels") == list(object_space.names)
-            and type(count) is int and count > 0 and num_predicates > 0
-            and header.get("arrays") == _shapes(count, num_predicates)
-            and header.get("payload_sha256") == hashlib.sha256(payload).hexdigest()
-            and header.get("jsonl_sha256") == _sha256_file(path)
-        ):
-            return None
-        columns = framed_arrays(companion, header, payload, _COLUMNS, "companion", "column")
-    except (OSError, ValueError, RecursionError):  # RecursionError: a header nested too deep for json
+    expected = {"format": COMPANION_FORMAT, "version": COMPANION_VERSION, "object_labels": list(object_space.names)}
+    loaded = load_companion(path, expected, _COLUMNS)
+    if loaded is None:
         return None
-    image_ids = header.get("image_ids")
+    header, columns = loaded
+    count, image_ids = header.get("count"), header["image_ids"]
     image, subj_id, obj_id, subj_label, obj_label, boxes, label_scores, probs = columns.values()
     if not (  # the JSON lines' value checks, vectorised; entries below 1e300 / C sum to a finite number
-        type(image_ids) is list and set(map(type, image_ids)) == {str}
+        type(count) is int and count > 0 and num_predicates > 0
+        and [column.shape for column in columns.values()]
+        == [(count,)] * 5 + [(count, 8), (count, 2), (count, num_predicates)]
         and 0 <= image.min() and image.max() < len(image_ids)
         and 0 <= min(subj_label.min(), obj_label.min())
         and max(subj_label.max(), obj_label.max()) < object_space.size

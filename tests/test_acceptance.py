@@ -317,8 +317,8 @@ def test_criterion_7_full_pipeline_determinism(ablation, tmp_path_factory):
     corpus2 = other / "corpus"
     synth_config = _write_config(other / "synth.cfg", **ABLATION_SYNTH)
     _run(["synth", "--out", corpus2, "--config", synth_config])
-    for name in ("train.jsonl", "val.jsonl", "test.jsonl", "object_embeddings.txt",
-                 "predicate_embeddings.txt", "generative_map.json"):
+    for name in ("train.jsonl", "val.jsonl", "test.jsonl", "train.cols", "val.cols", "test.cols",
+                 "object_embeddings.txt", "predicate_embeddings.txt", "generative_map.json"):
         assert (corpus2 / name).read_bytes() == (corpus / name).read_bytes()
     flags = ["--object-labels", corpus2 / "object_labels.txt",
              "--predicate-labels", corpus2 / "predicate_labels.txt"]
@@ -330,7 +330,7 @@ def test_criterion_7_full_pipeline_determinism(ablation, tmp_path_factory):
     assert (other / "refinement" / "report.json").read_bytes() == (
         root / "refinement" / "report.json"
     ).read_bytes()
-    for name in ("loss_history.csv", "validation.csv",
+    for name in ("loss_history.csv", "validation.csv", "train_resampled.cols",
                  "predictions_val.cols", "predictions_test.cols", "predictions_refined.cols"):
         assert (other / "refinement" / name).read_bytes() == (root / "refinement" / name).read_bytes()
     assert len((root / "refinement" / "validation.csv").read_text().splitlines()) == 11

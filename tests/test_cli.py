@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from sgrel.cli import RunConfig, _write_json, load_config, main, UsageError
+from sgrel.ingest import companion_path
 
 
 def run(argv):
@@ -327,6 +329,18 @@ class TestResample:
         assert (out / "train_resampled.jsonl").read_bytes() == (corpus / "train.jsonl").read_bytes()
         assert json.loads((out / "sampling_plan.json").read_text())["applied"] is False
 
+    def test_disabled_copies_the_companion_or_removes_a_stale_one(self, corpus, tmp_path):
+        out = tmp_path / "rs"
+        argv = ["resample", "--out", out, *corpus_flags(corpus), "--d-roi", 32]
+        assert run([*argv, "--train", corpus / "train.jsonl"]) == 0
+        assert (out / "train_resampled.cols").read_bytes() == (corpus / "train.cols").read_bytes()
+        alone = tmp_path / "alone" / "train.jsonl"  # as an outside producer writes it: no companion
+        alone.parent.mkdir()
+        shutil.copyfile(corpus / "train.jsonl", alone)
+        assert run([*argv, "--train", alone]) == 0
+        assert (out / "train_resampled.jsonl").read_bytes() == alone.read_bytes()
+        assert not (out / "train_resampled.cols").exists()
+
     def test_enabled_downsamples(self, corpus, tmp_path):
         recalls_path = tmp_path / "recalls.json"
         names = (corpus / "predicate_labels.txt").read_text().split()
@@ -478,6 +492,19 @@ class TestTrainRefineEval:
         assert (out / "predictions_refined.jsonl").read_bytes() == (
             out / "predictions_test.jsonl"
         ).read_bytes()
+
+    def test_refine_disabled_copies_the_companion_or_removes_a_stale_one(self, corpus, tmp_path):
+        source = tmp_path / "in" / "predictions_test.jsonl"
+        source.parent.mkdir()
+        save_oracle_predictions(corpus, "test", source)
+        out = tmp_path / "run"
+        argv = ["refine", "--out", out, *corpus_flags(corpus), "--predictions", source]
+        assert run(argv) == 0
+        assert (out / "predictions_refined.cols").read_bytes() == companion_path(source).read_bytes()
+        companion_path(source).unlink()
+        assert run(argv) == 0
+        assert (out / "predictions_refined.jsonl").read_bytes() == source.read_bytes()
+        assert not (out / "predictions_refined.cols").exists()
 
     def test_reweighting_requires_weights_file(self, corpus, tmp_path, capsys):
         config = write_config(tmp_path, iterations=5, use_reweighting="true")

@@ -16,7 +16,7 @@ import shutil
 import pytest
 
 from sgrel.cli import main
-from sgrel.metrics import companion_path
+from sgrel.ingest import companion_path
 
 SEED = 7
 TINY_CORPUS = {
@@ -214,6 +214,56 @@ def test_damaged_companion_of_an_untouched_prediction_file_changes_nothing(
     target.parent.mkdir()
     shutil.copyfile(original, target)
     flags = {**flags, "--predictions": target}
+    alone = stage_result(capsys, stage, flags, extra, tmp_path / "out")
+    assert alone[0] == 0, alone[1]
+    shutil.copyfile(companion_path(original), companion_path(target))
+    assert stage_result(capsys, stage, flags, extra, tmp_path / "out") == alone
+    damaged = MUTATIONS[mutation](companion_path(original).read_bytes(), random.Random(seed))
+    companion_path(target).write_bytes(damaged)
+    assert stage_result(capsys, stage, flags, extra, tmp_path / "out") == alone
+
+
+# Twins for the companion ``synth`` and ``resample`` write beside each annotation file: whatever its state,
+# every stage that reads the file acts as if it were absent.
+ANNOTATION_FLAGS = {"zsplit": ("--train", "--test"), "weights": ("--train",), "resample": ("--train",),
+                    "train": ("--train", "--val", "--test"), "eval": ("--dataset",)}
+
+
+def annotation_cases(seed, mutations=tuple(MUTATIONS)):
+    rng = random.Random(seed)
+    for stage, flags in ANNOTATION_FLAGS.items():
+        for flag in flags:
+            for mutation in mutations:
+                yield stage, flag, mutation, rng.randrange(2**32)
+
+
+@pytest.mark.parametrize("stage, flag, mutation, seed", list(annotation_cases(SEED + 3)))
+def test_companion_beside_a_mutated_annotation_file_changes_nothing(
+    tiny, tmp_path, capsys, stage, flag, mutation, seed
+):
+    flags, extra = tiny[stage]
+    original = flags[flag]
+    target = tmp_path / "in" / original.name
+    target.parent.mkdir()
+    target.write_bytes(MUTATIONS[mutation](original.read_bytes(), random.Random(seed)))
+    flags = {**flags, flag: target}
+    alone = stage_result(capsys, stage, flags, extra, tmp_path / "out")
+    shutil.copyfile(companion_path(original), companion_path(target))
+    assert stage_result(capsys, stage, flags, extra, tmp_path / "out") == alone
+
+
+@pytest.mark.parametrize(
+    "stage, flag, mutation, seed", list(annotation_cases(SEED + 4, ("flip_byte", "flip_byte", "truncate")))
+)
+def test_damaged_companion_of_an_untouched_annotation_file_changes_nothing(
+    tiny, tmp_path, capsys, stage, flag, mutation, seed
+):
+    flags, extra = tiny[stage]
+    original = flags[flag]
+    target = tmp_path / "in" / original.name
+    target.parent.mkdir()
+    shutil.copyfile(original, target)
+    flags = {**flags, flag: target}
     alone = stage_result(capsys, stage, flags, extra, tmp_path / "out")
     assert alone[0] == 0, alone[1]
     shutil.copyfile(companion_path(original), companion_path(target))

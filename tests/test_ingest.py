@@ -1,16 +1,26 @@
+import importlib.util
 import json
+import math
+import random
 import re
+import struct
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from sgrel.core import LabelSpace, OBJECT, PREDICATE, Triple
+from sgrel import ingest, synth
+from sgrel.core import BoundingBox, Dataset, LabelSpace, OBJECT, ObjectInstance, PREDICATE, SceneGraphAnnotation, Triple
 from sgrel.metrics import load_predictions
 from sgrel.ingest import (
     EmbeddingTable,
     ParseError,
     RecallTable,
     build_zero_shot_index,
+    companion_path,
     load_annotations,
     load_embeddings,
     load_labels,
@@ -23,7 +33,7 @@ from sgrel.ingest import (
     string,
 )
 
-from conftest import make_annotation, make_dataset, make_object
+from conftest import make_annotation, make_dataset, make_object, make_spaces
 
 
 def write(tmp_path, name, text):
@@ -317,6 +327,14 @@ class TestLoadEmbeddings:
         save_embeddings(table, path)
         np.testing.assert_array_equal(load_embeddings(path, space).vectors, table.vectors)
 
+    def test_save_round_trip_of_labels_holding_other_whitespace(self, tmp_path, rng):
+        """One token rule: only a space separates tokens, in a label as in the file."""
+        space = LabelSpace(kind=PREDICATE, names=("sitting\ton", "lying\x85on", "under"))
+        table = EmbeddingTable(space=space, vectors=rng.normal(size=(3, 3)))
+        path = tmp_path / "e.txt"
+        save_embeddings(table, path)
+        np.testing.assert_array_equal(load_embeddings(path, space).vectors, table.vectors)
+
 
 class TestRecalls:
     def test_load(self, tmp_path, spaces):
@@ -382,3 +400,335 @@ class TestZeroShotIndex:
         test = signature_dataset([(0, 0, 1)], spaces)
         with pytest.raises(ValueError, match="mismatched label spaces"):
             build_zero_shot_index(train, test)
+
+
+def annotations_outcome(path, object_space, predicate_space, d_roi):
+    """``load_annotations``' dataset, every value with its type and bits, or its error's type and text."""
+    try:
+        dataset = load_annotations(path, object_space, predicate_space, d_roi, "val")
+    except ValueError as err:
+        return type(err), str(err)
+
+    def bits(*values):
+        return [(type(v), struct.pack("<d", v)) for v in values]
+
+    return [
+        (type(dataset), dataset.split, dataset.object_space, dataset.predicate_space, type(dataset.d_roi),
+         dataset.d_roi, type(dataset.annotations)),
+        *(
+            (
+                (type(a), type(a.image_id), a.image_id, *bits(a.width, a.height), type(a.objects), type(a.triples)),
+                [(type(o), type(o.object_id), o.object_id, type(o.label), o.label, type(o.box), *bits(*o.box.xyxy),
+                  type(o.feature), o.feature.dtype, o.feature.shape, o.feature.tobytes()) for o in a.objects],
+                [(type(t), *((type(v), v) for v in (t.subj, t.pred, t.obj))) for t in a.triples],
+            )
+            for a in dataset.annotations
+        ),
+    ]
+
+
+def jsonl_annotations_outcome(path, *args):
+    """``annotations_outcome`` with no companion beside ``path`` (the companion, if any, is put back)."""
+    companion = companion_path(path)
+    kept = companion.read_bytes() if companion.exists() else None
+    companion.unlink(missing_ok=True)
+    try:
+        return annotations_outcome(path, *args)
+    finally:
+        if kept is not None:
+            companion.write_bytes(kept)
+
+
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, 0.1])
+feature_value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), edge_floats)
+image_id = st.one_of(st.text(st.characters(exclude_categories=()), max_size=6),
+                     st.sampled_from(['"', "\\", "\n", " ", "\x85", "é", "\ud800", "{}", "img"]))
+int64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def annotation_sets(draw, valid=True, c_obj=4, c_pred=3, d_roi=3):
+    """Datasets whose values are of the types the parser reads, with boxes in the frame and distinct ids and
+    triples. With ``valid=False`` a value may also be one that the parser clamps, drops or refuses (the
+    companion stays) and, in half the datasets, one that the JSON text writes otherwise (a boolean id, an id
+    outside int64 or a feature of another length leave no companion; an integer image id or a label of -1,
+    which the text writes as the last name, leave one that the loader refuses)."""
+    typed = valid or draw(st.booleans())
+
+    def maybe(good, bad, mistyped=st.nothing()):
+        return good if valid else st.one_of(good, bad, *([] if typed else [mistyped]))
+
+    size = maybe(st.one_of(st.floats(1e-300, 1e308), st.integers(1, 2**53), st.sampled_from([5e-324, 1e308])),
+                 st.one_of(st.floats(), edge_floats), st.one_of(st.integers(-1, 2**1030), st.booleans()))
+    ids = maybe(st.one_of(st.integers(0, 5), int64), st.integers(0, 2),
+                st.one_of(st.integers(2**63, 2**64), st.booleans()))
+    label = maybe(st.integers(0, c_obj - 1), st.nothing(), st.just(-1))
+    feature = maybe(feature_value, st.floats())
+    annotations = []
+    for image in draw(st.lists(maybe(image_id, st.nothing(), st.integers()), max_size=4, unique=valid)):
+        width, height = draw(size), draw(size)
+        framed = all(type(v) in (int, float) and 0 < v <= 1e308 for v in (width, height))
+        objects = []
+        for object_id in draw(st.lists(ids, max_size=4, unique=valid)):
+            if framed and (valid or draw(st.booleans())):
+                corner = [st.one_of(st.floats(0.0, limit), st.sampled_from([0.0, -0.0, 5e-324, limit]))
+                          for limit in (width, height)]
+                (x1, x2), (y1, y2) = (sorted(draw(st.lists(c, min_size=2, max_size=2, unique=True))) for c in corner)
+            else:
+                x1, y1, x2, y2 = draw(st.lists(st.one_of(st.floats(), edge_floats, st.integers(-5, 200)),
+                                               min_size=4, max_size=4))
+            dim = draw(maybe(st.just(d_roi), st.nothing(), st.sampled_from([d_roi - 1, d_roi + 1])))
+            values = draw(st.lists(feature, min_size=dim, max_size=dim))
+            objects.append(ObjectInstance(object_id, draw(label), BoundingBox(x1, y1, x2, y2),
+                                          np.array(values, dtype=np.float64)))
+        ends = maybe(st.sampled_from([o.object_id for o in objects] or [0]), ids)
+        triples = draw(st.lists(st.builds(Triple, ends, st.integers(0, c_pred - 1), ends), max_size=4, unique=valid))
+        triples = [t for t in triples if t.subj != t.obj] if valid else triples
+        annotations.append(SceneGraphAnnotation(image, width, height, tuple(objects), tuple(triples)))
+    return Dataset("val", tuple(annotations), *make_spaces(c_obj, c_pred), d_roi)
+
+
+def awkward_annotations(spaces):
+    """Escaped and non-ASCII image ids, an image with no objects and one with no relations, -0.0 and
+    subnormal coordinates, and -0.0, subnormal and 1e308 features."""
+    objects = (
+        make_object(0, 1, feature=[-0.0, 5e-324, 1e308, -1e308, 0.1], box=BoundingBox(-0.0, 5e-324, 10.0, 20.0)),
+        make_object(7, 3),
+        make_object(2**40, 0, box=BoundingBox(50.0, 50.0, 99.5, 100.0)),
+    )
+    return make_dataset([
+        make_annotation("im é", objects=objects, triples=(Triple(0, 2, 7), Triple(2**40, 0, 0), Triple(7, 2, 0))),
+        make_annotation('a"b\\c\n\x85', width=640, height=480.5),
+        make_annotation("no relations", objects=objects[:2], triples=()),
+        make_annotation("\ud800"),
+    ], spaces, split="val")
+
+
+def workload_corpus(name, monkeypatch):
+    """The train, val and test splits that the benchmark's set-up draws for workload ``name`` at seed 7."""
+    root = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look themselves up
+    spec.loader.exec_module(workloads)
+    data = synth.generate(synth.SynthConfig(**{**workloads.WORKLOADS[name].synth, "seed": 7}))
+    return data.train, data.val, data.test
+
+
+class TestAnnotationCompanion:
+    """The annotation companion changes nothing that ``load_annotations`` returns or refuses."""
+
+    @given(annotation_sets())
+    def test_round_trip_agrees_bit_for_bit_and_in_type(self, dataset):
+        spaces = (dataset.object_space, dataset.predicate_space)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "val.jsonl"
+            save_annotations(dataset, path)
+            assert companion_path(path).exists()
+            expected = jsonl_annotations_outcome(path, *spaces, 3)
+            assert annotations_outcome(path, *spaces, 3) == expected
+            # The arrays serve exactly the files the parser accepts (nothing here needs a clamp or a drop).
+            used = ingest._companion_dataset(path, *spaces, 3, "val") is not None
+            assert used == (type(expected) is list)
+
+    @given(annotation_sets(valid=False))
+    def test_any_values_give_the_parser_result(self, dataset):
+        spaces = (dataset.object_space, dataset.predicate_space)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "val.jsonl"
+            save_annotations(dataset, path)
+            assert annotations_outcome(path, *spaces, 3) == jsonl_annotations_outcome(path, *spaces, 3)
+
+    @pytest.mark.parametrize("workload", ["ablation", "dense_sggen"])
+    def test_workload_corpora(self, tmp_path, monkeypatch, workload):
+        for split in workload_corpus(workload, monkeypatch):
+            path = tmp_path / f"{split.split}.jsonl"
+            save_annotations(split, path)
+            args = (split.object_space, split.predicate_space, split.d_roi)
+            assert ingest._companion_dataset(path, *args, "val") is not None
+            assert annotations_outcome(path, *args) == jsonl_annotations_outcome(path, *args)
+
+    @pytest.fixture
+    def written(self, tmp_path, spaces):
+        path = tmp_path / "val.jsonl"
+        save_annotations(awkward_annotations(spaces), path)
+        expected = jsonl_annotations_outcome(path, *spaces, 5)
+        assert type(expected) is list and annotations_outcome(path, *spaces, 5) == expected
+        assert ingest._companion_dataset(path, *spaces, 5, "val") is not None
+        return path, spaces, expected
+
+    def test_every_flipped_header_byte_and_sampled_payload_bytes(self, written):
+        path, spaces, expected = written
+        companion = companion_path(path)
+        data = companion.read_bytes()
+        header_end = data.index(b"\n") + 1
+        rng = random.Random(3)
+        for position in [*range(header_end), *rng.sample(range(header_end, len(data)), 64)]:
+            flipped = bytearray(data)
+            flipped[position] ^= rng.randrange(1, 256)
+            companion.write_bytes(flipped)
+            assert annotations_outcome(path, *spaces, 5) == expected, position
+
+    @pytest.mark.parametrize("cut", [1, 8, 100, 10**9])
+    def test_truncated_payload(self, written, cut):
+        path, spaces, expected = written
+        companion = companion_path(path)
+        data = companion.read_bytes()
+        companion.write_bytes(data[: max(data.index(b"\n") + 1, len(data) - cut)])
+        assert annotations_outcome(path, *spaces, 5) == expected
+
+    @pytest.mark.parametrize("header", [b"[" * 100_000, b"{}", b'{"format": "sgrel-annotations"}', b"\xff"],
+                             ids=["nested-too-deep", "empty", "format-only", "not-utf8"])
+    def test_foreign_header(self, written, header):
+        path, spaces, expected = written
+        companion = companion_path(path)
+        companion.write_bytes(header + b"\n" + companion.read_bytes().split(b"\n", 1)[1])
+        assert annotations_outcome(path, *spaces, 5) == expected
+
+    def test_prediction_companion_in_its_place(self, written, tmp_path):
+        path, spaces, expected = written
+        from sgrel.metrics import save_predictions
+        from conftest import awkward_pairs
+
+        save_predictions(awkward_pairs(np.random.default_rng(5), 3), spaces[0], tmp_path / "p.jsonl")
+        companion_path(path).write_bytes(companion_path(tmp_path / "p.jsonl").read_bytes())
+        assert annotations_outcome(path, *spaces, 5) == expected
+
+    def test_jsonl_edited_after_it_was_written(self, written):
+        path, spaces, expected = written
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["objects"][1]["feature"][0] = 0.25
+        record["image_id"] = "edited"
+        path.write_text("".join([json.dumps(record) + "\n"] + lines[1:]))
+        edited = annotations_outcome(path, *spaces, 5)
+        assert edited == jsonl_annotations_outcome(path, *spaces, 5) != expected
+        assert edited[1][0][1:3] == (str, "edited")
+
+    @pytest.mark.parametrize("kind, names", [
+        ("object", ("thing1", "thing0", "thing2", "thing3")),
+        ("object", ("thing0", "thing1", "thing2", "thing3", "x")),
+        ("predicate", ("rel0", "rel2", "rel1")),
+        ("predicate", ("rel0", "rel1", "rel2", "x")),
+    ])
+    def test_another_label_space(self, written, kind, names):
+        path, (object_space, predicate_space), _ = written
+        spaces = (LabelSpace(kind, names), predicate_space) if kind == "object" else (
+            object_space, LabelSpace(kind, names))
+        assert annotations_outcome(path, *spaces, 5) == jsonl_annotations_outcome(path, *spaces, 5)
+        assert ingest._companion_dataset(path, *spaces, 5, "val") is None
+
+    @pytest.mark.parametrize("d_roi", [4, 6])
+    def test_another_d_roi(self, written, d_roi):
+        path, spaces, _ = written
+        refused = annotations_outcome(path, *spaces, d_roi)
+        assert refused == jsonl_annotations_outcome(path, *spaces, d_roi)
+        assert refused[0] is ParseError and f"expected {d_roi})" in refused[1]
+
+    def test_missing_companion(self, written):
+        path, spaces, expected = written
+        companion_path(path).unlink()
+        assert annotations_outcome(path, *spaces, 5) == expected
+
+    @pytest.mark.parametrize("change, problem", [
+        (lambda a: a[0].objects[1].box.__init__(-1.0, 0.0, 30.0, 20.0), None),  # clamped
+        (lambda a: a[0].objects[1].box.__init__(90.0, 0.0, 100.5, 20.0), None),
+        (lambda a: a[0].objects[1].box.__init__(90.0, 10.0, 95.0, 120.0), None),
+        (lambda a: a.append(make_annotation("dup", triples=(Triple(0, 1, 1), Triple(0, 1, 1)))), None),  # dropped
+        (lambda a: a[0].objects[0].feature.__setitem__(2, math.nan), "non-finite feature values"),
+        (lambda a: a[1].objects[0].box.__init__(5.0, 0.0, 5.0, 20.0), "degenerate box"),
+        (lambda a: a.append(make_annotation("zero", objects=(), triples=(), width=0.0)), "non-positive image size"),
+        (lambda a: a.append(make_annotation("-0", objects=(), triples=(), height=-0.0)), "non-positive image size"),
+        (lambda a: a.append(make_annotation("huge", height=math.inf)), "bad 'height'"),
+        (lambda a: a.append(make_annotation("dangling", triples=(Triple(0, 0, 9),))), "dangling object_id 9"),
+        (lambda a: a.append(make_annotation("self", triples=(Triple(1, 0, 1),))), "are the same instance"),
+        (lambda a: a.append(make_annotation("twin", objects=(make_object(0), make_object(0)), triples=())),
+         "duplicate object_id 0"),
+        (lambda a: a.append(make_annotation("im é")), "repeats line 1"),
+        (lambda a: a.append(make_annotation(7)), "bad 'image_id'"),
+        (lambda a: a.append(make_annotation("wrap", objects=(make_object(0, label=-1),), triples=())), None),
+    ], ids=["clamp", "clamp-right", "clamp-bottom", "drop", "nan-feature", "degenerate", "zero-width",
+            "negative-zero-height", "infinite-height", "dangling", "self-relation", "duplicate-object",
+            "repeated-image", "integer-image-id", "wrapping-label"])
+    def test_values_the_parser_changes_or_refuses_are_left_to_it(self, tmp_path, spaces, change, problem):
+        dataset = awkward_annotations(spaces)
+        annotations = list(dataset.annotations)
+        change(annotations)
+        path = tmp_path / "val.jsonl"
+        save_annotations(make_dataset(annotations, spaces, split="val"), path)
+        assert companion_path(path).exists()
+        assert ingest._companion_dataset(path, *spaces, 5, "val") is None
+        result = annotations_outcome(path, *spaces, 5)
+        assert result == jsonl_annotations_outcome(path, *spaces, 5)
+        assert (type(result) is list) if problem is None else (result[0] is ParseError and problem in result[1])
+
+    @pytest.mark.parametrize("forge", [
+        lambda c: c["triples"].__setitem__((0, 1), 3),  # a predicate outside the space
+        lambda c: c["triples"].__setitem__((0, 1), -1),
+        lambda c: c["labels"].__setitem__(1, 4),
+        lambda c: c["labels"].__setitem__(1, -1),
+        lambda c: c["sizes"].__setitem__((3, 1), 0.0),
+        lambda c: c["sizes"].__setitem__((3, 0), math.inf),
+        lambda c: c["boxes"].__setitem__((1, 2), 100.5),  # beyond the frame
+        lambda c: c["boxes"].__setitem__((1, 3), math.nan),
+        lambda c: c["features"].__setitem__((2, 0), math.inf),
+        lambda c: c["object_counts"].__setitem__(slice(2, 4), [5, -1]),  # the same total
+    ])
+    def test_forged_companion_values_are_left_to_the_parser(self, written, forge):
+        """Values the writer never stores, under valid digests: the loader's own checks refuse them."""
+        path, spaces, expected = written
+        dataset = awkward_annotations(spaces)
+        features, columns = ingest._annotation_columns(dataset)
+        features = features.copy()  # the text keeps the true values
+        forge(columns)
+        header = {**ingest._annotation_header(*spaces, 5), "image_ids": [a.image_id for a in dataset.annotations]}
+        ingest.save_with_companion(path, ingest._annotation_lines(dataset, features), (header, columns))
+        assert ingest._companion_dataset(path, *spaces, 5, "val") is None
+        assert annotations_outcome(path, *spaces, 5) == expected
+
+    @pytest.mark.parametrize("change", [
+        lambda a: a.append(make_annotation("bool", objects=(make_object(True), make_object(0)), triples=())),
+        lambda a: a.append(make_annotation("wide", objects=(make_object(2**63),), triples=())),
+        lambda a: a.append(make_annotation("bool width", width=True)),
+        lambda a: a.append(make_annotation("short", objects=(make_object(0, d_roi=4),), triples=())),
+        lambda a: a.append(make_annotation("ragged", objects=(make_object(0), make_object(1, d_roi=4)))),
+    ], ids=["bool-id", "id-outside-int64", "bool-width", "short-feature", "ragged-features"])
+    def test_values_the_text_reads_otherwise_leave_no_companion(self, written, change):
+        path, spaces, _ = written
+        annotations = list(awkward_annotations(spaces).annotations)
+        change(annotations)
+        assert companion_path(path).exists()
+        save_annotations(make_dataset(annotations, spaces, split="val"), path)  # the earlier companion is stale now
+        assert not companion_path(path).exists()
+
+    def test_numpy_integer_id_removes_the_stale_companion(self, written):
+        path, spaces, _ = written
+        annotations = list(awkward_annotations(spaces).annotations)
+        annotations.append(make_annotation("np", objects=(make_object(np.int64(3)),)))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_annotations(make_dataset(annotations, spaces, split="val"), path)
+        assert not companion_path(path).exists()
+
+    def test_empty_dataset(self, tmp_path, spaces):
+        path = tmp_path / "val.jsonl"
+        save_annotations(make_dataset([], spaces, split="val"), path)
+        assert path.read_bytes() == b""
+        assert ingest._companion_dataset(path, *spaces, 5, "val") is not None
+        assert annotations_outcome(path, *spaces, 5) == jsonl_annotations_outcome(path, *spaces, 5)
+
+    def test_text_is_written_from_the_stacked_features(self, tmp_path, spaces):
+        """The lines equal ``json.dumps`` of each record with a per-value ``float`` of each feature."""
+        dataset = awkward_annotations(spaces)
+        path = tmp_path / "val.jsonl"
+        save_annotations(dataset, path)
+        names = (spaces[0].names, spaces[1].names)
+        lines = [
+            json.dumps({
+                "image_id": a.image_id, "width": a.width, "height": a.height,
+                "objects": [{"id": o.object_id, "label": names[0][o.label], "box": list(o.box.xyxy),
+                             "feature": [float(v) for v in o.feature]} for o in a.objects],
+                "relations": [{"subj": t.subj, "pred": names[1][t.pred], "obj": t.obj} for t in a.triples],
+            }, separators=(",", ":")) + "\n"
+            for a in dataset.annotations
+        ]
+        assert path.read_text() == "".join(lines)

@@ -17,7 +17,7 @@ from reference_ranking import PredictedTriple
 from sgrel.cli import main
 from sgrel import metrics
 from sgrel.core import BoundingBox, LabelSpace, Triple, box_overlap
-from sgrel.ingest import EmbeddingTable, ParseError, load_embeddings, save_embeddings
+from sgrel.ingest import EmbeddingTable, ParseError, companion_path, load_embeddings, save_embeddings
 from sgrel.metrics import (
     PREDCLS,
     PROTOCOLS,
@@ -27,7 +27,6 @@ from sgrel.metrics import (
     PairPrediction,
     RankedTriples,
     build_ranked,
-    companion_path,
     evaluate,
     iou_matrix,
     load_predictions,

@@ -71,6 +71,15 @@ def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path):
 
     metrics = tracing.layer_metrics(tracer.spans)
     assert all(math.isfinite(value) for value in metrics.values())
+    # zsplit 2, weights 1, resample 1, train 3 and eval 1 splits, each counted under the one traced name.
+    read = [argv[argv.index(flag) + 1] for stage, flags in (
+        ("zsplit", ("--train", "--test")), ("weights", ("--train",)), ("resample", ("--train",)),
+        ("train", ("--train", "--val", "--test")), ("eval", ("--dataset",)),
+    ) for argv in [stages[stage]] for flag in flags]
+    assert metrics["ingest.load_annotations_calls"] == len(read) == 8
+    assert metrics["ingest.images_loaded"] == sum(len(path.read_text().splitlines()) for path in read)
+    # Every split came from its companion: the parser, which validates each annotation, never ran.
+    assert not any(span.name == "ingest.validate_annotation" for span in tracer.spans)
     refined = (out / "predictions_refined.jsonl").read_text().splitlines()
     assert metrics["refinement.pairs_refined"] == len(refined) > 0
     assert 0 < metrics["sampling.triples_kept"] <= metrics["sampling.triples_in"]
