@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Dataset, SceneGraphAnnotation, box_overlap
 from .ingest import EmbeddingTable, framed_arrays, load_framed, save_framed
-from .metrics import PairPrediction, evaluate
+from .metrics import PredictionSet, evaluate
 from .metrics import build_ranked, match_triples  # unused here; perfbench/tracing.py patches these names
 from .reweighting import DEFAULT_MU, InfoWeights, LossBundle, total_loss, uniform_weights, weighted_pred_loss
 from .seeding import substream
@@ -84,6 +84,7 @@ class PackedDataset:
 
     dataset: Dataset
     features: np.ndarray        # (sum N, d_roi)
+    object_ids: np.ndarray      # (sum N,)
     labels: np.ndarray          # (sum N,)
     boxes: np.ndarray           # (sum N, 4) xyxy
     sizes: np.ndarray           # (images, 2) width, height
@@ -207,6 +208,7 @@ def pack(dataset: Dataset) -> PackedDataset:
     return PackedDataset(
         dataset=dataset,
         features=features,
+        object_ids=np.array([o.object_id for o in objects], dtype=np.int64),
         labels=np.array([o.label for o in objects], dtype=np.int64),
         boxes=boxes,
         sizes=sizes,
@@ -345,7 +347,8 @@ def train(
 
     The learning rate decays by 10x whenever mean recall@50 on the packed
     validation split ``val`` fails to improve for ``patience`` consecutive
-    evaluations.
+    evaluations. An update that leaves a parameter that is not finite raises
+    ``ValueError`` naming the iteration.
     """
     if not train_set.annotations:
         raise ValueError("cannot train on an empty dataset")
@@ -381,9 +384,12 @@ def train(
 
         if lr != 0.0:
             grads = backward(model, batch, weights, config.mu)
-            model.w_proj -= lr * grads.w_proj
-            model.w_cls -= lr * grads.w_cls
-            model.b_cls -= lr * grads.b_cls
+            with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is refused below
+                model.w_proj -= lr * grads.w_proj
+                model.w_cls -= lr * grads.w_cls
+                model.b_cls -= lr * grads.b_cls
+            if not all(np.isfinite(w).all() for w in (model.w_proj, model.w_cls, model.b_cls)):
+                raise ValueError(f"training diverged: parameters not finite after iteration {iteration}")
 
         if (
             val is not None
@@ -406,10 +412,11 @@ def train(
     return result
 
 
-def predict(model: RelationModel, data: PackedDataset) -> list[PairPrediction]:
-    """Score every ordered object pair of every image (labels taken as given).
+def predict(model: RelationModel, data: PackedDataset) -> PredictionSet:
+    """Score every ordered object pair of every image (labels taken as given, confidences 1).
 
-    Pairs come in image order, subject-major, object-minor.
+    Pairs come in image order, subject-major, object-minor; an image with
+    fewer than two objects has none.
     """
     n = np.diff(data.obj_offsets)
     image, k = _segments(n * (n - 1))
@@ -425,17 +432,20 @@ def predict(model: RelationModel, data: PackedDataset) -> list[PairPrediction]:
         + pair_geometry(data.boxes[subj], data.boxes[obj], data.sizes[image]) @ model.w_cls[2 * d :]
         + model.b_cls
     )
-
-    annotations = data.dataset.annotations
-    objects = [o for a in annotations for o in a.objects]
-    image_ids = [a.image_id for a in annotations]
-    predictions: list[PairPrediction] = []
-    for i, si, oi, p in zip(image.tolist(), subj.tolist(), obj.tolist(), probs):
-        so, oo = objects[si], objects[oi]
-        predictions.append(PairPrediction(
-            image_ids[i], so.object_id, oo.object_id, so.label, oo.label, so.box, oo.box, p
-        ))
-    return predictions
+    has_pairs = n > 1
+    return PredictionSet(
+        image_ids=tuple(a.image_id for a, kept in zip(data.dataset.annotations, has_pairs.tolist()) if kept),
+        image=(np.cumsum(has_pairs) - 1)[image],
+        subj_id=data.object_ids[subj],
+        obj_id=data.object_ids[obj],
+        subj_label=data.labels[subj],
+        obj_label=data.labels[obj],
+        subj_box=data.boxes[subj],
+        obj_box=data.boxes[obj],
+        subj_score=np.ones(len(image)),
+        obj_score=np.ones(len(image)),
+        probs=probs,
+    )
 
 
 def save_history(history: list[LossBundle], path: str | Path) -> None:

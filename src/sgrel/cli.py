@@ -115,6 +115,7 @@ def _check_ranges(config: RunConfig) -> None:
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"invalid {key} {value!r}: must be finite")
     rules = {
+        "seed": (0 <= c.seed < 2**63, "in [0, 2**63)"),
         "alpha": (0.0 <= c.alpha <= 1.0, "in [0, 1]"),
         "tau": (c.tau > 0.0, "> 0"),
         "beta": (c.beta > 0.0, "> 0"),
@@ -384,19 +385,15 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     refined = _naming(args.predictions, refinement.refine_dataset,
                       predictions, object_embeddings, predicate_embeddings, config.alpha)
     metrics.save_predictions(refined, object_space, target)
-    pre_top, post_top = (
-        metrics.stack_probs(pairs).argmax(axis=1) if pairs else np.zeros(0, dtype=int)
-        for pairs in (predictions, refined)
-    )
+    pre_top, post_top = predictions.probs.argmax(axis=1), refined.probs.argmax(axis=1)
     flipped = int(np.count_nonzero(pre_top != post_top))
     # The JSON lines json.dumps(..., separators=(",", ":")) writes, each id and name escaped once.
-    image_text = {image_id: f'{{"image_id":{encode_basestring_ascii(image_id)},"subj_id":'
-                  for image_id in {pair.image_id for pair in predictions}}
+    image_text = [f'{{"image_id":{encode_basestring_ascii(i)},"subj_id":' for i in predictions.image_ids]
     top_text = list(map(encode_basestring_ascii, predicate_space.names))
     lines = (
-        f'{image_text[pair.image_id]}{pair.subj_id},"obj_id":{pair.obj_id},'
-        f'"pre_top":{top_text[before]},"post_top":{top_text[after]}}}\n'
-        for pair, before, after in zip(predictions, pre_top.tolist(), post_top.tolist())
+        f'{image_text[i]}{s},"obj_id":{o},"pre_top":{top_text[before]},"post_top":{top_text[after]}}}\n'
+        for i, s, o, before, after in zip(predictions.image.tolist(), predictions.subj_id.tolist(),
+                                          predictions.obj_id.tolist(), pre_top.tolist(), post_top.tolist())
     )
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.writelines(lines)

@@ -20,7 +20,6 @@ matched triple, the rank that first matched it, and serves every K.
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -30,8 +29,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import BoundingBox, Dataset, LabelSpace, SceneGraphAnnotation, Signature, box_overlap, triple_signature
-from .ingest import COMPACT_JSON, LINES_PER_WRITE, ParseError, box, integer, load_companion, number, parse_fields
+from .core import Dataset, LabelSpace, SceneGraphAnnotation, Signature, box_overlap, triple_signature
+from .ingest import LINES_PER_WRITE, ParseError, box, integer, load_companion, number, parse_fields
 from .ingest import read_jsonl, save_with_companion, scores, string
 from .reweighting import InfoWeights
 
@@ -49,20 +48,36 @@ DEFAULT_KS = (20, 50, 100)
 FAMILIES = {"recall": "R", "mean_recall": "mR", "zero_shot_recall": "zR", "mric": "mRIC"}
 
 
-@dataclass(eq=False)
-class PairPrediction:
-    """Model output for one ordered object pair: a distribution over predicates."""
+@dataclass(frozen=True, eq=False)
+class PredictionSet:
+    """Model output for ordered object pairs, one row per pair, in predict's order (image, subject, object).
 
-    image_id: str
-    subj_id: int
-    obj_id: int
-    subj_label: int
-    obj_label: int
-    subj_box: BoundingBox
-    obj_box: BoundingBox
-    probs: np.ndarray
-    subj_score: float = 1.0
-    obj_score: float = 1.0
+    ``image`` indexes ``image_ids``, which holds exactly the ids that have
+    rows, in order of first appearance. Each pair has its predicted labels,
+    xyxy boxes and label confidences, and a distribution over predicates.
+    """
+
+    image_ids: tuple[str, ...]
+    image: np.ndarray       # (P,) int64
+    subj_id: np.ndarray
+    obj_id: np.ndarray
+    subj_label: np.ndarray
+    obj_label: np.ndarray
+    subj_box: np.ndarray    # (P, 4) float64
+    obj_box: np.ndarray
+    subj_score: np.ndarray  # (P,) float64
+    obj_score: np.ndarray
+    probs: np.ndarray       # (P, C) float64
+
+    def __len__(self) -> int:
+        return len(self.image)
+
+    def __getitem__(self, rows: int | slice | np.ndarray) -> "PredictionSet":
+        return PredictionSet(self.image_ids, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
+
+    def pair(self, row: int) -> tuple[str, tuple[int, int]]:
+        """The image id and the (subject id, object id) of a row, as messages name a pair."""
+        return self.image_ids[self.image[row]], (int(self.subj_id[row]), int(self.obj_id[row]))
 
 
 @dataclass(eq=False)
@@ -93,20 +108,17 @@ class MetricReport:
             "num_zero_shot_gt": self.num_zero_shot_gt,
         }
         if predicate_space is not None:
-            rows = []
-            for j, name in enumerate(predicate_space.names):
-                row: dict = {"name": name, "gt_count": int(self.predicate_gt_counts[j])}
-                for k in self.ks:
-                    value = self.per_predicate_recall[k][j]
-                    row[f"recall@{k}"] = None if np.isnan(value) else float(value)
-                rows.append(row)
-            payload["per_predicate"] = rows
+            payload["per_predicate"] = [
+                {"name": name, "gt_count": count, **{f"recall@{k}": value for k, value in zip(self.ks, recalls)}}
+                for name, count, recalls in self.per_predicate(predicate_space)
+            ]
         return payload
 
-
-def stack_probs(predictions: list[PairPrediction]) -> np.ndarray:
-    """The pairs' predicate score vectors as one ``(P, C)`` float64 matrix (``P > 0``)."""
-    return np.array([pair.probs for pair in predictions], dtype=np.float64)
+    def per_predicate(self, predicate_space: LabelSpace) -> Iterator[tuple[str, int, list[float | None]]]:
+        """Each predicate's name, GT count and recall at each K (None where it has no GT)."""
+        for j, name in enumerate(predicate_space.names):
+            recalls = (self.per_predicate_recall[k][j] for k in self.ks)
+            yield name, int(self.predicate_gt_counts[j]), [None if np.isnan(r) else float(r) for r in recalls]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,54 +141,41 @@ class RankedTriples:
         return RankedTriples(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
-def build_ranked(predictions: list[PairPrediction], num_predicates: int) -> dict[str, RankedTriples]:
+def build_ranked(predictions: PredictionSet, num_predicates: int) -> dict[str, RankedTriples]:
     """Group pair predictions per image and rank them (descending score).
 
     Each pair contributes its top predicate only (graph constraint); the triple
     score is the predicate score times both label confidences. Ties are broken
-    by instance ids so ranking is deterministic. Probs that do not stack into
-    ``num_predicates`` columns, a pair repeated within an image and a triple
-    score that is not finite raise ``ValueError``.
+    by instance ids so ranking is deterministic. Probs of another width than
+    ``num_predicates``, a pair repeated within an image and a triple score that
+    is not finite raise ``ValueError``.
     """
-    if not predictions:
+    if not len(predictions):
         return {}
-    try:
-        probs = stack_probs(predictions)
-        if probs.shape[1:] != (num_predicates,):
-            raise ValueError
-    except ValueError:  # ragged vectors do not stack either
-        raise ValueError(f"prediction shape mismatch: expected ({num_predicates},) predicate scores") from None
-    image_index: dict[str, int] = {}  # image id -> index, in order of first appearance
-    image, subj_id, obj_id, subj_label, obj_label = np.array([
-        (image_index.setdefault(p.image_id, len(image_index)), p.subj_id, p.obj_id, p.subj_label, p.obj_label)
-        for p in predictions
-    ], dtype=np.int64).T
-    subj_box, obj_box = np.array([(p.subj_box.xyxy, p.obj_box.xyxy) for p in predictions]).transpose(1, 0, 2)
-    label_scores = np.array([(p.subj_score, p.obj_score) for p in predictions])
+    p = predictions
+    if p.probs.shape[1:] != (num_predicates,):
+        raise ValueError(f"prediction shape mismatch: expected ({num_predicates},) predicate scores")
 
     # A stable sort keeps input order within equal pairs, so every row after
     # the first of its run repeats an earlier pair.
-    by_pair = np.lexsort((obj_id, subj_id, image))
-    keys = np.stack([image, subj_id, obj_id])[:, by_pair]
+    by_pair = np.lexsort((p.obj_id, p.subj_id, p.image))
+    keys = np.stack([p.image, p.subj_id, p.obj_id])[:, by_pair]
     repeats = by_pair[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]
     if repeats.size:
-        pair = predictions[repeats.min()]
-        raise ValueError(
-            f"image {pair.image_id}: duplicate prediction for pair {(pair.subj_id, pair.obj_id)} "
-            "violates the graph constraint"
-        )
-    top = probs.argmax(axis=1)
+        image_id, pair = p.pair(repeats.min())
+        raise ValueError(f"image {image_id}: duplicate prediction for pair {pair} violates the graph constraint")
+    top = p.probs.argmax(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        score = probs[np.arange(len(top)), top] * label_scores[:, 0] * label_scores[:, 1]
+        score = p.probs[np.arange(len(top)), top] * p.subj_score * p.obj_score
     bad = np.flatnonzero(~np.isfinite(score))
     if bad.size:
-        pair = predictions[bad[0]]
-        raise ValueError(f"image {pair.image_id}: pair {(pair.subj_id, pair.obj_id)} has a non-finite triple score")
+        image_id, pair = p.pair(bad[0])
+        raise ValueError(f"image {image_id}: pair {pair} has a non-finite triple score")
 
-    order = np.lexsort((obj_id, subj_id, -score, image))
-    ranked = RankedTriples(subj_id, obj_id, subj_label, obj_label, subj_box, obj_box, top, score)[order]
-    bounds = np.searchsorted(image[order], np.arange(len(image_index) + 1)).tolist()
-    return {image_id: ranked[bounds[i] : bounds[i + 1]] for i, image_id in enumerate(image_index)}
+    order = np.lexsort((p.obj_id, p.subj_id, -score, p.image))
+    ranked = RankedTriples(p.subj_id, p.obj_id, p.subj_label, p.obj_label, p.subj_box, p.obj_box, top, score)[order]
+    bounds = np.searchsorted(p.image[order], np.arange(len(p.image_ids) + 1)).tolist()
+    return {image_id: ranked[bounds[i] : bounds[i + 1]] for i, image_id in enumerate(p.image_ids)}
 
 
 def iou_matrix(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
@@ -262,7 +261,7 @@ def mric_at_k(per_predicate_recall: np.ndarray, info: InfoWeights) -> float:
 
 
 def evaluate(
-    predictions: list[PairPrediction],
+    predictions: PredictionSet,
     test: Dataset,
     zero_shot: frozenset[Signature] | None = None,
     info: InfoWeights | None = None,
@@ -325,12 +324,8 @@ def per_predicate_csv(
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["name", "gt_count"] + [f"recall@{k}" for k in report.ks])
-        for j, name in enumerate(predicate_space.names):
-            row: list = [name, int(report.predicate_gt_counts[j])]
-            for k in report.ks:
-                value = report.per_predicate_recall[k][j]
-                row.append("" if np.isnan(value) else repr(float(value)))
-            writer.writerow(row)
+        for name, count, recalls in report.per_predicate(predicate_space):
+            writer.writerow([name, count, *("" if r is None else repr(r) for r in recalls)])
 
 
 COMPANION_FORMAT = "sgrel-predictions"
@@ -340,47 +335,6 @@ _COLUMNS = {
     "image": "<i8", "subj_id": "<i8", "obj_id": "<i8", "subj_label": "<i8", "obj_label": "<i8",
     "boxes": "<f8", "label_scores": "<f8", "probs": "<f8",
 }
-
-
-def _columns(
-    predictions: list[PairPrediction], object_space: LabelSpace
-) -> tuple[list[str], dict, bool] | None:
-    """The image id table, the companion's arrays and whether they give back the JSON text exactly.
-
-    None when the JSON lines would read a value otherwise: no pairs, an image
-    id that is not a ``str``, an id or label that is not a plain ``int`` (a
-    boolean or a NumPy integer), a coordinate or label score that is neither a
-    plain ``int`` nor a ``float``, an id outside int64, a number too large for
-    a float, a label outside ``object_space`` or probs that do not stack into
-    at least one column. The text is not exact when a coordinate or label
-    score is an ``int`` (JSON writes ``1``, the column ``1.0``), a float is
-    not finite (JSON writes ``NaN``) or a label name is not a ``str``.
-    """
-    if not predictions or set(map(type, (p.image_id for p in predictions))) != {str}:
-        return None
-    image_ids: dict[str, int] = {}
-    ints = [(image_ids.setdefault(p.image_id, len(image_ids)), p.subj_id, p.obj_id, p.subj_label, p.obj_label)
-            for p in predictions]
-    floats = [(*p.subj_box.xyxy, *p.obj_box.xyxy, p.subj_score, p.obj_score) for p in predictions]
-    float_types = set(map(type, itertools.chain.from_iterable(floats)))
-    if set(map(type, itertools.chain.from_iterable(ints))) != {int} or not all(
-        kind is int or issubclass(kind, float) for kind in float_types  # JSON writes a float subclass as a float
-    ):
-        return None
-    try:
-        int_columns = np.array(ints, dtype="<i8").T.copy()
-        float_columns = np.array(floats, dtype="<f8")
-        probs = np.asarray(stack_probs(predictions), dtype="<f8")
-    except (OverflowError, ValueError):  # outside int64 or float range, or ragged probs
-        return None
-    labels = int_columns[3:]
-    if probs.ndim != 2 or not probs.shape[1] or labels.min() < 0 or labels.max() >= object_space.size:
-        return None
-    columns = dict(zip(_COLUMNS, int_columns))
-    columns.update(boxes=float_columns[:, :8].copy(), label_scores=float_columns[:, 8:].copy(), probs=probs)
-    exact = (int not in float_types and np.isfinite(float_columns).all() and np.isfinite(probs).all()
-             and all(isinstance(name, str) for name in object_space.names))
-    return list(image_ids), columns, bool(exact)
 
 
 def _distinct_boxes(boxes: np.ndarray) -> tuple[list[list[float]], np.ndarray]:
@@ -393,25 +347,8 @@ def _distinct_boxes(boxes: np.ndarray) -> tuple[list[list[float]], np.ndarray]:
     return distinct.view(boxes.dtype).reshape(-1, 4).tolist(), which
 
 
-def _pair_lines(predictions: list[PairPrediction], names: tuple[str, ...]) -> Iterator[str]:
-    """The JSON line of each pair, one encoder call per pair: text for values the columns do not hold exactly."""
-    for pair in predictions:
-        yield COMPACT_JSON.encode({
-            "image_id": pair.image_id,
-            "subj_id": pair.subj_id,
-            "obj_id": pair.obj_id,
-            "subj_label": names[pair.subj_label],
-            "obj_label": names[pair.obj_label],
-            "subj_box": [pair.subj_box.x1, pair.subj_box.y1, pair.subj_box.x2, pair.subj_box.y2],
-            "obj_box": [pair.obj_box.x1, pair.obj_box.y1, pair.obj_box.x2, pair.obj_box.y2],
-            "subj_score": pair.subj_score,
-            "obj_score": pair.obj_score,
-            "probs": np.asarray(pair.probs, dtype=np.float64).tolist(),
-        }) + "\n"
-
-
-def _column_lines(image_ids: list[str], columns: dict, names: tuple[str, ...]) -> Iterator[str]:
-    """The same JSON lines from the columns: each image id, label name and distinct box formatted once.
+def _column_lines(image_ids: tuple[str, ...], columns: dict, names: tuple[str, ...]) -> Iterator[str]:
+    """Each pair's JSON line from the columns: each image id, label name and distinct box formatted once.
 
     Strings go through the encoder's own escaping and floats through
     ``float.__repr__``, as ``json`` writes them.
@@ -435,37 +372,40 @@ def _column_lines(image_ids: list[str], columns: dict, names: tuple[str, ...]) -
         )
 
 
-def save_predictions(
-    predictions: list[PairPrediction],
-    object_space: LabelSpace,
-    path: str | Path,
-) -> None:
+def save_predictions(predictions: PredictionSet, object_space: LabelSpace, path: str | Path) -> None:
     """Serialize pair predictions as JSON lines (labels stored as names, ``probs`` last), plus their companion.
 
-    The lines are formatted from the companion's columns, with the bytes
-    ``json`` would write; values the columns do not hold exactly (see
-    ``_columns``) are encoded pair by pair instead. The binary companion
-    (``ingest.save_with_companion``; read by ``load_predictions``) is written
-    only when every value reads back from the JSON lines as it is stored;
-    otherwise an earlier companion is removed.
+    The lines are formatted from the columns, with the bytes ``json`` would
+    write; the binary companion (``ingest.save_with_companion``; read by
+    ``load_predictions``) holds the same columns. A label outside
+    ``object_space`` or a float that is not finite, which no reader accepts,
+    raises ``ValueError`` naming ``path`` and the first such pair before
+    anything is written. No pairs give an empty file and no companion.
     """
+    p = predictions
+    columns = {name: np.asarray(column, dtype=_COLUMNS[name]) for name, column in zip(_COLUMNS, (
+        p.image, p.subj_id, p.obj_id, p.subj_label, p.obj_label, np.concatenate([p.subj_box, p.obj_box], axis=1),
+        np.stack([p.subj_score, p.obj_score], axis=1), p.probs,
+    ))}
+    labels = np.stack([p.subj_label, p.obj_label], axis=1)
+    for problem, ok in (
+        ("a label outside the object labels", ((0 <= labels) & (labels < object_space.size)).all(axis=1)),
+        ("a non-finite value", np.isfinite(columns["boxes"]).all(axis=1)
+         & np.isfinite(columns["label_scores"]).all(axis=1) & np.isfinite(p.probs).all(axis=1)),
+    ):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            image_id, pair = p.pair(bad[0])
+            raise ValueError(f"{path}: image {image_id}: pair {pair} holds {problem}")
     names = object_space.names
-    table = _columns(predictions, object_space)
-    if table is None:
-        return save_with_companion(path, _pair_lines(predictions, names), None)
-    image_ids, columns, exact = table
-    count, num_predicates = columns["probs"].shape
     header = {
-        "format": COMPANION_FORMAT, "version": COMPANION_VERSION, "count": count,
-        "num_predicates": num_predicates, "object_labels": list(names), "image_ids": image_ids,
+        "format": COMPANION_FORMAT, "version": COMPANION_VERSION, "count": len(p),
+        "num_predicates": p.probs.shape[1], "object_labels": list(names), "image_ids": list(p.image_ids),
     }
-    lines = _column_lines(image_ids, columns, names) if exact else _pair_lines(predictions, names)
-    save_with_companion(path, lines, (header, columns))
+    save_with_companion(path, _column_lines(p.image_ids, columns, names), (header, columns) if len(p) else None)
 
 
-def _load_companion(
-    path: str | Path, object_space: LabelSpace, num_predicates: int
-) -> list[PairPrediction] | None:
+def _load_companion(path: str | Path, object_space: LabelSpace, num_predicates: int) -> PredictionSet | None:
     """The pairs stored in ``path``'s companion; None when it is missing or anything about it is in doubt."""
     expected = {"format": COMPANION_FORMAT, "version": COMPANION_VERSION, "object_labels": list(object_space.names)}
     loaded = load_companion(path, expected, _COLUMNS)
@@ -485,22 +425,11 @@ def _load_companion(
         and (probs >= 0.0).all() and probs.max() < 1e300 / num_predicates
     ):
         return None
-    # An object's box recurs in every pair it is part of: one BoundingBox per distinct row.
-    rows, which = _distinct_boxes(boxes)
-    made = list(itertools.starmap(BoundingBox, rows))
-    corners = [made[k] for k in which.tolist()]  # subject, object, subject, ... in pair order
-    return [
-        PairPrediction(image_ids[i], s, o, s_label, o_label, s_box, o_box, row, s_score, o_score)
-        for i, s, o, s_label, o_label, s_box, o_box, row, (s_score, o_score) in zip(
-            image.tolist(), subj_id.tolist(), obj_id.tolist(), subj_label.tolist(), obj_label.tolist(),
-            corners[0::2], corners[1::2], probs, label_scores.tolist(),
-        )
-    ]
+    return PredictionSet(tuple(image_ids), image, subj_id, obj_id, subj_label, obj_label,
+                         boxes[:, :4], boxes[:, 4:], label_scores[:, 0], label_scores[:, 1], probs)
 
 
-def load_predictions(
-    path: str | Path, object_space: LabelSpace, num_predicates: int
-) -> list[PairPrediction]:
+def load_predictions(path: str | Path, object_space: LabelSpace, num_predicates: int) -> PredictionSet:
     """Read the JSON lines ``save_predictions`` writes, each value through ``ingest``'s field vocabulary.
 
     Invalid JSON, a missing key or a refused value (a boolean is not a number;
@@ -509,26 +438,27 @@ def load_predictions(
     When ``path``'s companion still matches it (format, version, label names,
     shapes, its own digests and that of ``path``'s bytes) and its values pass
     the same checks, the pairs come from the companion's arrays instead: the
-    same list, without parsing text. Any doubt falls back to the JSON lines.
+    same set, without parsing text. Any doubt falls back to the JSON lines.
     """
     predictions = _load_companion(path, object_space, num_predicates)
     if predictions is not None:
         return predictions
     label = object_space.index_of
-    table = (  # in PairPrediction's field order
+    table = (
         ("image_id", string), ("subj_id", integer), ("obj_id", integer),
         ("subj_label", label), ("obj_label", label), ("subj_box", box), ("obj_box", box),
         ("probs", scores(num_predicates)), ("subj_score", number), ("obj_score", number),
     )
     count, records = read_jsonl(path)
-    probs = np.empty((count, num_predicates))  # one matrix; each pair's probs is a row of it
-    predictions: list[PairPrediction] = []
+    image_index: dict[str, int] = {}  # image id -> index, in order of first appearance
+    ints = np.empty((count, 5), dtype=np.int64)  # image, subject id, object id, subject label, object label
+    floats = np.empty((count, 10))  # subject box, object box, subject score, object score
+    probs = np.empty((count, num_predicates))
     for row, record in enumerate(records):
         try:
-            pair = PairPrediction(*parse_fields(record, table))
+            image_id, *ids, subj_box, obj_box, probs[row], subj_score, obj_score = parse_fields(record, table)
         except ValueError as err:
             raise ParseError(path, row + 1, str(err)) from None
-        probs[row] = pair.probs
-        pair.probs = probs[row]
-        predictions.append(pair)
-    return predictions
+        ints[row] = (image_index.setdefault(image_id, len(image_index)), *ids)
+        floats[row] = (*subj_box.xyxy, *obj_box.xyxy, subj_score, obj_score)
+    return PredictionSet(tuple(image_index), *ints.T, floats[:, :4], floats[:, 4:8], floats[:, 8], floats[:, 9], probs)

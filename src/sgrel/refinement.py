@@ -9,10 +9,12 @@ boosted rather than penalized.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .ingest import EmbeddingTable
-from .metrics import PairPrediction, stack_probs
+from .metrics import PredictionSet
 
 DEFAULT_ALPHA = 0.35
 
@@ -69,25 +71,24 @@ def refine(probs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def refine_dataset(
-    predictions: list[PairPrediction],
+    predictions: PredictionSet,
     object_embeddings: EmbeddingTable,
     predicate_embeddings: EmbeddingTable,
     alpha: float = DEFAULT_ALPHA,
-) -> list[PairPrediction]:
+) -> PredictionSet:
     """Refine every pair prediction's score vector and top predicate.
 
     The subject/object embeddings come from each pair's predicted labels, and
     the predicate-side embedding from the pre-refinement argmax predicate. One
-    refinement vector serves every pair with the same three labels.
+    refinement vector serves every pair with the same three labels. The result
+    holds the refined ``probs`` and shares every other column with the input.
     """
-    if not predictions:
-        return []
-    probs = stack_probs(predictions)
-    slots: dict[tuple[int, int, int], int] = {}
-    rows = [
-        slots.setdefault((pair.subj_label, pair.obj_label, pre_top), len(slots))
-        for pair, pre_top in zip(predictions, probs.argmax(axis=1).tolist())
-    ]
+    if not len(predictions):
+        return predictions
+    keys, rows = np.unique(
+        np.stack([predictions.subj_label, predictions.obj_label, predictions.probs.argmax(axis=1)], axis=1),
+        axis=0, return_inverse=True,
+    )
     affinity = np.array([
         np.exp(-refinement_vector(
             object_embeddings.vectors[subj_label],
@@ -96,13 +97,7 @@ def refine_dataset(
             predicate_embeddings,
             alpha,
         ))
-        for subj_label, obj_label, pre_top in slots
+        for subj_label, obj_label, pre_top in keys.tolist()
     ])
-    _, scores = refine(probs, affinity[rows])
-    return [
-        PairPrediction(
-            pair.image_id, pair.subj_id, pair.obj_id, pair.subj_label, pair.obj_label,
-            pair.subj_box, pair.obj_box, refined, pair.subj_score, pair.obj_score,
-        )
-        for pair, refined in zip(predictions, scores)
-    ]
+    _, scores = refine(predictions.probs, affinity[rows])
+    return dataclasses.replace(predictions, probs=scores)

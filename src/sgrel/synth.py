@@ -31,7 +31,7 @@ from .core import (
     triple_signature,
 )
 from .ingest import EmbeddingTable
-from .metrics import PairPrediction
+from .metrics import PredictionSet
 from .seeding import substream
 
 
@@ -334,40 +334,28 @@ def generate(cfg: SynthConfig) -> SynthData:
     )
 
 
-def oracle_predictions(test: Dataset, gen_map: GenerativeMap) -> list[PairPrediction]:
+def oracle_predictions(test: Dataset, gen_map: GenerativeMap) -> PredictionSet:
     """Perfect predictions for every annotated pair, read off the generative map."""
-    predictions: list[PairPrediction] = []
-    c_pred = test.predicate_space.size
+    image_ids: dict[str, int] = {}  # image id -> index, in order of first appearance
+    rows = []  # image, subject id, object id, subject label, object label, gold predicate
+    boxes = []
     for annotation in test.annotations:
-        seen: set[tuple[int, int]] = set()
-        for triple in annotation.triples:
-            key = (triple.subj, triple.obj)
-            if key in seen:
-                continue
-            seen.add(key)
-            subj = annotation.object_by_id(triple.subj)
-            obj = annotation.object_by_id(triple.obj)
+        for ends in dict.fromkeys((t.subj, t.obj) for t in annotation.triples):  # each annotated pair once
+            subj, obj = map(annotation.object_by_id, ends)
             gold = gen_map.predicate_for(subj.label, obj.label)
             if gold is None:
                 raise ValueError(
                     f"image {annotation.image_id}: pair ({subj.label}, {obj.label}) "
                     "is not covered by the generative map"
                 )
-            probs = np.zeros(c_pred)
-            probs[gold] = 1.0
-            predictions.append(
-                PairPrediction(
-                    image_id=annotation.image_id,
-                    subj_id=subj.object_id,
-                    obj_id=obj.object_id,
-                    subj_label=subj.label,
-                    obj_label=obj.label,
-                    subj_box=subj.box,
-                    obj_box=obj.box,
-                    probs=probs,
-                )
-            )
-    return predictions
+            rows.append((image_ids.setdefault(annotation.image_id, len(image_ids)), *ends, subj.label, obj.label, gold))
+            boxes.append((subj.box.xyxy, obj.box.xyxy))
+    image, subj_id, obj_id, subj_label, obj_label, gold = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+    subj_box, obj_box = np.array(boxes, dtype=np.float64).reshape(-1, 2, 4).transpose(1, 0, 2)
+    probs = np.zeros((len(rows), test.predicate_space.size))
+    probs[np.arange(len(rows)), gold] = 1.0
+    return PredictionSet(tuple(image_ids), image, subj_id, obj_id, subj_label, obj_label, subj_box, obj_box,
+                         np.ones(len(rows)), np.ones(len(rows)), probs)
 
 
 def save_map(gen_map: GenerativeMap, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from sgrel.core import (
     Triple,
 )
 from sgrel.ingest import EmbeddingTable
-from sgrel.metrics import PairPrediction
+from reference_predictions import PairPrediction
 
 D_ROI = 5
 

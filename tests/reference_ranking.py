@@ -18,12 +18,13 @@ from sgrel.metrics import (
     SGGEN,
     SGGEN_IOU_THRESHOLD,
     MetricReport,
-    PairPrediction,
     mean_recall_at_k,
     mric_at_k,
     recall_at_k,
 )
 from sgrel.reweighting import InfoWeights
+
+from reference_predictions import PairPrediction
 
 
 def overlap(self: BoundingBox, other: BoundingBox) -> tuple[float, float]:

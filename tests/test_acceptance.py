@@ -17,13 +17,14 @@ from sgrel.alignment import backward, contrastive_loss, forward_batch
 from sgrel.cli import main as cli_main
 from sgrel.core import Triple
 from sgrel.ingest import RecallTable, build_zero_shot_index, dataset_signatures
-from sgrel.metrics import PairPrediction, evaluate
+from sgrel.metrics import evaluate
 from sgrel.refinement import refine
 from sgrel.reweighting import info_weights, total_loss
 from sgrel.sampling import build_sampling_plan, count_predicates, resample, sampling_rate
 from sgrel.synth import SynthConfig, generate, oracle_predictions
 
 from conftest import make_annotation, make_dataset, make_object, make_spaces
+from reference_predictions import PairPrediction, to_set
 from test_alignment import finite_difference_gradients, max_relative_error, toy_batch
 
 
@@ -130,7 +131,7 @@ def test_criterion_5_metric_monotonicity_and_identities():
     info = info_weights(counts)
     for _ in range(200):
         dataset, predictions, zs = _random_fixture(rng)
-        report = evaluate(predictions, dataset, zs, info, ks=ks)
+        report = evaluate(to_set(predictions), dataset, zs, info, ks=ks)
         for family in (report.recall, report.mean_recall, report.zero_shot_recall, report.mric):
             values = [family[k] for k in ks if family[k] is not None]
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))

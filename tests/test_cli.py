@@ -97,6 +97,8 @@ class TestConfig:
             ("box_loss", "nan"),
             ("object_loss", "-inf"),
             ("zipf_s", "inf"),
+            ("seed", "-1"),
+            ("seed", str(2**63)),
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, key, value):
@@ -142,6 +144,17 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "usage error" in err
         assert "--seed" in err
+
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63), "1180591620717411303424"])
+    @pytest.mark.parametrize("stage", ["synth", "train"])
+    def test_seed_flag_outside_64_bits_is_usage_error_naming_the_key(self, tmp_path, capsys, stage, seed):
+        inputs = {"synth": [], "train": [
+            *corpus_flags(tmp_path), "--train", "t", "--val", "v", "--test", "t", "--object-embeddings", "e",
+            "--d-roi", 4]}[stage]
+        assert run([stage, "--out", tmp_path / "out", "--seed", seed, *inputs]) == 1
+        assert capsys.readouterr().err == f"usage error: invalid seed {seed}: must be in [0, 2**63)\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestExitCodes:
@@ -534,6 +547,21 @@ class TestTrainRefineEval:
         err = capsys.readouterr().err
         assert "--object-embeddings" in err and "--predicate-embeddings" in err
 
+    @pytest.mark.parametrize("eval_every", [0, 1])
+    def test_diverged_training_is_data_error(self, corpus, tmp_path, capsys, eval_every):
+        config = write_config(tmp_path, iterations=3, eval_every=eval_every, lr=1.7e308, mu=1e308)
+        out = tmp_path / "run"
+        code = run(
+            ["train", "--out", out, "--config", config, *corpus_flags(corpus),
+             "--train", corpus / "train.jsonl", "--val", corpus / "val.jsonl", "--test", corpus / "test.jsonl",
+             "--object-embeddings", corpus / "object_embeddings.txt", "--d-roi", 32]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        message = "training diverged: parameters not finite after iteration 0"
+        assert f"data error: {corpus / 'train.jsonl'}: {message}\n" in err
+        assert not out.exists()
+
     def test_train_writes_validation_history(self, corpus, tmp_path):
         config = write_config(tmp_path, iterations=20, eval_every=5, seed=5)
         out = tmp_path / "run"
@@ -555,7 +583,7 @@ class TestTrainRefineEval:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{len(predictions)} predictions" in err
-        assert repr(predictions[0].image_id) in err
+        assert repr(predictions.image_ids[0]) in err
 
     def test_eval_on_oracle_predictions_is_perfect(self, corpus, tmp_path):
         path = tmp_path / "oracle.jsonl"

@@ -118,7 +118,8 @@ class TestReaders:
                   "subj_score": 1.0, "obj_score": 1.0, "probs": [0.5, 0.25, 0.25]}
         line = json.dumps(record, ensure_ascii=False) + "\n"
         path = write(tmp_path, "p.jsonl", line + line)
-        assert [pair.image_id for pair in load_predictions(path, object_space, 3)] == [f"im{separator}0"] * 2
+        loaded = load_predictions(path, object_space, 3)
+        assert [loaded.image_ids[i] for i in loaded.image] == [f"im{separator}0"] * 2
         path = write(tmp_path, "p.jsonl", line + line + line.replace("0.5", "-0.5"))
         with pytest.raises(ParseError, match=r"p.jsonl:3: bad 'probs'"):
             load_predictions(path, object_space, 3)
@@ -589,8 +590,9 @@ class TestAnnotationCompanion:
         path, spaces, expected = written
         from sgrel.metrics import save_predictions
         from conftest import awkward_pairs
+        from reference_predictions import to_set
 
-        save_predictions(awkward_pairs(np.random.default_rng(5), 3), spaces[0], tmp_path / "p.jsonl")
+        save_predictions(to_set(awkward_pairs(np.random.default_rng(5), 3)), spaces[0], tmp_path / "p.jsonl")
         companion_path(path).write_bytes(companion_path(tmp_path / "p.jsonl").read_bytes())
         assert annotations_outcome(path, *spaces, 5) == expected
 

@@ -1,10 +1,10 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import random
 import re
-import struct
 import tempfile
 from pathlib import Path
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_predictions as listed
 import reference_ranking as reference
 from reference_ranking import PredictedTriple
 from sgrel.cli import main
@@ -24,7 +25,7 @@ from sgrel.metrics import (
     SGCLS,
     SGGEN,
     MetricReport,
-    PairPrediction,
+    PredictionSet,
     RankedTriples,
     build_ranked,
     evaluate,
@@ -39,6 +40,7 @@ from sgrel.metrics import (
 from sgrel.reweighting import InfoWeights, info_weights
 
 from conftest import awkward_pairs, make_annotation, make_box, make_dataset, make_object, make_spaces
+from reference_predictions import PairPrediction, to_pairs, to_set
 from test_acceptance import _random_fixture
 from test_refinement import per_pair_refine_dataset
 
@@ -124,7 +126,7 @@ class TestBuildRanked:
             pair("im0", 0, 1, [0.1, 0.9, 0.0]),
             pair("im0", 1, 0, [0.6, 0.2, 0.2]),
         ]
-        ranked = build_ranked(pairs, 3)["im0"]
+        ranked = build_ranked(to_set(pairs), 3)["im0"]
         assert ranked.score.tolist() == sorted(ranked.score.tolist(), reverse=True)
         assert ranked.pred[0] == 1
         assert ranked.score[0] == pytest.approx(0.9)
@@ -132,19 +134,21 @@ class TestBuildRanked:
     def test_graph_constraint_enforced(self):
         pairs = [pair("im0", 0, 1, [1.0, 0.0]), pair("im0", 0, 1, [0.0, 1.0])]
         with pytest.raises(ValueError, match="graph constraint"):
-            build_ranked(pairs, 2)
+            build_ranked(to_set(pairs), 2)
 
     def test_graph_constraint_names_the_first_repeat_in_input_order(self):
         pairs = [pair(image, s, o, [0.5, 0.5]) for image, s, o in
                  [("im0", 0, 1), ("im1", 2, 3), ("im0", 2, 3), ("im1", 2, 3), ("im0", 0, 1)]]
         message = "image im1: duplicate prediction for pair (2, 3) violates the graph constraint"
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            build_ranked(pairs, 2)
+            build_ranked(to_set(pairs), 2)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            listed.build_ranked(pairs, 2)
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             reference.build_ranked(pairs)
 
     def test_label_confidence_scales_score(self):
-        ranked = build_ranked([pair("im0", 0, 1, [0.8, 0.2], subj_score=0.5, obj_score=0.5)], 2)
+        ranked = build_ranked(to_set([pair("im0", 0, 1, [0.8, 0.2], subj_score=0.5, obj_score=0.5)]), 2)
         assert ranked["im0"].score[0] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("probs, subj_score, obj_score", [
@@ -155,7 +159,7 @@ class TestBuildRanked:
         pairs = [pair("im0", 0, 1, [0.5, 0.5]),
                  pair("im0", 2, 1, probs, subj_score=subj_score, obj_score=obj_score)]
         with pytest.raises(ValueError, match=r"^image im0: pair \(2, 1\) has a non-finite triple score$"):
-            build_ranked(pairs, 2)
+            build_ranked(to_set(pairs), 2)
 
 
 def gt_annotation():
@@ -374,7 +378,7 @@ class TestOnePassMatching:
         rng = np.random.default_rng(5)
         for _ in range(100):
             dataset, predictions, _ = _random_fixture(rng)
-            ranked = {image_id: as_triples(r) for image_id, r in build_ranked(predictions, 4).items()}
+            ranked = {image_id: as_triples(r) for image_id, r in build_ranked(to_set(predictions), 4).items()}
             for a in dataset.annotations:
                 for protocol in (PREDCLS, SGCLS, SGGEN):
                     assert_one_pass_matches_reference(ranked.get(a.image_id, ()), a, protocol)
@@ -384,23 +388,42 @@ class TestOnePassMatching:
             assert_one_pass_matches_reference(ranked, a, SGGEN)
 
 
-def assert_same_as_replaced_code(predictions, dataset, zero_shot=None, info=None,
-                                 ks=(1, 2, 3, 5, 10, 20, 100), protocol=PREDCLS):
-    """Report, ranking and each image's first-rank dict equal those of the replaced code, exactly."""
-    report = evaluate(predictions, dataset, zero_shot, info, ks, protocol)
-    expected = reference.evaluate(predictions, dataset, zero_shot, info, ks, protocol)
+def assert_same_reports(report, expected):
     for field in dataclasses.fields(MetricReport):
         value, wanted = getattr(report, field.name), getattr(expected, field.name)
         if field.name == "per_predicate_recall":
             assert value.keys() == wanted.keys()
-            for k in ks:
+            for k in value:
                 np.testing.assert_array_equal(value[k], wanted[k], strict=True)
         elif field.name == "predicate_gt_counts":
             np.testing.assert_array_equal(value, wanted, strict=True)
         else:
             assert value == wanted, field.name
 
-    ranked = build_ranked(predictions, dataset.predicate_space.size)
+
+def assert_same_ranked(ranked, expected):
+    assert list(ranked) == list(expected)
+    for image_id, triples in ranked.items():
+        for field in dataclasses.fields(RankedTriples):
+            np.testing.assert_array_equal(getattr(triples, field.name), getattr(expected[image_id], field.name),
+                                          strict=True, err_msg=field.name)
+
+
+def assert_same_as_replaced_code(predictions, dataset, zero_shot=None, info=None,
+                                 ks=(1, 2, 3, 5, 10, 20, 100), protocol=PREDCLS):
+    """Report, ranking and each image's first-rank dict equal those of the replaced code, exactly.
+
+    The replaced code is the list-based ``evaluate`` and ``build_ranked`` and,
+    before them, the per-object ranking and matching.
+    """
+    c_pred = dataset.predicate_space.size
+    report = evaluate(to_set(predictions, c_pred), dataset, zero_shot, info, ks, protocol)
+    for replaced in (listed.evaluate, reference.evaluate):
+        assert_same_reports(report, replaced(predictions, dataset, zero_shot, info, ks, protocol))
+
+    ranked = build_ranked(to_set(predictions, c_pred), c_pred)
+    # As pairs again, integer coordinates read as the set's floats.
+    assert_same_ranked(ranked, listed.build_ranked(to_pairs(to_set(predictions, c_pred)), c_pred))
     replaced = reference.build_ranked(predictions)
     assert {image_id: as_triples(r) for image_id, r in ranked.items()} == replaced
     for a in dataset.annotations:
@@ -450,14 +473,8 @@ class TestRankingAndMatchingAgainstReplacedCode:
             assert_same_as_replaced_code(predictions, dataset, zero_shot, info, protocol=protocol)
 
     def test_overlapping_sggen_images(self):
-        images = list(overlapping_sggen_images())
-        predictions = [
-            pair(a.image_id, t.subj_id, t.obj_id, [t.score, 0.0, 0.0], subj_label=t.subj_label,
-                 obj_label=t.obj_label, boxes=(t.subj_box, t.obj_box))
-            for a, ranked in images for t in ranked
-        ]
-        dataset = make_dataset([a for a, _ in images])
-        assert_same_as_replaced_code(predictions, dataset, protocol=SGGEN)
+        annotations, pairs = overlapping_sggen_pairs()
+        assert_same_as_replaced_code([p for image in pairs for p in image], make_dataset(annotations), protocol=SGGEN)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_ties_zero_scores_and_odd_boxes(self, protocol):
@@ -468,6 +485,35 @@ class TestRankingAndMatchingAgainstReplacedCode:
             info = info_weights(rng.integers(1, 100, size=3))
             assert_same_as_replaced_code(predictions, dataset, zero_shot, info, protocol=protocol)
             assert_same_as_replaced_code([], dataset, zero_shot, info, protocol=protocol)
+
+
+@functools.cache
+def overlapping_sggen_pairs():
+    """``overlapping_sggen_images`` as annotations and each image's predictions as pairs."""
+    images = list(overlapping_sggen_images())
+    return [a for a, _ in images], [
+        [pair(a.image_id, t.subj_id, t.obj_id, [t.score, 0.0, 0.0], subj_label=t.subj_label,
+              obj_label=t.obj_label, boxes=(t.subj_box, t.obj_box)) for t in ranked]
+        for a, ranked in images
+    ]
+
+
+class TestColumnarAgainstListBased:
+    """``PredictionSet`` through ranking and matching gives the list-based code's reports, exactly."""
+
+    @given(seed=st.integers(0, 2**32 - 1), protocol=st.sampled_from(PROTOCOLS))
+    def test_random_fixtures(self, seed, protocol):
+        rng = np.random.default_rng(seed)
+        dataset, predictions, zero_shot = _random_fixture(rng)
+        assert_same_as_replaced_code(predictions, dataset, zero_shot, info_weights(rng.integers(1, 100, size=4)),
+                                     protocol=protocol)
+
+    @given(picked=st.lists(st.integers(0, 299), min_size=1, max_size=12, unique=True))
+    def test_overlapping_sggen_images(self, picked):
+        annotations, pairs = overlapping_sggen_pairs()
+        predictions = [p for i in picked for p in pairs[i]]
+        assert_same_as_replaced_code(predictions, make_dataset([annotations[i] for i in sorted(picked)]),
+                                     protocol=SGGEN)
 
 
 @st.composite
@@ -506,7 +552,7 @@ class TestMatchingProperties:
         ks = (1, 2, 3, 5, 8, 13)
         info = info_weights(np.array([3, 1]))
         dataset = make_dataset([a], make_spaces(c_obj=2, c_pred=2))
-        report = evaluate(predictions, dataset, frozenset(zero_shot), info, ks, protocol)
+        report = evaluate(to_set(predictions), dataset, frozenset(zero_shot), info, ks, protocol)
         for family in (report.recall, report.mean_recall, report.zero_shot_recall, report.mric):
             values = [family[k] for k in ks]
             if values[0] is None:
@@ -517,7 +563,7 @@ class TestMatchingProperties:
     @given(scene=scenes(max_objects=4, max_predictions=5))
     def test_sggen_count_equals_brute_force_maximum_matching(self, scene):
         a, predictions = scene
-        (ranked,) = build_ranked(predictions, 2).values()
+        (ranked,) = build_ranked(to_set(predictions), 2).values()
         first_rank = match_triples(ranked, a, len(ranked), SGGEN)
         gt = [(t, a.object_by_id(t.subj), a.object_by_id(t.obj)) for t in a.triples]
         options = [
@@ -587,13 +633,13 @@ def oracle_pairs(dataset):
 class TestEvaluate:
     def test_perfect_oracle(self, spaces):
         dataset = make_dataset([gt_annotation()], spaces)
-        report = evaluate(oracle_pairs(dataset), dataset, ks=(2, 20))
+        report = evaluate(to_set(oracle_pairs(dataset)), dataset, ks=(2, 20))
         assert report.recall == {2: 1.0, 20: 1.0}
         assert report.mean_recall[20] == 1.0
 
     def test_empty_predictions(self, spaces):
         dataset = make_dataset([gt_annotation()], spaces)
-        report = evaluate([], dataset, ks=(20,))
+        report = evaluate(to_set([], 3), dataset, ks=(20,))
         assert report.recall[20] == 0.0
         assert report.mean_recall[20] == 0.0
 
@@ -601,7 +647,7 @@ class TestEvaluate:
         dataset = make_dataset([gt_annotation()], spaces)
         zs = frozenset({(1, 1, 2)})
         predictions = [p for p in oracle_pairs(dataset) if p.subj_id == 0]  # matches only triple 0
-        report = evaluate(predictions, dataset, zero_shot=zs, ks=(20,))
+        report = evaluate(to_set(predictions), dataset, zero_shot=zs, ks=(20,))
         assert report.zero_shot_recall[20] == 0.0
         assert report.recall[20] == 0.5
 
@@ -609,15 +655,8 @@ class TestEvaluate:
         dataset = make_dataset([gt_annotation()], spaces)
         zs = frozenset({(0, 0, 1), (1, 1, 2)})
         predictions = [p for p in oracle_pairs(dataset) if p.subj_id == 0]
-        report = evaluate(predictions, dataset, zero_shot=zs, ks=(20,))
+        report = evaluate(to_set(predictions), dataset, zero_shot=zs, ks=(20,))
         assert report.zero_shot_recall[20] == report.recall[20]
-
-    def test_shape_mismatch_rejected(self, spaces):
-        dataset = make_dataset([gt_annotation()], spaces)
-        bad = oracle_pairs(dataset)
-        bad[0].probs = np.ones(7)  # ragged: the other pair holds 3 scores
-        with pytest.raises(ValueError, match=r"^prediction shape mismatch: expected \(3,\) predicate scores$"):
-            evaluate(bad, dataset, ks=(20,))
 
     @pytest.mark.parametrize("width", [2, 7])
     def test_every_pair_of_the_wrong_width_rejected(self, spaces, width):
@@ -626,7 +665,7 @@ class TestEvaluate:
         for p in bad:
             p.probs = np.ones(width)
         with pytest.raises(ValueError, match=r"^prediction shape mismatch: expected \(3,\) predicate scores$"):
-            evaluate(bad, dataset, ks=(20,))
+            evaluate(to_set(bad), dataset, ks=(20,))
 
     def test_per_predicate_recalls_average_to_mean_recall(self, rng, spaces):
         dataset = make_dataset(
@@ -640,7 +679,7 @@ class TestEvaluate:
             if key not in seen:
                 seen.add(key)
                 unique.append(p)
-        report = evaluate(unique, dataset, ks=(20,))
+        report = evaluate(to_set(unique), dataset, ks=(20,))
         recalls = report.per_predicate_recall[20]
         observed = recalls[~np.isnan(recalls)]
         assert report.mean_recall[20] == np.mean(observed)
@@ -654,8 +693,8 @@ class TestPredictionIO:
             pair("im1", 2, 3, rng.dirichlet(np.ones(3)), subj_label=2, obj_label=3),
         ]
         path = tmp_path / "preds.jsonl"
-        save_predictions(pairs, object_space, path)
-        loaded = load_predictions(path, object_space, 3)
+        save_predictions(to_set(pairs), object_space, path)
+        loaded = to_pairs(load_predictions(path, object_space, 3))
         assert len(loaded) == 2
         for a, b in zip(pairs, loaded):
             assert (a.image_id, a.subj_id, a.obj_id, a.subj_label, a.obj_label) == (
@@ -664,36 +703,51 @@ class TestPredictionIO:
             np.testing.assert_array_equal(a.probs, b.probs)
             assert a.subj_box == b.subj_box
 
+    def test_rows_are_views_of_the_columns(self, rng):
+        predictions = to_set(awkward_pairs(rng, 3))
+        row = predictions[4]
+        assert len(predictions) == len(list(predictions)) == 36
+        assert (predictions.image_ids[row.image], int(row.subj_id), int(row.obj_id)) == ("im0", 1, 2)
+        assert np.shares_memory(row.probs, predictions.probs) and row.probs.shape == (3,)
+        assert len(predictions[10:20]) == 10 and predictions[10:20].image_ids == predictions.image_ids
 
-def outcome(path, object_space, num_predicates):
-    """``load_predictions``'s result, every value with its type and bits, or its error's type and text."""
-    try:
-        pairs = load_predictions(path, object_space, num_predicates)
-    except ValueError as err:
-        return type(err), str(err)
-    return [
-        (
-            (type(p.image_id), p.image_id),
-            *((type(v), v) for v in (p.subj_id, p.obj_id, p.subj_label, p.obj_label)),
-            *((type(v), struct.pack("<d", v))
-              for v in (*p.subj_box.xyxy, *p.obj_box.xyxy, p.subj_score, p.obj_score)),
-            (type(p.probs), p.probs.dtype, p.probs.tobytes(), p.probs.flags.writeable,
-             p.probs.base is pairs[0].probs.base),
-        )
-        for p in pairs
+
+def describe(predictions):
+    """A set's image ids, and each column's dtype, shape, bytes and whether it is writable."""
+    return predictions.image_ids, [
+        (f.name, a.dtype.str, a.shape, a.tobytes(), a.flags.writeable)
+        for f in dataclasses.fields(PredictionSet)[1:] for a in [getattr(predictions, f.name)]
     ]
 
 
-def jsonl_outcome(path, object_space, num_predicates):
+def outcome(path, object_space, num_predicates, load=load_predictions):
+    """``load``'s result as ``describe`` gives it, or its error's type and text."""
+    try:
+        predictions = load(path, object_space, num_predicates)
+    except ValueError as err:
+        return type(err), str(err)
+    return describe(predictions if isinstance(predictions, PredictionSet) else to_set(predictions, num_predicates))
+
+
+def jsonl_outcome(path, object_space, num_predicates, load=load_predictions):
     """``outcome`` with no companion beside ``path`` (the companion, if any, is put back)."""
     companion = companion_path(path)
     kept = companion.read_bytes() if companion.exists() else None
     companion.unlink(missing_ok=True)
     try:
-        return outcome(path, object_space, num_predicates)
+        return outcome(path, object_space, num_predicates, load)
     finally:
         if kept is not None:
             companion.write_bytes(kept)
+
+
+def assert_loaders_agree(path, object_space, num_predicates):
+    """Companion and JSON lines give one result, and the list-based reader that ``PredictionSet`` replaced too."""
+    result = outcome(path, object_space, num_predicates)
+    assert result == jsonl_outcome(path, object_space, num_predicates)
+    for replaced in (outcome, jsonl_outcome):
+        assert replaced(path, object_space, num_predicates, listed.load_predictions) == result
+    return result
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -702,7 +756,7 @@ coordinate = st.one_of(finite, edge_floats, st.integers(-(2**53), 2**53))
 label_score = st.one_of(st.floats(0.0, 1e308), edge_floats, st.integers(0, 2**53))
 prob = st.one_of(st.floats(0.0, 1e250), st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1.0]), st.integers(0, 7))
 image_id = st.one_of(st.text(st.characters(exclude_categories=()), max_size=6),
-                     st.sampled_from(['"', "\\", "\n", " ", "\x85", "é", "\ud800", "{}"]))
+                     st.sampled_from(['"', "\\", "\n", " ", "\x85", "é", "\ud800", "{}"]))
 
 
 @st.composite
@@ -726,9 +780,9 @@ def prediction_lists(draw, c_obj=4, c_pred=3, values=(coordinate, label_score, p
     ]
 
 
-def saved(pairs, object_space, directory):
+def saved(predictions, object_space, directory):
     path = Path(directory) / "preds.jsonl"
-    save_predictions(pairs, object_space, path)
+    save_predictions(predictions, object_space, path)
     return path
 
 
@@ -738,41 +792,34 @@ class TestCompanion:
     @given(prediction_lists())
     def test_round_trip_agrees_bit_for_bit_and_in_type(self, pairs):
         object_space, _ = make_spaces()
+        predictions = to_set(pairs, 3)
         with tempfile.TemporaryDirectory() as directory:
-            path = saved(pairs, object_space, directory)
+            path = saved(predictions, object_space, directory)
             assert companion_path(path).exists() == bool(pairs)
-            from_companion = outcome(path, object_space, 3)
-            assert from_companion == jsonl_outcome(path, object_space, 3)
+            from_companion = assert_loaders_agree(path, object_space, 3)
             if pairs:
                 assert metrics._load_companion(path, object_space, 3) is not None  # the arrays were read
-        expected = [
-            (
-                (str, p.image_id),
-                *((int, v) for v in (p.subj_id, p.obj_id, p.subj_label, p.obj_label)),
-                *((float, struct.pack("<d", v))
-                  for v in (*p.subj_box.xyxy, *p.obj_box.xyxy, p.subj_score, p.obj_score)),
-                (np.ndarray, np.dtype(np.float64), p.probs.tobytes(), True, True),
-            )
-            for p in pairs
-        ]
-        assert from_companion == expected
+        assert from_companion == describe(predictions)
 
     @given(prediction_lists(values=(st.floats(), st.one_of(st.floats(), st.integers()), st.floats())))
     def test_any_values_give_the_jsonl_result(self, pairs):
         object_space, _ = make_spaces()
         with tempfile.TemporaryDirectory() as directory:
             try:
-                path = saved(pairs, object_space, directory)
-            except OverflowError:  # an integer too large for a float cannot be written
+                path = saved(to_set(pairs, 3), object_space, directory)
+            except OverflowError:  # an integer too large for a float is not a column value
                 return
-            assert outcome(path, object_space, 3) == jsonl_outcome(path, object_space, 3)
+            except ValueError as err:  # a value that is not finite is refused before anything is written
+                assert "holds a non-finite value" in str(err) and not list(Path(directory).iterdir())
+                return
+            assert_loaders_agree(path, object_space, 3)
 
     @pytest.fixture
     def written(self, tmp_path):
         object_space, _ = make_spaces(c_obj=4)
         pairs = awkward_pairs(np.random.default_rng(5), 3)
-        pairs[0].image_id = "im é"
-        path = saved(pairs, object_space, tmp_path)
+        pairs[0].image_id = "im é"
+        path = saved(to_set(pairs), object_space, tmp_path)
         return path, object_space, jsonl_outcome(path, object_space, 3)
 
     def test_every_flipped_header_byte_and_sampled_payload_bytes(self, written):
@@ -811,77 +858,65 @@ class TestCompanion:
         record["probs"] = [0.0, 0.0, 1.0]
         record["image_id"] = "edited"
         path.write_text("".join(lines[:2] + [json.dumps(record) + "\n"] + lines[3:]))
-        edited = outcome(path, object_space, 3)
-        assert edited == jsonl_outcome(path, object_space, 3) != expected
-        assert edited[2][0] == (str, "edited")
+        edited = assert_loaders_agree(path, object_space, 3)
+        assert edited != expected
+        loaded = load_predictions(path, object_space, 3)
+        assert loaded.image_ids[loaded.image[2]] == "edited"
 
     @pytest.mark.parametrize("names", [("thing1", "thing0", "thing2", "thing3"),
                                        ("thing0", "thing1", "thing2", "thing3", "x")])
     def test_another_label_space(self, written, names):
         path, _, _ = written
-        other = LabelSpace("object", names)
-        assert outcome(path, other, 3) == jsonl_outcome(path, other, 3)
+        assert_loaders_agree(path, LabelSpace("object", names), 3)
 
     @pytest.mark.parametrize("num_predicates", [2, 4])
     def test_another_predicate_count(self, written, num_predicates):
         path, object_space, _ = written
-        refused = outcome(path, object_space, num_predicates)
-        assert refused == jsonl_outcome(path, object_space, num_predicates)
+        refused = assert_loaders_agree(path, object_space, num_predicates)
         assert refused[0] is ParseError and f"expected {num_predicates} predicate scores" in refused[1]
 
     @pytest.mark.parametrize("change", [
         lambda p: setattr(p, "probs", np.array([1e308, 1e308, 0.0])),  # each finite, the sum is not
-        lambda p: setattr(p, "probs", np.array([0.5, np.nan, 0.5])),
         lambda p: setattr(p, "probs", np.array([0.5, -1e-300, 0.5])),
         lambda p: setattr(p, "subj_score", -0.5),
-        lambda p: setattr(p, "obj_score", math.inf),
-        lambda p: setattr(p, "obj_box", BoundingBox(0.0, 0.0, math.inf, 1.0)),
     ])
     def test_values_the_jsonl_refuses_are_refused_alike(self, tmp_path, change):
         object_space, _ = make_spaces(c_obj=4)
         pairs = awkward_pairs(np.random.default_rng(5), 3)
         change(pairs[4])
-        path = saved(pairs, object_space, tmp_path)
+        path = saved(to_set(pairs), object_space, tmp_path)
         assert companion_path(path).exists()
-        refused = outcome(path, object_space, 3)
-        assert refused == jsonl_outcome(path, object_space, 3)
+        refused = assert_loaders_agree(path, object_space, 3)
         assert refused[0] is ParseError and refused[1].startswith(f"{path}:5: bad ")
+
+    @pytest.mark.parametrize("change, problem", [
+        (lambda p: setattr(p, "probs", np.array([0.5, np.nan, 0.5])), "a non-finite value"),
+        (lambda p: setattr(p, "probs", np.array([0.5, 0.5, -np.inf])), "a non-finite value"),
+        (lambda p: setattr(p, "obj_score", math.inf), "a non-finite value"),
+        (lambda p: setattr(p, "obj_box", BoundingBox(0.0, 0.0, math.inf, 1.0)), "a non-finite value"),
+        (lambda p: setattr(p, "subj_label", -1), "a label outside the object labels"),
+        (lambda p: setattr(p, "obj_label", 4), "a label outside the object labels"),
+    ], ids=["nan-prob", "-inf-prob", "inf-label-score", "inf-box", "label-minus-1", "label-past-the-space"])
+    def test_values_no_reader_accepts_are_refused_at_write(self, written, change, problem):
+        path, object_space, expected = written
+        pairs = awkward_pairs(np.random.default_rng(5), 3)
+        change(pairs[4])
+        change(pairs[7])
+        message = f"{path}: image im0: pair (1, 2) holds {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_predictions(to_set(pairs), object_space, path)
+        assert outcome(path, object_space, 3) == expected  # nothing was written
 
     def test_missing_companion(self, written):
         path, object_space, expected = written
         companion_path(path).unlink()
         assert outcome(path, object_space, 3) == expected
 
-    @pytest.mark.parametrize("change", [
-        lambda p: setattr(p, "subj_id", True),
-        lambda p: setattr(p, "obj_score", True),
-        lambda p: setattr(p, "subj_label", np.int64(1)),
-        lambda p: setattr(p, "obj_id", 2**63),
-        lambda p: setattr(p, "subj_label", -1),
-        lambda p: setattr(p, "image_id", 7),
-        lambda p: setattr(p, "probs", np.ones(4)),
-    ])
-    def test_values_the_jsonl_reads_otherwise_leave_no_companion(self, written, change):
-        path, object_space, _ = written
-        pairs = awkward_pairs(np.random.default_rng(5), 3)
-        change(pairs[1])
-        assert companion_path(path).exists()
-        save_predictions(pairs, object_space, path)  # the earlier companion is stale now
-        assert not companion_path(path).exists()
-
-    def test_numpy_integer_id_removes_the_stale_companion(self, written):
-        path, object_space, _ = written
-        pairs = awkward_pairs(np.random.default_rng(5), 3)
-        pairs[1].subj_id = np.int64(1)
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            save_predictions(pairs, object_space, path)
-        assert not companion_path(path).exists()
-
     def test_no_pairs_leave_no_companion(self, written):
         path, object_space, _ = written
-        save_predictions([], object_space, path)
-        assert not companion_path(path).exists()
-        assert load_predictions(path, object_space, 3) == []
+        save_predictions(to_set([], 3), object_space, path)
+        assert not companion_path(path).exists() and path.read_bytes() == b""
+        assert assert_loaders_agree(path, object_space, 3) == describe(to_set([], 3))
 
 
 # The per-pair ranking, writer and refinement report that the stacked versions
@@ -961,18 +996,16 @@ escaped = st.one_of(  # strings the JSON encoder escapes: quotes, backslashes, c
                      "\u2028"]),
 )
 written_float = st.one_of(finite, st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, 0.1, -2.5]))
-# Values the columns do not hold as JSON writes them; the per-pair encoder writes these lines.
-FALLBACK_TRIGGERS = {
+# Values a pair may hold: integers that the set holds as floats, and non-finite floats that it refuses to write.
+TRIGGERS = {
     "int coordinate": lambda p: setattr(p, "obj_box", BoundingBox(7, *p.obj_box.xyxy[1:])),
     "int label score": lambda p: setattr(p, "obj_score", 1),
-    "boolean id": lambda p: setattr(p, "subj_id", True),
-    "boolean score": lambda p: setattr(p, "subj_score", False),
     "nan prob": lambda p: p.probs.__setitem__(0, math.nan),
     "inf prob": lambda p: p.probs.__setitem__(-1, math.inf),
     "-inf prob": lambda p: p.probs.__setitem__(-1, -math.inf),
-    "numpy id": lambda p: setattr(p, "obj_id", np.int64(p.obj_id)),
+    "nan label score": lambda p: setattr(p, "subj_score", math.nan),
 }
-NO_COMPANION = {"boolean id", "boolean score", "numpy id"}  # the JSON lines would read these otherwise
+REFUSED = {"nan prob", "inf prob", "-inf prob", "nan label score"}
 
 
 @st.composite
@@ -996,9 +1029,9 @@ def written_cases(draw):
             draw(st.integers(-(2**63), 2**63 - 1)), draw(label), draw(label), draw(st.sampled_from(boxes)),
             draw(st.sampled_from(boxes)), probs, draw(written_float), draw(written_float),
         ))
-    trigger = draw(st.sampled_from([None, *FALLBACK_TRIGGERS])) if pairs else None
+    trigger = draw(st.sampled_from([None, *TRIGGERS])) if pairs else None
     if trigger:
-        FALLBACK_TRIGGERS[trigger](draw(st.sampled_from(pairs)))
+        TRIGGERS[trigger](draw(st.sampled_from(pairs)))
     return object_space, pairs, trigger
 
 
@@ -1008,36 +1041,37 @@ class TestStackedRanking:
     @given(written_cases())
     def test_save_predictions_writes_what_the_per_pair_encoder_writes(self, case):
         object_space, pairs, trigger = case
-        if trigger is None and pairs:  # the columns give the text
-            assert metrics._columns(pairs, object_space)[2]
+        predictions = to_set(pairs, 1)
         with tempfile.TemporaryDirectory() as directory:
-            results = []
-            for save, path in ((save_predictions, Path(directory) / "new.jsonl"),
-                               (per_pair_save_predictions, Path(directory) / "old.jsonl")):
-                try:
-                    save(pairs, object_space, path)
-                    results.append(path.read_bytes())
-                except TypeError as err:
-                    results.append((type(err), str(err)))
-            assert results[0] == results[1]
-            if trigger == "numpy id":
-                assert results[0] == (TypeError, "Object of type int64 is not JSON serializable")
-            new = Path(directory) / "new.jsonl"
-            assert companion_path(new).exists() == (bool(pairs) and trigger not in NO_COMPANION)
-            if companion_path(new).exists():
-                c_pred = pairs[0].probs.size
-                assert outcome(new, object_space, c_pred) == jsonl_outcome(new, object_space, c_pred)
+            new, old, replaced = (Path(directory) / name for name in ("new.jsonl", "old.jsonl", "replaced.jsonl"))
+            if trigger in REFUSED:
+                with pytest.raises(ValueError, match="holds a non-finite value$"):
+                    save_predictions(predictions, object_space, new)
+                assert not list(Path(directory).iterdir())
+                return
+            save_predictions(predictions, object_space, new)
+            per_pair_save_predictions(to_pairs(predictions), object_space, old)
+            listed.save_predictions(to_pairs(predictions), object_space, replaced)  # the list-based writer
+            assert new.read_bytes() == old.read_bytes() == replaced.read_bytes()
+            if trigger is None:  # the pairs as drawn, float32 probs included, give the same text
+                per_pair_save_predictions(pairs, object_space, old)
+                assert new.read_bytes() == old.read_bytes()
+            assert companion_path(new).exists() == companion_path(replaced).exists() == bool(pairs)
+            if pairs:
+                assert companion_path(new).read_bytes() == companion_path(replaced).read_bytes()
+                assert_loaders_agree(new, object_space, pairs[0].probs.size)
 
     def test_build_ranked_equals_per_pair_ranking_for_every_width(self):
         rng = np.random.default_rng(13)
         for c_pred in range(1, 131):
             pairs = awkward_pairs(rng, c_pred)
-            ranked = build_ranked(pairs, c_pred)
+            ranked = build_ranked(to_set(pairs), c_pred)
             assert {image_id: as_triples(r) for image_id, r in ranked.items()} == per_pair_build_ranked(pairs)
+            assert_same_ranked(ranked, listed.build_ranked(pairs, c_pred))
             assert all(r.pred.dtype == np.int64 and r.score.dtype == np.float64 for r in ranked.values())
 
     def test_build_ranked_of_nothing(self):
-        assert build_ranked([], 3) == per_pair_build_ranked([]) == {}
+        assert build_ranked(to_set([], 3), 3) == per_pair_build_ranked([]) == listed.build_ranked([], 3) == {}
 
     def test_save_predictions_writes_the_same_bytes(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -1046,13 +1080,16 @@ class TestStackedRanking:
             pairs = awkward_pairs(rng, c_pred)
             pairs[0].subj_box = make_box(-0.0, 1e-300, 3.0, 1e300)
             pairs[1].probs[0] = 5e-324
-            save_predictions(pairs, object_space, tmp_path / "new.jsonl")
+            save_predictions(to_set(pairs), object_space, tmp_path / "new.jsonl")
             per_pair_save_predictions(pairs, object_space, tmp_path / "old.jsonl")
-            assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+            listed.save_predictions(pairs, object_space, tmp_path / "replaced.jsonl")
+            for name in ("old.jsonl", "replaced.jsonl", "replaced.cols"):
+                new = tmp_path / name.replace(name.split(".")[0], "new")
+                assert new.read_bytes() == (tmp_path / name).read_bytes(), name
 
     def test_save_predictions_of_nothing(self, tmp_path):
         object_space, _ = make_spaces()
-        save_predictions([], object_space, tmp_path / "new.jsonl")
+        save_predictions(to_set([], 3), object_space, tmp_path / "new.jsonl")
         assert (tmp_path / "new.jsonl").read_bytes() == b""
 
     @pytest.mark.parametrize("c_pred", [1, 2, 7, 8, 9, 20, 127, 128, 129, 130])
@@ -1077,7 +1114,7 @@ class TestStackedRanking:
             "--object-embeddings", tmp_path / "obj.txt", "--predicate-embeddings", tmp_path / "pred.txt",
         )]) == 0
 
-        loaded = load_predictions(tmp_path / "predictions.jsonl", object_space, c_pred)
+        loaded = to_pairs(load_predictions(tmp_path / "predictions.jsonl", object_space, c_pred))
         refined = per_pair_refine_dataset(
             loaded,
             load_embeddings(tmp_path / "obj.txt", object_space),

@@ -22,7 +22,9 @@ from sgrel.core import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple
 from sgrel.ingest import EmbeddingTable
 from sgrel.reweighting import info_weights, weighted_pred_loss
 
+import reference_predictions
 from conftest import make_dataset, make_spaces
+from reference_predictions import assert_same_set, to_set
 from reference_ranking import overlap
 
 TOL = 1e-12
@@ -190,7 +192,8 @@ def check_agreement(seed, counts, zero_projection=False, mu=1.2, compute_contras
                          reference_backward(model, caches, weights, mu)):
         assert_close(got, want)
 
-    predictions = predict(model, data)
+    predictions = reference_predictions.predict(model, data)  # the per-pair predict the columns replaced
+    assert_same_set(predict(model, data), to_set(predictions, model.c_pred))
     expected = reference_predict(model, dataset.annotations)
     assert len(predictions) == len(expected)
     for p, (image_id, s, o, probs) in zip(predictions, expected):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from sgrel import refinement
 from sgrel.core import LabelSpace, OBJECT, PREDICATE
 from sgrel.ingest import EmbeddingTable
-from sgrel.metrics import PairPrediction
 from sgrel.refinement import (
     distance_vector,
     refine,
@@ -15,7 +14,9 @@ from sgrel.refinement import (
     refinement_vector,
 )
 
+import reference_predictions
 from conftest import awkward_pairs, make_box
+from reference_predictions import PairPrediction, assert_same_set, to_pairs, to_set
 
 
 def table(vectors, kind=PREDICATE, prefix="rel"):
@@ -163,7 +164,7 @@ class TestRefineDataset:
         objects = table(rng.normal(size=(3, 2)), kind=OBJECT, prefix="thing")
         predicates = table([[1.0, 1.0], [1.0, 1.0]])
         pairs = [self.pair(rng.dirichlet(np.ones(2)), subj_id=i, obj_id=i + 1) for i in range(4)]
-        refined = refine_dataset(pairs, objects, predicates)
+        refined = to_pairs(refine_dataset(to_set(pairs), objects, predicates))
         for before, after in zip(pairs, refined):
             assert np.argmax(before.probs) == np.argmax(after.probs)
             np.testing.assert_allclose(before.probs, after.probs, atol=1e-12)
@@ -172,13 +173,14 @@ class TestRefineDataset:
         # Object pair semantically at predicate 1, distribution mildly at 0.
         objects = table([[1.0, 0.0], [1.0, 0.0]], kind=OBJECT, prefix="thing")
         predicates = table([[-3.0, 0.0], [1.0, 0.0]])
-        refined = refine_dataset([self.pair([0.6, 0.4])], objects, predicates, alpha=0.9)
-        assert int(np.argmax(refined[0].probs)) == 1
+        refined = refine_dataset(to_set([self.pair([0.6, 0.4])]), objects, predicates, alpha=0.9)
+        assert int(np.argmax(refined.probs[0])) == 1
 
     def test_empty_prediction_set(self, rng):
         objects = table(rng.normal(size=(2, 2)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(2, 2)))
-        assert refine_dataset([], objects, predicates) == []
+        empty = to_set([], 2)
+        assert refine_dataset(empty, objects, predicates) is empty
 
 
 def per_pair_refine(probs, w):
@@ -242,10 +244,11 @@ class TestStackedRefinement:
             objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
             predicates = table(rng.normal(size=(c_pred, 3)))
             pairs = awkward_pairs(rng, c_pred)
-            assert_same_pairs(
-                refine_dataset(pairs, objects, predicates, alpha),
-                per_pair_refine_dataset(pairs, objects, predicates, alpha),
-            )
+            refined = refine_dataset(to_set(pairs), objects, predicates, alpha)
+            assert_same_pairs(to_pairs(refined), per_pair_refine_dataset(pairs, objects, predicates, alpha))
+            # The list-based refine_dataset that the columns replaced gives the same set, bit for bit.
+            listed = reference_predictions.refine_dataset(pairs, objects, predicates, alpha)
+            assert_same_set(refined, to_set(listed))
 
     def test_one_refinement_vector_per_label_triple(self, rng, monkeypatch):
         calls = []
@@ -256,22 +259,24 @@ class TestStackedRefinement:
         objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(6, 3)))
         pairs = awkward_pairs(rng, 6, images=5)
-        refine_dataset(pairs, objects, predicates)
+        refine_dataset(to_set(pairs), objects, predicates)
         keys = {(p.subj_label, p.obj_label, int(np.argmax(p.probs))) for p in pairs}
         assert len(calls) == len(keys) < len(pairs)
 
     def test_input_pairs_are_left_as_they_were(self, rng):
         objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(5, 3)))
-        pairs = awkward_pairs(rng, 5)
-        before = [p.probs.copy() for p in pairs]
-        refine_dataset(pairs, objects, predicates)
-        assert all(np.array_equal(p.probs, b) and p.probs.dtype == b.dtype for p, b in zip(pairs, before))
+        predictions = to_set(awkward_pairs(rng, 5))
+        before = predictions.probs.copy()
+        refined = refine_dataset(predictions, objects, predicates)
+        np.testing.assert_array_equal(predictions.probs, before, strict=True)
+        assert refined.probs is not predictions.probs
 
     def test_empty_list(self, rng):
         objects = table(rng.normal(size=(2, 2)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(3, 2)))
-        assert refine_dataset([], objects, predicates) == per_pair_refine_dataset([], objects, predicates)
+        assert len(refine_dataset(to_set([], 3), objects, predicates)) == len(
+            per_pair_refine_dataset([], objects, predicates)) == 0
 
     @pytest.mark.parametrize("far", [False, True])
     def test_degenerate_row_raises_the_same_error(self, rng, far):
@@ -285,7 +290,7 @@ class TestStackedRefinement:
         with pytest.raises(ValueError) as expected:
             per_pair_refine_dataset(pairs, objects, predicates, alpha=1.0)
         with pytest.raises(ValueError) as actual:
-            refine_dataset(pairs, objects, predicates, alpha=1.0)
+            refine_dataset(to_set(pairs), objects, predicates, alpha=1.0)
         assert str(actual.value) == str(expected.value)
         assert "degenerate refinement" in str(actual.value)
 
@@ -307,7 +312,7 @@ def test_positive_scaling_of_probs_leaves_refinement_unchanged(seed, c_pred, fac
         grid[rng.integers(c_pred)] = 1.0
         pair.probs = grid
     scaled = [replace(pair, probs=pair.probs * factor) for pair in pairs]
-    base = np.stack([p.probs for p in refine_dataset(pairs, objects, predicates)])
-    rescaled = np.stack([p.probs for p in refine_dataset(scaled, objects, predicates)])
+    base = refine_dataset(to_set(pairs), objects, predicates).probs
+    rescaled = refine_dataset(to_set(scaled), objects, predicates).probs
     np.testing.assert_array_equal(base.argmax(axis=1), rescaled.argmax(axis=1))
     np.testing.assert_allclose(rescaled, base, rtol=0.0, atol=1e-12)

@@ -135,13 +135,10 @@ class TestOraclePredictions:
         data = generate(SynthConfig(images=150, seed=13, min_triples=2, max_triples=2))
         predictions = oracle_predictions(data.test, data.map)
         c = data.test.predicate_space.size
-        corrupted = set()
-        for p in predictions:
-            if p.image_id not in corrupted:
-                corrupted.add(p.image_id)
-                wrong = (int(np.argmax(p.probs)) + 1) % c
-                p.probs = np.zeros(c)
-                p.probs[wrong] = 1.0
+        _, first = np.unique(predictions.image, return_index=True)  # each image's first pair
+        wrong = (predictions.probs[first].argmax(axis=1) + 1) % c
+        predictions.probs[first] = 0.0
+        predictions.probs[first, wrong] = 1.0
         report = evaluate(predictions, data.test, ks=(1000,))
         assert report.recall[1000] == 0.5
 

@@ -1,6 +1,7 @@
 """The traced benchmark patches functions by module and name, and its counters read what they return."""
 
 import importlib
+import json
 import importlib.util
 import math
 import sys
@@ -83,3 +84,12 @@ def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path):
     refined = (out / "predictions_refined.jsonl").read_text().splitlines()
     assert metrics["refinement.pairs_refined"] == len(refined) > 0
     assert 0 < metrics["sampling.triples_kept"] <= metrics["sampling.triples_in"]
+    # The prediction counters: train saves val and test, refine saves the refined set; validation predicts val.
+    assert metrics["metrics.save_predictions_calls"] == 3
+    validations = len((out / "validation.csv").read_text().splitlines()) - 1  # one row per evaluation
+    assert metrics["alignment.predict_calls"] == 2 + validations
+    test_pairs, val_pairs = (len((out / f"predictions_{split}.jsonl").read_text().splitlines())
+                             for split in ("test", "val"))
+    assert metrics["alignment.pairs_predicted"] == test_pairs + val_pairs * (1 + validations)
+    report = [json.loads(line) for line in (out / "refinement_report.jsonl").read_text().splitlines()]
+    assert metrics["refinement.pairs_flipped"] == sum(r["pre_top"] != r["post_top"] for r in report)
