@@ -388,7 +388,7 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     pre_top, post_top = predictions.probs.argmax(axis=1), refined.probs.argmax(axis=1)
     flipped = int(np.count_nonzero(pre_top != post_top))
     # The JSON lines json.dumps(..., separators=(",", ":")) writes, each id and name escaped once.
-    image_text = [f'{{"image_id":{encode_basestring_ascii(i)},"subj_id":' for i in predictions.image_ids]
+    image_text = metrics.line_prefixes(predictions.image_ids)
     top_text = list(map(encode_basestring_ascii, predicate_space.names))
     lines = (
         f'{image_text[i]}{s},"obj_id":{o},"pre_top":{top_text[before]},"post_top":{top_text[after]}}}\n'

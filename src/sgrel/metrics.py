@@ -347,27 +347,127 @@ def _distinct_boxes(boxes: np.ndarray) -> tuple[list[list[float]], np.ndarray]:
     return distinct.view(boxes.dtype).reshape(-1, 4).tolist(), which
 
 
+# 10**k * 2**-200 for k < 330 as unevaluated sums hi + lo, from exact integers (int / int rounds correctly).
+_POW10_HI = np.array([10**k / 2**200 for k in range(330)])
+_POW10_LO = np.array([(10**k * den - num * 2**200) / (den * 2**200)
+                      for k, (num, den) in enumerate(map(float.as_integer_ratio, _POW10_HI.tolist()))])
+_REPR_WIDTH = 24  # the longest repr of a finite float: '-2.2250738585072014e-308'
+_REPR_DOUBT = 1e-9  # a rounding boundary or tie this close to S, in units of its last digit, is left to repr
+# Where repr puts n significant digits: as d.ddd with an exponent (shift 0), or after '0.' and shift - 2 zeros.
+_REPR_LAYOUTS = [(shift, n) for shift in (0, 2, 3, 4, 5) for n in (15, 16, 17)]
+_EXPONENTS = np.array([f"e-{e:02d}" for e in range(330)], dtype="S5").view(np.uint8).reshape(-1, 5)
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` as hi + lo exactly, each of at most 26 significant bits, so that products of halves are exact."""
+    t = 134217729.0 * v  # 2**27 + 1
+    t -= t - v
+    return t, v - t
+
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """E = floor(log10(x)); S = x * 10**(16 - E) as n + f, n an integer and 0 <= f < 1; half an ulp of x, scaled alike.
+
+    S is Dekker's double-double product of x and ``_POW10_HI`` + ``_LO``, exact to well within ``_REPR_DOUBT``.
+    """
+    xs = np.ldexp(x, 200)  # exact; it brings 10**(16 - E) for E down to -308 into range
+    e10 = np.floor(np.log10(xs) - 200 * math.log10(2)).astype(np.int16)
+    p = xs * _POW10_HI[16 - e10]
+    e10 += (p >= 1e17).astype(np.int16) - (p < 1e16)  # where log10 rounded across a power of ten
+    b_hi = _POW10_HI[16 - e10]
+    np.multiply(xs, b_hi, out=p)  # an integer, above 2**53
+    (a1, a2), (b1, b2) = _halves(xs), _halves(b_hi)
+    q = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + xs * _POW10_LO[16 - e10]  # S - p
+    whole = np.floor(q)
+    return e10, p.astype(np.int64) + whole.astype(np.int64), q - whole, 0.5 * np.spacing(xs) * b_hi
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per value of ``x``: whether repr's digits are proven, those digits as a 17-digit integer, E and 17 - their count.
+
+    repr's digits are the multiple of 10**(17 - n) nearest S (``_scaled``) for the fewest n that puts one within half
+    an ulp of x, the round-trip interval. Proven are normal values in (0, 1) other than powers of two whose n is 15 to
+    17, with no interval boundary or rounding tie within ``_REPR_DOUBT`` of a candidate.
+    """
+    fast = (x >= 2.2250738585072014e-308) & (x < 1.0) & (x.view(np.int64) & (2**52 - 1) != 0)
+    e10, n, f, half_ulp = _scaled(np.where(fast, x, 0.5))
+    outside = np.zeros(len(x), np.int8)  # of 14, 15, 16 and 17 digits, how many leave no candidate in reach
+    rem = n.copy()
+    for step in (1000, 100, 10, 1):
+        rem -= rem // step * step
+        below = rem + f
+        dist = np.minimum(below, step - below)  # from S to the nearest multiple of step
+        fast &= np.abs(dist - half_ulp) >= _REPR_DOUBT
+        outside += dist >= half_ulp
+    step = np.array([1000, 100, 10, 1, 1])[outside]
+    rem = n % step
+    digits = n - rem + (rem + f >= step / 2) * step
+    fast &= (outside > 0) & (outside < 4) & (np.abs(rem + f - step / 2) >= _REPR_DOUBT)
+    fast &= (10**16 <= digits) & (digits < 10**17)
+    return fast, digits, e10, outside
+
+
+def _float_reprs(x: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each value of the float64 vector ``x``, as ASCII bytes (``S24``).
+
+    The values ``_shortest_digits`` proves are laid out as repr lays them out, one layout group at a time with
+    whole-column copies; the rest go through ``float.__repr__`` itself.
+    """
+    fast, digits, e10, outside = _shortest_digits(x)
+    layout = np.where(e10 >= -4, -3 * e10, 0).astype(np.int8) + outside - 1  # into _REPR_LAYOUTS; fixed down to 1e-4
+    rows = np.flatnonzero(fast)
+    rows = rows[np.argsort(layout[rows], kind="stable")]
+    digits, e10, layout = digits[rows], e10[rows], layout[rows]
+    prefixes = np.zeros((18, len(rows)), np.uint8)  # row i: the first i digits, mod 256
+    for i in range(17):
+        prefixes[i + 1] = digits // 10 ** (16 - i)  # wraps, but the differences below are 0..9 all the same
+    chars = (prefixes[1:] - prefixes[:-1] * np.uint8(10) + np.uint8(ord("0"))).T
+    text = np.zeros((len(rows), _REPR_WIDTH), np.uint8)
+    bounds = np.searchsorted(layout, np.arange(len(_REPR_LAYOUTS) + 1)).tolist()
+    for (shift, count), a, b in zip(_REPR_LAYOUTS, bounds, bounds[1:]):
+        if shift:
+            text[a:b, :shift] = np.frombuffer(b"0.000"[:shift], np.uint8)
+            text[a:b, shift : shift + count] = chars[a:b, :count]
+        else:
+            text[a:b, 0], text[a:b, 1] = chars[a:b, 0], ord(".")
+            text[a:b, 2 : count + 1] = chars[a:b, 1:count]
+            text[a:b, count + 1 : count + 6] = _EXPONENTS[-e10[a:b]]
+    out = np.zeros(len(x), f"S{_REPR_WIDTH}")
+    out[rows] = text.view(out.dtype).ravel()
+    slow = np.flatnonzero(~fast)
+    out[slow] = list(map(float.__repr__, x[slow].tolist()))
+    return out
+
+
+def line_prefixes(image_ids: tuple[str, ...]) -> list[str]:
+    """Each image id's JSON-line start, ``{"image_id":<id>,"subj_id":``, escaped as ``json`` writes it."""
+    return [f'{{"image_id":{encode_basestring_ascii(image_id)},"subj_id":' for image_id in image_ids]
+
+
 def _column_lines(image_ids: tuple[str, ...], columns: dict, names: tuple[str, ...]) -> Iterator[str]:
     """Each pair's JSON line from the columns: each image id, label name and distinct box formatted once.
 
-    Strings go through the encoder's own escaping and floats through
-    ``float.__repr__``, as ``json`` writes them.
+    Strings go through the encoder's own escaping and floats are the
+    ``float.__repr__`` text ``json`` writes: probs through ``_float_reprs``
+    one write chunk at a time, the rest through ``float.__repr__``.
     """
-    image_text = [f'{{"image_id":{encode_basestring_ascii(image_id)},"subj_id":' for image_id in image_ids]
+    image_text = line_prefixes(image_ids)
     label_text = list(map(encode_basestring_ascii, names))
     rows, which = _distinct_boxes(columns["boxes"])
     box_text = ["[" + ",".join(map(float.__repr__, row)) + "]" for row in rows]
     corners = which.reshape(-1, 2)
     ints = [columns[name] for name in ("image", "subj_id", "obj_id", "subj_label", "obj_label")]
+    probs = columns["probs"]
     for start in range(0, len(corners), LINES_PER_WRITE):
         chunk = slice(start, start + LINES_PER_WRITE)
         yield from (
             f'{image_text[i]}{s},"obj_id":{o},"subj_label":{label_text[s_label]},'
             f'"obj_label":{label_text[o_label]},"subj_box":{box_text[s_box]},"obj_box":{box_text[o_box]},'
-            f'"subj_score":{s_score!r},"obj_score":{o_score!r},"probs":[{",".join(map(float.__repr__, row))}]}}\n'
+            f'"subj_score":{s_score!r},"obj_score":{o_score!r},"probs":[{b",".join(row).decode()}]}}\n'
             for i, s, o, s_label, o_label, (s_box, o_box), (s_score, o_score), row in zip(
                 *(column[chunk].tolist() for column in ints), corners[chunk].tolist(),
-                columns["label_scores"][chunk].tolist(), columns["probs"][chunk].tolist(),
+                columns["label_scores"][chunk].tolist(),
+                _float_reprs(probs[chunk].ravel()).reshape(probs[chunk].shape).tolist(),
             )
         )
 

@@ -995,7 +995,19 @@ escaped = st.one_of(  # strings the JSON encoder escapes: quotes, backslashes, c
     st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f\x7f", "\t\n\r", "é", "雪", "\ud800", "\udfff", "\U0001f600",
                      "\u2028"]),
 )
-written_float = st.one_of(finite, st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, 0.1, -2.5]))
+# Values that reach every branch of ``metrics._float_reprs``. Left to repr: 1.0, powers of two (2**-25 and
+# 2**-44 come out wrong on a symmetric round-trip interval), the smallest normal, a subnormal, 14 digits or fewer,
+# |x| >= 1, negatives and ties (0.10000991821289062 rounds down, 0.10000228881835938 up). Formatted: 15, 16 and 17
+# digits on both sides of 1e-4 (fixed above, exponent below), and exponents of two and three digits.
+REPR_BRANCHES = [
+    1.0, 0.5, 0.1, 1e-4, 9.999999999999999e-05, 0.00010000000000000002, 1e-5, 5e-324, 2.2250738585072014e-308,
+    2.225073858507202e-308, 2.0**-25, 2.0**-44, 0.12345678901234, 0.123456789012345, 0.1234567890123456,
+    0.12345678901234568, 0.9999999999999999, 0.00012345678901234567, 1.2345678901234567e-05,
+    1.2345678901234567e-100, 0.10000991821289062, 0.10000228881835938, -0.1234567890123456, 1.5, 123.456,
+]
+written_float = st.one_of(
+    finite, st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, 0.1, -2.5, *REPR_BRANCHES]),
+)
 # Values a pair may hold: integers that the set holds as floats, and non-finite floats that it refuses to write.
 TRIGGERS = {
     "int coordinate": lambda p: setattr(p, "obj_box", BoundingBox(7, *p.obj_box.xyxy[1:])),
@@ -1087,6 +1099,18 @@ class TestStackedRanking:
                 new = tmp_path / name.replace(name.split(".")[0], "new")
                 assert new.read_bytes() == (tmp_path / name).read_bytes(), name
 
+    @pytest.mark.parametrize("count", [511, 512, 513])
+    def test_save_predictions_across_a_write_chunk_boundary(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        object_space, _ = make_spaces(c_obj=4)
+        probs = rng.dirichlet(np.full(7, 0.2), size=count)
+        probs.ravel()[::3][: 2 * len(REPR_BRANCHES)] = REPR_BRANCHES * 2
+        pairs = [pair(f"im{i // 100}", i, i + 1, row, boxes=(make_box(), make_box(1.0, 2.0, 3.5, 4.25)))
+                 for i, row in enumerate(probs)]
+        save_predictions(to_set(pairs), object_space, tmp_path / "new.jsonl")
+        per_pair_save_predictions(pairs, object_space, tmp_path / "old.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+
     def test_save_predictions_of_nothing(self, tmp_path):
         object_space, _ = make_spaces()
         save_predictions(to_set([], 3), object_space, tmp_path / "new.jsonl")
@@ -1125,3 +1149,35 @@ class TestStackedRanking:
         per_pair_refinement_report(loaded, refined, predicate_space, tmp_path / "report.jsonl")
         assert (out / "predictions_refined.jsonl").read_bytes() == (tmp_path / "refined.jsonl").read_bytes()
         assert (out / "refinement_report.jsonl").read_bytes() == (tmp_path / "report.jsonl").read_bytes()
+
+
+def assert_float_reprs(values):
+    x = np.asarray(values, dtype=np.float64).ravel()
+    expected = np.array(list(map(float.__repr__, x.tolist())), dtype="S24")
+    got = metrics._float_reprs(x)
+    assert got.dtype == expected.dtype
+    wrong = np.flatnonzero(got != expected)
+    assert not wrong.size, [(x[i].hex(), got[i], expected[i]) for i in wrong[:5]]
+
+
+class TestFloatReprs:
+    """The vectorised formatter against ``float.__repr__``, value for value."""
+
+    def test_every_branch(self):
+        assert_float_reprs(REPR_BRANCHES + [-v for v in REPR_BRANCHES] + [0.0, -0.0, math.inf, -math.inf, math.nan])
+
+    @given(st.lists(st.floats(allow_subnormal=True), max_size=64))
+    def test_any_float(self, values):
+        assert_float_reprs(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(15).integers(0, 2**64, size=10**6, dtype=np.uint64)
+        for chunk in np.array_split(bits.view(np.float64), 20):
+            assert_float_reprs(chunk)
+
+    def test_values_in_the_unit_interval(self):
+        rng = np.random.default_rng(16)
+        uniform, log_uniform = rng.random(10**5), 10.0 ** rng.uniform(-308, 0, 10**5)
+        softmax = rng.dirichlet(np.full(20, 0.1), size=5000)
+        for values in (uniform, log_uniform, softmax):
+            assert_float_reprs(values)
