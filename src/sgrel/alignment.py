@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, SceneGraphAnnotation, box_overlap
+from .core import Dataset, box_overlap, offsets, owners
 from .ingest import EmbeddingTable, framed_arrays, load_framed, save_framed
 from .metrics import PredictionSet, evaluate
 from .metrics import build_ranked, match_triples  # unused here; perfbench/tracing.py patches these names
@@ -76,7 +76,8 @@ class Gradients:
 
 @dataclass(eq=False)
 class PackedDataset:
-    """A split as flat arrays, built once when training or prediction starts.
+    """A split's columns, as the dataset holds them, plus each triple's classifier input; built once when
+    training or prediction starts.
 
     Image ``i`` owns object rows ``obj_offsets[i]:obj_offsets[i + 1]`` and
     triple rows ``triple_offsets[i]:triple_offsets[i + 1]``.
@@ -95,7 +96,7 @@ class PackedDataset:
 
     @property
     def num_images(self) -> int:
-        return len(self.dataset.annotations)
+        return len(self.dataset.image_ids)
 
 
 @dataclass(eq=False)
@@ -177,44 +178,29 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _offsets(counts: list[int] | np.ndarray) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-
-
 def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For back-to-back segments of the given lengths: each element's segment and its index in it."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - _offsets(counts)[owner]
+    bounds = offsets(counts)
+    owner = owners(bounds)
+    return owner, np.arange(len(owner)) - bounds[owner]
 
 
 def pack(dataset: Dataset) -> PackedDataset:
-    """Flatten a split into the arrays the batched forward, backward and predict read."""
-    annotations = dataset.annotations
-    objects = [o for a in annotations for o in a.objects]
-    obj_offsets = _offsets([len(a.objects) for a in annotations])
-    triple_offsets = _offsets([len(a.triples) for a in annotations])
-
-    def row(base: int, a: SceneGraphAnnotation, object_id: int) -> int:
-        return base + a.objects.index(a.object_by_id(object_id))  # names a dangling id
-
-    pairs = [(row(base, a, t.subj), row(base, a, t.obj))
-             for base, a in zip(obj_offsets.tolist(), annotations) for t in a.triples]
-    subj, obj = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    features = np.array([o.feature for o in objects], dtype=np.float64).reshape(-1, dataset.d_roi)
-    boxes = np.array([(o.box.x1, o.box.y1, o.box.x2, o.box.y2) for o in objects]).reshape(-1, 4)
-    sizes = np.array([(a.width, a.height) for a in annotations], dtype=np.float64).reshape(-1, 2)
-    image, _ = _segments(np.diff(triple_offsets))
-    geometry = pair_geometry(boxes[subj], boxes[obj], sizes[image])
+    """The split's columns and the classifier input of each triple, which the batched forward, backward and
+    predict read; a dangling object id raises ``AnnotationError``."""
+    subj, obj = dataset.end_rows().T
+    features, boxes, sizes = dataset.features, dataset.boxes, dataset.sizes
+    geometry = pair_geometry(boxes[subj], boxes[obj], sizes[owners(dataset.triple_offsets)])
     return PackedDataset(
         dataset=dataset,
         features=features,
-        object_ids=np.array([o.object_id for o in objects], dtype=np.int64),
-        labels=np.array([o.label for o in objects], dtype=np.int64),
+        object_ids=dataset.object_ids,
+        labels=dataset.labels,
         boxes=boxes,
         sizes=sizes,
-        obj_offsets=obj_offsets,
-        preds=np.array([t.pred for a in annotations for t in a.triples], dtype=np.int64),
-        triple_offsets=triple_offsets,
+        obj_offsets=dataset.object_offsets,
+        preds=dataset.triples[:, 1],
+        triple_offsets=dataset.triple_offsets,
         pair_inputs=np.concatenate([features[subj], features[obj], geometry], axis=1),
     )
 
@@ -350,7 +336,7 @@ def train(
     evaluations. An update that leaves a parameter that is not finite raises
     ``ValueError`` naming the iteration.
     """
-    if not train_set.annotations:
+    if not train_set.image_ids:
         raise ValueError("cannot train on an empty dataset")
     if weights is None:
         weights = uniform_weights(model.c_pred)
@@ -358,7 +344,7 @@ def train(
     model = model.copy()
     data = pack(train_set)
     rng = substream(config.seed, "alignment.batches")
-    n = len(train_set.annotations)
+    n = len(train_set.image_ids)
     order = rng.permutation(n)
     cursor = 0
     lr = config.lr
@@ -434,7 +420,7 @@ def predict(model: RelationModel, data: PackedDataset) -> PredictionSet:
     )
     has_pairs = n > 1
     return PredictionSet(
-        image_ids=tuple(a.image_id for a, kept in zip(data.dataset.annotations, has_pairs.tolist()) if kept),
+        image_ids=tuple(image_id for image_id, kept in zip(data.dataset.image_ids, has_pairs.tolist()) if kept),
         image=(np.cumsum(has_pairs) - 1)[image],
         subj_id=data.object_ids[subj],
         obj_id=data.object_ids[obj],

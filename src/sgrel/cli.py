@@ -230,7 +230,7 @@ def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
     for name, split in splits.items():
         ingest.save_annotations(split, out / f"{name}.jsonl")
     synth.save_map(data.map, out / "generative_map.json")
-    images = {name: len(split.annotations) for name, split in splits.items()}
+    images = {name: len(split.image_ids) for name, split in splits.items()}
     triples = {name: split.num_triples() for name, split in splits.items()}
     manifest = {"config": dataclasses.asdict(config), "images": images, "triples": triples}
     _write_json(manifest, out / "synth_manifest.json")
@@ -244,9 +244,9 @@ def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     summary = {
         "config": dataclasses.asdict(config),
         "split": dataset.split,
-        "images": len(dataset.annotations),
+        "images": len(dataset.image_ids),
         "triples": dataset.num_triples(),
-        "objects": sum(len(a.objects) for a in dataset.annotations),
+        "objects": len(dataset.object_ids),
         "object_labels": object_space.size,
         "predicate_labels": predicate_space.size,
         "d_roi": dataset.d_roi,
@@ -478,6 +478,17 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
+def _feature_dimension(raw: str) -> int:
+    """``--d-roi``: the length of every region feature, an integer >= 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         raise UsageError(message)
@@ -504,24 +515,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("ingest", cmd_ingest, "load and validate an annotation file")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--d-roi", type=int, required=True)
+    p.add_argument("--d-roi", type=_feature_dimension, required=True)
     p.add_argument("--split", default="train")
 
     p = command("zsplit", cmd_zsplit, "build the zero-shot signature index")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--d-roi", type=int, required=True)
+    p.add_argument("--d-roi", type=_feature_dimension, required=True)
 
     p = command("resample", cmd_resample, "recall-guided down-sampling of the train set")
     p.add_argument("--train", required=True)
     p.add_argument(
         "--recalls", default=None, help="JSON map predicate -> recall (required with use_resampling)"
     )
-    p.add_argument("--d-roi", type=int, required=True)
+    p.add_argument("--d-roi", type=_feature_dimension, required=True)
 
     p = command("weights", cmd_weights, "information-content loss weights from train counts")
     p.add_argument("--train", required=True)
-    p.add_argument("--d-roi", type=int, required=True)
+    p.add_argument("--d-roi", type=_feature_dimension, required=True)
 
     p = command("train", cmd_train, "train the relation model and emit predictions")
     p.add_argument("--train", required=True)
@@ -529,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--object-embeddings", required=True)
     p.add_argument("--weights", default=None, help="info_weights.json (required with use_reweighting)")
-    p.add_argument("--d-roi", type=int, required=True)
+    p.add_argument("--d-roi", type=_feature_dimension, required=True)
 
     p = command("refine", cmd_refine, "refine predictions with label-embedding distances")
     p.add_argument("--predictions", required=True)
@@ -540,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--d-roi", type=int, required=True)
+    p.add_argument("--d-roi", type=_feature_dimension, required=True)
     p.add_argument("--zero-shot", default=None)
     p.add_argument("--weights", default=None)
 

@@ -14,17 +14,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .core import (
-    BoundingBox,
-    Dataset,
-    LabelSpace,
-    ObjectInstance,
-    SceneGraphAnnotation,
-    Signature,
-    Triple,
-    triple_signature,
-    validate_annotation,
-)
+from .core import Dataset, LabelSpace, Signature, offsets, validate_annotation
 
 logger = logging.getLogger(__name__)
 
@@ -267,13 +257,13 @@ def numbers(value: object) -> list:
     return value
 
 
-def box(value: object) -> BoundingBox:
-    """Four finite numbers ``[x1, y1, x2, y2]``."""
+def box(value: object) -> tuple[float, float, float, float]:
+    """Four finite numbers ``[x1, y1, x2, y2]``, as floats."""
     if not (type(value) is list and len(value) == 4 and _NUMBER_TYPES.issuperset(map(type, value))):
         raise TypeError(f"expected [x1, y1, x2, y2], got {value!r}")
     if not all(map(math.isfinite, value)):
         raise ValueError(f"coordinates must be finite, got {value!r}")
-    return BoundingBox(*map(float, value))
+    return tuple(map(float, value))
 
 
 def scores(size: int) -> Callable[[object], list]:
@@ -386,45 +376,19 @@ def _annotation_header(object_space: LabelSpace, predicate_space: LabelSpace, d_
 def _companion_dataset(
     path: str | Path, object_space: LabelSpace, predicate_space: LabelSpace, d_roi: int, split: str
 ) -> Dataset | None:
-    """The dataset in ``path``'s companion; None when it is missing or in doubt, or holds a value that the
-    parser would refuse, clamp or drop (its checks and ``validate_annotation``'s, vectorised)."""
+    """The dataset in ``path``'s companion; None when it is missing or in doubt, its columns do not fit
+    together, or it holds a value that the parser would refuse, clamp or drop (a ``validate_annotation``
+    violation)."""
     loaded = load_companion(path, _annotation_header(object_space, predicate_space, d_roi), _ANNOTATION_COLUMNS)
     if loaded is None:
         return None
-    image_ids, columns = loaded[0]["image_ids"], loaded[1]
-    sizes, object_counts, triple_counts, object_ids, labels, boxes, features, triples = columns.values()
-    n_images, n_objects, n_triples = len(image_ids), int(object_counts.sum()), int(triple_counts.sum())
-    shapes = [(n_images, 2), (n_images,), (n_images,), (n_objects,), (n_objects,), (n_objects, 4),
-              (n_objects, d_roi), (n_triples, 3)]
-    if [array.shape for array in columns.values()] != shapes or (object_counts < 0).any() or (triple_counts < 0).any():
+    sizes, object_counts, triple_counts, *columns = loaded[1].values()
+    try:
+        dataset = Dataset(split, object_space, predicate_space, d_roi, loaded[0]["image_ids"], sizes,
+                          offsets(object_counts), offsets(triple_counts), *columns)
+    except ValueError:  # a column of another shape, or a negative count
         return None
-    image, triple_image = (np.repeat(np.arange(n_images), counts) for counts in (object_counts, triple_counts))
-    (width, height), (x1, y1, x2, y2), (subj, pred, obj) = sizes[image].T, boxes.T, triples.T
-    # Each (image, object id) as one integer: the image times the number of distinct ids, plus the id's rank.
-    ids, rank = np.unique(np.concatenate([object_ids, subj, obj]), return_inverse=True)
-    place = np.concatenate([image, triple_image, triple_image]) * len(ids) + rank
-    object_at, ends_at = np.sort(place[:n_objects]), place[n_objects:]
-    triple_keys = np.stack([ends_at[:n_triples], pred, ends_at[n_triples:]])
-    triple_keys = triple_keys[:, np.lexsort(triple_keys)]  # equal triples end up side by side
-    if not (
-        ((0.0 < sizes) & (sizes < math.inf)).all() and np.isfinite(features).all()
-        and ((0 <= labels) & (labels < object_space.size)).all()
-        and ((0 <= pred) & (pred < predicate_space.size)).all()
-        # inside the frame, so the parser's clamp changes nothing, and not degenerate
-        and ((0.0 <= x1) & (x1 < x2) & (x2 <= width) & (0.0 <= y1) & (y1 < y2) & (y2 <= height)).all()
-        and (object_at[1:] != object_at[:-1]).all()  # no object id twice in an image
-        and np.isin(ends_at, object_at).all() and (subj != obj).all()
-        and (triple_keys[:, 1:] != triple_keys[:, :-1]).any(axis=0).all()  # no triple the parser would drop
-    ):
-        return None
-    made = map(ObjectInstance, object_ids.tolist(), labels.tolist(), itertools.starmap(BoundingBox, boxes.tolist()),
-               features)  # consumed image by image, in file order
-    made_triples = itertools.starmap(Triple, triples.tolist())
-    annotations = tuple(
-        SceneGraphAnnotation(image_id, w, h, tuple(itertools.islice(made, n)), tuple(itertools.islice(made_triples, t)))
-        for image_id, (w, h), n, t in zip(image_ids, sizes.tolist(), object_counts.tolist(), triple_counts.tolist())
-    )
-    return Dataset(split, annotations, object_space, predicate_space, d_roi)
+    return dataset if validate_annotation(dataset) is None else None
 
 
 def load_annotations(
@@ -440,13 +404,22 @@ def load_annotations(
     the line, the ``objects[i]``/``relations[i]`` position and the key. Boxes are
     clamped to the image frame; duplicate ground-truth triples are dropped with a
     logged count. An ``image_id`` that an earlier line holds, or any other
-    invariant violation, aborts the load with the line number. The same dataset
-    comes from ``path``'s companion (``save_annotations``) instead while it
-    still matches and its values need no refusal, clamp or drop.
+    invariant violation, aborts the load with the line number; of several, the
+    earliest line's. The same dataset comes from ``path``'s companion
+    (``save_annotations``) instead while it still matches and its values need no
+    refusal, clamp or drop.
     """
     dataset = _companion_dataset(path, object_space, predicate_space, d_roi, split)
     if dataset is not None:
         return dataset
+    return _parse_annotations(path, object_space, predicate_space, d_roi, split)
+
+
+def _parse_annotations(
+    path: str | Path, object_space: LabelSpace, predicate_space: LabelSpace, d_roi: int, split: str
+) -> Dataset:
+    """``load_annotations``' reading of the text: every line up to the first refused one, then one
+    ``validate_annotation`` of them all."""
     image_fields: Fields = (
         ("image_id", string), ("width", number), ("height", number), ("objects", json_list), ("relations", json_list)
     )
@@ -455,104 +428,92 @@ def load_annotations(
         ("feature", lambda value: np.asarray(numbers(value), dtype=np.float64)),
     )
     relation_fields: Fields = (("subj", integer), ("pred", predicate_space.index_of), ("obj", integer))
-    annotations: list[SceneGraphAnnotation] = []
+    image_ids, sizes, object_counts, triple_counts, objects, triples = [], [], [], [], [], []
     first_line: dict[str, int] = {}  # image id -> line that holds it
     total_duplicates = 0
+    refusal = None
     _, records = read_jsonl(path)
-    for lineno, record in enumerate(records, start=1):
-        try:
-            image_id, width, height, objects, relations = parse_fields(record, image_fields)
-            instances = []
-            for i, entry in enumerate(objects):
-                object_id, label, bounds, feature = parse_fields(entry, object_fields, f"objects[{i}]")
-                instances.append(ObjectInstance(object_id, label, bounds.clamped(width, height), feature))
-            triples = dict.fromkeys(  # first occurrence of each triple, in order
-                Triple(*parse_fields(entry, relation_fields, f"relations[{i}]"))
-                for i, entry in enumerate(relations)
-            )
-        except ValueError as err:
-            raise ParseError(path, lineno, str(err)) from None
-        if image_id in first_line:
-            raise ParseError(path, lineno, f"image_id {image_id!r} repeats line {first_line[image_id]}")
-        first_line[image_id] = lineno
-        total_duplicates += len(relations) - len(triples)
-        annotation = SceneGraphAnnotation(image_id, width, height, tuple(instances), tuple(triples))
-        violations = validate_annotation(annotation, object_space, predicate_space, d_roi)
-        if violations:
-            raise ParseError(path, lineno, "; ".join(violations))
-        annotations.append(annotation)
+    try:
+        for lineno, record in enumerate(records, start=1):
+            try:
+                image_id, width, height, entries, relations = parse_fields(record, image_fields)
+                parsed = [parse_fields(entry, object_fields, f"objects[{i}]") for i, entry in enumerate(entries)]
+                kept = dict.fromkeys(  # first occurrence of each triple, in order
+                    tuple(parse_fields(entry, relation_fields, f"relations[{i}]")) for i, entry in enumerate(relations)
+                )
+            except ValueError as err:
+                raise ParseError(path, lineno, str(err)) from None
+            if image_id in first_line:
+                raise ParseError(path, lineno, f"image_id {image_id!r} repeats line {first_line[image_id]}")
+            first_line[image_id] = lineno
+            total_duplicates += len(relations) - len(kept)
+            image_ids.append(image_id)
+            sizes.append((width, height))
+            object_counts.append(len(parsed))
+            triple_counts.append(len(kept))
+            objects += parsed
+            triples += kept
+    except ParseError as err:  # a line before it may hold a violation, which the earlier line number wins
+        refusal = err
+    object_ids, labels, boxes, features = zip(*objects) if objects else ((), (), (), ())
+    feature_sizes = np.array([len(feature) for feature in features], dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.float64).reshape(-1, 2)
+    # The clamp to the image frame, coordinate by coordinate (a -0.0 stays).
+    limits = np.repeat(sizes, object_counts, axis=0)[:, [0, 1, 0, 1]]
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    boxes = np.where(boxes > limits, limits, np.where(boxes < 0.0, 0.0, boxes))
+    dataset = Dataset(
+        split, object_space, predicate_space, d_roi, image_ids, sizes, offsets(object_counts),
+        offsets(triple_counts), object_ids, labels, boxes,
+        np.array([f if len(f) == d_roi else np.zeros(d_roi) for f in features]).reshape(len(features), d_roi),
+        np.array(triples, dtype=np.int64).reshape(-1, 3),
+    )
+    violation = validate_annotation(dataset, feature_sizes)
+    if violation is not None:
+        image, violations = violation
+        raise ParseError(path, image + 1, "; ".join(violations))
+    if refusal is not None:
+        raise refusal
     if total_duplicates:
         logger.info("%s: dropped %d duplicate triples at ingest", path, total_duplicates)
-    return Dataset(split, tuple(annotations), object_space, predicate_space, d_roi)
+    return dataset
 
 
-def _annotation_columns(dataset: Dataset) -> tuple[np.ndarray | None, dict[str, np.ndarray] | None]:
-    """The objects' stacked features (None when they do not stack) and the companion's arrays; no arrays
-    when the text would read a value otherwise: an id that is not a plain ``int`` or lies outside int64, a size or
-    coordinate that is neither an ``int`` nor a ``float`` or overflows one, or a feature not ``d_roi`` long."""
-    annotations = dataset.annotations
-    objects = [obj for a in annotations for obj in a.objects]
-    try:
-        features = np.array([obj.feature for obj in objects], dtype=np.float64)
-    except ValueError:  # features of different lengths
-        return None, None
-    sizes, boxes = [(a.width, a.height) for a in annotations], [obj.box.xyxy for obj in objects]
-    object_ids = [obj.object_id for obj in objects]
-    triples = [(t.subj, t.pred, t.obj) for a in annotations for t in a.triples]
-    if not (
-        set(map(type, object_ids + [end for subj, _, obj in triples for end in (subj, obj)])) <= {int}
-        and all(kind is int or issubclass(kind, float)  # a bool is neither
-                for kind in set(map(type, itertools.chain.from_iterable(sizes + boxes))))
-        and type(dataset.d_roi) is int and (features.shape == (len(objects), dataset.d_roi) or not objects)
-    ):
-        return features, None
-    try:
-        columns = dict(zip(_ANNOTATION_COLUMNS, (
-            np.array(sizes, dtype="<f8").reshape(-1, 2), np.array([len(a.objects) for a in annotations], "<i8"),
-            np.array([len(a.triples) for a in annotations], "<i8"), np.array(object_ids, "<i8"),
-            np.array([obj.label for obj in objects], "<i8"), np.array(boxes, "<f8").reshape(-1, 4),
-            features.astype("<f8", copy=False).reshape(len(objects), dataset.d_roi),
-            np.array(triples, "<i8").reshape(-1, 3),
-        )))
-    except (OverflowError, TypeError, ValueError):  # outside int64 or float range, or refused by the text writer
-        return features, None
-    return features, columns
-
-
-def _annotation_lines(dataset: Dataset, features: np.ndarray | None) -> Iterator[str]:
-    """The JSON line of each image, its objects' features from one ``tolist()`` of their rows of the stacked
-    ``features`` (object by object when they do not stack)."""
-    object_names, predicate_names = dataset.object_space.names, dataset.predicate_space.names
-    end = 0
-    for a in dataset.annotations:
-        start, end = end, end + len(a.objects)
-        rows = iter(features[start:end].tolist() if features is not None else
-                    [np.asarray(obj.feature, dtype=np.float64).tolist() for obj in a.objects])
+def _annotation_lines(dataset: Dataset) -> Iterator[str]:
+    """The JSON line of each image, its features from one ``tolist()`` of its rows of the feature column."""
+    d = dataset
+    object_names, predicate_names = d.object_space.names, d.predicate_space.names
+    objects = list(zip(d.object_ids.tolist(), d.labels.tolist(), d.boxes.tolist()))
+    triples, o, t = d.triples.tolist(), d.object_offsets.tolist(), d.triple_offsets.tolist()
+    for i, (image_id, (width, height)) in enumerate(zip(d.image_ids, d.sizes.tolist())):
+        features = d.features[o[i] : o[i + 1]].tolist()
         yield COMPACT_JSON.encode({
-            "image_id": a.image_id,
-            "width": a.width,
-            "height": a.height,
+            "image_id": image_id,
+            "width": width,
+            "height": height,
             "objects": [
-                {"id": obj.object_id, "label": object_names[obj.label],
-                 "box": [obj.box.x1, obj.box.y1, obj.box.x2, obj.box.y2], "feature": next(rows)}
-                for obj in a.objects
+                {"id": object_id, "label": object_names[label], "box": bounds, "feature": feature}
+                for (object_id, label, bounds), feature in zip(objects[o[i] : o[i + 1]], features)
             ],
-            "relations": [{"subj": t.subj, "pred": predicate_names[t.pred], "obj": t.obj} for t in a.triples],
+            "relations": [{"subj": s, "pred": predicate_names[p], "obj": b} for s, p, b in triples[t[i] : t[i + 1]]],
         }) + "\n"
 
 
 def annotations_to_jsonl(dataset: Dataset) -> str:
     """Serialize a dataset in the format ``load_annotations`` reads (lossless round-trip)."""
-    return "".join(_annotation_lines(dataset, _annotation_columns(dataset)[0]))
+    return "".join(_annotation_lines(dataset))
 
 
 def save_annotations(dataset: Dataset, path: str | Path) -> None:
     """Write ``annotations_to_jsonl``'s text to ``path`` and its companion: a header with ``image_ids``, both label
-    spaces' names and ``d_roi``, then ``_ANNOTATION_COLUMNS`` (none when ``_annotation_columns`` gives none)."""
-    features, columns = _annotation_columns(dataset)
-    header = {**_annotation_header(dataset.object_space, dataset.predicate_space, dataset.d_roi),
-              "image_ids": [a.image_id for a in dataset.annotations]}
-    save_with_companion(path, _annotation_lines(dataset, features), None if columns is None else (header, columns))
+    spaces' names and ``d_roi``, then ``_ANNOTATION_COLUMNS``."""
+    d = dataset
+    header = {**_annotation_header(d.object_space, d.predicate_space, d.d_roi), "image_ids": list(d.image_ids)}
+    columns = (d.sizes, np.diff(d.object_offsets), np.diff(d.triple_offsets), d.object_ids, d.labels, d.boxes,
+               d.features, d.triples)
+    arrays = {name: column.astype(dtype, copy=False)
+              for (name, dtype), column in zip(_ANNOTATION_COLUMNS.items(), columns)}
+    save_with_companion(path, _annotation_lines(d), (header, arrays))
 
 
 def _pool_label_vector(
@@ -630,7 +591,7 @@ def _recall(value: object) -> float:
 
 
 def dataset_signatures(dataset: Dataset) -> set[Signature]:
-    return {triple_signature(t, a) for a in dataset.annotations for t in a.triples}
+    return set(map(tuple, dataset.signatures().tolist()))
 
 
 def build_zero_shot_index(train: Dataset, test: Dataset) -> frozenset[Signature]:

@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Dataset, LabelSpace, SceneGraphAnnotation, Signature, box_overlap, triple_signature
+from .core import Dataset, LabelSpace, Signature, box_overlap, owners
 from .ingest import LINES_PER_WRITE, ParseError, box, integer, load_companion, number, parse_fields
 from .ingest import read_jsonl, save_with_companion, scores, string
 from .reweighting import InfoWeights
@@ -123,7 +123,8 @@ class MetricReport:
 
 @dataclass(frozen=True, eq=False)
 class RankedTriples:
-    """Pair columns, named as in the predictions, plus each pair's top predicate and triple score."""
+    """Pair columns, named as in the predictions, plus each pair's top predicate and triple score; or, from
+    ``ground_truth``, the same columns of GT triples, each of score 1."""
 
     subj_id: np.ndarray
     obj_id: np.ndarray
@@ -184,8 +185,8 @@ def iou_matrix(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
 
 
-def match_triples(triples: RankedTriples, annotation: SceneGraphAnnotation, k: int, protocol: str) -> dict[int, int]:
-    """Match the top-``k`` ranked triples to GT triples; GT index -> first matching rank.
+def match_triples(triples: RankedTriples, gt: RankedTriples, k: int, protocol: str) -> dict[int, int]:
+    """Match the top-``k`` ranked triples to an image's GT triples ``gt``; GT index -> first matching rank.
 
     Each prediction consumes at most one GT triple; processing in rank order
     with augmenting paths makes the matched set as large as any assignment
@@ -195,22 +196,18 @@ def match_triples(triples: RankedTriples, annotation: SceneGraphAnnotation, k: i
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     top = triples[:k]
-    gt = annotation.triples
-    if not (len(top) and gt):
+    if not (len(top) and len(gt)):
         return {}
-    subj = [annotation.object_by_id(t.subj) for t in gt]
-    obj = [annotation.object_by_id(t.obj) for t in gt]
     compatible = (  # (top, GT): may this prediction consume this GT triple?
-        (top.pred[:, None] == [t.pred for t in gt])
-        & (top.subj_label[:, None] == [o.label for o in subj])
-        & (top.obj_label[:, None] == [o.label for o in obj])
+        (top.pred[:, None] == gt.pred) & (top.subj_label[:, None] == gt.subj_label)
+        & (top.obj_label[:, None] == gt.obj_label)
     )
     if protocol == SGGEN:
-        ends = np.array([(s.box.xyxy, o.box.xyxy) for s, o in zip(subj, obj)])
+        ends = np.stack([gt.subj_box, gt.obj_box], axis=1)
         overlaps = iou_matrix(np.stack([top.subj_box, top.obj_box], axis=1), ends)
         compatible &= (overlaps >= SGGEN_IOU_THRESHOLD).all(axis=2)
     else:
-        compatible &= (top.subj_id[:, None] == [t.subj for t in gt]) & (top.obj_id[:, None] == [t.obj for t in gt])
+        compatible &= (top.subj_id[:, None] == gt.subj_id) & (top.obj_id[:, None] == gt.obj_id)
     options: list[list[int]] = [[] for _ in range(len(top))]  # compatible GT indices per rank
     for pos, idx in np.argwhere(compatible).tolist():
         options[pos].append(idx)
@@ -260,6 +257,14 @@ def mric_at_k(per_predicate_recall: np.ndarray, info: InfoWeights) -> float:
     return float(np.sum(recalls[observed] * info.bits[observed]))
 
 
+def ground_truth(test: Dataset) -> RankedTriples:
+    """The split's GT triples in file order as ranked-triple columns, each of score 1."""
+    subj, obj = test.end_rows().T
+    subj_id, pred, obj_id = test.triples.T
+    return RankedTriples(subj_id, obj_id, test.labels[subj], test.labels[obj], test.boxes[subj], test.boxes[obj], pred,
+                         np.ones(len(pred)))
+
+
 def evaluate(
     predictions: PredictionSet,
     test: Dataset,
@@ -273,7 +278,7 @@ def evaluate(
         raise ValueError(f"unknown protocol {protocol!r}")
     c_pred = test.predicate_space.size
     ranked = build_ranked(predictions, c_pred)
-    unknown = ranked.keys() - {a.image_id for a in test.annotations}
+    unknown = ranked.keys() - set(test.image_ids)
     if unknown:
         first = next(image_id for image_id in ranked if image_id in unknown)
         count = sum(len(ranked[image_id]) for image_id in unknown)
@@ -281,17 +286,17 @@ def evaluate(
             f"{count} predictions for image ids not in the {test.split} split, first {first!r}"
         )
     max_k = max(ks, default=0)
-    rows = []  # per GT triple of the split: image, predicate, zero-shot flag, first matching rank
-    for i, annotation in enumerate(test.annotations):
-        first_rank = match_triples(ranked.get(annotation.image_id, ()), annotation, max_k, protocol)
-        rows += [
-            (i, t.pred, zero_shot is not None and triple_signature(t, annotation) in zero_shot,
-             first_rank.get(idx, max_k))
-            for idx, t in enumerate(annotation.triples)
-        ]
-    image, pred, zs, rank = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    zs = zs.astype(bool)
-    n_images = len(test.annotations)
+    gt = ground_truth(test)
+    bounds = test.triple_offsets.tolist()
+    rank = np.full(len(gt), max_k)  # per GT triple of the split: the first matching rank
+    for i, image_id in enumerate(test.image_ids):
+        first_rank = match_triples(ranked.get(image_id, ()), gt[bounds[i] : bounds[i + 1]], max_k, protocol)
+        rank[[bounds[i] + idx for idx in first_rank]] = list(first_rank.values())
+    image, pred = owners(test.triple_offsets), gt.pred
+    zs = np.zeros(len(gt), dtype=bool)
+    if zero_shot is not None:
+        zs[:] = [signature in zero_shot for signature in map(tuple, test.signatures().tolist())]
+    n_images = len(test.image_ids)
     image_gt = np.bincount(image, minlength=n_images)
     zs_image_gt = np.bincount(image[zs], minlength=n_images)
     gt_per_pred = np.bincount(pred, minlength=c_pred)
@@ -560,5 +565,5 @@ def load_predictions(path: str | Path, object_space: LabelSpace, num_predicates:
         except ValueError as err:
             raise ParseError(path, row + 1, str(err)) from None
         ints[row] = (image_index.setdefault(image_id, len(image_index)), *ids)
-        floats[row] = (*subj_box.xyxy, *obj_box.xyxy, subj_score, obj_score)
+        floats[row] = (*subj_box, *obj_box, subj_score, obj_score)
     return PredictionSet(tuple(image_index), *ints.T, floats[:, :4], floats[:, 4:8], floats[:, 8], floats[:, 9], probs)

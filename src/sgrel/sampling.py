@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, SceneGraphAnnotation
+from .core import Dataset, offsets
 from .seeding import substream
 
 DEFAULT_TAU = 1100.0
@@ -34,8 +34,7 @@ class SamplingPlan:
 def count_predicates(dataset: Dataset) -> np.ndarray:
     """Triple count per predicate index over the whole dataset."""
     c = dataset.predicate_space.size
-    preds = [t.pred for a in dataset.annotations for t in a.triples]
-    return np.bincount(np.asarray(preds, dtype=np.int64), minlength=c)[:c]
+    return np.bincount(dataset.triples[:, 1], minlength=c)[:c]
 
 
 def sampling_rate(
@@ -88,24 +87,19 @@ def build_sampling_plan(
 def resample(train: Dataset, plan: SamplingPlan) -> Dataset:
     """Keep exactly ``plan.targets[j]`` triples per predicate, drawn without replacement.
 
-    Annotations keep all their objects even when every triple is dropped, and
-    within-annotation triple order is preserved. Deterministic given the plan's
+    Images keep all their objects even when every triple is dropped, and the
+    kept triples stay in order. Deterministic given the plan's
     seed.
     """
     c = train.predicate_space.size
     if plan.counts.shape[0] != c:
         raise ValueError("plan does not cover this dataset's predicate space")
 
-    # Global enumeration of triples per predicate, in dataset order.
-    positions: list[list[tuple[int, int]]] = [[] for _ in range(c)]
-    for a_idx, annotation in enumerate(train.annotations):
-        for t_idx, triple in enumerate(annotation.triples):
-            positions[triple.pred].append((a_idx, t_idx))
-
+    preds = train.triples[:, 1]
     rng = substream(plan.seed, "sampling.resample")
-    kept: set[tuple[int, int]] = set()
+    kept = np.zeros(len(preds), dtype=bool)
     for pred in range(c):
-        pool = positions[pred]
+        pool = np.flatnonzero(preds == pred)  # the predicate's triples, in dataset order
         target = int(plan.targets[pred])
         if len(pool) != int(plan.counts[pred]):
             raise ValueError(
@@ -113,21 +107,7 @@ def resample(train: Dataset, plan: SamplingPlan) -> Dataset:
                 f"triples, plan recorded {int(plan.counts[pred])}"
             )
         if target >= len(pool):
-            kept.update(pool)
+            kept[pool] = True
             continue
-        chosen = rng.choice(len(pool), size=target, replace=False)
-        kept.update(pool[i] for i in chosen)
-
-    annotations: list[SceneGraphAnnotation] = []
-    for a_idx, annotation in enumerate(train.annotations):
-        triples = tuple(
-            t for t_idx, t in enumerate(annotation.triples) if (a_idx, t_idx) in kept
-        )
-        annotations.append(replace(annotation, triples=triples))
-    return Dataset(
-        split=train.split,
-        annotations=tuple(annotations),
-        object_space=train.object_space,
-        predicate_space=train.predicate_space,
-        d_roi=train.d_roi,
-    )
+        kept[pool[rng.choice(len(pool), size=target, replace=False)]] = True
+    return replace(train, triples=train.triples[kept], triple_offsets=offsets(kept)[train.triple_offsets])

@@ -13,24 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    BoundingBox,
-    Dataset,
-    LabelSpace,
-    ObjectInstance,
-    SceneGraphAnnotation,
-    Signature,
-    Triple,
-    OBJECT,
-    PREDICATE,
-    triple_signature,
-)
-from .ingest import EmbeddingTable
+from .core import OBJECT, PREDICATE, Dataset, LabelSpace, Signature, offsets, owners, repeats
+from .ingest import EmbeddingTable, dataset_signatures
 from .metrics import PredictionSet
 from .seeding import substream
 
@@ -130,12 +119,48 @@ def _label_names(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i:0{width}d}" for i in range(count))
 
 
-def _random_box(rng: np.random.Generator, size: float) -> BoundingBox:
+def _random_box(rng: np.random.Generator, size: float) -> tuple[float, float, float, float]:
     x1 = rng.uniform(0.0, 0.75 * size)
     y1 = rng.uniform(0.0, 0.75 * size)
     w = rng.uniform(0.05 * size, 0.25 * size)
     h = rng.uniform(0.05 * size, 0.25 * size)
-    return BoundingBox(x1, y1, min(x1 + w, size), min(y1 + h, size))
+    return (x1, y1, min(x1 + w, size), min(y1 + h, size))
+
+
+@dataclass(eq=False)
+class _Images:
+    """Generated images as growing columns, in the order they are drawn."""
+
+    image_ids: list[str] = field(default_factory=list)
+    object_counts: list[int] = field(default_factory=list)
+    triple_counts: list[int] = field(default_factory=list)
+    labels: list[int] = field(default_factory=list)
+    boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
+    features: list[np.ndarray] = field(default_factory=list)
+    triples: list[tuple[int, int, int]] = field(default_factory=list)
+
+    def add(self, image_id: str, labels: list[int], preds: list[int], rng: np.random.Generator, cfg: SynthConfig,
+            anchors: np.ndarray) -> None:
+        """One image of objects with ``labels`` (ids in order; a box, then a feature, drawn for each in turn)
+        and triple ``t`` from object ``2t`` to object ``2t + 1`` with predicate ``preds[t]``."""
+        self.image_ids.append(image_id)
+        self.object_counts.append(len(labels))
+        self.triple_counts.append(len(preds))
+        self.labels += labels
+        for label in labels:
+            self.boxes.append(_random_box(rng, cfg.image_size))
+            self.features.append(anchors[label] + rng.normal(0.0, cfg.noise_sigma, anchors.shape[1]))
+        self.triples += [(2 * t, pred, 2 * t + 1) for t, pred in enumerate(preds)]
+
+    def dataset(self, split: str, object_space: LabelSpace, predicate_space: LabelSpace, cfg: SynthConfig) -> Dataset:
+        """The images as a split; each image's object ids count from 0."""
+        bounds = offsets(self.object_counts)
+        return Dataset(
+            split, object_space, predicate_space, cfg.d_roi, self.image_ids,
+            np.full((len(self.image_ids), 2), cfg.image_size), bounds, offsets(self.triple_counts),
+            np.arange(bounds[-1]) - bounds[owners(bounds)], self.labels, np.array(self.boxes).reshape(-1, 4),
+            np.array(self.features).reshape(-1, cfg.d_roi), np.array(self.triples, dtype=np.int64).reshape(-1, 3),
+        )
 
 
 def _generate_images(
@@ -146,8 +171,8 @@ def _generate_images(
     zipf_p: np.ndarray,
     allowed_pairs: list[list[tuple[int, int]]],
     anchors: np.ndarray,
-) -> list[SceneGraphAnnotation]:
-    annotations = []
+) -> _Images:
+    images = _Images()
     for n in range(count):
         n_triples = int(rng.integers(cfg.min_triples, cfg.max_triples + 1))
         labels: list[int] = []
@@ -160,57 +185,22 @@ def _generate_images(
             preds.append(k)
         for _ in range(int(rng.integers(0, cfg.max_distractors + 1))):
             labels.append(int(rng.integers(cfg.c_obj)))
-
-        objects = []
-        for oid, label in enumerate(labels):
-            box = _random_box(rng, cfg.image_size)
-            feature = anchors[label] + rng.normal(0.0, cfg.noise_sigma, anchors.shape[1])
-            objects.append(ObjectInstance(object_id=oid, label=label, box=box, feature=feature))
-        triples = tuple(
-            Triple(subj=2 * t, pred=preds[t], obj=2 * t + 1) for t in range(n_triples)
-        )
-        annotations.append(
-            SceneGraphAnnotation(
-                image_id=f"{prefix}-{n:05d}",
-                width=cfg.image_size,
-                height=cfg.image_size,
-                objects=tuple(objects),
-                triples=triples,
-            )
-        )
-    return annotations
+        images.add(f"{prefix}-{n:05d}", labels, preds, rng, cfg, anchors)
+    return images
 
 
-def _coverage_images(
+def _add_coverage_images(
+    images: _Images,
     rng: np.random.Generator,
     signatures: list[Signature],
     cfg: SynthConfig,
     anchors: np.ndarray,
-) -> list[SceneGraphAnnotation]:
+) -> None:
     """Minimal extra train images guaranteeing every given signature occurs."""
-    annotations = []
     for n, chunk_start in enumerate(range(0, len(signatures), cfg.max_triples)):
         chunk = signatures[chunk_start : chunk_start + cfg.max_triples]
-        objects = []
-        triples = []
-        for t, (s_label, pred, o_label) in enumerate(chunk):
-            for offset, label in ((0, s_label), (1, o_label)):
-                box = _random_box(rng, cfg.image_size)
-                feature = anchors[label] + rng.normal(0.0, cfg.noise_sigma, anchors.shape[1])
-                objects.append(
-                    ObjectInstance(object_id=2 * t + offset, label=label, box=box, feature=feature)
-                )
-            triples.append(Triple(subj=2 * t, pred=pred, obj=2 * t + 1))
-        annotations.append(
-            SceneGraphAnnotation(
-                image_id=f"train-cover-{n:05d}",
-                width=cfg.image_size,
-                height=cfg.image_size,
-                objects=tuple(objects),
-                triples=tuple(triples),
-            )
-        )
-    return annotations
+        labels = [label for s_label, _, o_label in chunk for label in (s_label, o_label)]
+        images.add(f"train-cover-{n:05d}", labels, [pred for _, pred, _ in chunk], rng, cfg, anchors)
 
 
 def generate(cfg: SynthConfig) -> SynthData:
@@ -278,12 +268,14 @@ def generate(cfg: SynthConfig) -> SynthData:
     n_val = int(round(cfg.images * cfg.val_fraction))
     n_train = max(cfg.images - n_test - n_val, 1)
 
-    test_annotations = _generate_images(
+    object_space = LabelSpace(kind=OBJECT, names=_label_names("obj", cfg.c_obj))
+    predicate_space = LabelSpace(kind=PREDICATE, names=_label_names("pred", cfg.c_pred))
+    test = _generate_images(
         substream(cfg.seed, "synth.test"), n_test, "test", cfg, zipf_p, full_pairs, anchors
-    )
+    ).dataset("test", object_space, predicate_space, cfg)
 
     # Withhold an exact fraction of distinct test signatures from train.
-    test_signatures = sorted({triple_signature(t, a) for a in test_annotations for t in a.triples})
+    test_signatures = sorted(dataset_signatures(test))
     n_withheld = int(round(cfg.zero_shot_fraction * len(test_signatures)))
     rng_withhold = substream(cfg.seed, "synth.withhold")
     withheld_idx = rng_withhold.choice(len(test_signatures), size=n_withheld, replace=False)
@@ -299,34 +291,19 @@ def generate(cfg: SynthConfig) -> SynthData:
             )
         train_pairs.append(kept)
 
-    train_annotations = _generate_images(
+    train = _generate_images(
         substream(cfg.seed, "synth.train"), n_train, "train", cfg, zipf_p, train_pairs, anchors
     )
-    train_signatures = {triple_signature(t, a) for a in train_annotations for t in a.triples}
+    train_signatures = dataset_signatures(train.dataset("train", object_space, predicate_space, cfg))
     missing = sorted((set(test_signatures) - withheld) - train_signatures)
-    train_annotations += _coverage_images(
-        substream(cfg.seed, "synth.coverage"), missing, cfg, anchors
-    )
-    val_annotations = _generate_images(
+    _add_coverage_images(train, substream(cfg.seed, "synth.coverage"), missing, cfg, anchors)
+    val = _generate_images(
         substream(cfg.seed, "synth.val"), n_val, "val", cfg, zipf_p, train_pairs, anchors
     )
-
-    object_space = LabelSpace(kind=OBJECT, names=_label_names("obj", cfg.c_obj))
-    predicate_space = LabelSpace(kind=PREDICATE, names=_label_names("pred", cfg.c_pred))
-
-    def dataset(split: str, annotations: list[SceneGraphAnnotation]) -> Dataset:
-        return Dataset(
-            split=split,
-            annotations=tuple(annotations),
-            object_space=object_space,
-            predicate_space=predicate_space,
-            d_roi=cfg.d_roi,
-        )
-
     return SynthData(
-        train=dataset("train", train_annotations),
-        val=dataset("val", val_annotations),
-        test=dataset("test", test_annotations),
+        train=train.dataset("train", object_space, predicate_space, cfg),
+        val=val.dataset("val", object_space, predicate_space, cfg),
+        test=test,
         object_embeddings=EmbeddingTable(space=object_space, vectors=object_vectors),
         predicate_embeddings=EmbeddingTable(space=predicate_space, vectors=predicate_vectors),
         map=gen_map,
@@ -336,26 +313,26 @@ def generate(cfg: SynthConfig) -> SynthData:
 
 def oracle_predictions(test: Dataset, gen_map: GenerativeMap) -> PredictionSet:
     """Perfect predictions for every annotated pair, read off the generative map."""
-    image_ids: dict[str, int] = {}  # image id -> index, in order of first appearance
-    rows = []  # image, subject id, object id, subject label, object label, gold predicate
-    boxes = []
-    for annotation in test.annotations:
-        for ends in dict.fromkeys((t.subj, t.obj) for t in annotation.triples):  # each annotated pair once
-            subj, obj = map(annotation.object_by_id, ends)
-            gold = gen_map.predicate_for(subj.label, obj.label)
-            if gold is None:
-                raise ValueError(
-                    f"image {annotation.image_id}: pair ({subj.label}, {obj.label}) "
-                    "is not covered by the generative map"
-                )
-            rows.append((image_ids.setdefault(annotation.image_id, len(image_ids)), *ends, subj.label, obj.label, gold))
-            boxes.append((subj.box.xyxy, obj.box.xyxy))
-    image, subj_id, obj_id, subj_label, obj_label, gold = np.array(rows, dtype=np.int64).reshape(-1, 6).T
-    subj_box, obj_box = np.array(boxes, dtype=np.float64).reshape(-1, 2, 4).transpose(1, 0, 2)
-    probs = np.zeros((len(rows), test.predicate_space.size))
-    probs[np.arange(len(rows)), gold] = 1.0
-    return PredictionSet(tuple(image_ids), image, subj_id, obj_id, subj_label, obj_label, subj_box, obj_box,
-                         np.ones(len(rows)), np.ones(len(rows)), probs)
+    image = owners(test.triple_offsets)
+    subj_id, _, obj_id = test.triples.T
+    pair = ~repeats(image, subj_id, obj_id)  # each annotated pair once, where it first occurs
+    image, subj_id, obj_id, (subj, obj) = image[pair], subj_id[pair], obj_id[pair], test.end_rows()[pair].T
+    subj_label, obj_label = test.labels[subj], test.labels[obj]
+    gold = [gen_map.predicate_for(s, o) for s, o in zip(subj_label.tolist(), obj_label.tolist())]
+    if None in gold:
+        at = gold.index(None)
+        raise ValueError(
+            f"image {test.image_ids[image[at]]}: pair ({subj_label[at]}, {obj_label[at]}) "
+            "is not covered by the generative map"
+        )
+    has_pairs = np.bincount(image, minlength=len(test.image_ids)) > 0
+    probs = np.zeros((len(gold), test.predicate_space.size))
+    probs[np.arange(len(gold)), gold] = 1.0
+    return PredictionSet(
+        tuple(image_id for image_id, kept in zip(test.image_ids, has_pairs.tolist()) if kept),
+        (np.cumsum(has_pairs) - 1)[image], subj_id, obj_id, subj_label, obj_label, test.boxes[subj],
+        test.boxes[obj], np.ones(len(gold)), np.ones(len(gold)), probs,
+    )
 
 
 def save_map(gen_map: GenerativeMap, path: str | Path) -> None:

@@ -2,17 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from sgrel.core import (
-    BoundingBox,
-    Dataset,
-    LabelSpace,
-    OBJECT,
-    PREDICATE,
-    ObjectInstance,
-    SceneGraphAnnotation,
-    Triple,
-)
+from sgrel.core import LabelSpace, OBJECT, PREDICATE
 from sgrel.ingest import EmbeddingTable
+from reference_annotations import BoundingBox, Dataset, ObjectInstance, SceneGraphAnnotation, Triple, to_columns
 from reference_predictions import PairPrediction
 
 D_ROI = 5
@@ -59,14 +51,15 @@ def make_annotation(image_id="img0", objects=None, triples=None, width=100.0, he
 
 
 def make_dataset(annotations, spaces=None, split="train", d_roi=D_ROI):
+    """The annotations as a columnar ``sgrel.core.Dataset``."""
     objects, predicates = spaces or make_spaces()
-    return Dataset(
+    return to_columns(Dataset(
         split=split,
         annotations=tuple(annotations),
         object_space=objects,
         predicate_space=predicates,
         d_roi=d_roi,
-    )
+    ))
 
 
 @pytest.fixture

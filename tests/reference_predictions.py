@@ -3,7 +3,9 @@
 Each definition is the replaced code unchanged: ``PairPrediction``, ``stack_probs``, ``build_ranked``,
 ``evaluate``, the writer (``_columns``, ``_pair_lines``, ``save_predictions``), the reader
 (``_load_companion``, ``load_predictions``), ``predict`` and ``refine_dataset``. ``to_set`` and
-``to_pairs`` convert between a list of pairs and a ``PredictionSet``.
+``to_pairs`` convert between a list of pairs and a ``PredictionSet``. The annotation model, the ``box`` field
+parser and ``match_triples`` that they used come from ``reference_annotations``; ``predict`` reads its packed
+dataset's annotations through ``to_objects``.
 """
 
 import itertools
@@ -15,15 +17,17 @@ from typing import Iterator
 import numpy as np
 
 from sgrel.alignment import PackedDataset, RelationModel, _segments, _softmax_rows, pair_geometry
-from sgrel.core import BoundingBox, Dataset, LabelSpace, Signature, triple_signature
-from sgrel.ingest import COMPACT_JSON, EmbeddingTable, ParseError, box, integer, load_companion, number, parse_fields
+from sgrel.core import LabelSpace, Signature
+from sgrel.ingest import COMPACT_JSON, EmbeddingTable, ParseError, integer, load_companion, number, parse_fields
 from sgrel.ingest import read_jsonl, save_with_companion, scores, string
 from sgrel.metrics import (
     _COLUMNS, COMPANION_FORMAT, COMPANION_VERSION, DEFAULT_KS, PREDCLS, PROTOCOLS, MetricReport, PredictionSet,
-    RankedTriples, _column_lines, _distinct_boxes, match_triples, mean_recall_at_k, mric_at_k, recall_at_k,
+    RankedTriples, _column_lines, _distinct_boxes, mean_recall_at_k, mric_at_k, recall_at_k,
 )
 from sgrel.refinement import DEFAULT_ALPHA, refine, refinement_vector
 from sgrel.reweighting import InfoWeights
+
+from reference_annotations import BoundingBox, Dataset, box, match_triples, to_objects, triple_signature
 
 
 @dataclass(eq=False)
@@ -331,7 +335,7 @@ def predict(model: RelationModel, data: PackedDataset) -> list[PairPrediction]:
         + model.b_cls
     )
 
-    annotations = data.dataset.annotations
+    annotations = to_objects(data.dataset).annotations
     objects = [o for a in annotations for o in a.objects]
     image_ids = [a.image_id for a in annotations]
     predictions: list[PairPrediction] = []

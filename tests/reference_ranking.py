@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sgrel.core import BoundingBox, Dataset, ObjectInstance, SceneGraphAnnotation, Triple, triple_signature
 from sgrel.metrics import (
     DEFAULT_KS,
     PREDCLS,
@@ -24,6 +23,7 @@ from sgrel.metrics import (
 )
 from sgrel.reweighting import InfoWeights
 
+from reference_annotations import BoundingBox, Dataset, ObjectInstance, SceneGraphAnnotation, Triple, triple_signature
 from reference_predictions import PairPrediction
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from sgrel.alignment import backward, contrastive_loss, forward_batch
 from sgrel.cli import main as cli_main
-from sgrel.core import Triple
+from reference_annotations import Triple
 from sgrel.ingest import RecallTable, build_zero_shot_index, dataset_signatures
 from sgrel.metrics import evaluate
 from sgrel.refinement import refine

@@ -19,7 +19,7 @@ from sgrel.alignment import (
     save_model,
     train,
 )
-from sgrel.core import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple
+from reference_annotations import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple, to_objects
 from sgrel.ingest import EmbeddingTable
 from sgrel.reweighting import info_weights, weighted_pred_loss
 from sgrel.synth import SynthConfig, generate
@@ -221,7 +221,7 @@ class TestForward:
         model, data, table, _ = toy_batch(42, n_images=1)
         # Seed-42 toy image: compare against the independent recomputation.
         batch = forward_batch(model, data, table)
-        reference = straight_line_forward(model, data.dataset.annotations[0], table)
+        reference = straight_line_forward(model, to_objects(data.dataset).annotations[0], table)
         assert batch.contrastive == pytest.approx(reference, abs=1e-10)
         assert batch.probs.shape[1] == model.c_pred
         np.testing.assert_allclose(batch.probs.sum(axis=1), 1.0, atol=1e-12)
@@ -229,7 +229,7 @@ class TestForward:
     def test_single_object_contributes_zero_loss(self, rng):
         model, data, table, _ = toy_batch(0, n_images=1)
         solo = SceneGraphAnnotation(
-            "solo", 100.0, 100.0, (data.dataset.annotations[0].objects[0],), ()
+            "solo", 100.0, 100.0, (to_objects(data.dataset).annotations[0].objects[0],), ()
         )
         batch = forward_batch(model, pack_images(solo), table)
         assert batch.contrastive == 0.0
@@ -244,7 +244,7 @@ class TestForward:
 
     def test_duplicate_objects_give_uniform_rows(self):
         model, data, table, _ = toy_batch(1, n_images=1)
-        base = data.dataset.annotations[0].objects[0]
+        base = to_objects(data.dataset).annotations[0].objects[0]
         twin = ObjectInstance(1, base.label, base.box, base.feature.copy())
         image = SceneGraphAnnotation("dup", 100.0, 100.0, (base, twin), ())
         batch = forward_batch(model, pack_images(image), table)
@@ -277,7 +277,7 @@ class TestBackward:
         # All-zero W_proj and identical objects: gradients cancel by symmetry.
         model, data, table, weights = toy_batch(3, n_images=1)
         model.w_proj[:] = 0.0
-        base = data.dataset.annotations[0].objects[0]
+        base = to_objects(data.dataset).annotations[0].objects[0]
         twin = ObjectInstance(1, base.label, base.box, base.feature.copy())
         image = SceneGraphAnnotation("sym", 100.0, 100.0, (base, twin), ())
         batch = forward_batch(model, pack_images(image), table)
@@ -370,10 +370,8 @@ class TestPredict:
         counts = np.bincount(predictions.image, minlength=len(predictions.image_ids))
         assert (counts > 0).all()  # exactly the images that have pairs, in image order
         by_image = dict(zip(predictions.image_ids, counts.tolist()))
-        for annotation in data.test.annotations:
-            n = len(annotation.objects)
-            expected = n * (n - 1) if n >= 2 else 0
-            assert by_image.get(annotation.image_id, 0) == expected
+        for image_id, n in zip(data.test.image_ids, np.diff(data.test.object_offsets).tolist()):
+            assert by_image.get(image_id, 0) == n * (n - 1)
 
 
 class TestCheckpoint:

@@ -188,6 +188,46 @@ class TestExitCodes:
         assert code == 2
 
 
+# Every flag but --d-roi of each subcommand that reads annotations; a usage error comes before any file is read.
+D_ROI_FLAGS = {
+    "ingest": ["--annotations", "a.jsonl"],
+    "zsplit": ["--train", "train.jsonl", "--test", "test.jsonl"],
+    "resample": ["--train", "train.jsonl"],
+    "weights": ["--train", "train.jsonl"],
+    "train": ["--train", "train.jsonl", "--val", "val.jsonl", "--test", "test.jsonl",
+              "--object-embeddings", "emb.txt"],
+    "eval": ["--predictions", "p.jsonl", "--dataset", "test.jsonl"],
+}
+
+
+class TestFeatureDimensionFlag:
+    @pytest.mark.parametrize("stage", D_ROI_FLAGS)
+    @pytest.mark.parametrize("value", ["-7", "0", "4.5", "x"])
+    def test_anything_but_a_positive_integer_is_usage_error(self, tmp_path, capsys, stage, value):
+        argv = [stage, "--out", tmp_path / "out", "--object-labels", "o.txt", "--predicate-labels", "p.txt",
+                *D_ROI_FLAGS[stage], "--d-roi", value]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"usage error: argument --d-roi: must be an integer >= 1, got '{value}'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_on_an_empty_file_writes_no_summary(self, corpus, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        argv = ["ingest", "--out", tmp_path / "out", *corpus_flags(corpus), "--annotations", empty]
+        assert run([*argv, "--d-roi", -7]) == 1
+        assert "--d-roi" in capsys.readouterr().err and not (tmp_path / "out").exists()
+        assert run([*argv, "--d-roi", 1]) == 0
+        assert json.loads((tmp_path / "out" / "ingest_summary.json").read_text())["d_roi"] == 1
+
+    @pytest.mark.parametrize("stage", ["ingest", "zsplit"])
+    def test_zero_is_usage_error_not_a_data_error_on_line_one(self, corpus, tmp_path, capsys, stage):
+        files = {"ingest": ["--annotations", corpus / "train.jsonl"],
+                 "zsplit": ["--train", corpus / "train.jsonl", "--test", corpus / "test.jsonl"]}[stage]
+        assert run([stage, "--out", tmp_path, *corpus_flags(corpus), *files, "--d-roi", 0]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --d-roi") and "train.jsonl" not in err
+
+
 class TestSynthAndIngest:
     def test_synth_emits_ingestible_files(self, corpus, tmp_path):
         out = tmp_path / "ingested"

@@ -3,7 +3,6 @@ import json
 import math
 import random
 import re
-import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -13,7 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgrel import ingest, synth
-from sgrel.core import BoundingBox, Dataset, LabelSpace, OBJECT, ObjectInstance, PREDICATE, SceneGraphAnnotation, Triple
+from sgrel.core import LabelSpace, OBJECT, PREDICATE
+import reference_annotations as reference
+from reference_annotations import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple, to_columns, to_objects
 from sgrel.metrics import load_predictions
 from sgrel.ingest import (
     EmbeddingTable,
@@ -105,7 +106,7 @@ class TestReaders:
         lines = [json.dumps(annotation_record(f"im{i}{separator}"), ensure_ascii=False) for i in range(2)]
         path = write(tmp_path, "ann.jsonl", "".join(line + "\n" for line in lines))
         dataset = load_annotations(path, *spaces, 5)
-        assert [a.image_id for a in dataset.annotations] == [f"im0{separator}", f"im1{separator}"]
+        assert dataset.image_ids == (f"im0{separator}", f"im1{separator}")
         path = write(tmp_path, "ann.jsonl", "".join(line + "\n" for line in lines) + "{nope\n")
         with pytest.raises(ParseError, match=r"ann.jsonl:3: invalid JSON"):
             load_annotations(path, *spaces, 5)
@@ -196,8 +197,52 @@ class TestLoadAnnotations:
         record["objects"][0]["box"] = [-10, -10, 20, 20]
         path = write(tmp_path, "ann.jsonl", json.dumps(record) + "\n")
         dataset = load_annotations(path, *spaces, 5)
-        box = dataset.annotations[0].objects[0].box
-        assert (box.x1, box.y1) == (0.0, 0.0)
+        assert dataset.boxes[0].tolist() == [0.0, 0.0, 20.0, 20.0]
+
+    def test_clamp_to_the_frame(self, tmp_path, spaces):
+        record = annotation_record(width=100.0, height=50.0)
+        record["objects"][0]["box"] = [-5, -1, 120, 60]
+        dataset = load_annotations(write(tmp_path, "ann.jsonl", json.dumps(record) + "\n"), *spaces, 5)
+        assert dataset.boxes[0].tolist() == [0.0, 0.0, 100.0, 50.0]
+
+    def test_clamp_can_degenerate(self, tmp_path, spaces):
+        record = annotation_record(width=100.0, height=50.0)
+        record["objects"][0]["box"] = [150, 0, 160, 10]
+        path = write(tmp_path, "ann.jsonl", json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=r"^.*ann.jsonl:1: object 0: degenerate box \(100.0, 0.0, 100.0, 10.0\)$"):
+            load_annotations(path, *spaces, 5)
+
+    def test_clamp_matches_clipping_every_coordinate(self, tmp_path, spaces, rng):
+        """The clamp equals clipping each coordinate, -0.0 included (boxes that clip to nothing left out)."""
+        values = np.concatenate([rng.uniform(-20.0, 120.0, 4000), [-0.0, 0.0, 50.0, 100.0] * 40])
+        boxes, clipped = [], []
+        corners = np.sort(rng.permutation(values).reshape(-1, 2, 2), axis=1)  # x1 <= x2 and y1 <= y2
+        for box in corners.reshape(-1, 4).tolist():
+            x1, y1, x2, y2 = clip = [min(max(v, 0.0), size) for v, size in zip(box, (100.0, 50.0) * 2)]
+            if x1 < x2 and y1 < y2:
+                boxes.append(box)
+                clipped.append(clip)
+        record = annotation_record(width=100.0, height=50.0)
+        lines = [json.dumps({**record, "image_id": f"im{i}", "objects": [{**record["objects"][0], "box": box}],
+                             "relations": []}) for i, box in enumerate(boxes)]
+        loaded = load_annotations(write(tmp_path, "ann.jsonl", "".join(line + "\n" for line in lines)), *spaces, 5)
+        assert len(clipped) > 100
+        assert [[repr(v) for v in box] for box in loaded.boxes.tolist()] == [[repr(v) for v in box] for box in clipped]
+
+    @pytest.mark.parametrize("refused_first", [True, False])
+    def test_earliest_faulty_line_is_reported(self, tmp_path, spaces, refused_first):
+        """A refused value and an invariant violation on different lines: the earlier line's fault is raised."""
+        refused = annotation_record("refused")
+        del refused["objects"][1]["label"]
+        violating = annotation_record("violating")
+        violating["relations"][0]["obj"] = 7
+        faulty = [refused, violating] if refused_first else [violating, refused]
+        lines = [annotation_record("good"), *faulty, annotation_record("late")]
+        path = write(tmp_path, "ann.jsonl", "".join(json.dumps(r) + "\n" for r in lines))
+        problem = r"ann.jsonl:2: objects\[1\]: missing key 'label'$" if refused_first else (
+            r"ann.jsonl:2: triple 0: dangling object_id 7$")
+        with pytest.raises(ParseError, match=problem):
+            load_annotations(path, *spaces, 5)
 
     def test_duplicate_triples_deduplicated(self, tmp_path, spaces, caplog):
         record = annotation_record()
@@ -232,8 +277,10 @@ class TestLoadAnnotations:
 
     def test_integer_width_and_coordinates_load_as_floats(self, tmp_path, spaces):
         path = write(tmp_path, "ann.jsonl", json.dumps(annotation_record(width=100, height=100)) + "\n")
-        annotation = load_annotations(path, *spaces, 5).annotations[0]
-        assert type(annotation.width) is float and type(annotation.objects[0].box.x2) is float
+        dataset = load_annotations(path, *spaces, 5)
+        assert dataset.sizes.tolist() == [[100.0, 100.0]] and dataset.boxes[0].tolist() == [0.0, 0.0, 10.0, 10.0]
+        save_annotations(dataset, tmp_path / "again.jsonl")
+        assert json.loads((tmp_path / "again.jsonl").read_text())["objects"][0]["box"] == [0.0, 0.0, 10.0, 10.0]
 
     def test_invalid_json_line(self, tmp_path, spaces):
         with pytest.raises(ParseError, match="invalid JSON"):
@@ -403,28 +450,20 @@ class TestZeroShotIndex:
             build_zero_shot_index(train, test)
 
 
+COLUMNS = ("sizes", "object_offsets", "triple_offsets", "object_ids", "labels", "boxes", "features", "triples")
+
+
 def annotations_outcome(path, object_space, predicate_space, d_roi):
-    """``load_annotations``' dataset, every value with its type and bits, or its error's type and text."""
+    """``load_annotations``' dataset, every column with its dtype, shape and bytes, or its error's type and text."""
     try:
         dataset = load_annotations(path, object_space, predicate_space, d_roi, "val")
     except ValueError as err:
         return type(err), str(err)
-
-    def bits(*values):
-        return [(type(v), struct.pack("<d", v)) for v in values]
-
     return [
         (type(dataset), dataset.split, dataset.object_space, dataset.predicate_space, type(dataset.d_roi),
-         dataset.d_roi, type(dataset.annotations)),
-        *(
-            (
-                (type(a), type(a.image_id), a.image_id, *bits(a.width, a.height), type(a.objects), type(a.triples)),
-                [(type(o), type(o.object_id), o.object_id, type(o.label), o.label, type(o.box), *bits(*o.box.xyxy),
-                  type(o.feature), o.feature.dtype, o.feature.shape, o.feature.tobytes()) for o in a.objects],
-                [(type(t), *((type(v), v) for v in (t.subj, t.pred, t.obj))) for t in a.triples],
-            )
-            for a in dataset.annotations
-        ),
+         dataset.d_roi, type(dataset.image_ids), *((type(i), i) for i in dataset.image_ids)),
+        *((name, getattr(dataset, name).dtype, getattr(dataset, name).shape, getattr(dataset, name).tobytes())
+          for name in COLUMNS),
     ]
 
 
@@ -449,26 +488,22 @@ int64 = st.integers(-(2**63), 2**63 - 1)
 
 @st.composite
 def annotation_sets(draw, valid=True, c_obj=4, c_pred=3, d_roi=3):
-    """Datasets whose values are of the types the parser reads, with boxes in the frame and distinct ids and
-    triples. With ``valid=False`` a value may also be one that the parser clamps, drops or refuses (the
-    companion stays) and, in half the datasets, one that the JSON text writes otherwise (a boolean id, an id
-    outside int64 or a feature of another length leave no companion; an integer image id or a label of -1,
-    which the text writes as the last name, leave one that the loader refuses)."""
-    typed = valid or draw(st.booleans())
+    """Datasets of values that the parser reads, with boxes in the frame and distinct ids and triples. With
+    ``valid=False`` a value may also be one that the parser clamps, drops or refuses, or that the companion
+    cannot hold (an integer image id), or a label of -1, which the text writes as the last name."""
 
-    def maybe(good, bad, mistyped=st.nothing()):
-        return good if valid else st.one_of(good, bad, *([] if typed else [mistyped]))
+    def maybe(good, bad):
+        return good if valid else st.one_of(good, bad)
 
     size = maybe(st.one_of(st.floats(1e-300, 1e308), st.integers(1, 2**53), st.sampled_from([5e-324, 1e308])),
-                 st.one_of(st.floats(), edge_floats), st.one_of(st.integers(-1, 2**1030), st.booleans()))
-    ids = maybe(st.one_of(st.integers(0, 5), int64), st.integers(0, 2),
-                st.one_of(st.integers(2**63, 2**64), st.booleans()))
-    label = maybe(st.integers(0, c_obj - 1), st.nothing(), st.just(-1))
+                 st.one_of(st.floats(), edge_floats))
+    ids = maybe(st.one_of(st.integers(0, 5), int64), st.integers(0, 2))
+    label = maybe(st.integers(0, c_obj - 1), st.just(-1))
     feature = maybe(feature_value, st.floats())
     annotations = []
-    for image in draw(st.lists(maybe(image_id, st.nothing(), st.integers()), max_size=4, unique=valid)):
+    for image in draw(st.lists(maybe(image_id, st.integers()), max_size=4, unique=valid)):
         width, height = draw(size), draw(size)
-        framed = all(type(v) in (int, float) and 0 < v <= 1e308 for v in (width, height))
+        framed = all(0 < v <= 1e308 for v in (width, height))
         objects = []
         for object_id in draw(st.lists(ids, max_size=4, unique=valid)):
             if framed and (valid or draw(st.booleans())):
@@ -478,18 +513,17 @@ def annotation_sets(draw, valid=True, c_obj=4, c_pred=3, d_roi=3):
             else:
                 x1, y1, x2, y2 = draw(st.lists(st.one_of(st.floats(), edge_floats, st.integers(-5, 200)),
                                                min_size=4, max_size=4))
-            dim = draw(maybe(st.just(d_roi), st.nothing(), st.sampled_from([d_roi - 1, d_roi + 1])))
-            values = draw(st.lists(feature, min_size=dim, max_size=dim))
+            values = draw(st.lists(feature, min_size=d_roi, max_size=d_roi))
             objects.append(ObjectInstance(object_id, draw(label), BoundingBox(x1, y1, x2, y2),
                                           np.array(values, dtype=np.float64)))
         ends = maybe(st.sampled_from([o.object_id for o in objects] or [0]), ids)
         triples = draw(st.lists(st.builds(Triple, ends, st.integers(0, c_pred - 1), ends), max_size=4, unique=valid))
         triples = [t for t in triples if t.subj != t.obj] if valid else triples
         annotations.append(SceneGraphAnnotation(image, width, height, tuple(objects), tuple(triples)))
-    return Dataset("val", tuple(annotations), *make_spaces(c_obj, c_pred), d_roi)
+    return to_columns(reference.Dataset("val", tuple(annotations), *make_spaces(c_obj, c_pred), d_roi))
 
 
-def awkward_annotations(spaces):
+def awkward_annotations():
     """Escaped and non-ASCII image ids, an image with no objects and one with no relations, -0.0 and
     subnormal coordinates, and -0.0, subnormal and 1e308 features."""
     objects = (
@@ -497,12 +531,16 @@ def awkward_annotations(spaces):
         make_object(7, 3),
         make_object(2**40, 0, box=BoundingBox(50.0, 50.0, 99.5, 100.0)),
     )
-    return make_dataset([
+    return [
         make_annotation("im é", objects=objects, triples=(Triple(0, 2, 7), Triple(2**40, 0, 0), Triple(7, 2, 0))),
         make_annotation('a"b\\c\n\x85', width=640, height=480.5),
         make_annotation("no relations", objects=objects[:2], triples=()),
         make_annotation("\ud800"),
-    ], spaces, split="val")
+    ]
+
+
+def awkward_dataset(spaces):
+    return make_dataset(awkward_annotations(), spaces, split="val")
 
 
 def workload_corpus(name, monkeypatch):
@@ -552,7 +590,7 @@ class TestAnnotationCompanion:
     @pytest.fixture
     def written(self, tmp_path, spaces):
         path = tmp_path / "val.jsonl"
-        save_annotations(awkward_annotations(spaces), path)
+        save_annotations(awkward_dataset(spaces), path)
         expected = jsonl_annotations_outcome(path, *spaces, 5)
         assert type(expected) is list and annotations_outcome(path, *spaces, 5) == expected
         assert ingest._companion_dataset(path, *spaces, 5, "val") is not None
@@ -605,7 +643,7 @@ class TestAnnotationCompanion:
         path.write_text("".join([json.dumps(record) + "\n"] + lines[1:]))
         edited = annotations_outcome(path, *spaces, 5)
         assert edited == jsonl_annotations_outcome(path, *spaces, 5) != expected
-        assert edited[1][0][1:3] == (str, "edited")
+        assert edited[0][7] == (str, "edited")
 
     @pytest.mark.parametrize("kind, names", [
         ("object", ("thing1", "thing0", "thing2", "thing3")),
@@ -653,8 +691,7 @@ class TestAnnotationCompanion:
             "negative-zero-height", "infinite-height", "dangling", "self-relation", "duplicate-object",
             "repeated-image", "integer-image-id", "wrapping-label"])
     def test_values_the_parser_changes_or_refuses_are_left_to_it(self, tmp_path, spaces, change, problem):
-        dataset = awkward_annotations(spaces)
-        annotations = list(dataset.annotations)
+        annotations = awkward_annotations()
         change(annotations)
         path = tmp_path / "val.jsonl"
         save_annotations(make_dataset(annotations, spaces, split="val"), path)
@@ -679,34 +716,34 @@ class TestAnnotationCompanion:
     def test_forged_companion_values_are_left_to_the_parser(self, written, forge):
         """Values the writer never stores, under valid digests: the loader's own checks refuse them."""
         path, spaces, expected = written
-        dataset = awkward_annotations(spaces)
-        features, columns = ingest._annotation_columns(dataset)
-        features = features.copy()  # the text keeps the true values
+        dataset = awkward_dataset(spaces)
+        columns = dict(zip(ingest._ANNOTATION_COLUMNS, (  # copies: the text keeps the true values
+            dataset.sizes.copy(), np.diff(dataset.object_offsets), np.diff(dataset.triple_offsets),
+            dataset.object_ids.copy(), dataset.labels.copy(), dataset.boxes.copy(), dataset.features.copy(),
+            dataset.triples.copy(),
+        )))
         forge(columns)
-        header = {**ingest._annotation_header(*spaces, 5), "image_ids": [a.image_id for a in dataset.annotations]}
-        ingest.save_with_companion(path, ingest._annotation_lines(dataset, features), (header, columns))
+        header = {**ingest._annotation_header(*spaces, 5), "image_ids": list(dataset.image_ids)}
+        ingest.save_with_companion(path, ingest._annotation_lines(dataset), (header, columns))
         assert ingest._companion_dataset(path, *spaces, 5, "val") is None
         assert annotations_outcome(path, *spaces, 5) == expected
 
-    @pytest.mark.parametrize("change", [
-        lambda a: a.append(make_annotation("bool", objects=(make_object(True), make_object(0)), triples=())),
-        lambda a: a.append(make_annotation("wide", objects=(make_object(2**63),), triples=())),
-        lambda a: a.append(make_annotation("bool width", width=True)),
-        lambda a: a.append(make_annotation("short", objects=(make_object(0, d_roi=4),), triples=())),
-        lambda a: a.append(make_annotation("ragged", objects=(make_object(0), make_object(1, d_roi=4)))),
-    ], ids=["bool-id", "id-outside-int64", "bool-width", "short-feature", "ragged-features"])
-    def test_values_the_text_reads_otherwise_leave_no_companion(self, written, change):
-        path, spaces, _ = written
-        annotations = list(awkward_annotations(spaces).annotations)
+    @pytest.mark.parametrize("change, error", [
+        (lambda a: a.append(make_annotation("wide", objects=(make_object(2**63),), triples=())), OverflowError),
+        (lambda a: a.append(make_annotation("short", objects=(make_object(0, d_roi=4),), triples=())), ValueError),
+        (lambda a: a.append(make_annotation("ragged", objects=(make_object(0), make_object(1, d_roi=4)))), ValueError),
+    ], ids=["id-outside-int64", "short-feature", "ragged-features"])
+    def test_values_the_columns_cannot_hold_are_refused_in_memory(self, spaces, change, error):
+        """An id outside int64 or a feature of another length never reaches the writer."""
+        annotations = awkward_annotations()
         change(annotations)
-        assert companion_path(path).exists()
-        save_annotations(make_dataset(annotations, spaces, split="val"), path)  # the earlier companion is stale now
-        assert not companion_path(path).exists()
+        with pytest.raises(error):
+            make_dataset(annotations, spaces, split="val")
 
-    def test_numpy_integer_id_removes_the_stale_companion(self, written):
+    def test_failed_write_removes_the_stale_companion(self, written):
         path, spaces, _ = written
-        annotations = list(awkward_annotations(spaces).annotations)
-        annotations.append(make_annotation("np", objects=(make_object(np.int64(3)),)))
+        annotations = awkward_annotations()
+        annotations.append(make_annotation(b"bytes"))
         with pytest.raises(TypeError, match="not JSON serializable"):
             save_annotations(make_dataset(annotations, spaces, split="val"), path)
         assert not companion_path(path).exists()
@@ -720,7 +757,7 @@ class TestAnnotationCompanion:
 
     def test_text_is_written_from_the_stacked_features(self, tmp_path, spaces):
         """The lines equal ``json.dumps`` of each record with a per-value ``float`` of each feature."""
-        dataset = awkward_annotations(spaces)
+        dataset = awkward_dataset(spaces)
         path = tmp_path / "val.jsonl"
         save_annotations(dataset, path)
         names = (spaces[0].names, spaces[1].names)
@@ -731,6 +768,6 @@ class TestAnnotationCompanion:
                              "feature": [float(v) for v in o.feature]} for o in a.objects],
                 "relations": [{"subj": t.subj, "pred": names[1][t.pred], "obj": t.obj} for t in a.triples],
             }, separators=(",", ":")) + "\n"
-            for a in dataset.annotations
+            for a in to_objects(dataset).annotations
         ]
         assert path.read_text() == "".join(lines)

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ import reference_ranking as reference
 from reference_ranking import PredictedTriple
 from sgrel.cli import main
 from sgrel import metrics
-from sgrel.core import BoundingBox, LabelSpace, Triple, box_overlap
+from sgrel.core import LabelSpace, box_overlap
+from reference_annotations import BoundingBox, Triple
 from sgrel.ingest import EmbeddingTable, ParseError, companion_path, load_embeddings, save_embeddings
 from sgrel.metrics import (
     PREDCLS,
@@ -29,6 +31,7 @@ from sgrel.metrics import (
     RankedTriples,
     build_ranked,
     evaluate,
+    ground_truth,
     iou_matrix,
     load_predictions,
     match_triples,
@@ -40,6 +43,8 @@ from sgrel.metrics import (
 from sgrel.reweighting import InfoWeights, info_weights
 
 from conftest import awkward_pairs, make_annotation, make_box, make_dataset, make_object, make_spaces
+import reference_annotations
+from reference_annotations import to_objects
 from reference_predictions import PairPrediction, to_pairs, to_set
 from test_acceptance import _random_fixture
 from test_refinement import per_pair_refine_dataset
@@ -64,9 +69,14 @@ def as_triples(ranked):
     )
 
 
+def image_gt(annotation):
+    """An annotation's GT triples, as the columns ``match_triples`` reads."""
+    return ground_truth(make_dataset([annotation]))
+
+
 def match(triples, annotation, k, protocol):
     """``match_triples`` over ``PredictedTriple``s given in rank order."""
-    return match_triples(as_ranked(triples), annotation, k, protocol)
+    return match_triples(as_ranked(triples), image_gt(annotation), k, protocol)
 
 
 def iou(a, b):
@@ -379,7 +389,7 @@ class TestOnePassMatching:
         for _ in range(100):
             dataset, predictions, _ = _random_fixture(rng)
             ranked = {image_id: as_triples(r) for image_id, r in build_ranked(to_set(predictions), 4).items()}
-            for a in dataset.annotations:
+            for a in to_objects(dataset).annotations:
                 for protocol in (PREDCLS, SGCLS, SGGEN):
                     assert_one_pass_matches_reference(ranked.get(a.image_id, ()), a, protocol)
 
@@ -418,17 +428,22 @@ def assert_same_as_replaced_code(predictions, dataset, zero_shot=None, info=None
     """
     c_pred = dataset.predicate_space.size
     report = evaluate(to_set(predictions, c_pred), dataset, zero_shot, info, ks, protocol)
+    objects = to_objects(dataset)
+    assert_same_reports(report, reference_annotations.evaluate(to_set(predictions, c_pred), objects, zero_shot, info,
+                                                               ks, protocol))
     for replaced in (listed.evaluate, reference.evaluate):
-        assert_same_reports(report, replaced(predictions, dataset, zero_shot, info, ks, protocol))
+        assert_same_reports(report, replaced(predictions, objects, zero_shot, info, ks, protocol))
 
     ranked = build_ranked(to_set(predictions, c_pred), c_pred)
     # As pairs again, integer coordinates read as the set's floats.
     assert_same_ranked(ranked, listed.build_ranked(to_pairs(to_set(predictions, c_pred)), c_pred))
     replaced = reference.build_ranked(predictions)
     assert {image_id: as_triples(r) for image_id, r in ranked.items()} == replaced
-    for a in dataset.annotations:
-        first = match_triples(ranked.get(a.image_id, ()), a, max(ks), protocol)
+    gt, bounds = ground_truth(dataset), dataset.triple_offsets
+    for i, a in enumerate(objects.annotations):
+        first = match_triples(ranked.get(a.image_id, ()), gt[bounds[i] : bounds[i + 1]], max(ks), protocol)
         assert first == reference.match_triples(replaced.get(a.image_id, ()), a, max(ks), protocol)
+        assert first == reference_annotations.match_triples(ranked.get(a.image_id, ()), a, max(ks), protocol)
 
 
 def awkward_scene(rng, c_pred=3):
@@ -564,7 +579,7 @@ class TestMatchingProperties:
     def test_sggen_count_equals_brute_force_maximum_matching(self, scene):
         a, predictions = scene
         (ranked,) = build_ranked(to_set(predictions), 2).values()
-        first_rank = match_triples(ranked, a, len(ranked), SGGEN)
+        first_rank = match_triples(ranked, image_gt(a), len(ranked), SGGEN)
         gt = [(t, a.object_by_id(t.subj), a.object_by_id(t.obj)) for t in a.triples]
         options = [
             [g for g, (t, subj, obj) in enumerate(gt) if reference._compatible(p, t, subj, obj, SGGEN)] + [None]
@@ -615,7 +630,7 @@ class TestRecallFamilies:
 
 def oracle_pairs(dataset):
     out = []
-    for a in dataset.annotations:
+    for a in to_objects(dataset).annotations:
         for t in a.triples:
             subj, obj = a.object_by_id(t.subj), a.object_by_id(t.obj)
             probs = np.zeros(dataset.predicate_space.size)
@@ -998,12 +1013,35 @@ escaped = st.one_of(  # strings the JSON encoder escapes: quotes, backslashes, c
 # Values that reach every branch of ``metrics._float_reprs``. Left to repr: 1.0, powers of two (2**-25 and
 # 2**-44 come out wrong on a symmetric round-trip interval), the smallest normal, a subnormal, 14 digits or fewer,
 # |x| >= 1, negatives and ties (0.10000991821289062 rounds down, 0.10000228881835938 up). Formatted: 15, 16 and 17
-# digits on both sides of 1e-4 (fixed above, exponent below), and exponents of two and three digits.
+# digits on both sides of 1e-4 (fixed above, exponent below), and exponents of two and three digits. Also left to
+# repr: values whose round-trip interval has a 14- or 15-digit decimal within a hair of its boundary.
+def interval_boundary_values():
+    """Doubles in [0.5, 1) with a 14- or 15-digit decimal d * 10**-k at their round-trip interval's boundary.
+
+    d * 10**-k lies 1 / (5**k * 2**54) from the binary midpoint (2j + 1) * 2**-54 exactly when
+    d * 2**(54 - k) - (2j + 1) * 5**k = +-1, that is d = +-2**-(54 - k) mod 5**k. For the first three such d of
+    each sign and k, both doubles next to the midpoint.
+    """
+    values = []
+    for k in (14, 15):
+        modulus = 5**k
+        inverse = pow(2 ** (54 - k), -1, modulus)
+        for sign in (1, -1):
+            residue = sign * inverse % modulus
+            first = residue - (residue - 5 * 10 ** (k - 1)) // modulus * modulus  # the least d with k digits
+            for d in range(first, first + 3 * modulus, modulus):
+                midpoint = (d * 2 ** (54 - k) - sign) // modulus
+                values += [(midpoint - 1) / 2**54, (midpoint + 1) / 2**54]  # exact: even numerators below 2**54
+    return values
+
+
+INTERVAL_BOUNDARIES = interval_boundary_values()
 REPR_BRANCHES = [
     1.0, 0.5, 0.1, 1e-4, 9.999999999999999e-05, 0.00010000000000000002, 1e-5, 5e-324, 2.2250738585072014e-308,
     2.225073858507202e-308, 2.0**-25, 2.0**-44, 0.12345678901234, 0.123456789012345, 0.1234567890123456,
     0.12345678901234568, 0.9999999999999999, 0.00012345678901234567, 1.2345678901234567e-05,
     1.2345678901234567e-100, 0.10000991821289062, 0.10000228881835938, -0.1234567890123456, 1.5, 123.456,
+    *INTERVAL_BOUNDARIES,
 ]
 written_float = st.one_of(
     finite, st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, 0.1, -2.5, *REPR_BRANCHES]),
@@ -1165,6 +1203,17 @@ class TestFloatReprs:
 
     def test_every_branch(self):
         assert_float_reprs(REPR_BRANCHES + [-v for v in REPR_BRANCHES] + [0.0, -0.0, math.inf, -math.inf, math.nan])
+
+    def test_interval_boundaries_are_left_to_repr(self):
+        """A decimal this close to the interval's boundary is in doubt: ``_shortest_digits`` must not prove it."""
+        values = np.array(INTERVAL_BOUNDARIES)
+        assert len(values) == 24 and ((0.5 <= values) & (values < 1.0)).all()
+        for value, k in zip(values.tolist(), [14] * 12 + [15] * 12):
+            decimal = Fraction(round(Fraction(value) * 10**k), 10**k)  # half an ulp, 2**-54, from the double
+            assert abs(abs(Fraction(value) - decimal) - Fraction(1, 2**54)) == Fraction(1, 5**k * 2**54)
+        proven, *_ = metrics._shortest_digits(values)
+        assert not proven.any()
+        assert_float_reprs(values)
 
     @given(st.lists(st.floats(allow_subnormal=True), max_size=64))
     def test_any_float(self, values):

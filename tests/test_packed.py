@@ -18,7 +18,7 @@ from sgrel.alignment import (
     pack,
     predict,
 )
-from sgrel.core import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple
+from reference_annotations import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple, to_objects
 from sgrel.ingest import EmbeddingTable
 from sgrel.reweighting import info_weights, weighted_pred_loss
 
@@ -177,7 +177,8 @@ def check_agreement(seed, counts, zero_projection=False, mu=1.2, compute_contras
     data = pack(dataset)
     rng = np.random.default_rng(seed + 1)
     images = rng.permutation(len(counts))[: int(rng.integers(1, len(counts) + 1))]
-    chosen = [dataset.annotations[i] for i in images]
+    annotations = to_objects(dataset).annotations
+    chosen = [annotations[i] for i in images]
 
     batch = forward_batch(model, data, table, images, compute_contrastive)
     caches, contrastive, probs, gold = reference_forward(model, chosen, table, compute_contrastive)
@@ -194,12 +195,12 @@ def check_agreement(seed, counts, zero_projection=False, mu=1.2, compute_contras
 
     predictions = reference_predictions.predict(model, data)  # the per-pair predict the columns replaced
     assert_same_set(predict(model, data), to_set(predictions, model.c_pred))
-    expected = reference_predict(model, dataset.annotations)
+    expected = reference_predict(model, annotations)
     assert len(predictions) == len(expected)
     for p, (image_id, s, o, probs) in zip(predictions, expected):
         assert (p.image_id, p.subj_id, p.obj_id, p.subj_label, p.obj_label) == (
             image_id, s.object_id, o.object_id, s.label, o.label)
-        assert p.subj_box is s.box and p.obj_box is o.box
+        assert p.subj_box == s.box and p.obj_box == o.box
         assert_close(p.probs, probs)
 
 

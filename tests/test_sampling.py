@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sgrel.core import Triple
+from reference_annotations import Triple, to_objects
 from sgrel.ingest import annotations_to_jsonl
 from sgrel.sampling import (
     build_sampling_plan,
@@ -146,8 +146,8 @@ class TestResample:
         plan = build_sampling_plan(count_predicates(dataset), np.array([1.0, 0.0, 0.0]), tau=3.0, beta=1.0, seed=5)
         out = resample(dataset, plan)
         assert len(out.annotations) == len(dataset.annotations)
-        assert all(len(a.objects) == 2 for a in out.annotations)
-        assert any(len(a.triples) == 0 for a in out.annotations)
+        assert (np.diff(out.object_offsets) == 2).all()
+        assert (np.diff(out.triple_offsets) == 0).any()
 
     def test_max_share_never_grows_under_uniform_recalls(self, rng):
         # Holds when recalls do not decrease with count and beta*c <= 1 (the
@@ -186,9 +186,10 @@ def assert_resampled_to_targets(dataset, plan):
     """
     out = resample(dataset, plan)
     np.testing.assert_array_equal(count_predicates(out), plan.targets)
-    assert len(out.annotations) == len(dataset.annotations)
-    for before, after in zip(dataset.annotations, out.annotations):
-        assert after.image_id == before.image_id and after.objects == before.objects
+    assert out.image_ids == dataset.image_ids
+    for name in ("sizes", "object_offsets", "object_ids", "labels", "boxes", "features"):
+        np.testing.assert_array_equal(getattr(out, name), getattr(dataset, name), strict=True)
+    for before, after in zip(to_objects(dataset).annotations, to_objects(out).annotations):
         remaining = iter(before.triples)
         assert all(triple in remaining for triple in after.triples)
 

@@ -13,6 +13,13 @@ from sgrel.synth import (
 )
 
 
+def resample_nothing(dataset):
+    """``dataset`` with every triple dropped."""
+    from dataclasses import replace
+
+    return replace(dataset, triples=dataset.triples[:0], triple_offsets=np.zeros_like(dataset.triple_offsets))
+
+
 class TestConfigValidation:
     def test_zero_shot_fraction_bounds(self):
         with pytest.raises(ValueError, match="zero_shot_fraction"):
@@ -41,11 +48,7 @@ class TestGenerate:
     def test_all_annotations_validate(self):
         data = generate(SynthConfig(images=80, seed=3))
         for dataset in (data.train, data.val, data.test):
-            for annotation in dataset.annotations:
-                violations = validate_annotation(
-                    annotation, dataset.object_space, dataset.predicate_space, dataset.d_roi
-                )
-                assert violations == []
+            assert validate_annotation(dataset) is None
 
     def test_same_seed_byte_identical(self):
         a = generate(SynthConfig(images=60, seed=9))
@@ -79,11 +82,8 @@ class TestGenerate:
     def test_gold_predicate_is_function_of_labels(self):
         data = generate(SynthConfig(images=120, seed=4))
         for dataset in (data.train, data.val, data.test):
-            for annotation in dataset.annotations:
-                for triple in annotation.triples:
-                    subj = annotation.object_by_id(triple.subj)
-                    obj = annotation.object_by_id(triple.obj)
-                    assert data.map.predicate_for(subj.label, obj.label) == triple.pred
+            for subj_label, pred, obj_label in dataset.signatures().tolist():
+                assert data.map.predicate_for(subj_label, obj_label) == pred
 
     def test_unskewed_counts_uniform_within_multinomial_tolerance(self):
         data = generate(SynthConfig(images=400, zipf_s=0.0, seed=6, zero_shot_fraction=0.0))
@@ -128,6 +128,22 @@ class TestOraclePredictions:
         for k in report.ks:
             assert report.recall[k] == 1.0
             assert report.zero_shot_recall[k] == 1.0
+
+    def test_oracle_of_no_triples(self):
+        data = generate(SynthConfig(images=20, seed=1))
+        predictions = oracle_predictions(resample_nothing(data.test), data.map)
+        assert len(predictions) == 0 and predictions.image_ids == ()
+        assert predictions.probs.shape == (0, data.test.predicate_space.size)
+
+    def test_pair_outside_the_map_names_the_image(self):
+        data = generate(SynthConfig(images=20, seed=1))
+        first_pair = data.test.signatures()[0]
+        gen_map = type(data.map)(data.map.label_cluster, {
+            pair: pred for pair, pred in data.map.pair_predicate.items()
+            if pair != (data.map.label_cluster[first_pair[0]], data.map.label_cluster[first_pair[2]])})
+        with pytest.raises(ValueError, match=rf"^image {data.test.image_ids[0]}: pair \({first_pair[0]}, "
+                                             rf"{first_pair[2]}\) is not covered by the generative map$"):
+            oracle_predictions(data.test, gen_map)
 
     def test_corrupting_half_the_pairs_halves_recall(self):
         # Two triples per image, one corrupted each: recall at unbounded K

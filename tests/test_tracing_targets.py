@@ -7,22 +7,30 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sgrel import cli, ingest, metrics
 from sgrel.cli import main
+from sgrel.core import OBJECT, PREDICATE
+from sgrel.sampling import build_sampling_plan, count_predicates
 
 from test_fuzz import STAGE_CONFIG, TINY_CORPUS, write_config
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture
-def tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def perfbench_module(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return perfbench_module("tracing", monkeypatch)
 
 
 def test_every_trace_target_resolves_to_a_callable(tracing):
@@ -32,7 +40,7 @@ def test_every_trace_target_resolves_to_a_callable(tracing):
         assert callable(target), f"{module_name}.{attr} is gone; the traced benchmark patches it"
 
 
-def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path):
+def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path, monkeypatch):
     """zsplit -> weights -> resample -> train -> refine -> eval, traced, with every mechanism on."""
     corpus, out = tmp_path / "corpus", tmp_path / "run"
     synth_config = write_config(tmp_path / "synth.cfg", TINY_CORPUS)
@@ -57,6 +65,9 @@ def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path):
         "eval": ["--out", out, "--predictions", out / "predictions_refined.jsonl", "--dataset", corpus / "test.jsonl",
                  "--zero-shot", out / "zs" / "zero_shot.json", "--weights", out / "w" / "info_weights.json", *d_roi],
     }
+    parsed = []  # each annotation file that the JSON-lines parser read
+    parse = ingest._parse_annotations
+    monkeypatch.setattr(ingest, "_parse_annotations", lambda path, *args: parsed.append(path) or parse(path, *args))
     tracer = tracing.Tracer()
     restore = tracing.install(tracer)
     try:
@@ -79,8 +90,10 @@ def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path):
     ) for argv in [stages[stage]] for flag in flags]
     assert metrics["ingest.load_annotations_calls"] == len(read) == 8
     assert metrics["ingest.images_loaded"] == sum(len(path.read_text().splitlines()) for path in read)
-    # Every split came from its companion: the parser, which validates each annotation, never ran.
-    assert not any(span.name == "ingest.validate_annotation" for span in tracer.spans)
+    # Each load ran the one invariant check once, and every split came from its companion: the parser never ran.
+    assert sum(span.name == "ingest.validate_annotation" for span in tracer.spans) == len(read)
+    assert metrics["ingest.validate_annotation_s"] > 0.0
+    assert parsed == []
     refined = (out / "predictions_refined.jsonl").read_text().splitlines()
     assert metrics["refinement.pairs_refined"] == len(refined) > 0
     assert 0 < metrics["sampling.triples_kept"] <= metrics["sampling.triples_in"]
@@ -93,3 +106,42 @@ def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path):
     assert metrics["alignment.pairs_predicted"] == test_pairs + val_pairs * (1 + validations)
     report = [json.loads(line) for line in (out / "refinement_report.jsonl").read_text().splitlines()]
     assert metrics["refinement.pairs_flipped"] == sum(r["pre_top"] != r["post_top"] for r in report)
+
+
+@pytest.mark.parametrize("source", ["companion", "text"])
+def test_what_the_benchmark_reads_of_the_program(tmp_path, monkeypatch, source):
+    """The traced counters read ``len(load_annotations(...).annotations)`` and ``num_triples()`` of resample's
+    argument and result, ``match_triples`` is reached through ``metrics``' module global, and the benchmark's
+    oracle check scores oracle predictions 1 under predcls and sggen; from a companion and from the text alike."""
+    corpus = tmp_path / "corpus"
+    synth_config = write_config(tmp_path / "synth.cfg", TINY_CORPUS)
+    assert main(["synth", "--out", str(corpus), "--config", str(synth_config)]) == 0
+    if source == "text":
+        for split in ("train", "test"):
+            ingest.companion_path(corpus / f"{split}.jsonl").unlink()
+    parsed = []
+    parse = ingest._parse_annotations
+    monkeypatch.setattr(ingest, "_parse_annotations", lambda path, *args: parsed.append(path) or parse(path, *args))
+    spaces = (ingest.load_labels(corpus / "object_labels.txt", OBJECT),
+              ingest.load_labels(corpus / "predicate_labels.txt", PREDICATE))
+    d_roi = TINY_CORPUS["d_roi"]
+
+    train = cli.load_annotations(corpus / "train.jsonl", *spaces, d_roi, "train")
+    lines = [json.loads(line) for line in (corpus / "train.jsonl").read_text().splitlines()]
+    assert len(train.annotations) == len(lines) > 0
+    assert train.num_triples() == sum(len(record["relations"]) for record in lines)
+    plan = build_sampling_plan(count_predicates(train), np.full(spaces[1].size, 0.5), tau=1.0, beta=1.0, seed=3)
+    resampled = cli.resample(train, plan)
+    assert resampled.num_triples() == plan.targets.sum() < train.num_triples()
+
+    calls = []
+    match = metrics.match_triples
+    monkeypatch.setattr(metrics, "match_triples", lambda *args: calls.append(args) or match(*args))
+    checks = perfbench_module("checks", monkeypatch)
+    for protocol in ("predcls", "sggen"):
+        name, passed, detail = checks.oracle_check(corpus, d_roi, [5, 10], protocol)
+        assert passed, (protocol, detail)
+    test_images = len((corpus / "test.jsonl").read_text().splitlines())
+    assert len(calls) == 2 * test_images > 0  # one call per test image and protocol
+    assert parsed == ([] if source == "companion" else [corpus / "train.jsonl", corpus / "test.jsonl",
+                                                        corpus / "test.jsonl"])
