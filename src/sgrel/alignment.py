@@ -75,31 +75,6 @@ class Gradients:
 
 
 @dataclass(eq=False)
-class PackedDataset:
-    """A split's columns, as the dataset holds them, plus each triple's classifier input; built once when
-    training or prediction starts.
-
-    Image ``i`` owns object rows ``obj_offsets[i]:obj_offsets[i + 1]`` and
-    triple rows ``triple_offsets[i]:triple_offsets[i + 1]``.
-    """
-
-    dataset: Dataset
-    features: np.ndarray        # (sum N, d_roi)
-    object_ids: np.ndarray      # (sum N,)
-    labels: np.ndarray          # (sum N,)
-    boxes: np.ndarray           # (sum N, 4) xyxy
-    sizes: np.ndarray           # (images, 2) width, height
-    obj_offsets: np.ndarray     # (images + 1,)
-    preds: np.ndarray           # (sum T,)
-    triple_offsets: np.ndarray  # (images + 1,)
-    pair_inputs: np.ndarray     # (sum T, 2*d_roi + GEOMETRY_DIM); model-independent
-
-    @property
-    def num_images(self) -> int:
-        return len(self.dataset.image_ids)
-
-
-@dataclass(eq=False)
 class Batch:
     """Forward state of one image mini-batch; the contrastive side is padded to (B, Nmax, .).
 
@@ -108,7 +83,6 @@ class Batch:
     and still counts in its 1/B average. Contrastive fields are None when off.
     """
 
-    num_images: int
     contrastive: float
     pair_inputs: np.ndarray  # (M, 2*d_roi + GEOMETRY_DIM), one row per annotated triple
     gold: np.ndarray         # (M,)
@@ -185,60 +159,50 @@ def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - bounds[owner]
 
 
-def pack(dataset: Dataset) -> PackedDataset:
-    """The split's columns and the classifier input of each triple, which the batched forward, backward and
-    predict read; a dangling object id raises ``AnnotationError``."""
+def pair_inputs(dataset: Dataset) -> np.ndarray:
+    """``(T, 2*d_roi + GEOMETRY_DIM)``: each triple's classifier input, [subject feature; object feature; pair
+    geometry], which the batched forward and backward read; a dangling object id raises ``AnnotationError``."""
     subj, obj = dataset.end_rows().T
-    features, boxes, sizes = dataset.features, dataset.boxes, dataset.sizes
-    geometry = pair_geometry(boxes[subj], boxes[obj], sizes[owners(dataset.triple_offsets)])
-    return PackedDataset(
-        dataset=dataset,
-        features=features,
-        object_ids=dataset.object_ids,
-        labels=dataset.labels,
-        boxes=boxes,
-        sizes=sizes,
-        obj_offsets=dataset.object_offsets,
-        preds=dataset.triples[:, 1],
-        triple_offsets=dataset.triple_offsets,
-        pair_inputs=np.concatenate([features[subj], features[obj], geometry], axis=1),
-    )
+    features, boxes = dataset.features, dataset.boxes
+    geometry = pair_geometry(boxes[subj], boxes[obj], dataset.sizes[owners(dataset.triple_offsets)])
+    return np.concatenate([features[subj], features[obj], geometry], axis=1)
 
 
 def forward_batch(
     model: RelationModel,
-    data: PackedDataset,
+    dataset: Dataset,
+    inputs: np.ndarray,
     embeddings: EmbeddingTable,
     images: np.ndarray | None = None,
     compute_contrastive: bool = True,
 ) -> Batch:
-    """Losses and caches for the given images of ``data`` (all of them by default)."""
-    images = np.arange(data.num_images) if images is None else np.asarray(images, dtype=np.int64)
+    """Losses and caches for the given images of ``dataset`` (all of them by default); ``inputs`` is its
+    ``pair_inputs``."""
+    images = np.arange(len(dataset.image_ids)) if images is None else np.asarray(images, dtype=np.int64)
 
     # Classifier side: one input row per annotated triple.
-    starts = data.triple_offsets[images]
-    owner, local = _segments(data.triple_offsets[images + 1] - starts)
+    starts = dataset.triple_offsets[images]
+    owner, local = _segments(dataset.triple_offsets[images + 1] - starts)
     rows = starts[owner] + local
-    pair_inputs = data.pair_inputs[rows]
+    batch_inputs = inputs[rows]
     batch = Batch(
-        num_images=len(images),
         contrastive=0.0,
-        pair_inputs=pair_inputs,
-        gold=data.preds[rows],
-        probs=_softmax_rows(pair_inputs @ model.w_cls + model.b_cls),
+        pair_inputs=batch_inputs,
+        gold=dataset.triples[rows, 1],
+        probs=_softmax_rows(batch_inputs @ model.w_cls + model.b_cls),
     )
     if not compute_contrastive:
         return batch
 
     # Contrastive side: needs at least two objects to have any negatives.
-    starts = data.obj_offsets[images]
-    counts = data.obj_offsets[images + 1] - starts
+    starts = dataset.object_offsets[images]
+    counts = dataset.object_offsets[images + 1] - starts
     counts[counts < 2] = 0
     slots = np.arange(counts.max(initial=0))
     mask = slots < counts[:, None]
     rows = np.where(mask, starts[:, None] + slots, 0)  # padded slots read row 0, masked out
-    batch.features = data.features[rows]
-    emb = embeddings.vectors[data.labels[rows]]
+    batch.features = dataset.features[rows]
+    emb = embeddings.vectors[dataset.labels[rows]]
     proj = batch.features @ model.w_proj
     raw_norms = np.linalg.norm(proj, axis=2)
     batch.clamped = raw_norms < NORM_EPS
@@ -316,9 +280,9 @@ class TrainResult:
     val_mean_recall: list[float] = field(default_factory=list)
 
 
-def _validation_mean_recall(model: RelationModel, val: PackedDataset) -> float:
+def _validation_mean_recall(model: RelationModel, val: Dataset) -> float:
     """Validation mR@50 under predcls; 0.0 when the split has no GT triples."""
-    return evaluate(predict(model, val), val.dataset, ks=(50,)).mean_recall[50] or 0.0
+    return evaluate(predict(model, val), val, ks=(50,)).mean_recall[50] or 0.0
 
 
 def train(
@@ -326,12 +290,12 @@ def train(
     train_set: Dataset,
     embeddings: EmbeddingTable,
     config: TrainConfig,
-    val: PackedDataset | None = None,
+    val: Dataset | None = None,
     weights: InfoWeights | None = None,
 ) -> TrainResult:
     """Plain SGD over image mini-batches; deterministic given the config seed.
 
-    The learning rate decays by 10x whenever mean recall@50 on the packed
+    The learning rate decays by 10x whenever mean recall@50 on the
     validation split ``val`` fails to improve for ``patience`` consecutive
     evaluations. An update that leaves a parameter that is not finite raises
     ``ValueError`` naming the iteration.
@@ -342,7 +306,7 @@ def train(
         weights = uniform_weights(model.c_pred)
 
     model = model.copy()
-    data = pack(train_set)
+    inputs = pair_inputs(train_set)
     rng = substream(config.seed, "alignment.batches")
     n = len(train_set.image_ids)
     order = rng.permutation(n)
@@ -360,7 +324,7 @@ def train(
         cursor += config.batch_size
 
         batch = forward_batch(
-            model, data, embeddings, idx, compute_contrastive=config.use_alignment
+            model, train_set, inputs, embeddings, idx, compute_contrastive=config.use_alignment
         )
         l_iw = weighted_pred_loss(batch.probs, batch.gold, weights)
         result.history.append(
@@ -398,40 +362,27 @@ def train(
     return result
 
 
-def predict(model: RelationModel, data: PackedDataset) -> PredictionSet:
+def predict(model: RelationModel, dataset: Dataset) -> PredictionSet:
     """Score every ordered object pair of every image (labels taken as given, confidences 1).
 
     Pairs come in image order, subject-major, object-minor; an image with
     fewer than two objects has none.
     """
-    n = np.diff(data.obj_offsets)
+    n = np.diff(dataset.object_offsets)
     image, k = _segments(n * (n - 1))
     s, j = np.divmod(k, n[image] - 1)
-    base = data.obj_offsets[image]
+    base = dataset.object_offsets[image]
     subj, obj = base + s, base + j + (j >= s)  # object j skips the subject's own slot
 
     # The classifier is linear: apply its subject and object blocks once per object, then gather.
-    d = model.d_roi
+    d, features, boxes = model.d_roi, dataset.features, dataset.boxes
     probs = _softmax_rows(
-        (data.features @ model.w_cls[:d])[subj]
-        + (data.features @ model.w_cls[d : 2 * d])[obj]
-        + pair_geometry(data.boxes[subj], data.boxes[obj], data.sizes[image]) @ model.w_cls[2 * d :]
+        (features @ model.w_cls[:d])[subj]
+        + (features @ model.w_cls[d : 2 * d])[obj]
+        + pair_geometry(boxes[subj], boxes[obj], dataset.sizes[image]) @ model.w_cls[2 * d :]
         + model.b_cls
     )
-    has_pairs = n > 1
-    return PredictionSet(
-        image_ids=tuple(image_id for image_id, kept in zip(data.dataset.image_ids, has_pairs.tolist()) if kept),
-        image=(np.cumsum(has_pairs) - 1)[image],
-        subj_id=data.object_ids[subj],
-        obj_id=data.object_ids[obj],
-        subj_label=data.labels[subj],
-        obj_label=data.labels[obj],
-        subj_box=data.boxes[subj],
-        obj_box=data.boxes[obj],
-        subj_score=np.ones(len(image)),
-        obj_score=np.ones(len(image)),
-        probs=probs,
-    )
+    return PredictionSet.of_objects(dataset, image, subj, obj, probs)
 
 
 def save_history(history: list[LossBundle], path: str | Path) -> None:

@@ -344,17 +344,16 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
         train_set.d_roi, embeddings.dim, predicate_space.size, substream(config.seed, "alignment.init")
     )
     train_config = _sub_config(alignment.TrainConfig, config)
-    val = alignment.pack(val_set)
-    result = _naming(args.train, alignment.train, model, train_set, embeddings, train_config, val, weights)
+    result = _naming(args.train, alignment.train, model, train_set, embeddings, train_config, val_set, weights)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alignment.save_model(result.model, out / "model.ckpt")
     alignment.save_history(result.history, out / "loss_history.csv")
     alignment.save_validation(result, train_config.eval_every, out / "validation.csv")
-    for name, packed in (("val", val), ("test", alignment.pack(test_set))):
+    for name, split in (("val", val_set), ("test", test_set)):
         metrics.save_predictions(
-            alignment.predict(result.model, packed), object_space, out / f"predictions_{name}.jsonl"
+            alignment.predict(result.model, split), object_space, out / f"predictions_{name}.jsonl"
         )
     logger.info(
         "train: %d iterations, final total loss %.5f",
@@ -382,6 +381,11 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     predictions = metrics.load_predictions(args.predictions, object_space, predicate_space.size)
     object_embeddings = load_embeddings(args.object_embeddings, object_space)
     predicate_embeddings = load_embeddings(args.predicate_embeddings, predicate_space)
+    if object_embeddings.dim != predicate_embeddings.dim:
+        raise ValueError(
+            f"embedding dimensions differ: {args.object_embeddings} has {object_embeddings.dim}, "
+            f"{args.predicate_embeddings} has {predicate_embeddings.dim}"
+        )
     refined = _naming(args.predictions, refinement.refine_dataset,
                       predictions, object_embeddings, predicate_embeddings, config.alpha)
     metrics.save_predictions(refined, object_space, target)

@@ -69,6 +69,19 @@ class PredictionSet:
     obj_score: np.ndarray
     probs: np.ndarray       # (P, C) float64
 
+    @classmethod
+    def of_objects(cls, dataset: Dataset, image: np.ndarray, subj: np.ndarray, obj: np.ndarray,
+                   probs: np.ndarray) -> "PredictionSet":
+        """Pairs of ``dataset``'s object rows ``subj`` and ``obj`` in its images ``image`` (ascending): their ids,
+        labels and boxes, unit label scores and ``probs``; ``image_ids`` keeps the images that have rows."""
+        has_rows = np.bincount(image, minlength=len(dataset.image_ids)) > 0
+        ids, labels, boxes = dataset.object_ids, dataset.labels, dataset.boxes
+        return cls(
+            tuple(image_id for image_id, kept in zip(dataset.image_ids, has_rows.tolist()) if kept),
+            (np.cumsum(has_rows) - 1)[image], ids[subj], ids[obj], labels[subj], labels[obj], boxes[subj],
+            boxes[obj], np.ones(len(image)), np.ones(len(image)), probs,
+        )
+
     def __len__(self) -> int:
         return len(self.image)
 

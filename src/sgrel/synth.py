@@ -316,7 +316,7 @@ def oracle_predictions(test: Dataset, gen_map: GenerativeMap) -> PredictionSet:
     image = owners(test.triple_offsets)
     subj_id, _, obj_id = test.triples.T
     pair = ~repeats(image, subj_id, obj_id)  # each annotated pair once, where it first occurs
-    image, subj_id, obj_id, (subj, obj) = image[pair], subj_id[pair], obj_id[pair], test.end_rows()[pair].T
+    image, (subj, obj) = image[pair], test.end_rows()[pair].T
     subj_label, obj_label = test.labels[subj], test.labels[obj]
     gold = [gen_map.predicate_for(s, o) for s, o in zip(subj_label.tolist(), obj_label.tolist())]
     if None in gold:
@@ -325,14 +325,9 @@ def oracle_predictions(test: Dataset, gen_map: GenerativeMap) -> PredictionSet:
             f"image {test.image_ids[image[at]]}: pair ({subj_label[at]}, {obj_label[at]}) "
             "is not covered by the generative map"
         )
-    has_pairs = np.bincount(image, minlength=len(test.image_ids)) > 0
     probs = np.zeros((len(gold), test.predicate_space.size))
     probs[np.arange(len(gold)), gold] = 1.0
-    return PredictionSet(
-        tuple(image_id for image_id, kept in zip(test.image_ids, has_pairs.tolist()) if kept),
-        (np.cumsum(has_pairs) - 1)[image], subj_id, obj_id, subj_label, obj_label, test.boxes[subj],
-        test.boxes[obj], np.ones(len(gold)), np.ones(len(gold)), probs,
-    )
+    return PredictionSet.of_objects(test, image, subj, obj, probs)
 
 
 def save_map(gen_map: GenerativeMap, path: str | Path) -> None:

@@ -4,10 +4,10 @@ Each definition is the replaced code unchanged: the model (``BoundingBox``, ``Ob
 ``SceneGraphAnnotation`` and the ``Dataset`` of annotations), ``validate_annotation`` and
 ``triple_signature``; the ``box`` field parser; the annotation reader (``_companion_dataset``,
 ``load_annotations``) and writer (``_annotation_columns``, ``_annotation_lines``, ``annotations_to_jsonl``,
-``save_annotations``); ``dataset_signatures`` and ``build_zero_shot_index``; ``pack``; ``count_predicates``
-and ``resample``; ``match_triples`` and ``evaluate``; ``oracle_predictions``, except that ``pack`` calls
-``alignment._offsets`` by its new name, ``sgrel.core.offsets``. ``to_columns`` and ``to_objects`` convert
-between a dataset of annotations and the columns.
+``save_annotations``); ``dataset_signatures`` and ``build_zero_shot_index``; ``PackedDataset`` and ``pack``;
+``count_predicates`` and ``resample``; ``match_triples`` and ``evaluate``; ``oracle_predictions``, except that
+``pack`` calls ``alignment._offsets`` by its new name, ``sgrel.core.offsets``. ``to_columns`` and
+``to_objects`` convert between a dataset of annotations and the columns.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from sgrel import core
-from sgrel.alignment import PackedDataset, _segments, pair_geometry
+from sgrel.alignment import _segments, pair_geometry
 from sgrel.core import AnnotationError, LabelSpace, Signature, offsets
 from sgrel.ingest import (
     _ANNOTATION_COLUMNS, _NUMBER_TYPES, COMPACT_JSON, Fields, ParseError, _annotation_header, integer, json_list,
@@ -439,6 +439,31 @@ def build_zero_shot_index(train: Dataset, test: Dataset) -> frozenset[Signature]
 
 
 # --- pack (sgrel.alignment) ---------------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class PackedDataset:
+    """A split's columns, as the dataset holds them, plus each triple's classifier input; built once when
+    training or prediction starts.
+
+    Image ``i`` owns object rows ``obj_offsets[i]:obj_offsets[i + 1]`` and
+    triple rows ``triple_offsets[i]:triple_offsets[i + 1]``.
+    """
+
+    dataset: Dataset
+    features: np.ndarray        # (sum N, d_roi)
+    object_ids: np.ndarray      # (sum N,)
+    labels: np.ndarray          # (sum N,)
+    boxes: np.ndarray           # (sum N, 4) xyxy
+    sizes: np.ndarray           # (images, 2) width, height
+    obj_offsets: np.ndarray     # (images + 1,)
+    preds: np.ndarray           # (sum T,)
+    triple_offsets: np.ndarray  # (images + 1,)
+    pair_inputs: np.ndarray     # (sum T, 2*d_roi + GEOMETRY_DIM); model-independent
+
+    @property
+    def num_images(self) -> int:
+        return len(self.dataset.image_ids)
+
 
 def pack(dataset: Dataset) -> PackedDataset:
     """Flatten a split into the arrays the batched forward, backward and predict read."""

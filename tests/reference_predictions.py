@@ -3,9 +3,9 @@
 Each definition is the replaced code unchanged: ``PairPrediction``, ``stack_probs``, ``build_ranked``,
 ``evaluate``, the writer (``_columns``, ``_pair_lines``, ``save_predictions``), the reader
 (``_load_companion``, ``load_predictions``), ``predict`` and ``refine_dataset``. ``to_set`` and
-``to_pairs`` convert between a list of pairs and a ``PredictionSet``. The annotation model, the ``box`` field
-parser and ``match_triples`` that they used come from ``reference_annotations``; ``predict`` reads its packed
-dataset's annotations through ``to_objects``.
+``to_pairs`` convert between a list of pairs and a ``PredictionSet``. The annotation model, ``PackedDataset``,
+the ``box`` field parser and ``match_triples`` that they used come from ``reference_annotations``; ``predict``
+reads its packed dataset's annotations, held as columns, through ``to_objects``.
 """
 
 import itertools
@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from sgrel.alignment import PackedDataset, RelationModel, _segments, _softmax_rows, pair_geometry
+from sgrel.alignment import RelationModel, _segments, _softmax_rows, pair_geometry
 from sgrel.core import LabelSpace, Signature
 from sgrel.ingest import COMPACT_JSON, EmbeddingTable, ParseError, integer, load_companion, number, parse_fields
 from sgrel.ingest import read_jsonl, save_with_companion, scores, string
@@ -27,7 +27,9 @@ from sgrel.metrics import (
 from sgrel.refinement import DEFAULT_ALPHA, refine, refinement_vector
 from sgrel.reweighting import InfoWeights
 
-from reference_annotations import BoundingBox, Dataset, box, match_triples, to_objects, triple_signature
+from reference_annotations import (
+    BoundingBox, Dataset, PackedDataset, box, match_triples, to_objects, triple_signature,
+)
 
 
 @dataclass(eq=False)

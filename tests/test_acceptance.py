@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sgrel.alignment import backward, contrastive_loss, forward_batch
+from sgrel.alignment import backward, contrastive_loss, forward_batch, pair_inputs
 from sgrel.cli import main as cli_main
 from reference_annotations import Triple
 from sgrel.ingest import RecallTable, build_zero_shot_index, dataset_signatures
@@ -60,7 +60,7 @@ def test_criterion_3_gradient_check_100_batches():
     worst = 0.0
     for seed in range(100):
         model, data, table, weights = toy_batch(seed)
-        batch = forward_batch(model, data, table)
+        batch = forward_batch(model, data, pair_inputs(data), table)
         analytic = backward(model, batch, weights, mu=1.2)
         numeric = finite_difference_gradients(model, data, table, weights, mu=1.2, h=1e-5)
         worst = max(worst, max_relative_error(analytic, numeric))

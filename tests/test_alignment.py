@@ -12,25 +12,26 @@ from sgrel.alignment import (
     contrastive_loss,
     forward_batch,
     load_model,
-    pack,
     pair_geometry,
+    pair_inputs,
     predict,
     save_history,
     save_model,
     train,
 )
 from reference_annotations import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple, to_objects
+from sgrel.core import AnnotationError
 from sgrel.ingest import EmbeddingTable
 from sgrel.reweighting import info_weights, weighted_pred_loss
 from sgrel.synth import SynthConfig, generate
 
-from conftest import make_box, make_dataset, make_spaces
+from conftest import make_annotation, make_box, make_dataset, make_spaces
 
 
 # --- shared toy-batch machinery (also used by the acceptance suite) ---------
 
 def toy_batch(seed, d_roi=5, d_emb=4, c_obj=6, c_pred=3, n_images=2):
-    """Small random packed batch with a model, embeddings, and info weights."""
+    """Small random dataset with a model, embeddings, and info weights."""
     rng = np.random.default_rng(seed)
     spaces = make_spaces(c_obj, c_pred)
     table = EmbeddingTable(space=spaces[0], vectors=rng.normal(size=(c_obj, d_emb)))
@@ -61,15 +62,16 @@ def toy_batch(seed, d_roi=5, d_emb=4, c_obj=6, c_pred=3, n_images=2):
         )
     model = RelationModel.init(d_roi, d_emb, c_pred, rng)
     weights = info_weights(rng.integers(1, 50, size=c_pred))
-    return model, pack(make_dataset(annotations, spaces, d_roi=d_roi)), table, weights
+    return model, make_dataset(annotations, spaces, d_roi=d_roi), table, weights
 
 
-def pack_images(*annotations, d_roi=5):
-    return pack(make_dataset(annotations, d_roi=d_roi))
+def forward_all(model, data, table):
+    """``forward_batch`` over every image of ``data``, with its own ``pair_inputs``."""
+    return forward_batch(model, data, pair_inputs(data), table)
 
 
 def batch_objective(model, data, table, weights, mu):
-    batch = forward_batch(model, data, table)
+    batch = forward_all(model, data, table)
     return batch.contrastive + mu * weighted_pred_loss(batch.probs, batch.gold, weights)
 
 
@@ -220,8 +222,8 @@ class TestForward:
     def test_matches_straight_line_reimplementation(self):
         model, data, table, _ = toy_batch(42, n_images=1)
         # Seed-42 toy image: compare against the independent recomputation.
-        batch = forward_batch(model, data, table)
-        reference = straight_line_forward(model, to_objects(data.dataset).annotations[0], table)
+        batch = forward_all(model, data, table)
+        reference = straight_line_forward(model, to_objects(data).annotations[0], table)
         assert batch.contrastive == pytest.approx(reference, abs=1e-10)
         assert batch.probs.shape[1] == model.c_pred
         np.testing.assert_allclose(batch.probs.sum(axis=1), 1.0, atol=1e-12)
@@ -229,25 +231,25 @@ class TestForward:
     def test_single_object_contributes_zero_loss(self, rng):
         model, data, table, _ = toy_batch(0, n_images=1)
         solo = SceneGraphAnnotation(
-            "solo", 100.0, 100.0, (to_objects(data.dataset).annotations[0].objects[0],), ()
+            "solo", 100.0, 100.0, (to_objects(data).annotations[0].objects[0],), ()
         )
-        batch = forward_batch(model, pack_images(solo), table)
+        batch = forward_all(model, make_dataset([solo], d_roi=5), table)
         assert batch.contrastive == 0.0
         assert batch.probs.shape[0] == 0
 
     def test_empty_image(self):
         model, _, table, _ = toy_batch(0)
         empty = SceneGraphAnnotation("none", 100.0, 100.0, (), ())
-        batch = forward_batch(model, pack_images(empty), table)
+        batch = forward_all(model, make_dataset([empty], d_roi=5), table)
         assert batch.contrastive == 0.0
         assert batch.probs.shape[0] == 0
 
     def test_duplicate_objects_give_uniform_rows(self):
         model, data, table, _ = toy_batch(1, n_images=1)
-        base = to_objects(data.dataset).annotations[0].objects[0]
+        base = to_objects(data).annotations[0].objects[0]
         twin = ObjectInstance(1, base.label, base.box, base.feature.copy())
         image = SceneGraphAnnotation("dup", 100.0, 100.0, (base, twin), ())
-        batch = forward_batch(model, pack_images(image), table)
+        batch = forward_all(model, make_dataset([image], d_roi=5), table)
         assert batch.contrastive == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -258,7 +260,7 @@ class TestBackward:
         worst = 0.0
         for seed in range(10):
             model, data, table, weights = toy_batch(seed)
-            batch = forward_batch(model, data, table)
+            batch = forward_all(model, data, table)
             analytic = backward(model, batch, weights, mu=1.2)
             numeric = finite_difference_gradients(model, data, table, weights, mu=1.2)
             worst = max(worst, max_relative_error(analytic, numeric))
@@ -266,7 +268,7 @@ class TestBackward:
 
     def test_mu_zero_decouples_classifier(self):
         model, data, table, weights = toy_batch(5)
-        batch = forward_batch(model, data, table)
+        batch = forward_all(model, data, table)
         with_mu = backward(model, batch, weights, mu=1.2)
         without = backward(model, batch, weights, mu=0.0)
         assert np.all(without.w_cls == 0.0)
@@ -277,10 +279,10 @@ class TestBackward:
         # All-zero W_proj and identical objects: gradients cancel by symmetry.
         model, data, table, weights = toy_batch(3, n_images=1)
         model.w_proj[:] = 0.0
-        base = to_objects(data.dataset).annotations[0].objects[0]
+        base = to_objects(data).annotations[0].objects[0]
         twin = ObjectInstance(1, base.label, base.box, base.feature.copy())
         image = SceneGraphAnnotation("sym", 100.0, 100.0, (base, twin), ())
-        batch = forward_batch(model, pack_images(image), table)
+        batch = forward_all(model, make_dataset([image], d_roi=5), table)
         grads = backward(model, batch, weights, mu=1.2)
         np.testing.assert_allclose(grads.w_proj, 0.0, atol=1e-12)
 
@@ -329,7 +331,7 @@ class TestTrain:
         model = RelationModel.init(6, 4, 4, np.random.default_rng(11))
 
         def dataset_contrastive(m):
-            return forward_batch(m, pack(data.train), data.object_embeddings).contrastive
+            return forward_all(m, data.train, data.object_embeddings).contrastive
 
         before = dataset_contrastive(model)
         config = TrainConfig(lr=0.05, iterations=500, batch_size=16, seed=5, mu=1.2)
@@ -344,7 +346,7 @@ class TestTrain:
         # eval sets the best, `patience` stale evals force a 10x decay.
         config = TrainConfig(lr=1e-12, iterations=40, batch_size=8, seed=1,
                              eval_every=5, patience=2)
-        result = train(model, data.train, data.object_embeddings, config, val=pack(data.val))
+        result = train(model, data.train, data.object_embeddings, config, val=data.val)
         assert len(result.val_mean_recall) == 8
         assert result.learning_rates[0] == 1e-12
         # Evals 3, 5, and 7 each accumulate `patience` stale results -> 3 decays.
@@ -362,11 +364,18 @@ class TestTrain:
         assert len(lines) == 6
 
 
+class TestPairInputs:
+    def test_dangling_id_raises(self):
+        dangling = make_annotation("im", triples=(Triple(subj=0, pred=0, obj=9),))
+        with pytest.raises(AnnotationError, match="^image im: dangling object_id 9$"):
+            pair_inputs(make_dataset([make_annotation("ok"), dangling]))
+
+
 class TestPredict:
     def test_all_ordered_pairs_scored(self):
         data = tiny_corpus()
         model = RelationModel.init(6, 4, 4, np.random.default_rng(0))
-        predictions = predict(model, pack(data.test))
+        predictions = predict(model, data.test)
         counts = np.bincount(predictions.image, minlength=len(predictions.image_ids))
         assert (counts > 0).all()  # exactly the images that have pairs, in image order
         by_image = dict(zip(predictions.image_ids, counts.tolist()))

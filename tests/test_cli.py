@@ -587,6 +587,47 @@ class TestTrainRefineEval:
         err = capsys.readouterr().err
         assert "--object-embeddings" in err and "--predicate-embeddings" in err
 
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_refinement_refuses_embedding_tables_of_different_dimensions(self, corpus, tmp_path, capsys, empty):
+        predictions = tmp_path / "predictions_test.jsonl"
+        if empty:
+            predictions.write_text("")
+        else:
+            save_oracle_predictions(corpus, "test", predictions)
+        cut = tmp_path / "predicate_embeddings.txt"
+        lines = (corpus / "predicate_embeddings.txt").read_text().splitlines()
+        cut.write_text("".join(" ".join(line.split(" ")[:9]) + "\n" for line in lines))
+        out = tmp_path / "x"
+        code = run(
+            ["refine", "--out", out, "--config", write_config(tmp_path, use_refinement="true"),
+             *corpus_flags(corpus), "--predictions", predictions,
+             "--object-embeddings", corpus / "object_embeddings.txt", "--predicate-embeddings", cut]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"data error: embedding dimensions differ: {corpus / 'object_embeddings.txt'} has 16, "
+                f"{cut} has 8\n") in err
+        assert not (out / "predictions_refined.jsonl").exists()
+
+    def test_train_computes_pair_inputs_once_on_the_train_split(self, corpus, tmp_path, monkeypatch):
+        from sgrel import alignment
+
+        splits = []
+        original = alignment.pair_inputs
+
+        def spy(dataset):
+            splits.append(dataset.split)
+            return original(dataset)
+
+        monkeypatch.setattr(alignment, "pair_inputs", spy)
+        config = write_config(tmp_path, iterations=10, eval_every=5, seed=5)
+        assert run(
+            ["train", "--out", tmp_path / "run", "--config", config, *corpus_flags(corpus),
+             "--train", corpus / "train.jsonl", "--val", corpus / "val.jsonl", "--test", corpus / "test.jsonl",
+             "--object-embeddings", corpus / "object_embeddings.txt", "--d-roi", 32]
+        ) == 0
+        assert splits == ["train"]
+
     @pytest.mark.parametrize("eval_every", [0, 1])
     def test_diverged_training_is_data_error(self, corpus, tmp_path, capsys, eval_every):
         config = write_config(tmp_path, iterations=3, eval_every=eval_every, lr=1.7e308, mu=1e308)

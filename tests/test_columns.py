@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgrel import ingest, synth
-from sgrel.alignment import PackedDataset, pack
+from sgrel.alignment import pair_inputs
 from sgrel.ingest import build_zero_shot_index, companion_path, load_annotations, save_annotations
 from sgrel.metrics import PROTOCOLS, PredictionSet, build_ranked, evaluate, ground_truth, match_triples
 from sgrel.sampling import build_sampling_plan, count_predicates, resample
@@ -43,11 +43,18 @@ def assert_same_columns(actual, expected):
         assert (got.dtype, got.shape, got.tobytes()) == (wanted.dtype, wanted.shape, wanted.tobytes()), name
 
 
-def assert_same_pack(actual, expected):
-    for field in dataclasses.fields(PackedDataset)[1:]:
-        got, wanted = getattr(actual, field.name), getattr(expected, field.name)
-        np.testing.assert_array_equal(got, wanted, strict=True, err_msg=field.name)
-        assert got.tobytes() == wanted.tobytes(), field.name
+def assert_same_pack(dataset, expected):
+    """``pair_inputs(dataset)`` and the dataset's own columns are exactly the replaced ``pack``'s fields."""
+    columns = {
+        "features": dataset.features, "object_ids": dataset.object_ids, "labels": dataset.labels,
+        "boxes": dataset.boxes, "sizes": dataset.sizes, "obj_offsets": dataset.object_offsets,
+        "preds": dataset.triples[:, 1], "triple_offsets": dataset.triple_offsets, "pair_inputs": pair_inputs(dataset),
+    }
+    assert list(columns) == [field.name for field in dataclasses.fields(reference.PackedDataset)[1:]]
+    for name, got in columns.items():
+        wanted = getattr(expected, name)
+        np.testing.assert_array_equal(got, wanted, strict=True, err_msg=name)
+        assert got.tobytes() == wanted.tobytes(), name
 
 
 def outcome(load, *args):
@@ -134,7 +141,7 @@ def assert_stages_agree(dataset, objects, directory, seed=0):
         assert_same_columns(loaded, to_columns(replaced))
         assert_same_columns(loaded, dataset)
 
-    assert_same_pack(pack(dataset), reference.pack(objects))
+    assert_same_pack(dataset, reference.pack(objects))
     counts = count_predicates(dataset)
     np.testing.assert_array_equal(counts, reference.count_predicates(objects), strict=True)
     recalls = np.random.default_rng(seed).uniform(0.0, 1.0, dataset.predicate_space.size)

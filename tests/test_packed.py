@@ -5,6 +5,8 @@ kept here as the oracle. Summation order differs between the two, so values
 must agree to 1e-12 (relative, for entries above 1) rather than bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, strategies as st
 
@@ -15,9 +17,10 @@ from sgrel.alignment import (
     backward,
     contrastive_loss,
     forward_batch,
-    pack,
+    pair_inputs,
     predict,
 )
+import reference_annotations
 from reference_annotations import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple, to_objects
 from sgrel.ingest import EmbeddingTable
 from sgrel.reweighting import info_weights, weighted_pred_loss
@@ -174,13 +177,13 @@ def assert_close(a, b):
 
 def check_agreement(seed, counts, zero_projection=False, mu=1.2, compute_contrastive=True):
     model, dataset, table, weights = random_case(seed, counts, zero_projection)
-    data = pack(dataset)
     rng = np.random.default_rng(seed + 1)
     images = rng.permutation(len(counts))[: int(rng.integers(1, len(counts) + 1))]
-    annotations = to_objects(dataset).annotations
+    objects = to_objects(dataset)
+    annotations = objects.annotations
     chosen = [annotations[i] for i in images]
 
-    batch = forward_batch(model, data, table, images, compute_contrastive)
+    batch = forward_batch(model, dataset, pair_inputs(dataset), table, images, compute_contrastive)
     caches, contrastive, probs, gold = reference_forward(model, chosen, table, compute_contrastive)
     assert abs(batch.contrastive - contrastive) <= TOL
     assert_close(batch.probs, probs)
@@ -193,8 +196,10 @@ def check_agreement(seed, counts, zero_projection=False, mu=1.2, compute_contras
                          reference_backward(model, caches, weights, mu)):
         assert_close(got, want)
 
-    predictions = reference_predictions.predict(model, data)  # the per-pair predict the columns replaced
-    assert_same_set(predict(model, data), to_set(predictions, model.c_pred))
+    # The per-pair predict the columns replaced, on the replaced pack holding the columns it reads through to_objects.
+    packed = dataclasses.replace(reference_annotations.pack(objects), dataset=dataset)
+    predictions = reference_predictions.predict(model, packed)
+    assert_same_set(predict(model, dataset), to_set(predictions, model.c_pred))
     expected = reference_predict(model, annotations)
     assert len(predictions) == len(expected)
     for p, (image_id, s, o, probs) in zip(predictions, expected):
@@ -218,7 +223,7 @@ class TestPackedMatchesPerImage:
 
     def test_contrastive_off(self):
         model, dataset, table, _ = random_case(3, [4, 2, 1])
-        batch = forward_batch(model, pack(dataset), table, compute_contrastive=False)
+        batch = forward_batch(model, dataset, pair_inputs(dataset), table, compute_contrastive=False)
         assert batch.contrastive == 0.0 and batch.sims is None
         check_agreement(3, [4, 2, 1], compute_contrastive=False)
 
