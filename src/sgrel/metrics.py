@@ -22,14 +22,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .core import Dataset, LabelSpace, Signature, box_overlap, owners
+from .core import Dataset, LabelSpace, Signature, box_overlap, owners, repeats
 from .ingest import LINES_PER_WRITE, ParseError, box, integer, load_companion, number, parse_fields
 from .ingest import read_jsonl, save_with_companion, scores, string
 from .reweighting import InfoWeights
@@ -86,7 +86,7 @@ class PredictionSet:
         return len(self.image)
 
     def __getitem__(self, rows: int | slice | np.ndarray) -> "PredictionSet":
-        return PredictionSet(self.image_ids, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
+        return PredictionSet(self.image_ids, *(column[rows] for column in list(vars(self).values())[1:]))
 
     def pair(self, row: int) -> tuple[str, tuple[int, int]]:
         """The image id and the (subject id, object id) of a row, as messages name a pair."""
@@ -152,7 +152,7 @@ class RankedTriples:
         return len(self.score)
 
     def __getitem__(self, rows: slice | np.ndarray) -> "RankedTriples":
-        return RankedTriples(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return RankedTriples(*(column[rows] for column in vars(self).values()))
 
 
 def build_ranked(predictions: PredictionSet, num_predicates: int) -> dict[str, RankedTriples]:
@@ -170,13 +170,9 @@ def build_ranked(predictions: PredictionSet, num_predicates: int) -> dict[str, R
     if p.probs.shape[1:] != (num_predicates,):
         raise ValueError(f"prediction shape mismatch: expected ({num_predicates},) predicate scores")
 
-    # A stable sort keeps input order within equal pairs, so every row after
-    # the first of its run repeats an earlier pair.
-    by_pair = np.lexsort((p.obj_id, p.subj_id, p.image))
-    keys = np.stack([p.image, p.subj_id, p.obj_id])[:, by_pair]
-    repeats = by_pair[1:][(keys[:, 1:] == keys[:, :-1]).all(axis=0)]
-    if repeats.size:
-        image_id, pair = p.pair(repeats.min())
+    repeated = np.flatnonzero(repeats(p.image, p.subj_id, p.obj_id))
+    if repeated.size:
+        image_id, pair = p.pair(repeated[0])
         raise ValueError(f"image {image_id}: duplicate prediction for pair {pair} violates the graph constraint")
     top = p.probs.argmax(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,33 +19,32 @@ from .metrics import PredictionSet
 DEFAULT_ALPHA = 0.35
 
 
-def distance_vector(vector: np.ndarray, predicates: EmbeddingTable) -> np.ndarray:
-    """Euclidean distance from ``vector`` to every predicate embedding."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (predicates.dim,):
+def distance_vector(vectors: np.ndarray, predicates: EmbeddingTable) -> np.ndarray:
+    """Euclidean distance from each of ``vectors``, a ``(..., d)`` stack, to every predicate embedding:
+    ``(..., C_pred)``."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.shape[-1:] != (predicates.dim,):
         raise ValueError(
-            f"dimension mismatch: vector has shape {vector.shape}, table dim {predicates.dim}"
+            f"dimension mismatch: vector has shape {vectors.shape}, table dim {predicates.dim}"
         )
-    return np.linalg.norm(predicates.vectors - vector, axis=1)
+    return np.linalg.norm(predicates.vectors - vectors[..., None, :], axis=-1)
 
 
 def refinement_vector(
-    subj_emb: np.ndarray,
-    obj_emb: np.ndarray,
-    pred_emb: np.ndarray,
-    predicates: EmbeddingTable,
+    subj_distances: np.ndarray,
+    obj_distances: np.ndarray,
+    pred_distances: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
 ) -> np.ndarray:
-    """Distance profile ``v`` over predicates: object-side and predicate-side profiles blended.
+    """Distance profile ``v`` over predicates: object-side and predicate-side distance rows blended.
 
-    ``alpha`` weighs how much the subject/object embeddings count against the
-    originally predicted predicate's embedding.
+    Each row is a ``distance_vector`` of the subject, the object or the
+    originally predicted predicate; ``alpha`` weighs how much the subject/object
+    rows count against the predicate's.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * (
-        distance_vector(subj_emb, predicates) + distance_vector(obj_emb, predicates)
-    ) + (1.0 - alpha) * distance_vector(pred_emb, predicates)
+    return alpha * (subj_distances + obj_distances) + (1.0 - alpha) * pred_distances
 
 
 def refine(probs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,9 +77,12 @@ def refine_dataset(
 ) -> PredictionSet:
     """Refine every pair prediction's score vector and top predicate.
 
-    The subject/object embeddings come from each pair's predicted labels, and
-    the predicate-side embedding from the pre-refinement argmax predicate. One
-    refinement vector serves every pair with the same three labels. The result
+    The subject/object distances come from each pair's predicted labels, and
+    the predicate-side distances from the pre-refinement argmax predicate; each
+    is computed once per label. One refinement vector serves every pair with
+    the same three labels. A pair whose refined scores are all zero takes the
+    affinity of its profile shifted by its minimum, the same distribution in
+    exact arithmetic; if they are still all zero, ``refine`` raises. The result
     holds the refined ``probs`` and shares every other column with the input.
     """
     if not len(predictions):
@@ -89,15 +91,11 @@ def refine_dataset(
         np.stack([predictions.subj_label, predictions.obj_label, predictions.probs.argmax(axis=1)], axis=1),
         axis=0, return_inverse=True,
     )
-    affinity = np.array([
-        np.exp(-refinement_vector(
-            object_embeddings.vectors[subj_label],
-            object_embeddings.vectors[obj_label],
-            predicate_embeddings.vectors[pre_top],
-            predicate_embeddings,
-            alpha,
-        ))
-        for subj_label, obj_label, pre_top in keys.tolist()
-    ])
-    _, scores = refine(predictions.probs, affinity[rows])
+    objects = distance_vector(object_embeddings.vectors, predicate_embeddings)
+    predicates = distance_vector(predicate_embeddings.vectors, predicate_embeddings)
+    v = np.array([refinement_vector(objects[s], objects[o], predicates[p], alpha) for s, o, p in keys.tolist()])
+    affinity = np.exp(-v)[rows]
+    underflowed = np.einsum("pc,pc->p", predictions.probs, affinity) == 0.0
+    affinity[underflowed] = np.exp(v.min(axis=1, keepdims=True) - v)[rows[underflowed]]
+    _, scores = refine(predictions.probs, affinity)
     return dataclasses.replace(predictions, probs=scores)

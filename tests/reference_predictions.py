@@ -2,7 +2,8 @@
 
 Each definition is the replaced code unchanged: ``PairPrediction``, ``stack_probs``, ``build_ranked``,
 ``evaluate``, the writer (``_columns``, ``_pair_lines``, ``save_predictions``), the reader
-(``_load_companion``, ``load_predictions``), ``predict`` and ``refine_dataset``. ``to_set`` and
+(``_load_companion``, ``load_predictions``), ``predict`` and ``refine_dataset``, with the embedding-based
+``distance_vector`` and ``refinement_vector`` that it called once per label triple. ``to_set`` and
 ``to_pairs`` convert between a list of pairs and a ``PredictionSet``. The annotation model, ``PackedDataset``,
 the ``box`` field parser and ``match_triples`` that they used come from ``reference_annotations``; ``predict``
 reads its packed dataset's annotations, held as columns, through ``to_objects``.
@@ -24,7 +25,7 @@ from sgrel.metrics import (
     _COLUMNS, COMPANION_FORMAT, COMPANION_VERSION, DEFAULT_KS, PREDCLS, PROTOCOLS, MetricReport, PredictionSet,
     RankedTriples, _column_lines, _distinct_boxes, mean_recall_at_k, mric_at_k, recall_at_k,
 )
-from sgrel.refinement import DEFAULT_ALPHA, refine, refinement_vector
+from sgrel.refinement import DEFAULT_ALPHA, refine
 from sgrel.reweighting import InfoWeights
 
 from reference_annotations import (
@@ -347,6 +348,35 @@ def predict(model: RelationModel, data: PackedDataset) -> list[PairPrediction]:
             image_ids[i], so.object_id, oo.object_id, so.label, oo.label, so.box, oo.box, p
         ))
     return predictions
+
+
+def distance_vector(vector: np.ndarray, predicates: EmbeddingTable) -> np.ndarray:
+    """Euclidean distance from ``vector`` to every predicate embedding."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != (predicates.dim,):
+        raise ValueError(
+            f"dimension mismatch: vector has shape {vector.shape}, table dim {predicates.dim}"
+        )
+    return np.linalg.norm(predicates.vectors - vector, axis=1)
+
+
+def refinement_vector(
+    subj_emb: np.ndarray,
+    obj_emb: np.ndarray,
+    pred_emb: np.ndarray,
+    predicates: EmbeddingTable,
+    alpha: float = DEFAULT_ALPHA,
+) -> np.ndarray:
+    """Distance profile ``v`` over predicates: object-side and predicate-side profiles blended.
+
+    ``alpha`` weighs how much the subject/object embeddings count against the
+    originally predicted predicate's embedding.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha * (
+        distance_vector(subj_emb, predicates) + distance_vector(obj_emb, predicates)
+    ) + (1.0 - alpha) * distance_vector(pred_emb, predicates)
 
 
 def refine_dataset(

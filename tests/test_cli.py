@@ -538,6 +538,29 @@ class TestTrainRefineEval:
         record = json.loads((out / "refinement_report.jsonl").read_text().splitlines()[0])
         assert list(record) == ["image_id", "subj_id", "obj_id", "pre_top", "post_top"]
 
+    def test_refine_survives_affinities_that_underflow(self, tmp_path):
+        # Embeddings this far apart make exp(-v) underflow to zero for every predicate of some pairs: the
+        # replaced refinement stopped there, and the shifted profile refines them.
+        from sgrel.core import OBJECT, PREDICATE
+        from sgrel.ingest import load_embeddings, load_labels
+        from sgrel.metrics import load_predictions
+        from reference_predictions import refine_dataset as replaced_refine_dataset, to_pairs
+
+        corpus, out = tmp_path / "corpus", tmp_path / "run"
+        config = write_config(tmp_path, images=60, seed=3, embedding_scale=5000, iterations=20,
+                              use_refinement="true")
+        assert run(["synth", "--out", corpus, "--config", config]) == 0
+        run_pipeline(corpus, out, config)
+        object_space = load_labels(corpus / "object_labels.txt", OBJECT)
+        predicate_space = load_labels(corpus / "predicate_labels.txt", PREDICATE)
+        predictions = load_predictions(out / "predictions_test.jsonl", object_space, predicate_space.size)
+        refined = load_predictions(out / "predictions_refined.jsonl", object_space, predicate_space.size)
+        assert len(refined) == len(predictions) > 0
+        embeddings = (load_embeddings(corpus / "object_embeddings.txt", object_space),
+                      load_embeddings(corpus / "predicate_embeddings.txt", predicate_space))
+        with pytest.raises(ValueError, match="^degenerate refinement: all refined scores are zero$"):
+            replaced_refine_dataset(to_pairs(predictions), *embeddings)
+
     def test_refine_disabled_copies_predictions(self, corpus, tmp_path):
         out = tmp_path / "run"
         config = write_config(tmp_path, iterations=10, seed=5, use_refinement="false")

@@ -147,15 +147,19 @@ class TestBuildRanked:
             build_ranked(to_set(pairs), 2)
 
     def test_graph_constraint_names_the_first_repeat_in_input_order(self):
-        pairs = [pair(image, s, o, [0.5, 0.5]) for image, s, o in
-                 [("im0", 0, 1), ("im1", 2, 3), ("im0", 2, 3), ("im1", 2, 3), ("im0", 0, 1)]]
-        message = "image im1: duplicate prediction for pair (2, 3) violates the graph constraint"
-        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            build_ranked(to_set(pairs), 2)
-        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            listed.build_ranked(pairs, 2)
-        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-            reference.build_ranked(pairs)
+        # Each list repeats two pairs, the one that sorts later first: across images, then within one image.
+        for keys, (image_id, repeated) in [
+            ([("im0", 0, 1), ("im1", 2, 3), ("im0", 2, 3), ("im1", 2, 3), ("im0", 0, 1)], ("im1", (2, 3))),
+            ([("im0", 3, 1), ("im0", 0, 2), ("im0", 1, 0), ("im0", 3, 1), ("im0", 0, 2)], ("im0", (3, 1))),
+        ]:
+            pairs = [pair(image, s, o, [0.5, 0.5]) for image, s, o in keys]
+            message = f"image {image_id}: duplicate prediction for pair {repeated} violates the graph constraint"
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                build_ranked(to_set(pairs), 2)
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                listed.build_ranked(pairs, 2)
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                reference.build_ranked(pairs)
 
     def test_label_confidence_scales_score(self):
         ranked = build_ranked(to_set([pair("im0", 0, 1, [0.8, 0.2], subj_score=0.5, obj_score=0.5)]), 2)

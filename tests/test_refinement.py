@@ -44,43 +44,53 @@ class TestDistanceVector:
         with pytest.raises(ValueError, match="dimension mismatch"):
             distance_vector(np.array([1.0, 0.0, 0.0]), table([[1.0, 0.0]]))
 
+    def test_stack_mismatch_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: vector has shape \(2, 3\), table dim 2$"):
+            distance_vector(np.ones((2, 3)), table([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 9, 40])
+    def test_stack_rows_equal_each_vector_alone(self, rng, dim):
+        predicates = table(rng.normal(size=(7, dim)) * 100.0)
+        vectors = rng.normal(size=(2, 5, dim)) * 100.0
+        stacked = distance_vector(vectors, predicates)
+        assert stacked.shape == (2, 5, 7)
+        for index in np.ndindex(2, 5):
+            np.testing.assert_array_equal(
+                stacked[index], reference_predictions.distance_vector(vectors[index], predicates), strict=True
+            )
+
 
 class TestRefinementVector:
     def test_hand_arithmetic(self):
         # alpha=0.5, subj=obj=(1,0), original predicate at (0,0),
         # predicates at {(0,0), (1,0)} -> v = (1, 0.5).
         predicates = table([[1e-12, 0.0], [1.0, 0.0]])
-        subj = obj = np.array([1.0, 0.0])
-        v = refinement_vector(subj, obj, np.array([0.0, 0.0]), predicates, alpha=0.5)
+        subj, obj, pred = distance_vector(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), predicates)
+        v = refinement_vector(subj, obj, pred, alpha=0.5)
         np.testing.assert_allclose(v, [1.0, 0.5], atol=1e-9)
 
     def test_alpha_zero_peaks_at_original_predicate(self):
         predicates = table([[0.0, 1.0], [3.0, 0.0], [0.0, -2.0]])
-        v = refinement_vector(
-            np.array([9.0, 9.0]), np.array([-9.0, 0.0]), predicates.vectors[1], predicates, alpha=0.0
-        )
+        subj, obj = distance_vector(np.array([[9.0, 9.0], [-9.0, 0.0]]), predicates)
+        v = refinement_vector(subj, obj, distance_vector(predicates.vectors, predicates)[1], alpha=0.0)
         assert v[1] == 0.0
         assert np.argmax(np.exp(-v)) == 1
 
     def test_alpha_one_ignores_predicate_embedding(self, rng):
         predicates = table(rng.normal(size=(4, 3)))
-        subj, obj = rng.normal(size=3), rng.normal(size=3)
-        a = refinement_vector(subj, obj, predicates.vectors[0], predicates, alpha=1.0)
-        b = refinement_vector(subj, obj, predicates.vectors[3], predicates, alpha=1.0)
+        subj, obj = distance_vector(rng.normal(size=(2, 3)), predicates)
+        table_rows = distance_vector(predicates.vectors, predicates)
+        a = refinement_vector(subj, obj, table_rows[0], alpha=1.0)
+        b = refinement_vector(subj, obj, table_rows[3], alpha=1.0)
         np.testing.assert_array_equal(a, b)
 
     def test_alpha_out_of_range(self):
-        predicates = table([[1.0, 0.0]])
         with pytest.raises(ValueError, match="alpha"):
-            refinement_vector(
-                np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 0.0]), predicates, 1.5
-            )
+            refinement_vector(np.ones(1), np.ones(1), np.ones(1), 1.5)
 
     def test_monotone_coupling_of_v_and_w(self, rng):
         predicates = table(rng.normal(size=(5, 4)))
-        v = refinement_vector(
-            rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), predicates
-        )
+        v = refinement_vector(*distance_vector(rng.normal(size=(3, 4)), predicates))
         order_v = np.argsort(v)
         order_w = np.argsort(-np.exp(-v))
         np.testing.assert_array_equal(order_v, order_w)
@@ -176,6 +186,20 @@ class TestRefineDataset:
         refined = refine_dataset(to_set([self.pair([0.6, 0.4])]), objects, predicates, alpha=0.9)
         assert int(np.argmax(refined.probs[0])) == 1
 
+    @pytest.mark.parametrize("probs, refined", [([0.5, 0.5], [1.0, 0.0]), ([0.0, 1.0], None)],
+                             ids=["refines", "raises"])
+    def test_underflowing_affinity_shifts_by_the_profile_minimum(self, probs, refined):
+        # alpha=1: v = 2 * (2000, 4000); exp(-v) is zero and exp(min(v) - v) is (1, 0), so a row whose
+        # mass lies only where even the shifted affinity underflows still raises.
+        objects = table([[-1999.0, 0.0]], kind=OBJECT, prefix="thing")
+        predicates = table([[1.0, 0.0], [2001.0, 0.0]])
+        pairs = to_set([self.pair(probs, subj_label=0, obj_label=0)])
+        if refined is None:
+            with pytest.raises(ValueError, match="^degenerate refinement: all refined scores are zero$"):
+                refine_dataset(pairs, objects, predicates, alpha=1.0)
+        else:
+            np.testing.assert_array_equal(refine_dataset(pairs, objects, predicates, alpha=1.0).probs, [refined])
+
     def test_empty_prediction_set(self, rng):
         objects = table(rng.normal(size=(2, 2)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(2, 2)))
@@ -198,24 +222,32 @@ def per_pair_refine(probs, w):
     return int(np.argmax(scores)), scores
 
 
-def per_pair_refine_dataset(predictions, object_embeddings, predicate_embeddings, alpha=0.35):
-    """The per-pair ``refine_dataset`` that the row-stacked one replaced: the differential oracle."""
+def per_pair_refine_dataset(predictions, object_embeddings, predicate_embeddings, alpha=0.35, shifted=False):
+    """The per-pair ``refine_dataset`` that the row-stacked one replaced: the differential oracle.
+
+    With ``shifted``, a pair whose refined scores are all zero takes the
+    affinity ``exp(min(v) - v)`` of its profile ``v``.
+    """
     refined = []
     cache = {}
     for pair in predictions:
         pre_top = int(np.argmax(pair.probs))
         key = (pair.subj_label, pair.obj_label, pre_top)
-        w = cache.get(key)
-        if w is None:
-            w = np.exp(-refinement_vector(
+        v = cache.get(key)
+        if v is None:
+            v = reference_predictions.refinement_vector(
                 object_embeddings.vectors[pair.subj_label],
                 object_embeddings.vectors[pair.obj_label],
                 predicate_embeddings.vectors[pre_top],
                 predicate_embeddings,
                 alpha,
-            ))
-            cache[key] = w
-        _, scores = per_pair_refine(pair.probs, w)
+            )
+            cache[key] = v
+        w = np.exp(-v)
+        probs = np.asarray(pair.probs, dtype=np.float64)
+        if shifted and not (probs * w).any():
+            w = np.exp(v.min() - v)
+        _, scores = per_pair_refine(probs, w)
         refined.append(replace(pair, probs=scores))
     return refined
 
@@ -278,10 +310,26 @@ class TestStackedRefinement:
         assert len(refine_dataset(to_set([], 3), objects, predicates)) == len(
             per_pair_refine_dataset([], objects, predicates)) == 0
 
+    def test_each_distance_once_per_label(self, rng, monkeypatch):
+        calls = []
+        original = refinement.distance_vector
+        monkeypatch.setattr(
+            refinement, "distance_vector", lambda *args: calls.append(args) or original(*args)
+        )
+        objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
+        predicates = table(rng.normal(size=(6, 3)))
+        refine_dataset(to_set(awkward_pairs(rng, 6, images=5)), objects, predicates)
+        assert [(vectors is objects.vectors, vectors is predicates.vectors, table_ is predicates)
+                for vectors, table_ in calls] == [(True, False, True), (False, True, True)]
+        calls.clear()
+        refine_dataset(to_set([], 6), objects, predicates)
+        assert calls == []
+
     @pytest.mark.parametrize("far", [False, True])
     def test_degenerate_row_raises_the_same_error(self, rng, far):
-        # An all-zero row, or one whose affinities underflow to zero because
-        # every predicate embedding lies far from the pair's.
+        # An all-zero row raises as the per-pair code did. Rows whose affinities
+        # all underflow to zero, because every predicate embedding lies far from
+        # the pair's, raised there too; they now refine by the shifted profile.
         objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(4, 3)) + (1e4 if far else 0.0))
         pairs = awkward_pairs(rng, 4)
@@ -289,10 +337,49 @@ class TestStackedRefinement:
             pairs[5].probs = np.zeros(4)
         with pytest.raises(ValueError) as expected:
             per_pair_refine_dataset(pairs, objects, predicates, alpha=1.0)
+        assert "degenerate refinement" in str(expected.value)
+        if far:
+            refined = refine_dataset(to_set(pairs), objects, predicates, alpha=1.0)
+            assert_same_pairs(to_pairs(refined), per_pair_refine_dataset(pairs, objects, predicates, 1.0, True))
+            return
         with pytest.raises(ValueError) as actual:
             refine_dataset(to_set(pairs), objects, predicates, alpha=1.0)
         assert str(actual.value) == str(expected.value)
-        assert "degenerate refinement" in str(actual.value)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 40),
+    c_pred=st.integers(1, 130),
+    scale=st.floats(1.0, 1e3),
+    alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    zero_row=st.booleans(),
+)
+def test_refine_dataset_equals_the_replaced_code(seed, dim, c_pred, scale, alpha, zero_row):
+    """Bit for bit, or the same message, except that a row the replaced code
+    refined to all zeros now takes its shifted profile."""
+    rng = np.random.default_rng(seed)
+    objects = table(rng.normal(size=(4, dim)) * scale, kind=OBJECT, prefix="thing")
+    predicates = table(rng.normal(size=(c_pred, dim)) * scale)
+    pairs = awkward_pairs(rng, c_pred, images=2)
+    if zero_row:
+        pairs[int(rng.integers(len(pairs)))].probs = np.zeros(c_pred)
+    try:
+        expected = per_pair_refine_dataset(pairs, objects, predicates, alpha, shifted=True)
+    except ValueError as error:
+        with pytest.raises(ValueError) as actual:
+            refine_dataset(to_set(pairs), objects, predicates, alpha)
+        assert str(actual.value) == str(error)
+        return
+    refined = to_pairs(refine_dataset(to_set(pairs), objects, predicates, alpha))
+    assert_same_pairs(refined, expected)
+    # Every row that the replaced code refined keeps its bytes.
+    for pair, after in zip(pairs, refined):
+        try:
+            (before,) = per_pair_refine_dataset([pair], objects, predicates, alpha)
+        except ValueError:
+            continue
+        np.testing.assert_array_equal(after.probs, before.probs, strict=True)
 
 
 @given(

@@ -96,6 +96,10 @@ def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path, monkeypatc
     assert parsed == []
     refined = (out / "predictions_refined.jsonl").read_text().splitlines()
     assert metrics["refinement.pairs_refined"] == len(refined) > 0
+    # One refinement vector per distinct (subject label, object label, pre-refinement top) key.
+    keys = {(r["subj_label"], r["obj_label"], int(np.argmax(r["probs"])))
+            for r in map(json.loads, (out / "predictions_test.jsonl").read_text().splitlines())}
+    assert metrics["refinement.vector_cache_hit_ratio"] == 1.0 - len(keys) / len(refined)
     assert 0 < metrics["sampling.triples_kept"] <= metrics["sampling.triples_in"]
     # The prediction counters: train saves val and test, refine saves the refined set; validation predicts val.
     assert metrics["metrics.save_predictions_calls"] == 3
