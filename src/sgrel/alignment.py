@@ -256,7 +256,7 @@ def backward(
     return Gradients(w_proj=g_proj, w_cls=g_cls, b_cls=g_b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and schedule knobs; defaults follow the reference setup."""
 

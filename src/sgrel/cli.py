@@ -26,7 +26,7 @@ from . import alignment, ingest, metrics, refinement, sampling, synth
 from .core import AnnotationError, LabelSpace, OBJECT, PREDICATE
 from .ingest import ParseError, build_zero_shot_index, load_annotations, load_embeddings, load_labels, parse_fields
 from .ingest import boolean, integer, json_list, json_object, number, string
-from .reweighting import DEFAULT_MU, InfoWeights, info_weights, uniform_weights
+from .reweighting import InfoWeights, info_weights, uniform_weights
 from .sampling import build_sampling_plan, count_predicates, resample
 from .seeding import substream
 
@@ -37,46 +37,23 @@ class UsageError(Exception):
     """Bad invocation or configuration; exits with status 1."""
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved pipeline configuration; the one declaration of every config key.
+@dataclass(frozen=True)
+class RunConfig(synth.SynthConfig, alignment.TrainConfig):
+    """Fully resolved pipeline configuration: the corpus and training keys of its two bases, plus its own.
 
     Defaults come from the module that owns each knob. Only ``use_alignment``
     differs from its owner: it is off on the CLI and on in ``TrainConfig``.
     """
 
-    seed: int = alignment.TrainConfig.seed
     alpha: float = refinement.DEFAULT_ALPHA
     tau: float = sampling.DEFAULT_TAU
     beta: float = sampling.DEFAULT_BETA
-    mu: float = DEFAULT_MU
-    lr: float = alignment.TrainConfig.lr
-    iterations: int = alignment.TrainConfig.iterations
-    patience: int = alignment.TrainConfig.patience
-    batch_size: int = alignment.TrainConfig.batch_size
-    eval_every: int = alignment.TrainConfig.eval_every
-    box_loss: float = alignment.TrainConfig.box_loss
-    object_loss: float = alignment.TrainConfig.object_loss
     use_resampling: bool = False
     use_refinement: bool = False
     use_reweighting: bool = False
     use_alignment: bool = False
     subtask: str = metrics.PREDCLS
     ks: tuple[int, ...] = metrics.DEFAULT_KS
-    # Synthetic-corpus knobs.
-    images: int = synth.SynthConfig.images
-    c_obj: int = synth.SynthConfig.c_obj
-    c_pred: int = synth.SynthConfig.c_pred
-    d_roi: int = synth.SynthConfig.d_roi
-    d_emb: int = synth.SynthConfig.d_emb
-    zipf_s: float = synth.SynthConfig.zipf_s
-    zero_shot_fraction: float = synth.SynthConfig.zero_shot_fraction
-    noise_sigma: float = synth.SynthConfig.noise_sigma
-    min_triples: int = synth.SynthConfig.min_triples
-    max_triples: int = synth.SynthConfig.max_triples
-    max_distractors: int = synth.SynthConfig.max_distractors
-    embedding_scale: float = synth.SynthConfig.embedding_scale
-    intra_cluster_sigma: float = synth.SynthConfig.intra_cluster_sigma
 
 
 # Config keys that also have a --flag; a flag wins over the config file.
@@ -97,19 +74,11 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
 
 
 _TYPE_PARSERS = {int: int, float: float, str: str, bool: _parse_bool, tuple[int, ...]: _parse_ints}
-_CONFIG_PARSERS = {
-    key: _TYPE_PARSERS[kind] for key, kind in typing.get_type_hints(RunConfig).items()
-}
-
-
-def _sub_config(cls: type, config: RunConfig):
-    """A ``cls`` instance built from the fields it shares with ``config`` by name."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{key: value for key, value in dataclasses.asdict(config).items() if key in names})
+_CONFIG_PARSERS = {key: _TYPE_PARSERS[kind] for key, kind in typing.get_type_hints(RunConfig).items()}
 
 
 def _check_ranges(config: RunConfig) -> None:
-    """Reject out-of-range values, naming the key; synth keys go through SynthConfig."""
+    """Reject out-of-range values, naming the key; synth keys go through the inherited ``validate``."""
     c = config
     for key, value in dataclasses.asdict(c).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -135,7 +104,7 @@ def _check_ranges(config: RunConfig) -> None:
         if not ok:
             raise UsageError(f"invalid {key} {getattr(c, key)!r}: must be {allowed}")
     try:
-        _sub_config(synth.SynthConfig, c).validate()
+        c.validate()
     except ValueError as err:
         raise UsageError(f"invalid synth config: {err}") from err
 
@@ -221,7 +190,7 @@ def load_weights(path: str | Path, space: LabelSpace) -> InfoWeights:
 def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    data = synth.generate(_sub_config(synth.SynthConfig, config))
+    data = synth.generate(config)
     for kind, embeddings in ((OBJECT, data.object_embeddings), (PREDICATE, data.predicate_embeddings)):
         labels = "".join(name + "\n" for name in embeddings.space.names)
         (out / f"{kind}_labels.txt").write_text(labels, encoding="utf-8")
@@ -285,7 +254,7 @@ def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
     train = load_annotations(args.train, object_space, predicate_space, args.d_roi, "train")
     recalls = ingest.load_recalls(args.recalls, predicate_space)
     counts = count_predicates(train)
-    plan = build_sampling_plan(counts, recalls.values, tau=config.tau, beta=config.beta, seed=config.seed)
+    plan = build_sampling_plan(counts, recalls, tau=config.tau, beta=config.beta, seed=config.seed)
     resampled = resample(train, plan)
     ingest.save_annotations(resampled, target)
     _write_json(
@@ -299,7 +268,7 @@ def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
                 {
                     "name": predicate_space.names[j],
                     "count": int(plan.counts[j]),
-                    "recall": float(recalls.values[j]),
+                    "recall": float(recalls[j]),
                     "rate": float(plan.rates[j]),
                     "target": int(plan.targets[j]),
                 }
@@ -343,14 +312,13 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     model = alignment.RelationModel.init(
         train_set.d_roi, embeddings.dim, predicate_space.size, substream(config.seed, "alignment.init")
     )
-    train_config = _sub_config(alignment.TrainConfig, config)
-    result = _naming(args.train, alignment.train, model, train_set, embeddings, train_config, val_set, weights)
+    result = _naming(args.train, alignment.train, model, train_set, embeddings, config, val_set, weights)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alignment.save_model(result.model, out / "model.ckpt")
     alignment.save_history(result.history, out / "loss_history.csv")
-    alignment.save_validation(result, train_config.eval_every, out / "validation.csv")
+    alignment.save_validation(result, config.eval_every, out / "validation.csv")
     for name, split in (("val", val_set), ("test", test_set)):
         metrics.save_predictions(
             alignment.predict(result.model, split), object_space, out / f"predictions_{name}.jsonl"
@@ -431,7 +399,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-_TOGGLES = ("use_alignment", "use_refinement", "use_resampling", "use_reweighting")
+_TOGGLES = tuple(sorted(key for key in _CONFIG_PARSERS if key.startswith("use_")))
 _REPORT_FIELDS = (("config", json_object), ("report", json_object))
 _CONFIG_FIELDS = (("seed", integer), *((key, boolean) for key in _TOGGLES))
 _PROTOCOL_FIELDS = (("ks", json_list), ("subtask", string), ("metrics", json_object))
@@ -443,6 +411,8 @@ def _metric(value: object) -> float | None:
 
 
 def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.labels and len(args.labels) > len(args.inputs):
+        raise UsageError(f"--labels: {len(args.labels)} labels for {len(args.inputs)} inputs")
     rows = []
     table = []  # printed cells per report, read before summary.json is written
     seeds = set()

@@ -330,21 +330,6 @@ class EmbeddingTable:
         return int(self.vectors.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
-class RecallTable:
-    """Per-predicate baseline recall in [0, 1], indexed like the predicate space."""
-
-    values: np.ndarray  # (C_pred,)
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("recall table must be a flat vector")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValueError("recall values must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
-
-
 def load_labels(path: str | Path, kind: str) -> LabelSpace:
     """Read a one-label-per-line file; the index of a label is its line number."""
     names: list[str] = []
@@ -569,8 +554,8 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
-def load_recalls(path: str | Path, space: LabelSpace) -> RecallTable:
-    """Read a {predicate-name: recall} JSON map covering every predicate, each recall in [0, 1]."""
+def load_recalls(path: str | Path, space: LabelSpace) -> np.ndarray:
+    """The ``(C_pred,)`` recalls of a {predicate-name: recall} JSON map covering every predicate, each in [0, 1]."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: recalls file must be a JSON object")
@@ -581,7 +566,7 @@ def load_recalls(path: str | Path, space: LabelSpace) -> RecallTable:
     if unknown:
         raise ValueError(f"{path}: unknown predicates {unknown}")
     table = tuple((name, _recall) for name in space.names)
-    return RecallTable(values=np.array(parse_fields(raw, table, str(path))))
+    return np.array(parse_fields(raw, table, str(path)))
 
 
 def _recall(value: object) -> float:

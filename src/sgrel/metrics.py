@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -194,6 +195,14 @@ def iou_matrix(boxes: np.ndarray, gt_boxes: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(union), where=union > 0.0)
 
 
+def _untried(tried: dict[int, int], idx: int) -> int:
+    """The least GT index >= ``idx`` not tried; ``tried`` maps a tried j to an h > j with j..h-1 all tried."""
+    while idx in tried:
+        tried[idx] = tried.get(tried[idx], tried[idx])
+        idx = tried[idx]
+    return idx
+
+
 def match_triples(triples: RankedTriples, gt: RankedTriples, k: int, protocol: str) -> dict[int, int]:
     """Match the top-``k`` ranked triples to an image's GT triples ``gt``; GT index -> first matching rank.
 
@@ -223,21 +232,28 @@ def match_triples(triples: RankedTriples, gt: RankedTriples, k: int, protocol: s
 
     owner: dict[int, int] = {}  # gt idx -> position in `top` that holds it now
     first: dict[int, int] = {}  # gt idx -> rank whose augmenting path matched it
-
-    def try_assign(pos: int, banned: set[int]) -> bool:
-        for idx in options[pos]:
-            if idx in banned:
+    for rank in np.flatnonzero(compatible.any(axis=1)).tolist():
+        # Depth-first search for an augmenting path on a stack of [position, options tried], not by recursion.
+        # Each GT triple is tried once per search, and a run of tried ones is skipped in one step.
+        tried: dict[int, int] = {}
+        stack = [[rank, 0]]
+        while stack:
+            pos, i = stack[-1]
+            opts = options[pos]
+            while i < len(opts) and opts[i] in tried:
+                i = bisect_left(opts, _untried(tried, opts[i]), i)
+            if i == len(opts):  # a dead end: back up to the position that led here
+                stack.pop()
                 continue
-            banned.add(idx)
-            if idx in owner and not try_assign(owner[idx], banned):
+            stack[-1][1] = i + 1
+            tried[opts[i]] = opts[i] + 1
+            if opts[i] in owner:  # held: its holder must move to another GT triple
+                stack.append([owner[opts[i]], 0])
                 continue
-            first.setdefault(idx, rank)  # `rank`: where this augmenting path started
-            owner[idx] = pos
-            return True
-        return False
-
-    for rank in range(len(top)):
-        try_assign(rank, set())
+            for pos, i in stack:  # free: each position on the path takes its last try
+                first.setdefault(options[pos][i - 1], rank)
+                owner[options[pos][i - 1]] = pos
+            break
     return first
 
 

@@ -23,6 +23,10 @@ from .ingest import EmbeddingTable, dataset_signatures
 from .metrics import PredictionSet
 from .seeding import substream
 
+IMAGE_SIZE = 1000.0  # width and height of every generated image
+TEST_FRACTION = 0.3  # shares of `images` drawn for the test and val splits; train takes the rest
+VAL_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -41,11 +45,8 @@ class SynthConfig:
     min_triples: int = 1
     max_triples: int = 4
     max_distractors: int = 2
-    image_size: float = 1000.0
     embedding_scale: float = 160.0
     intra_cluster_sigma: float = 1.0
-    test_fraction: float = 0.3
-    val_fraction: float = 0.1
 
     def validate(self) -> None:
         for key in ("c_obj", "c_pred", "d_roi", "d_emb", "images"):
@@ -148,7 +149,7 @@ class _Images:
         self.triple_counts.append(len(preds))
         self.labels += labels
         for label in labels:
-            self.boxes.append(_random_box(rng, cfg.image_size))
+            self.boxes.append(_random_box(rng, IMAGE_SIZE))
             self.features.append(anchors[label] + rng.normal(0.0, cfg.noise_sigma, anchors.shape[1]))
         self.triples += [(2 * t, pred, 2 * t + 1) for t, pred in enumerate(preds)]
 
@@ -157,7 +158,7 @@ class _Images:
         bounds = offsets(self.object_counts)
         return Dataset(
             split, object_space, predicate_space, cfg.d_roi, self.image_ids,
-            np.full((len(self.image_ids), 2), cfg.image_size), bounds, offsets(self.triple_counts),
+            np.full((len(self.image_ids), 2), IMAGE_SIZE), bounds, offsets(self.triple_counts),
             np.arange(bounds[-1]) - bounds[owners(bounds)], self.labels, np.array(self.boxes).reshape(-1, 4),
             np.array(self.features).reshape(-1, cfg.d_roi), np.array(self.triples, dtype=np.int64).reshape(-1, 3),
         )
@@ -264,8 +265,8 @@ def generate(cfg: SynthConfig) -> SynthData:
         full_pairs.append([(s, o) for s in cluster_labels[ci] for o in cluster_labels[cj]])
 
     zipf_p = zipf_probabilities(cfg.c_pred, cfg.zipf_s)
-    n_test = int(round(cfg.images * cfg.test_fraction))
-    n_val = int(round(cfg.images * cfg.val_fraction))
+    n_test = int(round(cfg.images * TEST_FRACTION))
+    n_val = int(round(cfg.images * VAL_FRACTION))
     n_train = max(cfg.images - n_test - n_val, 1)
 
     object_space = LabelSpace(kind=OBJECT, names=_label_names("obj", cfg.c_obj))

@@ -16,7 +16,7 @@ import pytest
 from sgrel.alignment import backward, contrastive_loss, forward_batch, pair_inputs
 from sgrel.cli import main as cli_main
 from reference_annotations import Triple
-from sgrel.ingest import RecallTable, build_zero_shot_index, dataset_signatures
+from sgrel.ingest import build_zero_shot_index, dataset_signatures
 from sgrel.metrics import evaluate
 from sgrel.refinement import refine
 from sgrel.reweighting import info_weights, total_loss
@@ -359,13 +359,13 @@ def test_criterion_8_resampling_conservation():
         if not annotations:
             continue
         dataset = make_dataset(annotations, spaces)
-        recalls = RecallTable(values=rng.uniform(0.0, 1.0, size=4))
+        recalls = rng.uniform(0.0, 1.0, size=4)
         tau = float(rng.integers(1, 150))
         beta = float(rng.uniform(0.1, 2.0))
-        plan = build_sampling_plan(count_predicates(dataset), recalls.values, tau=tau, beta=beta, seed=trial)
+        plan = build_sampling_plan(count_predicates(dataset), recalls, tau=tau, beta=beta, seed=trial)
         expected = np.array(
             [math.floor(n * sampling_rate(n, float(r), tau, beta) + 0.5)
-             for n, r in zip(counts, recalls.values)],
+             for n, r in zip(counts, recalls)],
             dtype=np.int64,
         )
         np.testing.assert_array_equal(plan.targets, expected)

@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgrel.cli import RunConfig, _write_json, load_config, main, UsageError
+from sgrel import alignment, synth
+from sgrel.cli import _CONFIG_PARSERS, RunConfig, _write_json, load_config, main, UsageError
 from sgrel.ingest import companion_path
 
 
@@ -33,6 +36,25 @@ def corpus_flags(out):
     ]
 
 
+# Every default of the run configuration, as reports and manifests echo it.
+DEFAULTS = {
+    "seed": 0, "alpha": 0.35, "tau": 1100.0, "beta": 0.3, "mu": 1.2, "lr": 0.001, "iterations": 500, "patience": 3,
+    "batch_size": 16, "eval_every": 100, "box_loss": 0.0, "object_loss": 0.0, "use_resampling": False,
+    "use_refinement": False, "use_reweighting": False, "use_alignment": False, "subtask": "predcls",
+    "ks": (20, 50, 100), "images": 300, "c_obj": 30, "c_pred": 20, "d_roi": 32, "d_emb": 16, "zipf_s": 1.5,
+    "zero_shot_fraction": 0.1, "noise_sigma": 0.5, "min_triples": 1, "max_triples": 4, "max_distractors": 2,
+    "embedding_scale": 160.0, "intra_cluster_sigma": 1.0,
+}
+
+
+def readme_config_keys():
+    """The keys in the first column of README's configuration table, in table order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ")[0] for line in section.splitlines() if line.startswith("| `")]
+    return [key for row in rows for key in re.findall(r"`(\w+)`", row)]
+
+
 class TestConfig:
     def test_defaults_match_reference_setup(self):
         config = RunConfig()
@@ -42,6 +64,22 @@ class TestConfig:
         assert config.mu == 1.2
         assert config.lr == 0.001
         assert config.ks == (20, 50, 100)
+        # Every key, its value and its type (1100.0 and 1100 are echoed differently).
+        assert repr(sorted(dataclasses.asdict(config).items())) == repr(sorted(DEFAULTS.items()))
+
+    def test_readme_table_fields_and_parsers_hold_the_same_keys(self):
+        keys = readme_config_keys()
+        fields = [field.name for field in dataclasses.fields(RunConfig)]
+        assert len(keys) == len(set(keys)) == len(fields) == len(_CONFIG_PARSERS) == 31
+        assert set(keys) == set(fields) == set(_CONFIG_PARSERS)
+
+    def test_each_key_is_declared_once(self):
+        # RunConfig inherits the corpus and training keys; it restates only use_alignment, to turn it off.
+        own = set(RunConfig.__annotations__)
+        assert own & (set(synth.SynthConfig.__annotations__) | set(alignment.TrainConfig.__annotations__)) == {
+            "use_alignment"
+        }
+        assert alignment.TrainConfig().use_alignment and not RunConfig().use_alignment
 
     def test_file_and_overrides(self, tmp_path):
         path = write_config(tmp_path, alpha=0.5, iterations=7, use_refinement="true")
@@ -813,6 +851,31 @@ class TestTrainRefineEval:
         assert code == 2
         assert f"{recalls}: bad '{names[1]}': must be finite and non-negative, got nan" in capsys.readouterr().err
 
+    def test_sggen_eval_of_augmenting_paths_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # One image of 34 objects with one label and one box, 1,100 GT triples of one predicate on distinct
+        # object pairs, and a prediction for each of those pairs: every prediction may take every GT triple,
+        # so the augmenting path from rank r is r + 1 positions long.
+        box = [0.0, 0.0, 10.0, 10.0]
+        pairs = [(s, o) for s in range(34) for o in range(34) if s != o][:1100]
+        objects = [{"id": i, "label": "a", "box": box, "feature": [0.0]} for i in range(34)]
+        image = {"image_id": "dense", "width": 100.0, "height": 100.0, "objects": objects,
+                 "relations": [{"subj": s, "pred": "p", "obj": o} for s, o in pairs]}
+        (tmp_path / "test.jsonl").write_text(json.dumps(image) + "\n")
+        (tmp_path / "objects.txt").write_text("a\n")
+        (tmp_path / "predicates.txt").write_text("p\nq\n")
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text("".join(
+            json.dumps({"image_id": "dense", "subj_id": s, "obj_id": o, "subj_label": "a", "obj_label": "a",
+                        "subj_box": box, "obj_box": box, "subj_score": 1.0, "obj_score": 1.0, "probs": [0.9, 0.1]})
+            + "\n" for s, o in pairs
+        ))
+        code = run(["eval", "--out", tmp_path / "ev", "--config", write_config(tmp_path, subtask="sggen", ks="20,1000"),
+                    "--object-labels", tmp_path / "objects.txt", "--predicate-labels", tmp_path / "predicates.txt",
+                    "--predictions", predictions, "--dataset", tmp_path / "test.jsonl", "--d-roi", 1])
+        assert code == 0, capsys.readouterr().err
+        recall = json.loads((tmp_path / "ev" / "report.json").read_text())["report"]["metrics"]["recall"]
+        assert recall == {"20": 20 / 1100, "1000": 1000 / 1100}
+
     def test_empty_predictions_refine_and_evaluate_to_zero_recall(self, corpus, tmp_path):
         path = tmp_path / "predictions.jsonl"
         path.write_text("")
@@ -848,6 +911,13 @@ class TestReport:
         assert "zR@100" in stdout.replace("\t", " ") or "zR@" in stdout
         payload = json.loads((out / "summary.json").read_text())
         assert [row["label"] for row in payload["rows"]] == ["a", "b"]
+
+    def test_more_labels_than_inputs_rejected(self, corpus, tmp_path, capsys):
+        (path,) = self.make_reports(corpus, tmp_path, seeds=(5,))
+        code = run(["report", "--out", tmp_path / "s", "--inputs", path, "--labels", "a", "b", "c"])
+        assert code == 1
+        assert "usage error: --labels: 3 labels for 1 inputs" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "summary.json").exists()
 
     def test_seed_conflict_rejected(self, corpus, tmp_path, capsys):
         paths = self.make_reports(corpus, tmp_path, seeds=(5, 6))

@@ -19,7 +19,6 @@ from sgrel.metrics import load_predictions
 from sgrel.ingest import (
     EmbeddingTable,
     ParseError,
-    RecallTable,
     build_zero_shot_index,
     companion_path,
     load_annotations,
@@ -390,8 +389,9 @@ class TestRecalls:
         payload = {name: 0.5 for name in predicates.names}
         path = tmp_path / "r.json"
         path.write_text(json.dumps(payload))
-        table = load_recalls(path, predicates)
-        np.testing.assert_array_equal(table.values, [0.5] * predicates.size)
+        recalls = load_recalls(path, predicates)
+        assert recalls.dtype == np.float64
+        np.testing.assert_array_equal(recalls, [0.5] * predicates.size)
 
     def test_missing_predicate(self, tmp_path, spaces):
         _, predicates = spaces
@@ -400,9 +400,14 @@ class TestRecalls:
         with pytest.raises(ValueError, match="missing recall"):
             load_recalls(path, predicates)
 
-    def test_out_of_range_value(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            RecallTable(values=np.array([0.5, 1.5]))
+    def test_out_of_range_value(self, tmp_path, spaces):
+        _, predicates = spaces
+        name = predicates.names[-1]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**{other: 0.5 for other in predicates.names}, name: 1.5}))
+        with pytest.raises(ValueError) as err:
+            load_recalls(path, predicates)
+        assert str(err.value) == f"{path}: bad {name!r}: must be at most 1, got 1.5"
 
 
 def signature_dataset(signatures, spaces):

@@ -401,6 +401,34 @@ class TestOnePassMatching:
         for a, ranked in overlapping_sggen_images():
             assert_one_pass_matches_reference(ranked, a, SGGEN)
 
+    def test_stack_search_equals_the_recursive_search_on_dense_images(self):
+        # Two labels, two predicates and three boxes (two of them overlapping) over 12 objects: each
+        # prediction is compatible with runs of GT triples, so augmenting paths are long and skip runs of
+        # GT triples already tried. The recursive search is the code the stack search replaced.
+        rng = np.random.default_rng(23)
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0], [1.0, 1.0, 11.0, 11.0], [40.0, 40.0, 50.0, 50.0]])
+        pairs = list(itertools.permutations(range(12), 2))
+        for image in range(60):
+            objects = [make_object(i, label=int(rng.integers(2)), box=make_box(*boxes[rng.integers(3)]))
+                       for i in range(12)]
+            picked = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs))), replace=False)
+            a = make_annotation(f"im{image}", objects=objects,
+                                triples=[Triple(pairs[i][0], int(rng.integers(2)), pairs[i][1]) for i in picked])
+            n = int(rng.integers(1, 150))
+            ranked = RankedTriples(*rng.integers(0, 12, (2, n)), *rng.integers(0, 2, (2, n)),
+                                   *boxes[rng.integers(3, size=(2, n))], rng.integers(0, 2, n), np.ones(n))
+            for protocol in PROTOCOLS:
+                first = match_triples(ranked, image_gt(a), n, protocol)
+                assert list(first.items()) == list(reference_annotations.match_triples(ranked, a, n, protocol).items())
+
+    def test_augmenting_paths_longer_than_the_recursion_limit(self):
+        # Every one of 1,200 ranked triples may take every one of 1,200 GT triples (one label pair, one
+        # predicate, one box): the augmenting path from rank r is r + 1 positions long, and rank r takes GT r.
+        n = 1200
+        zeros, box = np.zeros(n, dtype=np.int64), np.tile([0.0, 0.0, 10.0, 10.0], (n, 1))
+        ranked = RankedTriples(np.arange(n), np.arange(n), zeros, zeros, box, box, zeros, np.ones(n))
+        assert match_triples(ranked, ranked, n, SGGEN) == {i: i for i in range(n)}
+
 
 def assert_same_reports(report, expected):
     for field in dataclasses.fields(MetricReport):
