@@ -9,6 +9,7 @@ import logging
 import math
 import shutil
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -211,6 +212,130 @@ def copy_with_companion(source: str | Path, target: str | Path) -> None:
         shutil.copyfile(companion_path(source), companion_path(target))
     else:
         companion_path(target).unlink(missing_ok=True)
+
+
+# 10**k * 2**-200 for k < 330 as unevaluated sums hi + lo, from exact integers (int / int rounds correctly).
+_POW10_HI = np.array([10**k / 2**200 for k in range(330)])
+_POW10_LO = np.array([(10**k * den - num * 2**200) / (den * 2**200)
+                      for k, (num, den) in enumerate(map(float.as_integer_ratio, _POW10_HI.tolist()))])
+_REPR_WIDTH = 24  # the longest repr of a finite float: '-2.2250738585072014e-308'
+_REPR_DOUBT = 1e-9  # a rounding boundary or tie this close to S, in units of its last digit, is left to repr
+# Where repr puts n significant digits, after a '-' where sign is 1: as d.ddd with an exponent (shift 0), or after
+# '0.' and shift - 2 zeros.
+_REPR_LAYOUTS = [(sign, shift, n) for sign in (0, 1) for shift in (0, 2, 3, 4, 5) for n in (15, 16, 17)]
+_EXPONENTS = np.array([f"e-{e:02d}" for e in range(330)], dtype="S5").view(np.uint8).reshape(-1, 5)
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` as hi + lo exactly, each of at most 26 significant bits, so that products of halves are exact."""
+    t = 134217729.0 * v  # 2**27 + 1
+    t -= t - v
+    return t, v - t
+
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """E = floor(log10(x)); S = x * 10**(16 - E) as n + f, n an integer and 0 <= f < 1; half an ulp of x, scaled alike.
+
+    S is Dekker's double-double product of x and ``_POW10_HI`` + ``_LO``, exact to well within ``_REPR_DOUBT``.
+    """
+    xs = np.ldexp(x, 200)  # exact; it brings 10**(16 - E) for E down to -308 into range
+    e10 = np.floor(np.log10(xs) - 200 * math.log10(2)).astype(np.int16)
+    p = xs * _POW10_HI[16 - e10]
+    e10 += (p >= 1e17).astype(np.int16) - (p < 1e16)  # where log10 rounded across a power of ten
+    b_hi = _POW10_HI[16 - e10]
+    np.multiply(xs, b_hi, out=p)  # an integer, above 2**53
+    (a1, a2), (b1, b2) = _halves(xs), _halves(b_hi)
+    q = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + xs * _POW10_LO[16 - e10]  # S - p
+    whole = np.floor(q)
+    return e10, p.astype(np.int64) + whole.astype(np.int64), q - whole, 0.5 * np.spacing(xs) * b_hi
+
+
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per value of ``x``: whether repr's digits of |x| are proven, those digits as a 17-digit integer, E and 17 - their
+    count.
+
+    repr's digits are the multiple of 10**(17 - n) nearest S (``_scaled``) for the fewest n that puts one within half
+    an ulp of |x|, the round-trip interval. Proven are normal values with |x| in (0, 1), other than powers of two, whose
+    n is 15 to 17, with no interval boundary or rounding tie within ``_REPR_DOUBT`` of a candidate; -x is proven
+    exactly when x is.
+    """
+    magnitude = np.abs(x)
+    fast = (magnitude >= 2.2250738585072014e-308) & (magnitude < 1.0) & (x.view(np.int64) & (2**52 - 1) != 0)
+    e10, n, f, half_ulp = _scaled(np.where(fast, magnitude, 0.5))
+    outside = np.zeros(len(x), np.int8)  # of 14, 15, 16 and 17 digits, how many leave no candidate in reach
+    rem = n.copy()
+    for step in (1000, 100, 10, 1):
+        rem -= rem // step * step
+        below = rem + f
+        dist = np.minimum(below, step - below)  # from S to the nearest multiple of step
+        fast &= np.abs(dist - half_ulp) >= _REPR_DOUBT
+        outside += dist >= half_ulp
+    step = np.array([1000, 100, 10, 1, 1])[outside]
+    rem = n % step
+    digits = n - rem + (rem + f >= step / 2) * step
+    fast &= (outside > 0) & (outside < 4) & (np.abs(rem + f - step / 2) >= _REPR_DOUBT)
+    fast &= (10**16 <= digits) & (digits < 10**17)
+    return fast, digits, e10, outside
+
+
+def _float_reprs(x: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of each value of the float64 vector ``x``, as ASCII bytes (``S24``).
+
+    The values ``_shortest_digits`` proves are laid out as repr lays them out, the digits of |x| after a ``-`` where
+    the sign bit is set, one layout group at a time with whole-column copies; the rest (-0.0 among them) go through
+    ``float.__repr__`` itself.
+    """
+    fast, digits, e10, outside = _shortest_digits(x)
+    # Into _REPR_LAYOUTS: 15 groups per sign; fixed down to 1e-4.
+    layout = (np.where(e10 >= -4, -3 * e10, 0) + outside - 1 + 15 * np.signbit(x)).astype(np.int8)
+    rows = np.flatnonzero(fast)
+    rows = rows[np.argsort(layout[rows], kind="stable")]
+    digits, e10, layout = digits[rows], e10[rows], layout[rows]
+    prefixes = np.zeros((18, len(rows)), np.uint8)  # row i: the first i digits, mod 256
+    for i in range(17):
+        prefixes[i + 1] = digits // 10 ** (16 - i)  # wraps, but the differences below are 0..9 all the same
+    chars = (prefixes[1:] - prefixes[:-1] * np.uint8(10) + np.uint8(ord("0"))).T
+    text = np.zeros((len(rows), _REPR_WIDTH), np.uint8)
+    bounds = np.searchsorted(layout, np.arange(len(_REPR_LAYOUTS) + 1)).tolist()
+    for (sign, shift, count), a, b in zip(_REPR_LAYOUTS, bounds, bounds[1:]):
+        if sign:
+            text[a:b, 0] = ord("-")
+        group = text[a:b, sign:]
+        if shift:
+            group[:, :shift] = np.frombuffer(b"0.000"[:shift], np.uint8)
+            group[:, shift : shift + count] = chars[a:b, :count]
+        else:
+            group[:, 0], group[:, 1] = chars[a:b, 0], ord(".")
+            group[:, 2 : count + 1] = chars[a:b, 1:count]
+            group[:, count + 1 : count + 6] = _EXPONENTS[-e10[a:b]]
+    out = np.zeros(len(x), f"S{_REPR_WIDTH}")
+    out[rows] = text.view(out.dtype).ravel()
+    slow = np.flatnonzero(~fast)
+    out[slow] = list(map(float.__repr__, x[slow].tolist()))
+    return out
+
+
+_FEATURE_CHUNK = LINES_PER_WRITE * 20  # floats per _row_texts call: the prediction writer's chunk of 20 probs a line
+
+
+def _json_spelling(values: np.ndarray, text: list | np.ndarray) -> list | np.ndarray:
+    """``text``, the ``float.__repr__`` of each of the float64 ``values``, with the encoder's text (``NaN``,
+    ``Infinity``, ``-Infinity``) where a value is not finite."""
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        text[i] = COMPACT_JSON.encode(values[i].item())
+    return text
+
+
+def _row_texts(rows: np.ndarray) -> list[str]:
+    """The ``json`` text of each row of the float64 matrix ``rows``, its values comma-joined, from one
+    ``_float_reprs`` call and one compaction of the NUL-padded text."""
+    flat = rows.ravel()
+    cells = np.full((*rows.shape, _REPR_WIDTH + 1), ord(","), np.uint8)  # each value after a comma
+    cells[..., 1:] = _json_spelling(flat, _float_reprs(flat)).view(np.uint8).reshape(*rows.shape, _REPR_WIDTH)
+    kept = cells != 0
+    joined = cells[kept].tobytes().decode("ascii")
+    ends = np.cumsum(kept.sum(axis=(1, 2))).tolist()
+    return [joined[start + 1 : end] for start, end in zip([0, *ends], ends)]  # without the row's first comma
 
 
 # The field vocabulary: what a valid value of each kind is in every file the
@@ -465,23 +590,36 @@ def _parse_annotations(
 
 
 def _annotation_lines(dataset: Dataset) -> Iterator[str]:
-    """The JSON line of each image, its features from one ``tolist()`` of its rows of the feature column."""
+    """The JSON line of each image, with the bytes ``COMPACT_JSON.encode`` writes for its record: each image one
+    f-string over its objects' and relations' text, each label name escaped once, boxes and sizes ``float.__repr__``,
+    features from ``_row_texts`` one chunk at a time, and image ids and non-finite values through the encoder."""
     d = dataset
-    object_names, predicate_names = d.object_space.names, d.predicate_space.names
-    objects = list(zip(d.object_ids.tolist(), d.labels.tolist(), d.boxes.tolist()))
-    triples, o, t = d.triples.tolist(), d.object_offsets.tolist(), d.triple_offsets.tolist()
-    for i, (image_id, (width, height)) in enumerate(zip(d.image_ids, d.sizes.tolist())):
-        features = d.features[o[i] : o[i + 1]].tolist()
-        yield COMPACT_JSON.encode({
-            "image_id": image_id,
-            "width": width,
-            "height": height,
-            "objects": [
-                {"id": object_id, "label": object_names[label], "box": bounds, "feature": feature}
-                for (object_id, label, bounds), feature in zip(objects[o[i] : o[i + 1]], features)
-            ],
-            "relations": [{"subj": s, "pred": predicate_names[p], "obj": b} for s, p, b in triples[t[i] : t[i + 1]]],
-        }) + "\n"
+    object_text = list(map(encode_basestring_ascii, d.object_space.names))
+    predicate_text = list(map(encode_basestring_ascii, d.predicate_space.names))
+    objects = _object_texts(d, object_text)
+    relations = (f'{{"subj":{s},"pred":{predicate_text[p]},"obj":{o}}}' for s, p, o in d.triples.tolist())
+    sizes = _json_spelling(d.sizes.ravel(), list(map(float.__repr__, d.sizes.ravel().tolist())))
+    counts = zip(np.diff(d.object_offsets).tolist(), np.diff(d.triple_offsets).tolist())
+    for image_id, width, height, (num_objects, num_triples) in zip(d.image_ids, sizes[::2], sizes[1::2], counts):
+        yield (f'{{"image_id":{COMPACT_JSON.encode(image_id)},"width":{width},"height":{height},'
+               f'"objects":[{",".join(itertools.islice(objects, num_objects))}],'
+               f'"relations":[{",".join(itertools.islice(relations, num_triples))}]}}\n')
+
+
+def _object_texts(dataset: Dataset, label_text: list[str]) -> Iterator[str]:
+    """Each object's JSON text, formatted ``_FEATURE_CHUNK`` features (at least one row) at a time."""
+    d = dataset
+    rows = max(1, _FEATURE_CHUNK // max(d.d_roi, 1))
+    for start in range(0, len(d.object_ids), rows):
+        part = slice(start, start + rows)
+        boxes = d.boxes[part].ravel()
+        corners = iter(_json_spelling(boxes, list(map(float.__repr__, boxes.tolist()))))  # zip takes four an object
+        yield from (
+            f'{{"id":{object_id},"label":{label_text[label]},"box":[{x1},{y1},{x2},{y2}],"feature":[{feature}]}}'
+            for object_id, label, x1, y1, x2, y2, feature in zip(
+                d.object_ids[part].tolist(), d.labels[part].tolist(), *[corners] * 4, _row_texts(d.features[part])
+            )
+        )
 
 
 def annotations_to_jsonl(dataset: Dataset) -> str:

@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import Dataset, LabelSpace, Signature, box_overlap, owners, repeats
-from .ingest import LINES_PER_WRITE, ParseError, box, integer, load_companion, number, parse_fields
+from .ingest import LINES_PER_WRITE, ParseError, _float_reprs, box, integer, load_companion, number, parse_fields
 from .ingest import read_jsonl, save_with_companion, scores, string
 from .reweighting import InfoWeights
 
@@ -226,13 +226,13 @@ def match_triples(triples: RankedTriples, gt: RankedTriples, k: int, protocol: s
         compatible &= (overlaps >= SGGEN_IOU_THRESHOLD).all(axis=2)
     else:
         compatible &= (top.subj_id[:, None] == gt.subj_id) & (top.obj_id[:, None] == gt.obj_id)
-    options: list[list[int]] = [[] for _ in range(len(top))]  # compatible GT indices per rank
-    for pos, idx in np.argwhere(compatible).tolist():
-        options[pos].append(idx)
+    ranks, gt_indices = np.nonzero(compatible)
+    bounds, gt_indices = np.searchsorted(ranks, np.arange(len(top) + 1)).tolist(), gt_indices.tolist()
+    options = [gt_indices[a:b] for a, b in zip(bounds, bounds[1:])]  # compatible GT indices per rank, ascending
 
     owner: dict[int, int] = {}  # gt idx -> position in `top` that holds it now
     first: dict[int, int] = {}  # gt idx -> rank whose augmenting path matched it
-    for rank in np.flatnonzero(compatible.any(axis=1)).tolist():
+    for rank in [rank for rank, opts in enumerate(options) if opts]:
         # Depth-first search for an augmenting path on a stack of [position, options tried], not by recursion.
         # Each GT triple is tried once per search, and a run of tried ones is skipped in one step.
         tried: dict[int, int] = {}
@@ -375,98 +375,6 @@ def _distinct_boxes(boxes: np.ndarray) -> tuple[list[list[float]], np.ndarray]:
     """
     distinct, which = np.unique(boxes.reshape(-1, 4).view("V32").ravel(), return_inverse=True)
     return distinct.view(boxes.dtype).reshape(-1, 4).tolist(), which
-
-
-# 10**k * 2**-200 for k < 330 as unevaluated sums hi + lo, from exact integers (int / int rounds correctly).
-_POW10_HI = np.array([10**k / 2**200 for k in range(330)])
-_POW10_LO = np.array([(10**k * den - num * 2**200) / (den * 2**200)
-                      for k, (num, den) in enumerate(map(float.as_integer_ratio, _POW10_HI.tolist()))])
-_REPR_WIDTH = 24  # the longest repr of a finite float: '-2.2250738585072014e-308'
-_REPR_DOUBT = 1e-9  # a rounding boundary or tie this close to S, in units of its last digit, is left to repr
-# Where repr puts n significant digits: as d.ddd with an exponent (shift 0), or after '0.' and shift - 2 zeros.
-_REPR_LAYOUTS = [(shift, n) for shift in (0, 2, 3, 4, 5) for n in (15, 16, 17)]
-_EXPONENTS = np.array([f"e-{e:02d}" for e in range(330)], dtype="S5").view(np.uint8).reshape(-1, 5)
-
-
-def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``v`` as hi + lo exactly, each of at most 26 significant bits, so that products of halves are exact."""
-    t = 134217729.0 * v  # 2**27 + 1
-    t -= t - v
-    return t, v - t
-
-
-def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """E = floor(log10(x)); S = x * 10**(16 - E) as n + f, n an integer and 0 <= f < 1; half an ulp of x, scaled alike.
-
-    S is Dekker's double-double product of x and ``_POW10_HI`` + ``_LO``, exact to well within ``_REPR_DOUBT``.
-    """
-    xs = np.ldexp(x, 200)  # exact; it brings 10**(16 - E) for E down to -308 into range
-    e10 = np.floor(np.log10(xs) - 200 * math.log10(2)).astype(np.int16)
-    p = xs * _POW10_HI[16 - e10]
-    e10 += (p >= 1e17).astype(np.int16) - (p < 1e16)  # where log10 rounded across a power of ten
-    b_hi = _POW10_HI[16 - e10]
-    np.multiply(xs, b_hi, out=p)  # an integer, above 2**53
-    (a1, a2), (b1, b2) = _halves(xs), _halves(b_hi)
-    q = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + xs * _POW10_LO[16 - e10]  # S - p
-    whole = np.floor(q)
-    return e10, p.astype(np.int64) + whole.astype(np.int64), q - whole, 0.5 * np.spacing(xs) * b_hi
-
-
-def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per value of ``x``: whether repr's digits are proven, those digits as a 17-digit integer, E and 17 - their count.
-
-    repr's digits are the multiple of 10**(17 - n) nearest S (``_scaled``) for the fewest n that puts one within half
-    an ulp of x, the round-trip interval. Proven are normal values in (0, 1) other than powers of two whose n is 15 to
-    17, with no interval boundary or rounding tie within ``_REPR_DOUBT`` of a candidate.
-    """
-    fast = (x >= 2.2250738585072014e-308) & (x < 1.0) & (x.view(np.int64) & (2**52 - 1) != 0)
-    e10, n, f, half_ulp = _scaled(np.where(fast, x, 0.5))
-    outside = np.zeros(len(x), np.int8)  # of 14, 15, 16 and 17 digits, how many leave no candidate in reach
-    rem = n.copy()
-    for step in (1000, 100, 10, 1):
-        rem -= rem // step * step
-        below = rem + f
-        dist = np.minimum(below, step - below)  # from S to the nearest multiple of step
-        fast &= np.abs(dist - half_ulp) >= _REPR_DOUBT
-        outside += dist >= half_ulp
-    step = np.array([1000, 100, 10, 1, 1])[outside]
-    rem = n % step
-    digits = n - rem + (rem + f >= step / 2) * step
-    fast &= (outside > 0) & (outside < 4) & (np.abs(rem + f - step / 2) >= _REPR_DOUBT)
-    fast &= (10**16 <= digits) & (digits < 10**17)
-    return fast, digits, e10, outside
-
-
-def _float_reprs(x: np.ndarray) -> np.ndarray:
-    """``float.__repr__`` of each value of the float64 vector ``x``, as ASCII bytes (``S24``).
-
-    The values ``_shortest_digits`` proves are laid out as repr lays them out, one layout group at a time with
-    whole-column copies; the rest go through ``float.__repr__`` itself.
-    """
-    fast, digits, e10, outside = _shortest_digits(x)
-    layout = np.where(e10 >= -4, -3 * e10, 0).astype(np.int8) + outside - 1  # into _REPR_LAYOUTS; fixed down to 1e-4
-    rows = np.flatnonzero(fast)
-    rows = rows[np.argsort(layout[rows], kind="stable")]
-    digits, e10, layout = digits[rows], e10[rows], layout[rows]
-    prefixes = np.zeros((18, len(rows)), np.uint8)  # row i: the first i digits, mod 256
-    for i in range(17):
-        prefixes[i + 1] = digits // 10 ** (16 - i)  # wraps, but the differences below are 0..9 all the same
-    chars = (prefixes[1:] - prefixes[:-1] * np.uint8(10) + np.uint8(ord("0"))).T
-    text = np.zeros((len(rows), _REPR_WIDTH), np.uint8)
-    bounds = np.searchsorted(layout, np.arange(len(_REPR_LAYOUTS) + 1)).tolist()
-    for (shift, count), a, b in zip(_REPR_LAYOUTS, bounds, bounds[1:]):
-        if shift:
-            text[a:b, :shift] = np.frombuffer(b"0.000"[:shift], np.uint8)
-            text[a:b, shift : shift + count] = chars[a:b, :count]
-        else:
-            text[a:b, 0], text[a:b, 1] = chars[a:b, 0], ord(".")
-            text[a:b, 2 : count + 1] = chars[a:b, 1:count]
-            text[a:b, count + 1 : count + 6] = _EXPONENTS[-e10[a:b]]
-    out = np.zeros(len(x), f"S{_REPR_WIDTH}")
-    out[rows] = text.view(out.dtype).ravel()
-    slow = np.flatnonzero(~fast)
-    out[slow] = list(map(float.__repr__, x[slow].tolist()))
-    return out
 
 
 def line_prefixes(image_ids: tuple[str, ...]) -> list[str]:

@@ -559,6 +559,69 @@ def workload_corpus(name, monkeypatch):
     return data.train, data.val, data.test
 
 
+def reference_text(dataset):
+    """The annotation text the reference writer gives: ``json`` over each image's record, object by object."""
+    return reference.annotations_to_jsonl(to_objects(dataset))
+
+
+def chunked_dataset(spaces, counts, d_roi=512, seed=3):
+    """Images of ``counts`` objects each, with signed features of every magnitude, each object related to the next."""
+    rng = np.random.default_rng(seed)
+    annotations, next_id = [], 0
+    for image, count in enumerate(counts):
+        ids = range(next_id, next_id + count)
+        next_id += count
+        objects = [make_object(i, i % 4, feature=rng.normal(0.0, 10.0 ** rng.integers(-3, 3), d_roi), d_roi=d_roi)
+                   for i in ids]
+        triples = [Triple(a, image % 3, b) for a, b in zip(ids, ids[1:])]
+        annotations.append(make_annotation(f"im{image}", objects=objects, triples=triples))
+    return make_dataset(annotations, spaces, split="val", d_roi=d_roi)
+
+
+class TestAnnotationText:
+    """The annotation writer gives the bytes that ``json`` gives for each image's record."""
+
+    @given(annotation_sets(valid=False))
+    def test_equals_the_json_encoder(self, dataset):
+        assert "".join(ingest._annotation_lines(dataset)) == reference_text(dataset)
+
+    @pytest.mark.parametrize("features, box, width, height", [
+        ([-0.0, -5e-324, -2.2250738585072014e-308, -0.1, -0.12345678901234567], (-0.0, 5e-324, 10.0, 20.0), 100.0,
+         100.0),
+        ([1.0, -1.0, 1e16, -1e300, 123.456], (0.5, 1e-300, 10.0, 20.0), 100.0, 100.0),
+        ([0.5, math.nan, -0.25, math.inf, -math.inf], (0.0, 0.0, 10.0, 20.0), 100.0, 100.0),
+        ([0.5, 0.25, -0.125, 1e-5, -1e-100], (0.0, 0.0, 10.0, 20.0), math.nan, 100.0),
+        ([0.5, 0.25, -0.125, 1e-5, -1e-100], (0.0, 0.0, 10.0, 20.0), math.inf, -math.inf),
+        ([0.5, 0.25, -0.125, 1e-5, -1e-100], (math.nan, -math.inf, math.inf, -0.0), 100.0, 100.0),
+    ], ids=["negative", "at-least-one", "non-finite-features", "nan-size", "infinite-sizes", "non-finite-box"])
+    def test_values(self, spaces, features, box, width, height):
+        objects = (make_object(0, 1, feature=features, box=BoundingBox(*box)), make_object(1, 2))
+        dataset = make_dataset([make_annotation("im", objects=objects, width=width, height=height)], spaces)
+        assert "".join(ingest._annotation_lines(dataset)) == reference_text(dataset)
+
+    def test_image_without_objects(self, spaces):
+        dataset = make_dataset([make_annotation("none", objects=(), triples=()), make_annotation("two")], spaces)
+        assert "".join(ingest._annotation_lines(dataset)) == reference_text(dataset)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["chunk-minus-one", "one-chunk", "chunk-plus-one"])
+    def test_splits_around_one_chunk(self, spaces, monkeypatch, extra):
+        """Objects are formatted one chunk of at most ``_FEATURE_CHUNK`` features at a time; with one object more
+        than a chunk, an image straddles two."""
+        rows = ingest._FEATURE_CHUNK // 512
+        total = rows + extra
+        dataset = chunked_dataset(spaces, [3] * (total // 3) + [total % 3])
+        calls = []
+        formatter = ingest._float_reprs
+        monkeypatch.setattr(ingest, "_float_reprs", lambda x: calls.append(len(x)) or formatter(x))
+        assert "".join(ingest._annotation_lines(dataset)) == reference_text(dataset)
+        assert calls == [512 * min(rows, total - start) for start in range(0, total, rows)]
+
+    def test_image_straddling_chunks(self, spaces):
+        rows = ingest._FEATURE_CHUNK // 512
+        dataset = chunked_dataset(spaces, [rows - 1, 3 * rows, 1])  # the second image spans four chunks
+        assert "".join(ingest._annotation_lines(dataset)) == reference_text(dataset)
+
+
 class TestAnnotationCompanion:
     """The annotation companion changes nothing that ``load_annotations`` returns or refuses."""
 
@@ -591,6 +654,7 @@ class TestAnnotationCompanion:
             args = (split.object_space, split.predicate_space, split.d_roi)
             assert ingest._companion_dataset(path, *args, "val") is not None
             assert annotations_outcome(path, *args) == jsonl_annotations_outcome(path, *args)
+            assert path.read_bytes() == reference_text(split).encode("ascii")
 
     @pytest.fixture
     def written(self, tmp_path, spaces):

@@ -17,7 +17,7 @@ import reference_predictions as listed
 import reference_ranking as reference
 from reference_ranking import PredictedTriple
 from sgrel.cli import main
-from sgrel import metrics
+from sgrel import ingest, metrics
 from sgrel.core import LabelSpace, box_overlap
 from reference_annotations import BoundingBox, Triple
 from sgrel.ingest import EmbeddingTable, ParseError, companion_path, load_embeddings, save_embeddings
@@ -1042,11 +1042,11 @@ escaped = st.one_of(  # strings the JSON encoder escapes: quotes, backslashes, c
     st.sampled_from(['"', "\\", '\\"', "\x00", "\x1f\x7f", "\t\n\r", "é", "雪", "\ud800", "\udfff", "\U0001f600",
                      "\u2028"]),
 )
-# Values that reach every branch of ``metrics._float_reprs``. Left to repr: 1.0, powers of two (2**-25 and
+# Values that reach every branch of ``ingest._float_reprs``. Left to repr: 1.0, powers of two (2**-25 and
 # 2**-44 come out wrong on a symmetric round-trip interval), the smallest normal, a subnormal, 14 digits or fewer,
-# |x| >= 1, negatives and ties (0.10000991821289062 rounds down, 0.10000228881835938 up). Formatted: 15, 16 and 17
-# digits on both sides of 1e-4 (fixed above, exponent below), and exponents of two and three digits. Also left to
-# repr: values whose round-trip interval has a 14- or 15-digit decimal within a hair of its boundary.
+# |x| >= 1 and ties (0.10000991821289062 rounds down, 0.10000228881835938 up). Formatted: 15, 16 and 17 digits on
+# both sides of 1e-4 (fixed above, exponent below), exponents of two and three digits, and negatives of each. Also
+# left to repr: values whose round-trip interval has a 14- or 15-digit decimal within a hair of its boundary.
 def interval_boundary_values():
     """Doubles in [0.5, 1) with a 14- or 15-digit decimal d * 10**-k at their round-trip interval's boundary.
 
@@ -1224,7 +1224,7 @@ class TestStackedRanking:
 def assert_float_reprs(values):
     x = np.asarray(values, dtype=np.float64).ravel()
     expected = np.array(list(map(float.__repr__, x.tolist())), dtype="S24")
-    got = metrics._float_reprs(x)
+    got = ingest._float_reprs(x)
     assert got.dtype == expected.dtype
     wrong = np.flatnonzero(got != expected)
     assert not wrong.size, [(x[i].hex(), got[i], expected[i]) for i in wrong[:5]]
@@ -1243,13 +1243,27 @@ class TestFloatReprs:
         for value, k in zip(values.tolist(), [14] * 12 + [15] * 12):
             decimal = Fraction(round(Fraction(value) * 10**k), 10**k)  # half an ulp, 2**-54, from the double
             assert abs(abs(Fraction(value) - decimal) - Fraction(1, 2**54)) == Fraction(1, 5**k * 2**54)
-        proven, *_ = metrics._shortest_digits(values)
+        proven, *_ = ingest._shortest_digits(values)
         assert not proven.any()
         assert_float_reprs(values)
 
     @given(st.lists(st.floats(allow_subnormal=True), max_size=64))
     def test_any_float(self, values):
         assert_float_reprs(values)
+
+    def test_negation_proves_the_same_digits(self):
+        """``_shortest_digits`` proves -x exactly when it proves x, with the same digits and layout."""
+        rng = np.random.default_rng(9)
+        bits = rng.integers(0, 2**63, size=10**5, dtype=np.uint64).view(np.float64)  # sign bit clear
+        x = np.concatenate([np.array(REPR_BRANCHES + INTERVAL_BOUNDARIES), rng.random(10**5), bits,
+                            10.0 ** rng.uniform(-308, 0, 10**5)])
+        x = np.abs(x[np.isfinite(x)])
+        positive, negative = ingest._shortest_digits(x), ingest._shortest_digits(-x)
+        assert positive[0].any() and not positive[0].all()
+        np.testing.assert_array_equal(positive[0], negative[0])
+        for got, expected in zip(negative[1:], positive[1:]):
+            np.testing.assert_array_equal(got[positive[0]], expected[positive[0]])
+        assert_float_reprs(-x)
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(15).integers(0, 2**64, size=10**6, dtype=np.uint64)
