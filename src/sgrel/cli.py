@@ -170,7 +170,7 @@ def save_weights(info: InfoWeights, counts: np.ndarray, space: LabelSpace, path:
 
 
 def load_weights(path: str | Path, space: LabelSpace) -> InfoWeights:
-    """Read ``save_weights``' file: each predicate once, with finite, non-negative values."""
+    """Read ``save_weights``' file: each predicate once, with finite, non-negative values and a finite sum of bits."""
     (rows,) = parse_fields(ingest.read_json(path), (("predicates", json_list),), str(path))
     table = (("name", space.index_of), ("frequency", number), ("bits", number), ("weight", number))
     values = np.zeros((3, space.size))  # frequency, bits and weight per predicate
@@ -184,6 +184,10 @@ def load_weights(path: str | Path, space: LabelSpace) -> InfoWeights:
     missing = [name for j, name in enumerate(space.names) if j not in seen]
     if missing:
         raise ValueError(f"{path}: no row for predicates {missing}")
+    with np.errstate(over="ignore"):
+        total_bits = float(values[1].sum())  # bounds every mRIC, as recall is at most 1
+    if not math.isfinite(total_bits):
+        raise ValueError(f"{path}: bad 'bits': must have a finite sum over predicates, got {total_bits!r}")
     return InfoWeights(*values)
 
 

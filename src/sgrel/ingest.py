@@ -8,7 +8,7 @@ import json
 import logging
 import math
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator
@@ -431,13 +431,14 @@ def parse_fields(record: object, table: Fields, where: str = "") -> list:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """One semantic vector per label index of a space."""
+    """One semantic vector per label index of a space, and that vector scaled to unit norm."""
 
     space: LabelSpace
     vectors: np.ndarray  # (C, dim) float64
+    unit: np.ndarray = field(init=False)  # (C, dim) each vector divided by its norm
 
     def __post_init__(self) -> None:
-        vectors = np.asarray(self.vectors, dtype=np.float64)
+        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)  # row norms sum in one order, any layout
         if vectors.ndim != 2 or vectors.shape[0] != self.space.size:
             raise ValueError(
                 f"expected {self.space.size} vectors, got array of shape {vectors.shape}"
@@ -449,6 +450,7 @@ class EmbeddingTable:
             bad = self.space.names[int(np.argmax(norms == 0.0))]
             raise ValueError(f"zero-norm vector for label {bad!r}")
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "unit", vectors / norms[:, None])
 
     @property
     def dim(self) -> int:

@@ -275,11 +275,11 @@ def mean_recall_at_k(
     return (float(np.mean(recalls[has_gt])) if has_gt.any() else None), recalls
 
 
-def mric_at_k(per_predicate_recall: np.ndarray, info: InfoWeights) -> float:
-    """Sum of recall times information content (bits) over predicates with GT."""
+def mric_at_k(per_predicate_recall: np.ndarray, info: InfoWeights) -> float | None:
+    """Sum of recall times information content (bits) over predicates with GT; None when none has GT."""
     recalls = np.asarray(per_predicate_recall, dtype=np.float64)
     observed = ~np.isnan(recalls)
-    return float(np.sum(recalls[observed] * info.bits[observed]))
+    return float(np.sum(recalls[observed] * info.bits[observed])) if observed.any() else None
 
 
 def ground_truth(test: Dataset) -> RankedTriples:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -504,6 +505,37 @@ class TestWeights:
         assert f"{path}: {problem.format(name=name)}" in capsys.readouterr().err
         assert not (tmp_path / "ev" / "report.json").exists()
 
+    def eval_with_bits(self, corpus, tmp_path, bits):
+        """``eval`` of oracle predictions with every ``bits`` of a real weights file set to ``bits``."""
+        assert run(["weights", "--out", tmp_path, *corpus_flags(corpus),
+                    "--train", corpus / "train.jsonl", "--d-roi", 32]) == 0
+        path = tmp_path / "info_weights.json"
+        rows = json.loads(path.read_text())["predicates"]
+        path.write_text(json.dumps({"predicates": [{**row, "bits": bits} for row in rows]}))
+        predictions = tmp_path / "oracle.jsonl"
+        save_oracle_predictions(corpus, "test", predictions)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning included
+            code = run(["eval", "--out", tmp_path / "ev", *rescore_flags(corpus, tmp_path, "eval"),
+                        "--predictions", predictions, "--weights", path])
+        return code, path
+
+    def test_bits_whose_sum_overflows_are_refused(self, corpus, tmp_path, capsys):
+        """Each value is finite, but their sum, which bounds every mRIC, is not."""
+        code, path = self.eval_with_bits(corpus, tmp_path, 1e308)
+        assert code == 2
+        assert f"data error: {path}: bad 'bits': must have a finite sum over predicates, got inf" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "ev").exists()
+
+    def test_large_bits_with_a_finite_sum_are_read(self, corpus, tmp_path):
+        code, _ = self.eval_with_bits(corpus, tmp_path, 1e300)
+        assert code == 0
+        mric = json.loads((tmp_path / "ev" / "report.json").read_text())["report"]["metrics"]["mric"]
+        recalls = json.loads((tmp_path / "ev" / "recalls.json").read_text())  # 0 where a predicate has no GT
+        assert sum(recalls.values()) > 0
+        assert mric["100"] == pytest.approx(1e300 * sum(recalls.values()))
+
 
 def run_pipeline(corpus, out, config_path, extra_train=(), refine_source=None):
     """synth outputs -> train -> refine -> eval; returns the report payload."""
@@ -875,6 +907,24 @@ class TestTrainRefineEval:
         assert code == 0, capsys.readouterr().err
         recall = json.loads((tmp_path / "ev" / "report.json").read_text())["report"]["metrics"]["recall"]
         assert recall == {"20": 20 / 1100, "1000": 1000 / 1100}
+
+    def test_split_without_gt_reports_every_metric_null(self, tmp_path, capsys):
+        """A one-image corpus's test split is empty: no predicate has GT, so mRIC is null like R and mR."""
+        corpus = tmp_path / "corpus"
+        assert run(["synth", "--out", corpus, "--config", write_config(tmp_path, images=1)]) == 0
+        assert (corpus / "test.jsonl").read_text() == ""
+        assert run(["weights", "--out", corpus, *corpus_flags(corpus), "--train", corpus / "train.jsonl",
+                    "--d-roi", 32]) == 0
+        predictions = tmp_path / "predictions.jsonl"
+        predictions.write_text("")
+        capsys.readouterr()
+        assert run(["eval", "--out", tmp_path / "ev", *corpus_flags(corpus), "--predictions", predictions,
+                    "--dataset", corpus / "test.jsonl", "--d-roi", 32,
+                    "--weights", corpus / "info_weights.json"]) == 0
+        headline = json.loads(capsys.readouterr().out)
+        assert len(headline) == 12 and set(headline.values()) == {None}
+        metrics = json.loads((tmp_path / "ev" / "report.json").read_text())["report"]["metrics"]
+        assert metrics["mric"] == {"20": None, "50": None, "100": None}
 
     def test_empty_predictions_refine_and_evaluate_to_zero_recall(self, corpus, tmp_path):
         path = tmp_path / "predictions.jsonl"

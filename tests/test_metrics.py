@@ -659,6 +659,11 @@ class TestRecallFamilies:
         assert mric_at_k(2 * recalls, info) == pytest.approx(2 * mric_at_k(recalls, info))
         assert mric_at_k(np.zeros(6), info) == 0.0
 
+    def test_mric_absent_without_gt(self):  # as mR is: no predicate has a recall to weigh
+        info = info_weights(np.array([3, 1, 2]))
+        assert mric_at_k(np.full(3, np.nan), info) is None
+        assert mric_at_k(np.array([np.nan, 0.0, np.nan]), info) == 0.0
+
 
 def oracle_pairs(dataset):
     out = []
@@ -689,6 +694,20 @@ class TestEvaluate:
         report = evaluate(to_set([], 3), dataset, ks=(20,))
         assert report.recall[20] == 0.0
         assert report.mean_recall[20] == 0.0
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_empty_split(self, spaces, protocol):
+        """No GT triple anywhere: every metric is None, with information weights and a zero-shot index given."""
+        info = info_weights(np.array([3, 1, 2]))
+        no_images = make_dataset([], spaces)
+        no_triples = make_dataset([make_annotation(triples=())], spaces)  # two objects, so two ordered pairs
+        both_pairs = PredictionSet.of_objects(no_triples, np.zeros(2, dtype=np.int64), np.array([0, 1]),
+                                              np.array([1, 0]), np.full((2, 3), 1 / 3))
+        for dataset, predictions in ((no_images, to_set([], 3)), (no_triples, both_pairs)):
+            report = evaluate(predictions, dataset, frozenset({(0, 0, 1)}), info, (1, 20), protocol)
+            for family in metrics.FAMILIES:
+                assert getattr(report, family) == {1: None, 20: None}, family
+            assert report.num_gt_triples == 0
 
     def test_zero_shot_restriction(self, spaces):
         dataset = make_dataset([gt_annotation()], spaces)

@@ -224,7 +224,7 @@ class TestPackedMatchesPerImage:
     def test_contrastive_off(self):
         model, dataset, table, _ = random_case(3, [4, 2, 1])
         batch = forward_batch(model, dataset, pair_inputs(dataset), table, compute_contrastive=False)
-        assert batch.contrastive == 0.0 and batch.sims is None
+        assert batch.contrastive == 0.0 and batch.d_proj is None
         check_agreement(3, [4, 2, 1], compute_contrastive=False)
 
 

@@ -101,6 +101,9 @@ def test_traced_pipeline_counts_what_the_stages_do(tracing, tmp_path, monkeypatc
             for r in map(json.loads, (out / "predictions_test.jsonl").read_text().splitlines())}
     assert metrics["refinement.vector_cache_hit_ratio"] == 1.0 - len(keys) / len(refined)
     assert 0 < metrics["sampling.triples_kept"] <= metrics["sampling.triples_in"]
+    # One forward and one backward per training step: STAGE_CONFIG trains 2 iterations at a non-zero lr.
+    assert STAGE_CONFIG["iterations"] == 2 and STAGE_CONFIG["lr"] > 0
+    assert metrics["alignment.forward_batch_calls"] == metrics["alignment.backward_calls"] == 2
     # The prediction counters: train saves val and test, refine saves the refined set; validation predicts val.
     assert metrics["metrics.save_predictions_calls"] == 3
     validations = len((out / "validation.csv").read_text().splitlines()) - 1  # one row per evaluation
