@@ -284,7 +284,7 @@ def train(
     The learning rate decays by 10x whenever mean recall@50 on the
     validation split ``val`` fails to improve for ``patience`` consecutive
     evaluations. An update that leaves a parameter that is not finite raises
-    ``ValueError`` naming the iteration.
+    ``ValueError`` naming the iteration, and so does a total loss that is not finite.
     """
     if not train_set.image_ids:
         raise ValueError("cannot train on an empty dataset")
@@ -312,20 +312,20 @@ def train(
         batch = forward_batch(
             model, train_set, inputs, embeddings, idx, compute_contrastive=config.use_alignment
         )
-        l_iw = weighted_pred_loss(batch.probs, batch.gold, weights)
-        result.history.append(
-            total_loss(config.box_loss, config.object_loss, batch.contrastive, l_iw, config.mu)
-        )
-        result.learning_rates.append(lr)
-
-        if lr != 0.0:
-            grads = backward(model, batch, weights, config.mu)
-            with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is refused below
+        with np.errstate(over="ignore", invalid="ignore"):  # a loss or a step that overflows is refused below
+            loss = total_loss(config.box_loss, config.object_loss, batch.contrastive,
+                              weighted_pred_loss(batch.probs, batch.gold, weights), config.mu)
+            if lr != 0.0:
+                grads = backward(model, batch, weights, config.mu)
                 model.w_proj -= lr * grads.w_proj
                 model.w_cls -= lr * grads.w_cls
                 model.b_cls -= lr * grads.b_cls
-            if not all(np.isfinite(w).all() for w in (model.w_proj, model.w_cls, model.b_cls)):
-                raise ValueError(f"training diverged: parameters not finite after iteration {iteration}")
+        result.history.append(loss)
+        result.learning_rates.append(lr)
+        if lr != 0.0 and not all(np.isfinite(w).all() for w in (model.w_proj, model.w_cls, model.b_cls)):
+            raise ValueError(f"training diverged: parameters not finite after iteration {iteration}")
+        if not np.isfinite(loss.total):
+            raise ValueError(f"training diverged: loss not finite at iteration {iteration}")
 
         if (
             val is not None

@@ -13,19 +13,23 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .core import OBJECT, PREDICATE, Dataset, LabelSpace, Signature, offsets, owners, repeats
-from .ingest import EmbeddingTable, dataset_signatures
+from .ingest import EmbeddingTable
 from .metrics import PredictionSet
 from .seeding import substream
 
 IMAGE_SIZE = 1000.0  # width and height of every generated image
 TEST_FRACTION = 0.3  # shares of `images` drawn for the test and val splits; train takes the rest
 VAL_FRACTION = 0.1
+# Each object's box is four uniform draws, x1, y1, width and height, each in [low, high).
+_BOX_LOW = np.array([0.0, 0.0, 0.05, 0.05]) * IMAGE_SIZE
+_BOX_HIGH = np.array([0.75, 0.75, 0.25, 0.25]) * IMAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,8 @@ class SynthConfig:
         if not 0.0 <= self.zero_shot_fraction < 1.0:
             raise ValueError("zero_shot_fraction must lie in [0, 1)")
         for key in ("zipf_s", "noise_sigma", "intra_cluster_sigma", "max_distractors"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0")
         if not self.embedding_scale > 0.0:
@@ -120,14 +126,6 @@ def _label_names(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i:0{width}d}" for i in range(count))
 
 
-def _random_box(rng: np.random.Generator, size: float) -> tuple[float, float, float, float]:
-    x1 = rng.uniform(0.0, 0.75 * size)
-    y1 = rng.uniform(0.0, 0.75 * size)
-    w = rng.uniform(0.05 * size, 0.25 * size)
-    h = rng.uniform(0.05 * size, 0.25 * size)
-    return (x1, y1, min(x1 + w, size), min(y1 + h, size))
-
-
 @dataclass(eq=False)
 class _Images:
     """Generated images as growing columns, in the order they are drawn."""
@@ -136,31 +134,40 @@ class _Images:
     object_counts: list[int] = field(default_factory=list)
     triple_counts: list[int] = field(default_factory=list)
     labels: list[int] = field(default_factory=list)
-    boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
-    features: list[np.ndarray] = field(default_factory=list)
+    uniforms: list[np.ndarray] = field(default_factory=list)  # (4,) per object, in [0, 1)
+    noise: list[np.ndarray] = field(default_factory=list)  # (d_roi,) per object
     triples: list[tuple[int, int, int]] = field(default_factory=list)
+    signatures: set[Signature] = field(default_factory=set)
 
-    def add(self, image_id: str, labels: list[int], preds: list[int], rng: np.random.Generator, cfg: SynthConfig,
-            anchors: np.ndarray) -> None:
-        """One image of objects with ``labels`` (ids in order; a box, then a feature, drawn for each in turn)
-        and triple ``t`` from object ``2t`` to object ``2t + 1`` with predicate ``preds[t]``."""
+    def add(self, image_id: str, labels: list[int], preds: list[int], rng: np.random.Generator,
+            cfg: SynthConfig) -> None:
+        """One image of objects with ``labels`` (ids in order) and triple ``t`` from object ``2t`` to object
+        ``2t + 1`` with predicate ``preds[t]``. For each object in turn ``rng`` draws four uniforms for its box
+        (x1, y1, width, height), then its ``d_roi`` feature-noise values."""
         self.image_ids.append(image_id)
         self.object_counts.append(len(labels))
         self.triple_counts.append(len(preds))
         self.labels += labels
-        for label in labels:
-            self.boxes.append(_random_box(rng, IMAGE_SIZE))
-            self.features.append(anchors[label] + rng.normal(0.0, cfg.noise_sigma, anchors.shape[1]))
+        for _ in labels:
+            self.uniforms.append(rng.random(4))
+            self.noise.append(rng.normal(0.0, cfg.noise_sigma, cfg.d_roi))
         self.triples += [(2 * t, pred, 2 * t + 1) for t, pred in enumerate(preds)]
+        self.signatures.update(zip(labels[::2], preds, labels[1::2]))
 
-    def dataset(self, split: str, object_space: LabelSpace, predicate_space: LabelSpace, cfg: SynthConfig) -> Dataset:
-        """The images as a split; each image's object ids count from 0."""
+    def dataset(self, split: str, object_space: LabelSpace, predicate_space: LabelSpace, cfg: SynthConfig,
+                anchors: np.ndarray) -> Dataset:
+        """The images as a split; each image's object ids count from 0, and each feature is its label's
+        anchor plus its noise. Boxes scale the uniforms as ``Generator.uniform`` does and clip to the image."""
         bounds = offsets(self.object_counts)
+        x1, y1, w, h = (_BOX_LOW + (_BOX_HIGH - _BOX_LOW) * np.array(self.uniforms).reshape(-1, 4)).T
+        labels = np.array(self.labels, dtype=np.int64)
         return Dataset(
             split, object_space, predicate_space, cfg.d_roi, self.image_ids,
             np.full((len(self.image_ids), 2), IMAGE_SIZE), bounds, offsets(self.triple_counts),
-            np.arange(bounds[-1]) - bounds[owners(bounds)], self.labels, np.array(self.boxes).reshape(-1, 4),
-            np.array(self.features).reshape(-1, cfg.d_roi), np.array(self.triples, dtype=np.int64).reshape(-1, 3),
+            np.arange(bounds[-1]) - bounds[owners(bounds)], labels,
+            np.stack([x1, y1, np.minimum(x1 + w, IMAGE_SIZE), np.minimum(y1 + h, IMAGE_SIZE)], axis=1),
+            anchors[labels] + np.array(self.noise).reshape(-1, cfg.d_roi),
+            np.array(self.triples, dtype=np.int64).reshape(-1, 3),
         )
 
 
@@ -171,22 +178,23 @@ def _generate_images(
     cfg: SynthConfig,
     zipf_p: np.ndarray,
     allowed_pairs: list[list[tuple[int, int]]],
-    anchors: np.ndarray,
 ) -> _Images:
     images = _Images()
+    cdf = np.cumsum(zipf_p)  # as Generator.choice builds it; each predicate then takes one uniform
+    cdf = (cdf / cdf[-1]).tolist()
     for n in range(count):
         n_triples = int(rng.integers(cfg.min_triples, cfg.max_triples + 1))
         labels: list[int] = []
         preds: list[int] = []
         for _ in range(n_triples):
-            k = int(rng.choice(cfg.c_pred, p=zipf_p))
+            k = bisect_right(cdf, rng.random())
             pool = allowed_pairs[k]
             s_label, o_label = pool[int(rng.integers(len(pool)))]
             labels.extend([s_label, o_label])
             preds.append(k)
         for _ in range(int(rng.integers(0, cfg.max_distractors + 1))):
             labels.append(int(rng.integers(cfg.c_obj)))
-        images.add(f"{prefix}-{n:05d}", labels, preds, rng, cfg, anchors)
+        images.add(f"{prefix}-{n:05d}", labels, preds, rng, cfg)
     return images
 
 
@@ -195,13 +203,12 @@ def _add_coverage_images(
     rng: np.random.Generator,
     signatures: list[Signature],
     cfg: SynthConfig,
-    anchors: np.ndarray,
 ) -> None:
     """Minimal extra train images guaranteeing every given signature occurs."""
     for n, chunk_start in enumerate(range(0, len(signatures), cfg.max_triples)):
         chunk = signatures[chunk_start : chunk_start + cfg.max_triples]
         labels = [label for s_label, _, o_label in chunk for label in (s_label, o_label)]
-        images.add(f"train-cover-{n:05d}", labels, [pred for _, pred, _ in chunk], rng, cfg, anchors)
+        images.add(f"train-cover-{n:05d}", labels, [pred for _, pred, _ in chunk], rng, cfg)
 
 
 def generate(cfg: SynthConfig) -> SynthData:
@@ -271,12 +278,10 @@ def generate(cfg: SynthConfig) -> SynthData:
 
     object_space = LabelSpace(kind=OBJECT, names=_label_names("obj", cfg.c_obj))
     predicate_space = LabelSpace(kind=PREDICATE, names=_label_names("pred", cfg.c_pred))
-    test = _generate_images(
-        substream(cfg.seed, "synth.test"), n_test, "test", cfg, zipf_p, full_pairs, anchors
-    ).dataset("test", object_space, predicate_space, cfg)
+    test = _generate_images(substream(cfg.seed, "synth.test"), n_test, "test", cfg, zipf_p, full_pairs)
 
     # Withhold an exact fraction of distinct test signatures from train.
-    test_signatures = sorted(dataset_signatures(test))
+    test_signatures = sorted(test.signatures)
     n_withheld = int(round(cfg.zero_shot_fraction * len(test_signatures)))
     rng_withhold = substream(cfg.seed, "synth.withhold")
     withheld_idx = rng_withhold.choice(len(test_signatures), size=n_withheld, replace=False)
@@ -292,19 +297,14 @@ def generate(cfg: SynthConfig) -> SynthData:
             )
         train_pairs.append(kept)
 
-    train = _generate_images(
-        substream(cfg.seed, "synth.train"), n_train, "train", cfg, zipf_p, train_pairs, anchors
-    )
-    train_signatures = dataset_signatures(train.dataset("train", object_space, predicate_space, cfg))
-    missing = sorted((set(test_signatures) - withheld) - train_signatures)
-    _add_coverage_images(train, substream(cfg.seed, "synth.coverage"), missing, cfg, anchors)
-    val = _generate_images(
-        substream(cfg.seed, "synth.val"), n_val, "val", cfg, zipf_p, train_pairs, anchors
-    )
+    train = _generate_images(substream(cfg.seed, "synth.train"), n_train, "train", cfg, zipf_p, train_pairs)
+    missing = sorted((set(test_signatures) - withheld) - train.signatures)
+    _add_coverage_images(train, substream(cfg.seed, "synth.coverage"), missing, cfg)
+    val = _generate_images(substream(cfg.seed, "synth.val"), n_val, "val", cfg, zipf_p, train_pairs)
     return SynthData(
-        train=train.dataset("train", object_space, predicate_space, cfg),
-        val=val.dataset("val", object_space, predicate_space, cfg),
-        test=test,
+        train=train.dataset("train", object_space, predicate_space, cfg, anchors),
+        val=val.dataset("val", object_space, predicate_space, cfg, anchors),
+        test=test.dataset("test", object_space, predicate_space, cfg, anchors),
         object_embeddings=EmbeddingTable(space=object_space, vectors=object_vectors),
         predicate_embeddings=EmbeddingTable(space=predicate_space, vectors=predicate_vectors),
         map=gen_map,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import shutil
 import warnings
@@ -735,6 +736,35 @@ class TestTrainRefineEval:
         message = "training diverged: parameters not finite after iteration 0"
         assert f"data error: {corpus / 'train.jsonl'}: {message}\n" in err
         assert not out.exists()
+
+    def train_with_weights(self, corpus, tmp_path, weight, lr):
+        """``train`` with re-weighting on, every predicate's weight set to ``weight``; warnings raise."""
+        assert run(["weights", "--out", tmp_path, *corpus_flags(corpus),
+                    "--train", corpus / "train.jsonl", "--d-roi", 32]) == 0
+        path = tmp_path / "info_weights.json"
+        rows = json.loads(path.read_text())["predicates"]
+        path.write_text(json.dumps({"predicates": [{**row, "weight": weight} for row in rows]}))
+        config = write_config(tmp_path, iterations=5, lr=lr, eval_every=0, use_reweighting="true")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(
+                ["train", "--out", tmp_path / "run", "--config", config, *corpus_flags(corpus),
+                 "--train", corpus / "train.jsonl", "--val", corpus / "val.jsonl", "--test", corpus / "test.jsonl",
+                 "--object-embeddings", corpus / "object_embeddings.txt", "--d-roi", 32, "--weights", path]
+            )
+
+    @pytest.mark.parametrize("lr", [0.05, 0.0])
+    def test_training_refuses_a_loss_that_is_not_finite(self, corpus, tmp_path, capsys, lr):
+        assert self.train_with_weights(corpus, tmp_path, 1e308, lr) == 2
+        message = "training diverged: loss not finite at iteration 0"
+        assert f"data error: {corpus / 'train.jsonl'}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_training_with_huge_finite_weights_still_trains(self, corpus, tmp_path):
+        assert self.train_with_weights(corpus, tmp_path, 1e300, 0.05) == 0
+        rows = [line.split(",") for line in (tmp_path / "run" / "loss_history.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        assert all(math.isfinite(float(value)) for row in rows for value in row)
 
     def test_train_writes_validation_history(self, corpus, tmp_path):
         config = write_config(tmp_path, iterations=20, eval_every=5, seed=5)

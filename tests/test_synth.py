@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ class TestConfigValidation:
     def test_negative_skew_rejected(self):
         with pytest.raises(ValueError, match="zipf_s"):
             SynthConfig(zipf_s=-0.5).validate()
+
+    @pytest.mark.parametrize("key", ["zipf_s", "noise_sigma", "intra_cluster_sigma", "max_distractors"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value!r}$"):
+            SynthConfig(**{key: value}).validate()
+
+    @pytest.mark.parametrize("key", ["zipf_s", "noise_sigma"])
+    def test_generate_refuses_nan_before_drawing(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got nan$"):
+            generate(SynthConfig(images=10, **{key: math.nan}))
 
     def test_too_few_object_labels(self):
         with pytest.raises(ValueError, match="infeasible"):
