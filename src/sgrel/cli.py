@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, ingest, metrics, refinement, sampling, synth
-from .core import AnnotationError, LabelSpace, OBJECT, PREDICATE
-from .ingest import ParseError, build_zero_shot_index, load_annotations, load_embeddings, load_labels, parse_fields
+from .core import LabelSpace, OBJECT, PREDICATE
+from .ingest import build_zero_shot_index, load_annotations, load_embeddings, load_labels, parse_fields
 from .ingest import boolean, integer, json_list, json_object, number, string
 from .reweighting import InfoWeights, info_weights, uniform_weights
 from .sampling import build_sampling_plan, count_predicates, resample
@@ -110,12 +110,12 @@ def _check_ranges(config: RunConfig) -> None:
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """Read a key=value config file, apply CLI overrides on top, then check ranges."""
-    values: dict = {}
+    """Read a key=value config file, each key once, apply CLI overrides on top, then check ranges."""
+    values, first_line = {}, {}
     if path is not None:
         try:
             lines = ingest.read_lines(path)
-        except (OSError, ParseError) as err:
+        except (OSError, ValueError) as err:
             raise UsageError(f"cannot read config: {err}") from None
         for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
@@ -131,6 +131,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
                 values[key] = _CONFIG_PARSERS[key](value.strip())
             except ValueError as err:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {err}") from err
+            if first_line.setdefault(key, lineno) != lineno:
+                raise UsageError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
@@ -543,30 +545,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-
-    handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
-    if getattr(args, "log_file", None):
-        handlers.append(logging.FileHandler(args.log_file))
-    logging.basicConfig(
-        level=logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        handlers=handlers,
-        force=True,
-    )
-
-    try:
+        args = build_parser().parse_args(argv)
+        handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
+        if getattr(args, "log_file", None):
+            handlers.append(logging.FileHandler(args.log_file))
+        logging.basicConfig(
+            level=logging.INFO,
+            format="%(asctime)s %(name)s %(levelname)s %(message)s",
+            handlers=handlers,
+            force=True,
+        )
         config = load_config(args.config, {key: getattr(args, key) for key in _OVERRIDE_KEYS})
         return args.func(args, config)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (ParseError, AnnotationError, ValueError, KeyError, OSError) as err:
+    except (ValueError, KeyError, OSError) as err:  # ParseError and AnnotationError are ValueErrors
         print(f"data error: {err}", file=sys.stderr)
         return 2
 

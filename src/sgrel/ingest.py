@@ -21,13 +21,10 @@ logger = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
-    """A file failed to parse; carries path and 1-based line number."""
+    """A file failed to parse; the message names its path and the 1-based line."""
 
     def __init__(self, path: str | Path, line: int, message: str):
-        self.path = str(path)
-        self.line = line
-        self.message = message
-        super().__init__(f"{self.path}:{line}: {message}")
+        super().__init__(f"{path}:{line}: {message}")
 
 
 def read_text(path: str | Path) -> str:
@@ -40,12 +37,20 @@ def read_text(path: str | Path) -> str:
         raise ParseError(path, line, f"not UTF-8 text: byte 0x{data[err.start]:02x} ({err.reason})") from None
 
 
-def read_json(path: str | Path) -> object:
-    """The JSON document in ``path``; invalid JSON raises ``ParseError`` naming the line."""
+def decode_json(text: str, path: str | Path, line: int = 1) -> object:
+    """``text``, from line ``line`` of ``path``, decoded as JSON: the one decoder of every input. Invalid JSON, a
+    value nested past the decoder's limit included, raises ``ParseError`` naming ``path`` and the line."""
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as err:
-        raise ParseError(path, err.lineno, f"invalid JSON: {err.msg}") from None
+        raise ParseError(path, line + err.lineno - 1, f"invalid JSON: {err.msg}") from None
+    except RecursionError:
+        raise ParseError(path, line, "invalid JSON: nested too deeply") from None
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON document in ``path`` (``decode_json``)."""
+    return decode_json(read_text(path), path)
 
 
 def read_lines(path: str | Path) -> list[str]:
@@ -64,18 +69,16 @@ def read_lines(path: str | Path) -> list[str]:
 def read_jsonl(path: str | Path) -> tuple[int, Iterator[dict]]:
     """The line count of ``path`` and its lines (``read_lines``), decoded one at a time as JSON objects.
 
-    An empty line, invalid JSON or a value that is not an object raises
-    ``ParseError`` naming the line.
+    An empty line, invalid JSON (``decode_json``) or a value that is not an
+    object raises ``ParseError`` naming the line.
     """
     lines = read_lines(path)
 
     def records() -> Iterator[dict]:
         for lineno, raw in enumerate(lines, start=1):
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as err:
-                problem = "empty line" if not raw.strip() else f"invalid JSON: {err.msg}"
-                raise ParseError(path, lineno, problem) from None
+            if not raw.strip():
+                raise ParseError(path, lineno, "empty line")
+            record = decode_json(raw, path, lineno)
             if type(record) is not dict:
                 raise ParseError(path, lineno, "expected a JSON object")
             yield record
@@ -98,12 +101,12 @@ def save_framed(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -
 def load_framed(path: str | Path) -> tuple[object, bytes]:
     """The decoded header line of a framed file and the bytes after it.
 
-    A header line that is not UTF-8 JSON raises ``ValueError``.
+    A header line that is not UTF-8 JSON (``decode_json``) raises ``ValueError``.
     """
     with open(path, "rb") as handle:
         line = handle.readline()
         payload = handle.read()
-    return json.loads(line.decode("utf-8")), payload
+    return decode_json(line.decode("utf-8"), path), payload
 
 
 def framed_arrays(
@@ -201,7 +204,7 @@ def load_companion(
         ):
             return None
         return header, framed_arrays(companion, header, payload, dtypes, "companion", "column")
-    except (OSError, ValueError, RecursionError):  # RecursionError: a header nested too deep for json
+    except (OSError, ValueError, RecursionError):  # _header_sha256's dumps recurses deeper than loads allows
         return None
 
 

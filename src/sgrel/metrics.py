@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import Dataset, LabelSpace, Signature, box_overlap, owners, repeats
-from .ingest import LINES_PER_WRITE, ParseError, _float_reprs, box, integer, load_companion, number, parse_fields
+from .ingest import LINES_PER_WRITE, ParseError, _row_texts, box, integer, load_companion, number, parse_fields
 from .ingest import read_jsonl, save_with_companion, scores, string
 from .reweighting import InfoWeights
 
@@ -386,7 +386,7 @@ def _column_lines(image_ids: tuple[str, ...], columns: dict, names: tuple[str, .
     """Each pair's JSON line from the columns: each image id, label name and distinct box formatted once.
 
     Strings go through the encoder's own escaping and floats are the
-    ``float.__repr__`` text ``json`` writes: probs through ``_float_reprs``
+    ``float.__repr__`` text ``json`` writes: probs through ``_row_texts``
     one write chunk at a time, the rest through ``float.__repr__``.
     """
     image_text = line_prefixes(image_ids)
@@ -401,11 +401,11 @@ def _column_lines(image_ids: tuple[str, ...], columns: dict, names: tuple[str, .
         yield from (
             f'{image_text[i]}{s},"obj_id":{o},"subj_label":{label_text[s_label]},'
             f'"obj_label":{label_text[o_label]},"subj_box":{box_text[s_box]},"obj_box":{box_text[o_box]},'
-            f'"subj_score":{s_score!r},"obj_score":{o_score!r},"probs":[{b",".join(row).decode()}]}}\n'
+            f'"subj_score":{s_score!r},"obj_score":{o_score!r},"probs":[{row}]}}\n'
             for i, s, o, s_label, o_label, (s_box, o_box), (s_score, o_score), row in zip(
                 *(column[chunk].tolist() for column in ints), corners[chunk].tolist(),
                 columns["label_scores"][chunk].tolist(),
-                _float_reprs(probs[chunk].ravel()).reshape(probs[chunk].shape).tolist(),
+                _row_texts(probs[chunk]),
             )
         )
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import OBJECT, PREDICATE, Dataset, LabelSpace, Signature, offsets, owners, repeats
-from .ingest import EmbeddingTable
+from .ingest import EmbeddingTable, read_json
 from .metrics import PredictionSet
 from .seeding import substream
 
@@ -63,8 +63,8 @@ class SynthConfig:
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0")
-        if not self.embedding_scale > 0.0:
-            raise ValueError("embedding_scale must be > 0")
+        if not 0.0 < self.embedding_scale < math.inf:
+            raise ValueError(f"embedding_scale must be finite and > 0, got {self.embedding_scale!r}")
         if self.min_triples < 1 or self.max_triples < self.min_triples:
             raise ValueError("need 1 <= min_triples <= max_triples")
         n_clusters = _num_clusters(self.c_pred)
@@ -338,4 +338,4 @@ def save_map(gen_map: GenerativeMap, path: str | Path) -> None:
 
 
 def load_map(path: str | Path) -> GenerativeMap:
-    return GenerativeMap.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return GenerativeMap.from_json_dict(read_json(path))

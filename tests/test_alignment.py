@@ -422,6 +422,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 
+    def test_rejects_header_nested_too_deeply_naming_the_path(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"[" * 100_000 + b"\n" + bytes(16))
+        message = f"{path}: not a model checkpoint: {path}:1: invalid JSON: nested too deeply"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "nope.ckpt"
         for content in (b'{"format": "something-else"}\n', b"not json\n", b"\xff\n"):

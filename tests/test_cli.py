@@ -105,6 +105,14 @@ class TestConfig:
         with pytest.raises(UsageError, match=r"c.cfg:3: bad value for mu"):
             load_config(path, {})
 
+    @pytest.mark.parametrize("second", ["30", "20"])
+    def test_repeated_key_is_usage_error_naming_both_lines(self, tmp_path, capsys, second):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"images=20\n# again\nimages={second}\n")
+        assert run(["synth", "--out", tmp_path / "out", "--config", path]) == 1
+        assert capsys.readouterr().err == f"usage error: {path}:3: config key 'images' repeats line 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_key_fails_fast(self, tmp_path):
         path = write_config(tmp_path, nonsense=1)
         with pytest.raises(UsageError, match="invalid config key"):
@@ -218,6 +226,18 @@ class TestExitCodes:
     def test_json_writer_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError, match="Out of range float values"):
             _write_json({"mRIC@100": float("nan")}, tmp_path / "report.json")
+
+    def test_log_file_in_a_missing_directory_is_data_error(self, tmp_path, capsys):
+        log = tmp_path / "missing" / "run.log"
+        assert run(["synth", "--out", tmp_path / "out", "--log-file", log]) == 2
+        assert capsys.readouterr().err == f"data error: [Errno 2] No such file or directory: '{log}'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_log_file_receives_the_stage_log_lines(self, tmp_path):
+        log = tmp_path / "run.log"
+        config = write_config(tmp_path, images=20)
+        assert run(["synth", "--out", tmp_path / "out", "--config", config, "--log-file", log]) == 0
+        assert f"sgrel.cli INFO synth: 14/2/6 train/val/test images -> {tmp_path / 'out'}\n" in log.read_text()
 
     def test_missing_file_is_two(self, tmp_path):
         code = run(
@@ -397,6 +417,57 @@ class TestDataErrorsNameTheFile:
         code = run([stage, "--out", tmp_path / "out", *corpus_flags(corpus), "--train", path, *extra, "--d-roi", 32])
         assert code == 2
         assert f"{path}: {problem}" in capsys.readouterr().err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nested far past the JSON decoder's limit
+
+
+def deep_jsonl_line(source, path, line):
+    """A copy of the JSON-lines file ``source`` at ``path``, without a companion, whose line ``line`` holds DEEP."""
+    lines = source.read_text().splitlines()
+    lines[line - 1] = '{"objects": ' + DEEP + "}"
+    path.write_text("".join(row + "\n" for row in lines))
+
+
+class TestJsonNestedTooDeeply:
+    """Every JSON input nested past the decoder's limit is a data error naming the file and line."""
+
+    def argv(self, corpus, tmp_path, name):
+        """``(argv, path, line)``: a run whose input ``name`` holds DEEP, at line ``line`` of ``path``."""
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        predictions = tmp_path / "predictions.jsonl"
+        save_oracle_predictions(corpus, "test", predictions)
+        train = ["train", *corpus_flags(corpus), "--train", corpus / "train.jsonl", "--val", corpus / "val.jsonl",
+                 "--test", corpus / "test.jsonl", "--object-embeddings", corpus / "object_embeddings.txt",
+                 "--d-roi", 32, "--config", write_config(tmp_path, "train.cfg", use_reweighting="true")]
+        evaluate = ["eval", *rescore_flags(corpus, tmp_path, "eval"), "--predictions", predictions]
+        if name == "annotations":
+            deep_jsonl_line(corpus / "train.jsonl", tmp_path / "train.jsonl", 3)
+            return (["ingest", *corpus_flags(corpus), "--annotations", tmp_path / "train.jsonl", "--d-roi", 32],
+                    tmp_path / "train.jsonl", 3)
+        if name.endswith("-predictions"):
+            deep_jsonl_line(predictions, tmp_path / "deep.jsonl", 2)
+            stage = name.removesuffix("-predictions")
+            return ([stage, *rescore_flags(corpus, tmp_path, stage), "--predictions", tmp_path / "deep.jsonl"],
+                    tmp_path / "deep.jsonl", 2)
+        if name == "recalls":
+            return (["resample", "--config", write_config(tmp_path, use_resampling="true"), *corpus_flags(corpus),
+                     "--train", corpus / "train.jsonl", "--d-roi", 32, "--recalls", path], path, 1)
+        return {
+            "train-weights": ([*train, "--weights", path], path, 1),
+            "eval-weights": ([*evaluate, "--weights", path], path, 1),
+            "zero-shot": ([*evaluate, "--zero-shot", path], path, 1),
+            "report": (["report", "--inputs", path], path, 1),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["annotations", "refine-predictions", "eval-predictions", "recalls",
+                                      "train-weights", "eval-weights", "zero-shot", "report"])
+    def test_is_data_error_naming_the_file_and_line(self, corpus, tmp_path, capsys, name):
+        argv, path, line = self.argv(corpus, tmp_path, name)
+        assert run([*argv, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"data error: {path}:{line}: invalid JSON: nested too deeply\n"
+        assert not any((tmp_path / "out").glob("*"))
 
 
 class TestZsplit:

@@ -21,6 +21,7 @@ from sgrel.ingest import (
     ParseError,
     build_zero_shot_index,
     companion_path,
+    decode_json,
     load_annotations,
     load_embeddings,
     load_labels,
@@ -93,6 +94,12 @@ class TestReaders:
     def test_invalid_json_names_the_line(self, tmp_path):
         with pytest.raises(ParseError, match=r"w.json:2: invalid JSON"):
             read_json(write(tmp_path, "w.json", '{"a": 1,\n}'))
+
+    def test_decode_json_names_the_line_the_error_is_on(self):
+        with pytest.raises(ParseError, match=r"^f.json:8: invalid JSON: Expecting value$"):
+            decode_json("[1,\n]", "f.json", 7)
+        with pytest.raises(ParseError, match=r"^f.json:7: invalid JSON: nested too deeply$"):
+            decode_json("[" * 100_000 + "]" * 100_000, "f.json", 7)
 
     @pytest.mark.parametrize("line, problem", [("", "empty line"), ("  ", "empty line"), ("[1]", "expected a JSON object")])
     def test_jsonl_line_that_is_not_an_object(self, tmp_path, spaces, line, problem):

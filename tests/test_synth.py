@@ -42,6 +42,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{key} must be finite, got nan$"):
             generate(SynthConfig(images=10, **{key: math.nan}))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_embedding_scale_rejected_naming_the_key(self, value):
+        with pytest.raises(ValueError, match=f"^embedding_scale must be finite and > 0, got {value!r}$"):
+            SynthConfig(embedding_scale=value).validate()
+
+    def test_generate_refuses_infinite_embedding_scale_before_drawing(self):
+        with pytest.raises(ValueError, match="^embedding_scale must be finite and > 0, got inf$"):
+            generate(SynthConfig(images=10, embedding_scale=math.inf))
+
     def test_too_few_object_labels(self):
         with pytest.raises(ValueError, match="infeasible"):
             SynthConfig(c_obj=2, c_pred=20).validate()
@@ -180,3 +189,12 @@ class TestOraclePredictions:
         loaded = load_map(path)
         assert loaded.label_cluster == data.map.label_cluster
         assert loaded.pair_predicate == data.map.pair_predicate
+
+    def test_map_nested_too_deeply_names_the_file(self, tmp_path):
+        from sgrel.ingest import ParseError
+        from sgrel.synth import load_map
+
+        path = tmp_path / "map.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match=r"map.json:1: invalid JSON: nested too deeply$"):
+            load_map(path)
