@@ -25,7 +25,7 @@ from .core import Dataset, box_overlap, offsets, owners
 from .ingest import EmbeddingTable, framed_arrays, load_framed, save_framed
 from .metrics import PredictionSet, evaluate
 from .metrics import build_ranked, match_triples  # unused here; perfbench/tracing.py patches these names
-from .reweighting import DEFAULT_MU, InfoWeights, LossBundle, total_loss, uniform_weights, weighted_pred_loss
+from .reweighting import DEFAULT_MU, InfoWeights, total_loss, uniform_weights, weighted_pred_loss
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -260,10 +260,12 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class TrainResult:
+    """The trained model and plain rows: per iteration (contrastive, weighted predicate, total) loss, and per
+    validation evaluation (iteration, the lr that iteration trained with, mR@50)."""
+
     model: RelationModel
-    history: list[LossBundle] = field(default_factory=list)
-    learning_rates: list[float] = field(default_factory=list)
-    val_mean_recall: list[float] = field(default_factory=list)
+    history: list[tuple[float, float, float]] = field(default_factory=list)
+    validation: list[tuple[int, float, float]] = field(default_factory=list)
 
 
 def _validation_mean_recall(model: RelationModel, val: Dataset) -> float:
@@ -313,18 +315,17 @@ def train(
             model, train_set, inputs, embeddings, idx, compute_contrastive=config.use_alignment
         )
         with np.errstate(over="ignore", invalid="ignore"):  # a loss or a step that overflows is refused below
-            loss = total_loss(config.box_loss, config.object_loss, batch.contrastive,
-                              weighted_pred_loss(batch.probs, batch.gold, weights), config.mu)
+            predicate = weighted_pred_loss(batch.probs, batch.gold, weights)
+            total = total_loss(config.box_loss, config.object_loss, batch.contrastive, predicate, config.mu)
             if lr != 0.0:
                 grads = backward(model, batch, weights, config.mu)
                 model.w_proj -= lr * grads.w_proj
                 model.w_cls -= lr * grads.w_cls
                 model.b_cls -= lr * grads.b_cls
-        result.history.append(loss)
-        result.learning_rates.append(lr)
+        result.history.append((batch.contrastive, predicate, total))
         if lr != 0.0 and not all(np.isfinite(w).all() for w in (model.w_proj, model.w_cls, model.b_cls)):
             raise ValueError(f"training diverged: parameters not finite after iteration {iteration}")
-        if not np.isfinite(loss.total):
+        if not np.isfinite(total):
             raise ValueError(f"training diverged: loss not finite at iteration {iteration}")
 
         if (
@@ -333,7 +334,7 @@ def train(
             and (iteration + 1) % config.eval_every == 0
         ):
             mr = _validation_mean_recall(model, val)
-            result.val_mean_recall.append(mr)
+            result.validation.append((iteration, lr, mr))
             if best_mr is None or mr > best_mr:
                 best_mr = mr
                 stale_evals = 0
@@ -371,28 +372,16 @@ def predict(model: RelationModel, dataset: Dataset) -> PredictionSet:
     return PredictionSet.of_objects(dataset, image, subj, obj, probs)
 
 
-def save_history(history: list[LossBundle], path: str | Path) -> None:
-    """Loss history CSV: iteration, contrastive, weighted_predicate, total."""
-    lines = ["iteration,contrastive,weighted_predicate,total"]
-    for i, bundle in enumerate(history):
-        lines.append(
-            f"{i},{bundle.contrastive_loss!r},{bundle.predicate_loss!r},{bundle.total!r}"
-        )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def save_history(history: list[tuple[float, float, float]], path: str | Path) -> None:
+    """Loss history CSV: iteration, contrastive, weighted_predicate, total; ``repr`` writes each float exactly."""
+    rows = (f"{i},{','.join(map(repr, row))}\n" for i, row in enumerate(history))
+    Path(path).write_text("iteration,contrastive,weighted_predicate,total\n" + "".join(rows), encoding="utf-8")
 
 
-def save_validation(result: TrainResult, eval_every: int, path: str | Path) -> None:
-    """Validation CSV: iteration, lr, val_mean_recall_50; one row per validation evaluation.
-
-    Evaluation ``j`` runs after iteration ``(j + 1) * eval_every - 1``; ``lr`` is
-    the rate that iteration trained with (a decay the evaluation triggers applies
-    from the next iteration).
-    """
-    lines = ["iteration,lr,val_mean_recall_50"]
-    for j, mr in enumerate(result.val_mean_recall):
-        i = (j + 1) * eval_every - 1
-        lines.append(f"{i},{result.learning_rates[i]!r},{mr!r}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def save_validation(result: TrainResult, path: str | Path) -> None:
+    """Validation CSV: iteration, lr, val_mean_recall_50; one row per validation evaluation."""
+    rows = (f"{iteration},{lr!r},{mr!r}\n" for iteration, lr, mr in result.validation)
+    Path(path).write_text("iteration,lr,val_mean_recall_50\n" + "".join(rows), encoding="utf-8")
 
 
 CHECKPOINT_FORMAT = "sgrel-model"
@@ -408,10 +397,8 @@ def save_model(model: RelationModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RelationModel:
-    try:
-        header, payload = load_framed(path)
-    except ValueError as err:  # invalid UTF-8 or JSON
-        raise ValueError(f"{path}: not a model checkpoint: {err}") from err
+    """The model ``save_model`` wrote; any other file raises ``ValueError`` naming ``path`` (``load_framed``)."""
+    header, payload = load_framed(path)
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:

@@ -324,16 +324,13 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     alignment.save_model(result.model, out / "model.ckpt")
     alignment.save_history(result.history, out / "loss_history.csv")
-    alignment.save_validation(result, config.eval_every, out / "validation.csv")
+    alignment.save_validation(result, out / "validation.csv")
     for name, split in (("val", val_set), ("test", test_set)):
         metrics.save_predictions(
             alignment.predict(result.model, split), object_space, out / f"predictions_{name}.jsonl"
         )
-    logger.info(
-        "train: %d iterations, final total loss %.5f",
-        len(result.history),
-        result.history[-1].total if result.history else float("nan"),
-    )
+    final_total = result.history[-1][2] if result.history else float("nan")
+    logger.info("train: %d iterations, final total loss %.5f", len(result.history), final_total)
     return 0
 
 

@@ -11,7 +11,7 @@ import shutil
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,9 +27,9 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of ``path``; bytes that are not UTF-8 raise ``ParseError`` naming the line."""
-    data = Path(path).read_bytes()
+def read_text(path: str | Path, data: bytes | None = None) -> str:
+    """The UTF-8 text of ``path`` (or of its bytes ``data``); bytes that are not UTF-8 raise ``ParseError``."""
+    data = Path(path).read_bytes() if data is None else data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -101,12 +101,12 @@ def save_framed(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -
 def load_framed(path: str | Path) -> tuple[object, bytes]:
     """The decoded header line of a framed file and the bytes after it.
 
-    A header line that is not UTF-8 JSON (``decode_json``) raises ``ValueError``.
+    A header line that is not UTF-8 JSON (``read_text``, ``decode_json``) raises ``ParseError`` naming ``path``.
     """
     with open(path, "rb") as handle:
         line = handle.readline()
         payload = handle.read()
-    return decode_json(line.decode("utf-8"), path), payload
+    return decode_json(read_text(path, line), path), payload
 
 
 def framed_arrays(
@@ -394,14 +394,22 @@ def box(value: object) -> tuple[float, float, float, float]:
     return tuple(map(float, value))
 
 
+def left_to_right_sum(terms: Iterable, total=0.0):
+    """``total`` plus each of ``terms`` in order (an array ``total`` in place): how a probs row is added by ``scores``
+    and, column by column, by ``metrics``. Python's ``sum`` (from 3.12) and numpy's can overflow where this does not."""
+    for term in terms:
+        total += term
+    return total
+
+
 def scores(size: int) -> Callable[[object], list]:
-    """Parser of a list of ``size`` finite, non-negative numbers."""
+    """Parser of a list of ``size`` non-negative numbers with a finite ``left_to_right_sum``."""
 
     def parse(value: object) -> list:
         if len(numbers(value)) != size:
             raise ValueError(f"expected {size} predicate scores, got {len(value)}")
         # The sum is NaN or infinite when an entry is, so min() need only catch negatives.
-        if not (min(value) >= 0.0 and float(sum(value)) < math.inf):
+        if not (min(value) >= 0.0 and left_to_right_sum(value) < math.inf):
             raise ValueError("must be finite and non-negative")
         return value
 

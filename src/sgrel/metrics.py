@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -32,7 +31,7 @@ import numpy as np
 
 from .core import Dataset, LabelSpace, Signature, box_overlap, owners, repeats
 from .ingest import LINES_PER_WRITE, ParseError, _row_texts, box, integer, load_companion, number, parse_fields
-from .ingest import read_jsonl, save_with_companion, scores, string
+from .ingest import left_to_right_sum, read_jsonl, save_with_companion, scores, string
 from .reweighting import InfoWeights
 
 logger = logging.getLogger(__name__)
@@ -410,30 +409,42 @@ def _column_lines(image_ids: tuple[str, ...], columns: dict, names: tuple[str, .
         )
 
 
+def _unwritable(columns: dict[str, np.ndarray], num_labels: int) -> dict[str, list[np.ndarray]]:
+    """For each rule that every reader holds a pair's values to, the values of ``columns`` that break it, as masks
+    with a row per pair; as in ``scores``, probs that pass the rules before must have a finite ``left_to_right_sum``."""
+    labels = np.stack([columns["subj_label"], columns["obj_label"]], axis=1)
+    label_scores, probs = columns["label_scores"], columns["probs"]
+    sums = np.zeros(len(probs))
+    if not probs.max(initial=0.0) < 1e300 / max(probs.shape[1], 1):  # smaller entries sum finitely in any order
+        with np.errstate(over="ignore", invalid="ignore"):
+            left_to_right_sum(probs.T, sums)
+    return {
+        "a label outside the object labels": [(labels < 0) | (labels >= num_labels)],
+        "a non-finite value": [~np.isfinite(columns["boxes"]), ~np.isfinite(label_scores), ~np.isfinite(probs)],
+        "a negative value": [label_scores < 0.0, probs < 0.0],
+        "probs whose sum is not finite": [~np.isfinite(sums)[:, None]],
+    }
+
+
 def save_predictions(predictions: PredictionSet, object_space: LabelSpace, path: str | Path) -> None:
     """Serialize pair predictions as JSON lines (labels stored as names, ``probs`` last), plus their companion.
 
     The lines are formatted from the columns, with the bytes ``json`` would
     write; the binary companion (``ingest.save_with_companion``; read by
-    ``load_predictions``) holds the same columns. A label outside
-    ``object_space`` or a float that is not finite, which no reader accepts,
-    raises ``ValueError`` naming ``path`` and the first such pair before
-    anything is written. No pairs give an empty file and no companion.
+    ``load_predictions``) holds the same columns. A value that no reader
+    accepts (``_unwritable``) raises ``ValueError`` naming ``path``, the rule
+    and the first pair that breaks it, before anything is written. No pairs
+    give an empty file and no companion.
     """
     p = predictions
     columns = {name: np.asarray(column, dtype=_COLUMNS[name]) for name, column in zip(_COLUMNS, (
         p.image, p.subj_id, p.obj_id, p.subj_label, p.obj_label, np.concatenate([p.subj_box, p.obj_box], axis=1),
         np.stack([p.subj_score, p.obj_score], axis=1), p.probs,
     ))}
-    labels = np.stack([p.subj_label, p.obj_label], axis=1)
-    for problem, ok in (
-        ("a label outside the object labels", ((0 <= labels) & (labels < object_space.size)).all(axis=1)),
-        ("a non-finite value", np.isfinite(columns["boxes"]).all(axis=1)
-         & np.isfinite(columns["label_scores"]).all(axis=1) & np.isfinite(p.probs).all(axis=1)),
-    ):
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            image_id, pair = p.pair(bad[0])
+    for problem, masks in _unwritable(columns, object_space.size).items():
+        broken = [mask.any(axis=1) for mask in masks if mask.any()]
+        if broken:
+            image_id, pair = p.pair(int(np.logical_or.reduce(broken).argmax()))
             raise ValueError(f"{path}: image {image_id}: pair {pair} holds {problem}")
     names = object_space.names
     header = {
@@ -452,15 +463,12 @@ def _load_companion(path: str | Path, object_space: LabelSpace, num_predicates: 
     header, columns = loaded
     count, image_ids = header.get("count"), header["image_ids"]
     image, subj_id, obj_id, subj_label, obj_label, boxes, label_scores, probs = columns.values()
-    if not (  # the JSON lines' value checks, vectorised; entries below 1e300 / C sum to a finite number
+    if not (  # the JSON lines' value checks, vectorised
         type(count) is int and count > 0 and num_predicates > 0
         and [column.shape for column in columns.values()]
         == [(count,)] * 5 + [(count, 8), (count, 2), (count, num_predicates)]
         and 0 <= image.min() and image.max() < len(image_ids)
-        and 0 <= min(subj_label.min(), obj_label.min())
-        and max(subj_label.max(), obj_label.max()) < object_space.size
-        and np.isfinite(boxes).all() and ((0.0 <= label_scores) & (label_scores < math.inf)).all()
-        and (probs >= 0.0).all() and probs.max() < 1e300 / num_predicates
+        and not any(mask.any() for masks in _unwritable(columns, object_space.size).values() for mask in masks)
     ):
         return None
     return PredictionSet(tuple(image_ids), image, subj_id, obj_id, subj_label, obj_label,

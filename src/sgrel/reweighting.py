@@ -27,18 +27,6 @@ class InfoWeights:
     weights: np.ndarray      # bits normalized to mean 1 over observed predicates
 
 
-@dataclass(frozen=True)
-class LossBundle:
-    """All loss terms of one training step and their exact affine total."""
-
-    box_loss: float
-    object_loss: float
-    contrastive_loss: float
-    predicate_loss: float
-    mu: float
-    total: float
-
-
 def info_weights(counts: np.ndarray) -> InfoWeights:
     """Build loss weights from training triple counts.
 
@@ -104,21 +92,9 @@ def weighted_pred_loss(
     return float(np.mean(weights.weights[gold] * (-np.log(p))))
 
 
-def total_loss(
-    box_loss: float,
-    object_loss: float,
-    contrastive_loss: float,
-    predicate_loss: float,
-    mu: float = DEFAULT_MU,
-) -> LossBundle:
-    """Assemble the training objective: detector terms enter as supplied scalars."""
+def total_loss(box_loss: float, object_loss: float, contrastive_loss: float, predicate_loss: float,
+               mu: float = DEFAULT_MU) -> float:
+    """The training objective: detector terms enter as supplied scalars, summed left to right."""
     if mu < 0:
         raise ValueError(f"mu must be non-negative, got {mu}")
-    return LossBundle(
-        box_loss=box_loss,
-        object_loss=object_loss,
-        contrastive_loss=contrastive_loss,
-        predicate_loss=predicate_loss,
-        mu=mu,
-        total=box_loss + object_loss + contrastive_loss + mu * predicate_loss,
-    )
+    return float(box_loss + object_loss + contrastive_loss + mu * predicate_loss)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import OBJECT, PREDICATE, Dataset, LabelSpace, Signature, offsets, owners, repeats
-from .ingest import EmbeddingTable, read_json
+from .ingest import EmbeddingTable, integer, json_list, parse_fields, read_json
 from .metrics import PredictionSet
 from .seeding import substream
 
@@ -91,13 +91,6 @@ class GenerativeMap:
             "label_cluster": list(self.label_cluster),
             "pairs": sorted([i, j, p] for (i, j), p in self.pair_predicate.items()),
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "GenerativeMap":
-        return cls(
-            label_cluster=tuple(int(c) for c in payload["label_cluster"]),
-            pair_predicate={(int(i), int(j)): int(p) for i, j, p in payload["pairs"]},
-        )
 
 
 @dataclass(eq=False)
@@ -337,5 +330,19 @@ def save_map(gen_map: GenerativeMap, path: str | Path) -> None:
     )
 
 
+def _integers(value: object) -> list[int]:
+    return [integer(item) for item in json_list(value)]
+
+
 def load_map(path: str | Path) -> GenerativeMap:
-    return GenerativeMap.from_json_dict(read_json(path))
+    """The map ``save_map`` wrote. A value outside ``ingest``'s field vocabulary raises ``ValueError`` naming
+    ``path`` and the key or the ``pairs[i]`` row: clusters are integers, each pair row three of them."""
+    clusters, rows = parse_fields(read_json(path), (("label_cluster", _integers), ("pairs", json_list)), str(path))
+    pairs = {}
+    for i, row in enumerate(rows):
+        try:
+            subj, obj, predicate = _integers(row)
+        except (TypeError, ValueError) as err:  # a row that is not three long fails to unpack
+            raise ValueError(f"{path}: pairs[{i}]: {err}") from None
+        pairs[subj, obj] = predicate
+    return GenerativeMap(tuple(clusters), pairs)

@@ -51,7 +51,7 @@ def test_criterion_2_loss_oracles():
     info = info_weights(np.array([4, 2, 1, 1]))
     np.testing.assert_allclose(info.weights, [0.4444, 0.8889, 1.3333, 1.3333], atol=1e-4)
 
-    assert total_loss(0.0, 0.0, 0.3, 1.0, mu=1.2).total == 1.5
+    assert total_loss(0.0, 0.0, 0.3, 1.0, mu=1.2) == 1.5
     _ok(2, "contrastive 0.31326, ln N exact, N=1 exact; info weights exact; total loss 1.5 exact")
 
 

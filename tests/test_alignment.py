@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import sgrel.alignment as alignment
 from sgrel.alignment import (
     RelationModel,
     TrainConfig,
@@ -17,12 +18,13 @@ from sgrel.alignment import (
     predict,
     save_history,
     save_model,
+    save_validation,
     train,
 )
 from reference_annotations import BoundingBox, ObjectInstance, SceneGraphAnnotation, Triple, to_objects
 from sgrel.core import AnnotationError
 from sgrel.ingest import EmbeddingTable
-from sgrel.reweighting import info_weights, weighted_pred_loss
+from sgrel.reweighting import info_weights, total_loss, weighted_pred_loss
 from sgrel.synth import SynthConfig, generate
 
 from conftest import make_annotation, make_box, make_dataset, make_spaces
@@ -313,7 +315,7 @@ class TestTrain:
         for _ in range(2):
             model = RelationModel.init(6, 4, 4, np.random.default_rng(3))
             result = train(model, data.train, data.object_embeddings, config)
-            histories.append([(b.contrastive_loss, b.predicate_loss, b.total) for b in result.history])
+            histories.append(result.history)
         assert histories[0] == histories[1]
 
     def test_empty_dataset_rejected(self):
@@ -347,10 +349,10 @@ class TestTrain:
         config = TrainConfig(lr=1e-12, iterations=40, batch_size=8, seed=1,
                              eval_every=5, patience=2)
         result = train(model, data.train, data.object_embeddings, config, val=data.val)
-        assert len(result.val_mean_recall) == 8
-        assert result.learning_rates[0] == 1e-12
+        assert len(result.validation) == 8
+        assert result.validation[0][1] == 1e-12
         # Evals 3, 5, and 7 each accumulate `patience` stale results -> 3 decays.
-        assert min(result.learning_rates) == pytest.approx(1e-12 * 0.1 ** 3, rel=1e-9, abs=0)
+        assert min(lr for _, lr, _ in result.validation) == pytest.approx(1e-12 * 0.1 ** 3, rel=1e-9, abs=0)
 
     def test_history_csv(self, tmp_path):
         data = tiny_corpus()
@@ -362,6 +364,75 @@ class TestTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "iteration,contrastive,weighted_predicate,total"
         assert len(lines) == 6
+
+
+class TestTrainRecords:
+    """``train`` records plain rows: one loss row per iteration, one validation row per evaluation."""
+
+    CONFIG = TrainConfig(lr=0.01, iterations=30, batch_size=8, seed=3, eval_every=7, patience=1,
+                         box_loss=0.375, object_loss=0.8125)
+
+    def test_validation_rows_carry_the_rate_their_iteration_trained_with(self, monkeypatch, tmp_path):
+        data = tiny_corpus()
+        model = RelationModel.init(6, 4, 4, np.random.default_rng(0))
+        # Scripted recalls: eval 1 (iteration 13) and eval 3 (iteration 27) fail to improve, so each decays.
+        recalls = iter([0.5, 0.4, 0.625, 0.625])
+        monkeypatch.setattr(alignment, "_validation_mean_recall", lambda model, val: next(recalls))
+        # Unit bias gradients: each step lowers every bias by exactly the rate it trained with.
+        biases = []
+
+        def unit_backward(model, batch, weights=None, mu=0.0):
+            biases.append(model.b_cls[0])
+            return RelationModel(np.zeros_like(model.w_proj), np.zeros_like(model.w_cls), np.ones_like(model.b_cls))
+
+        monkeypatch.setattr(alignment, "backward", unit_backward)
+        result = train(model, data.train, data.object_embeddings, self.CONFIG, val=data.val)
+        biases.append(result.model.b_cls[0])
+        trained_with = -np.diff(biases)
+        np.testing.assert_allclose(trained_with, [0.01] * 14 + [0.001] * 14 + [0.0001] * 2, rtol=1e-9)
+
+        assert [row[0] for row in result.validation] == [(j + 1) * 7 - 1 for j in range(4)]
+        for iteration, lr, _ in result.validation:
+            assert lr == pytest.approx(trained_with[iteration], rel=1e-9)
+        # The decay eval 1 triggers shows from row 2, not in row 1.
+        assert [lr for _, lr, _ in result.validation] == [0.01, 0.01, 0.01 * 0.1, 0.01 * 0.1]
+        assert [mr for _, _, mr in result.validation] == [0.5, 0.4, 0.625, 0.625]
+
+        path = tmp_path / "validation.csv"
+        save_validation(result, path)
+        assert path.read_text().splitlines() == [
+            "iteration,lr,val_mean_recall_50", "6,0.01,0.5", "13,0.01,0.4", f"20,{0.01 * 0.1!r},0.625",
+            f"27,{0.01 * 0.1!r},0.625",
+        ]
+
+    def test_each_total_is_total_loss_of_its_own_terms(self):
+        data = tiny_corpus()
+        model = RelationModel.init(6, 4, 4, np.random.default_rng(0))
+        result = train(model, data.train, data.object_embeddings, self.CONFIG, val=data.val)
+        assert len(result.history) == 30
+        assert [row[0] for row in result.validation] == [6, 13, 20, 27]
+        for contrastive, predicate, total in result.history:
+            assert total == total_loss(0.375, 0.8125, contrastive, predicate, self.CONFIG.mu)
+        # Plain floats, whose repr the CSVs print as a number.
+        assert {type(value) for row in result.history for value in row} == {float}
+        assert {type(value) for _, *values in result.validation for value in values} == {float}
+
+    def test_no_evaluation_writes_no_rows(self, tmp_path):
+        data = tiny_corpus()
+        model = RelationModel.init(6, 4, 4, np.random.default_rng(0))
+        config = TrainConfig(lr=0.01, iterations=10, batch_size=8, seed=3, eval_every=0)
+        result = train(model, data.train, data.object_embeddings, config, val=data.val)
+        assert result.validation == [] and len(result.history) == 10
+        save_validation(result, tmp_path / "validation.csv")
+        assert (tmp_path / "validation.csv").read_text() == "iteration,lr,val_mean_recall_50\n"
+
+    def test_zero_rate_is_recorded(self):
+        data = tiny_corpus()
+        model = RelationModel.init(6, 4, 4, np.random.default_rng(0))
+        config = TrainConfig(lr=0.0, iterations=14, batch_size=8, seed=3, eval_every=7, patience=1)
+        result = train(model, data.train, data.object_embeddings, config, val=data.val)
+        assert [(i, lr) for i, lr, _ in result.validation] == [(6, 0.0), (13, 0.0)]
+        assert len(result.history) == 14 and len(set(result.history)) > 1  # batches differ while nothing moves
 
 
 class TestPairInputs:
@@ -425,13 +496,17 @@ class TestCheckpoint:
     def test_rejects_header_nested_too_deeply_naming_the_path(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"[" * 100_000 + b"\n" + bytes(16))
-        message = f"{path}: not a model checkpoint: {path}:1: invalid JSON: nested too deeply"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: invalid JSON: nested too deeply$"):
             load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "nope.ckpt"
-        for content in (b'{"format": "something-else"}\n', b"not json\n", b"\xff\n"):
+        for content, message in (
+            (b'{"format": "something-else"}\n', ": not a model checkpoint"),
+            (b"not json\n", ":1: invalid JSON: Expecting value"),
+            (b"\xff\n", ":1: not UTF-8 text: byte 0xff (invalid start byte)"),
+        ):
             path.write_bytes(content)
-            with pytest.raises(ValueError, match=re.escape(f"{path}: not a model checkpoint")):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path}{message}')}$") as raised:
                 load_model(path)
+            assert str(raised.value).count(str(path)) == 1

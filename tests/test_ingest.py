@@ -160,6 +160,17 @@ class TestParseFields:
             parse_fields(record, self.TABLE, "row 3")
         assert str(err.value) == problem
 
+    def test_probs_are_added_left_to_right(self):
+        """The same entries sum finitely in one order and overflow in the other; rows and columns agree."""
+        row = [1.7976931348623157e308] + [6e291] * 8  # the running sum stays at the largest float
+        parse = ingest.scores(9)
+        assert parse(row) == row
+        with pytest.raises(ValueError, match="^must be finite and non-negative$"):
+            parse(row[::-1])
+        with np.errstate(over="ignore"):
+            sums = ingest.left_to_right_sum(np.array([row, row[::-1]]).T, np.zeros(2))
+        assert sums[0] == ingest.left_to_right_sum(row) == row[0] and math.isinf(sums[1])
+
     def test_unknown_label_message_is_unquoted(self, spaces):
         with pytest.raises(ValueError) as err:
             parse_fields({"label": "dragon"}, (("label", spaces[0].index_of),))

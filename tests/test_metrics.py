@@ -875,10 +875,37 @@ class TestCompanion:
                 path = saved(to_set(pairs, 3), object_space, directory)
             except OverflowError:  # an integer too large for a float is not a column value
                 return
-            except ValueError as err:  # a value that is not finite is refused before anything is written
-                assert "holds a non-finite value" in str(err) and not list(Path(directory).iterdir())
+            except ValueError as err:  # a value that no reader accepts is refused before anything is written
+                assert re.search(f"holds ({'|'.join(UNWRITABLE)})$", str(err)) and not list(Path(directory).iterdir())
                 return
             assert_loaders_agree(path, object_space, 3)
+
+    @given(prediction_lists(values=(finite, st.one_of(st.floats(), st.integers(-(2**53), 2**53)), st.one_of(
+        st.floats(), st.sampled_from([1.7976931348623157e308, 1e308, 6e291, 1e300, -0.0, -5e-324])))))
+    def test_whatever_is_written_both_readers_return(self, pairs):
+        object_space, _ = make_spaces()
+        with tempfile.TemporaryDirectory() as directory:
+            try:
+                path = saved(to_set(pairs, 3), object_space, directory)
+            except ValueError:
+                assert not list(Path(directory).iterdir())
+                return
+            if pairs:
+                assert metrics._load_companion(path, object_space, 3) is not None
+            from_text = jsonl_outcome(path, object_space, 3)
+            assert type(from_text[0]) is tuple  # the image ids of a loaded set, not an error's type
+            assert outcome(path, object_space, 3) == from_text
+
+    def test_a_row_that_only_a_left_to_right_sum_keeps_finite(self, tmp_path):
+        object_space, _ = make_spaces(c_obj=4)
+        probs = np.array([1.7976931348623157e308] + [6e291] * 8)  # a pairwise sum overflows
+        pairs = awkward_pairs(np.random.default_rng(5), 9)
+        pairs[4].probs = probs
+        path = saved(to_set(pairs), object_space, tmp_path)
+        from_companion = metrics._load_companion(path, object_space, 9)
+        assert from_companion is not None
+        np.testing.assert_array_equal(from_companion.probs[4], probs)
+        assert describe(from_companion) == jsonl_outcome(path, object_space, 9)
 
     @pytest.fixture
     def written(self, tmp_path):
@@ -947,11 +974,15 @@ class TestCompanion:
         lambda p: setattr(p, "subj_score", -0.5),
     ])
     def test_values_the_jsonl_refuses_are_refused_alike(self, tmp_path, change):
+        """Values ``save_predictions`` refuses, forged under valid digests by the list-based writer, which still
+        writes them with a companion: the companion reader's own checks refuse them, as the JSON lines do."""
         object_space, _ = make_spaces(c_obj=4)
         pairs = awkward_pairs(np.random.default_rng(5), 3)
         change(pairs[4])
-        path = saved(to_set(pairs), object_space, tmp_path)
+        path = tmp_path / "preds.jsonl"
+        listed.save_predictions(pairs, object_space, path)
         assert companion_path(path).exists()
+        assert metrics._load_companion(path, object_space, 3) is None
         refused = assert_loaders_agree(path, object_space, 3)
         assert refused[0] is ParseError and refused[1].startswith(f"{path}:5: bad ")
 
@@ -962,8 +993,12 @@ class TestCompanion:
         (lambda p: setattr(p, "obj_box", BoundingBox(0.0, 0.0, math.inf, 1.0)), "a non-finite value"),
         (lambda p: setattr(p, "subj_label", -1), "a label outside the object labels"),
         (lambda p: setattr(p, "obj_label", 4), "a label outside the object labels"),
-    ], ids=["nan-prob", "-inf-prob", "inf-label-score", "inf-box", "label-minus-1", "label-past-the-space"])
-    def test_values_no_reader_accepts_are_refused_at_write(self, written, change, problem):
+        (lambda p: setattr(p, "probs", np.array([0.5, -1e-300, 0.5])), "a negative value"),
+        (lambda p: setattr(p, "subj_score", -1.0), "a negative value"),
+        (lambda p: setattr(p, "probs", np.array([1e308, 1e308, 0.0])), "probs whose sum is not finite"),
+    ], ids=["nan-prob", "-inf-prob", "inf-label-score", "inf-box", "label-minus-1", "label-past-the-space",
+            "negative-prob", "negative-label-score", "probs-summing-past-the-largest-float"])
+    def test_values_no_reader_accepts_are_refused_at_write(self, written, tmp_path, change, problem):
         path, object_space, expected = written
         pairs = awkward_pairs(np.random.default_rng(5), 3)
         change(pairs[4])
@@ -972,6 +1007,21 @@ class TestCompanion:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             save_predictions(to_set(pairs), object_space, path)
         assert outcome(path, object_space, 3) == expected  # nothing was written
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        with pytest.raises(ValueError, match=f"holds {problem}$"):
+            saved(to_set(pairs), object_space, fresh)
+        assert not list(fresh.iterdir())
+
+    @pytest.mark.parametrize("first, second", [("subj_score", "probs"), ("probs", "obj_score")])
+    def test_the_first_pair_that_breaks_a_rule_is_named(self, written, first, second):
+        path, object_space, _ = written
+        pairs = awkward_pairs(np.random.default_rng(5), 3)
+        for row, column in ((4, first), (7, second)):  # one rule, broken in two different columns
+            setattr(pairs[row], column, np.array([0.5, -1.0, 0.5]) if column == "probs" else -1.0)
+        message = f"{path}: image im0: pair (1, 2) holds a negative value"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_predictions(to_set(pairs), object_space, path)
 
     def test_missing_companion(self, written):
         path, object_space, expected = written
@@ -1097,7 +1147,12 @@ REPR_BRANCHES = [
 written_float = st.one_of(
     finite, st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, 0.1, -2.5, *REPR_BRANCHES]),
 )
-# Values a pair may hold: integers that the set holds as floats, and non-finite floats that it refuses to write.
+written_score = st.one_of(  # label scores and probs: not negative
+    st.floats(0.0, allow_infinity=False), st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e300, 0.1]),
+    st.sampled_from(REPR_BRANCHES).map(abs),
+)
+# Values a pair may hold: integers that the set holds as floats, and values that no reader accepts, which it
+# refuses to write.
 TRIGGERS = {
     "int coordinate": lambda p: setattr(p, "obj_box", BoundingBox(7, *p.obj_box.xyxy[1:])),
     "int label score": lambda p: setattr(p, "obj_score", 1),
@@ -1105,8 +1160,17 @@ TRIGGERS = {
     "inf prob": lambda p: p.probs.__setitem__(-1, math.inf),
     "-inf prob": lambda p: p.probs.__setitem__(-1, -math.inf),
     "nan label score": lambda p: setattr(p, "subj_score", math.nan),
+    "negative prob": lambda p: p.probs.__setitem__(0, -2.5),
+    "negative label score": lambda p: setattr(p, "obj_score", -0.5),
 }
 REFUSED = {"nan prob", "inf prob", "-inf prob", "nan label score"}
+UNWRITABLE = ("a non-finite value", "a negative value", "probs whose sum is not finite")
+
+
+def negative_or_overflowing(pairs):
+    """Whether a pair holds a negative label score or prob, or probs whose left-to-right sum is not finite."""
+    return any(min(p.subj_score, p.obj_score, *p.probs) < 0 or math.isinf(ingest.left_to_right_sum(map(float, p.probs)))
+               for p in pairs)
 
 
 @st.composite
@@ -1121,14 +1185,14 @@ def written_cases(draw):
     pairs = []
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
-            probs = np.array(draw(st.lists(written_float, min_size=c_pred, max_size=c_pred)))
+            probs = np.array(draw(st.lists(written_score, min_size=c_pred, max_size=c_pred)))
         else:
-            width32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+            width32 = st.floats(0.0, width=32, allow_infinity=False)
             probs = np.array(draw(st.lists(width32, min_size=c_pred, max_size=c_pred)), dtype=np.float32)
         pairs.append(PairPrediction(
             draw(st.one_of(st.just(""), escaped)), draw(st.integers(-(2**63), 2**63 - 1)),
             draw(st.integers(-(2**63), 2**63 - 1)), draw(label), draw(label), draw(st.sampled_from(boxes)),
-            draw(st.sampled_from(boxes)), probs, draw(written_float), draw(written_float),
+            draw(st.sampled_from(boxes)), probs, draw(written_score), draw(written_score),
         ))
     trigger = draw(st.sampled_from([None, *TRIGGERS])) if pairs else None
     if trigger:
@@ -1145,8 +1209,9 @@ class TestStackedRanking:
         predictions = to_set(pairs, 1)
         with tempfile.TemporaryDirectory() as directory:
             new, old, replaced = (Path(directory) / name for name in ("new.jsonl", "old.jsonl", "replaced.jsonl"))
-            if trigger in REFUSED:
-                with pytest.raises(ValueError, match="holds a non-finite value$"):
+            if trigger in REFUSED or negative_or_overflowing(pairs):
+                refused = UNWRITABLE[:1] if trigger in REFUSED else UNWRITABLE[1:]
+                with pytest.raises(ValueError, match=f"holds ({'|'.join(refused)})$"):
                     save_predictions(predictions, object_space, new)
                 assert not list(Path(directory).iterdir())
                 return
@@ -1193,7 +1258,7 @@ class TestStackedRanking:
         rng = np.random.default_rng(count)
         object_space, _ = make_spaces(c_obj=4)
         probs = rng.dirichlet(np.full(7, 0.2), size=count)
-        probs.ravel()[::3][: 2 * len(REPR_BRANCHES)] = REPR_BRANCHES * 2
+        probs.ravel()[::3][: 2 * len(REPR_BRANCHES)] = np.abs(REPR_BRANCHES * 2)  # probs are not negative
         pairs = [pair(f"im{i // 100}", i, i + 1, row, boxes=(make_box(), make_box(1.0, 2.0, 3.5, 4.25)))
                  for i, row in enumerate(probs)]
         save_predictions(to_set(pairs), object_space, tmp_path / "new.jsonl")

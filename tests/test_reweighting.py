@@ -107,15 +107,13 @@ class TestWeightedPredLoss:
 
 class TestTotalLoss:
     def test_hand_value_exact(self):
-        bundle = total_loss(0.0, 0.0, 0.3, 1.0, mu=1.2)
-        assert bundle.total == 1.5
+        assert total_loss(0.0, 0.0, 0.3, 1.0, mu=1.2) == 1.5
 
     def test_mu_zero_drops_predicate_term(self):
-        bundle = total_loss(0.25, 0.5, 0.125, 99.0, mu=0.0)
-        assert bundle.total == 0.875
+        assert total_loss(0.25, 0.5, 0.125, 99.0, mu=0.0) == 0.875
 
     def test_all_zero(self):
-        assert total_loss(0.0, 0.0, 0.0, 0.0, mu=1.2).total == 0.0
+        assert total_loss(0.0, 0.0, 0.0, 0.0, mu=1.2) == 0.0
 
     def test_linear_in_each_argument(self, rng):
         base = [float(v) for v in rng.uniform(0.0, 2.0, size=4)]
@@ -123,9 +121,14 @@ class TestTotalLoss:
         for position in range(4):
             bumped = list(base)
             bumped[position] += 1.0
-            delta = total_loss(*bumped, mu=mu).total - total_loss(*base, mu=mu).total
+            delta = total_loss(*bumped, mu=mu) - total_loss(*base, mu=mu)
             expected = mu if position == 3 else 1.0
             assert delta == pytest.approx(expected, abs=1e-12)
+
+    def test_adds_left_to_right(self, rng):
+        # Float addition is not associative: the total must be this exact expression, bit for bit.
+        for box, obj, contrastive, predicate, mu in rng.uniform(0.0, 3.0, size=(200, 5)).tolist():
+            assert total_loss(box, obj, contrastive, predicate, mu=mu) == box + obj + contrastive + mu * predicate
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):

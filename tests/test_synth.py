@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,26 @@ class TestOraclePredictions:
         loaded = load_map(path)
         assert loaded.label_cluster == data.map.label_cluster
         assert loaded.pair_predicate == data.map.pair_predicate
+
+    @pytest.mark.parametrize("payload, message", [
+        ("[1, 2]", "expected a JSON object, got [1, 2]"),
+        ('{"label_cluster": [0, 1], "pairs": [[0, 0]]}', "pairs[0]: not enough values to unpack (expected 3, got 2)"),
+        ('{"label_cluster": [0, 1], "pairs": [[0, 1, 2, 3]]}', "pairs[0]: too many values to unpack (expected 3)"),
+        ('{"label_cluster": [1.5, true, "3"], "pairs": [[0, 1, 2]]}',
+         "bad 'label_cluster': expected an integer, got 1.5"),
+        ('{"label_cluster": [1, true], "pairs": []}', "bad 'label_cluster': expected an integer, got True"),
+        ('{"label_cluster": [0, 1], "pairs": [[0, 1, 2], [0, 1, 2.9]]}', "pairs[1]: expected an integer, got 2.9"),
+        ('{"label_cluster": [0, 1], "pairs": [5]}', "pairs[0]: expected a list, got 5"),
+        ('{"label_cluster": [0, 1]}', "missing key 'pairs'"),
+    ], ids=["not-an-object", "short-pair", "long-pair", "float-cluster", "boolean-cluster", "float-predicate",
+            "pair-not-a-list", "no-pairs"])
+    def test_map_outside_the_field_vocabulary_names_the_file_and_the_key(self, tmp_path, payload, message):
+        from sgrel.synth import load_map
+
+        path = tmp_path / "map.json"
+        path.write_text(payload)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_map(path)
 
     def test_map_nested_too_deeply_names_the_file(self, tmp_path):
         from sgrel.ingest import ParseError
