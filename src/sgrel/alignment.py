@@ -156,23 +156,47 @@ def pair_inputs(dataset: Dataset) -> np.ndarray:
     return np.concatenate([features[subj], features[obj], geometry], axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class BatchTables:
+    """What the batched forward reads of a split and no step changes (``batch_tables``): row ``i`` holds image ``i``'s
+    triple rows and, if it has the two objects a contrast needs, its object rows, each padded with row 0 to the
+    widest image and masked. They take images x (max objects + max triples) x 9 bytes."""
+
+    dataset: Dataset
+    unit: np.ndarray         # EmbeddingTable.unit
+    inputs: np.ndarray       # pair_inputs(dataset)
+    triple_rows: np.ndarray  # (I, max triples)
+    triple_mask: np.ndarray
+    counts: np.ndarray       # (I,) objects, 0 below two
+    object_rows: np.ndarray  # (I, counts.max())
+    object_mask: np.ndarray
+
+
+def batch_tables(dataset: Dataset, embeddings: EmbeddingTable) -> BatchTables:
+    """The split's ``BatchTables``; a dangling object id raises ``AnnotationError`` (``pair_inputs``)."""
+    counts = np.diff(dataset.object_offsets)
+    counts[counts < 2] = 0
+    padded = []  # rows bounds[i] + j for j < n[i], padded with row 0, then their mask
+    for bounds, n in ((dataset.triple_offsets, np.diff(dataset.triple_offsets)), (dataset.object_offsets, counts)):
+        mask = np.arange(n.max(initial=0)) < n[:, None]
+        padded += [np.where(mask, bounds[:-1, None] + np.arange(mask.shape[1]), 0), mask]
+    return BatchTables(dataset, embeddings.unit, pair_inputs(dataset), *padded[:2], counts, *padded[2:])
+
+
 def forward_batch(
     model: RelationModel,
-    dataset: Dataset,
-    inputs: np.ndarray,
-    embeddings: EmbeddingTable,
+    tables: BatchTables,
     images: np.ndarray | None = None,
     compute_contrastive: bool = True,
 ) -> Batch:
     """Losses, and the contrastive loss's gradient with respect to the projections, for the given images of
-    ``dataset`` (all of them by default); ``inputs`` is its ``pair_inputs``."""
+    ``tables.dataset`` (all of them by default)."""
+    dataset = tables.dataset
     images = np.arange(len(dataset.image_ids)) if images is None else np.asarray(images, dtype=np.int64)
 
     # Classifier side: one input row per annotated triple.
-    starts = dataset.triple_offsets[images]
-    owner, local = _segments(dataset.triple_offsets[images + 1] - starts)
-    rows = starts[owner] + local
-    batch_inputs = inputs[rows]
+    rows = tables.triple_rows[images][tables.triple_mask[images]]
+    batch_inputs = tables.inputs[rows]
     batch = Batch(
         contrastive=0.0,
         pair_inputs=batch_inputs,
@@ -182,17 +206,15 @@ def forward_batch(
     if not compute_contrastive:
         return batch
 
-    # Contrastive side: needs at least two objects to have any negatives.
-    starts = dataset.object_offsets[images]
-    counts = dataset.object_offsets[images + 1] - starts
-    counts[counts < 2] = 0
-    slots = np.arange(counts.max(initial=0))
-    mask = slots < counts[:, None]
-    rows = np.where(mask, starts[:, None] + slots, 0)  # padded slots read row 0, masked out
+    # Contrastive side: the tables cut to this batch's largest image.
+    counts = tables.counts[images]
+    n = counts.max(initial=0)
+    mask = tables.object_mask[images, :n]
+    rows = tables.object_rows[images, :n]  # padded slots read row 0, masked out
     batch.features = dataset.features[rows]
-    unit_emb = embeddings.unit[dataset.labels[rows]]
+    unit_emb = tables.unit[dataset.labels[rows]]
     proj = batch.features @ model.w_proj
-    raw_norms = np.linalg.norm(proj, axis=2)
+    raw_norms = np.sqrt(np.add.reduce(proj * proj, axis=2))  # np.linalg.norm's own sum for real input
     clamped = raw_norms < NORM_EPS
     proj_norms = np.maximum(raw_norms, NORM_EPS)
     unit_proj = proj / proj_norms[..., None]
@@ -206,8 +228,9 @@ def forward_batch(
     scale = 1.0 / (2.0 * np.maximum(counts, 1) * max(len(images), 1))
     nll = ((np.log(row_sum) + np.log(col_sum) - 2.0 * diag) * mask).sum(axis=1)
     batch.contrastive = float(nll @ scale)
-    eye = np.eye(len(slots)) * mask[:, :, None]
-    d_sims = (e / row_sum[:, :, None] + e / col_sum[:, None, :] - 2.0 * eye) * scale[:, None, None]
+    d_sims = e / row_sum[:, :, None] + e / col_sum[:, None, :]
+    d_sims.reshape(len(images), n * n)[:, :: n + 1] -= 2.0 * mask  # the diagonal of each real slot
+    d_sims *= scale[:, None, None]
     # Back through the unit scaling; a clamped projection was divided by the constant guard.
     gv = d_sims @ unit_emb
     row_dot = (d_sims * sims).sum(axis=2)
@@ -294,7 +317,7 @@ def train(
         weights = uniform_weights(model.c_pred)
 
     model = model.copy()
-    inputs = pair_inputs(train_set)
+    tables = batch_tables(train_set, embeddings)
     rng = substream(config.seed, "alignment.batches")
     n = len(train_set.image_ids)
     order = rng.permutation(n)
@@ -311,9 +334,7 @@ def train(
         idx = order[cursor : cursor + config.batch_size]
         cursor += config.batch_size
 
-        batch = forward_batch(
-            model, train_set, inputs, embeddings, idx, compute_contrastive=config.use_alignment
-        )
+        batch = forward_batch(model, tables, idx, compute_contrastive=config.use_alignment)
         with np.errstate(over="ignore", invalid="ignore"):  # a loss or a step that overflows is refused below
             predicate = weighted_pred_loss(batch.probs, batch.gold, weights)
             total = total_loss(config.box_loss, config.object_loss, batch.contrastive, predicate, config.mu)

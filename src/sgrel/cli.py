@@ -471,11 +471,39 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED, _D_ROI = {"required": True}, {"type": _feature_dimension, "required": True}
+# Each command: its handler, its help line, whether it reads the two label files, and its own options in order.
+_COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic corpus", False, {}),
+    "ingest": (cmd_ingest, "load and validate an annotation file", True,
+               {"--annotations": _REQUIRED, "--d-roi": _D_ROI, "--split": {"default": "train"}}),
+    "zsplit": (cmd_zsplit, "build the zero-shot signature index", True,
+               {"--train": _REQUIRED, "--test": _REQUIRED, "--d-roi": _D_ROI}),
+    "resample": (cmd_resample, "recall-guided down-sampling of the train set", True, {
+        "--train": _REQUIRED, "--recalls": {"help": "JSON map predicate -> recall (required with use_resampling)"},
+        "--d-roi": _D_ROI}),
+    "weights": (cmd_weights, "information-content loss weights from train counts", True,
+                {"--train": _REQUIRED, "--d-roi": _D_ROI}),
+    "train": (cmd_train, "train the relation model and emit predictions", True, {
+        "--train": _REQUIRED, "--val": _REQUIRED, "--test": _REQUIRED, "--object-embeddings": _REQUIRED,
+        "--weights": {"help": "info_weights.json (required with use_reweighting)"}, "--d-roi": _D_ROI}),
+    "refine": (cmd_refine, "refine predictions with label-embedding distances", True, {
+        "--predictions": _REQUIRED, "--object-embeddings": {"help": "required with use_refinement"},
+        "--predicate-embeddings": {"help": "required with use_refinement"}}),
+    "eval": (cmd_eval, "metric report for a prediction file", True, {
+        "--predictions": _REQUIRED, "--dataset": _REQUIRED, "--split": {"default": "test"}, "--d-roi": _D_ROI,
+        "--zero-shot": {}, "--weights": {}}),
+    "report": (cmd_report, "combine eval reports into one document / ablation grid", False,
+               {"--inputs": {"nargs": "+", "required": True}, "--labels": {"nargs": "*"}}),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``argv``'s command alone when its first item names one."""
     parser = _Parser(prog="sgrel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, summary: str, labels: bool = True) -> argparse.ArgumentParser:
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        func, summary, labels, options = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output directory")
@@ -485,65 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
         if labels:
             p.add_argument("--object-labels", required=True)
             p.add_argument("--predicate-labels", required=True)
+        for flag, settings in options.items():
+            p.add_argument(flag, **settings)
         p.set_defaults(func=func)
-        return p
-
-    command("synth", cmd_synth, "generate a synthetic corpus", labels=False)
-
-    p = command("ingest", cmd_ingest, "load and validate an annotation file")
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--d-roi", type=_feature_dimension, required=True)
-    p.add_argument("--split", default="train")
-
-    p = command("zsplit", cmd_zsplit, "build the zero-shot signature index")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--d-roi", type=_feature_dimension, required=True)
-
-    p = command("resample", cmd_resample, "recall-guided down-sampling of the train set")
-    p.add_argument("--train", required=True)
-    p.add_argument(
-        "--recalls", default=None, help="JSON map predicate -> recall (required with use_resampling)"
-    )
-    p.add_argument("--d-roi", type=_feature_dimension, required=True)
-
-    p = command("weights", cmd_weights, "information-content loss weights from train counts")
-    p.add_argument("--train", required=True)
-    p.add_argument("--d-roi", type=_feature_dimension, required=True)
-
-    p = command("train", cmd_train, "train the relation model and emit predictions")
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--object-embeddings", required=True)
-    p.add_argument("--weights", default=None, help="info_weights.json (required with use_reweighting)")
-    p.add_argument("--d-roi", type=_feature_dimension, required=True)
-
-    p = command("refine", cmd_refine, "refine predictions with label-embedding distances")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--object-embeddings", default=None, help="required with use_refinement")
-    p.add_argument("--predicate-embeddings", default=None, help="required with use_refinement")
-
-    p = command("eval", cmd_eval, "metric report for a prediction file")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--d-roi", type=_feature_dimension, required=True)
-    p.add_argument("--zero-shot", default=None)
-    p.add_argument("--weights", default=None)
-
-    p = command(
-        "report", cmd_report, "combine eval reports into one document / ablation grid", labels=False
-    )
-    p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--labels", nargs="*", default=None)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
         handlers: list[logging.Handler] = [logging.StreamHandler(sys.stderr)]
         if getattr(args, "log_file", None):
             handlers.append(logging.FileHandler(args.log_file))

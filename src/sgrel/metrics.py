@@ -14,7 +14,9 @@ instance pair). Within the top-K window, predictions consume ground-truth
 triples one-to-one; consumption is resolved by augmenting paths in rank order,
 which yields the maximum possible number of matched triples. An augmenting path
 never unmatches a triple, so one pass over the top max(K) records, for each
-matched triple, the rank that first matched it, and serves every K.
+matched triple, the rank that first matched it, and serves every K. Under
+predcls and sgcls a GT triple has at most one pair that may consume it, so
+there the first ranks come from one join of GT triples to pairs instead.
 """
 
 from __future__ import annotations
@@ -155,21 +157,11 @@ class RankedTriples:
         return RankedTriples(*(column[rows] for column in vars(self).values()))
 
 
-def build_ranked(predictions: PredictionSet, num_predicates: int) -> dict[str, RankedTriples]:
-    """Group pair predictions per image and rank them (descending score).
-
-    Each pair contributes its top predicate only (graph constraint); the triple
-    score is the predicate score times both label confidences. Ties are broken
-    by instance ids so ranking is deterministic. Probs of another width than
-    ``num_predicates``, a pair repeated within an image and a triple score that
-    is not finite raise ``ValueError``.
-    """
-    if not len(predictions):
-        return {}
-    p = predictions
+def _top_scores(p: PredictionSet, num_predicates: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's top predicate and triple score (its score times both label confidences). Probs of another width
+    than ``num_predicates``, a pair repeated within an image and a non-finite triple score raise ``ValueError``."""
     if p.probs.shape[1:] != (num_predicates,):
         raise ValueError(f"prediction shape mismatch: expected ({num_predicates},) predicate scores")
-
     repeated = np.flatnonzero(repeats(p.image, p.subj_id, p.obj_id))
     if repeated.size:
         image_id, pair = p.pair(repeated[0])
@@ -181,7 +173,20 @@ def build_ranked(predictions: PredictionSet, num_predicates: int) -> dict[str, R
     if bad.size:
         image_id, pair = p.pair(bad[0])
         raise ValueError(f"image {image_id}: pair {pair} has a non-finite triple score")
+    return top, score
 
+
+def build_ranked(predictions: PredictionSet, num_predicates: int) -> dict[str, RankedTriples]:
+    """Group pair predictions per image and rank them (descending score).
+
+    Each pair contributes its top predicate only (graph constraint), with its
+    triple score (``_top_scores``, which refuses what cannot be ranked). Ties
+    are broken by instance ids so ranking is deterministic.
+    """
+    if not len(predictions):
+        return {}
+    p = predictions
+    top, score = _top_scores(p, num_predicates)
     order = np.lexsort((p.obj_id, p.subj_id, -score, p.image))
     ranked = RankedTriples(p.subj_id, p.obj_id, p.subj_label, p.obj_label, p.subj_box, p.obj_box, top, score)[order]
     bounds = np.searchsorted(p.image[order], np.arange(len(p.image_ids) + 1)).tolist()
@@ -289,6 +294,30 @@ def ground_truth(test: Dataset) -> RankedTriples:
                          np.ones(len(pred)))
 
 
+def _first_ranks(p: PredictionSet, top: np.ndarray, score: np.ndarray, image: np.ndarray, gt: RankedTriples,
+                 gt_image: np.ndarray, rank: np.ndarray) -> None:
+    """PredCls/SGCls: ``match_triples``' first rank of each GT triple by one join, into ``rank`` (filled with max(K)).
+
+    A pair may consume only GT triples of its own ids, top predicate and labels. Pairs do not repeat in an image
+    (``_top_scores``), nor object ids (``validate_annotation``), so the first of identical GT triples has at most
+    one such pair, and its first rank is that pair's rank in the image; one at or past max(K) counts at no K, as
+    the fill does. ``image`` holds each pair's test image and ``gt_image`` each GT triple's.
+    """
+    n = len(p)
+    order = np.lexsort((p.obj_id, p.subj_id, -score, p.image))
+    in_image = np.empty(n, dtype=np.int64)
+    in_image[order] = np.arange(n) - np.searchsorted(p.image[order], p.image[order])
+    # One stable sort on (image, subject, object, predicate), ids unpacked: a pair's first GT copy lands behind it.
+    keys = np.stack([np.concatenate(two) for two in ((top, gt.pred), (p.obj_id, gt.obj_id), (p.subj_id, gt.subj_id),
+                                                     (image, gt_image))])
+    order = np.lexsort(keys)
+    ahead, behind = order[:-1], order[1:]
+    hit = (ahead < n) & (keys[:, ahead] == keys[:, behind]).all(axis=0)  # pairs do not repeat: behind is a GT triple
+    pair, triple = ahead[hit], behind[hit] - n
+    agree = (p.subj_label[pair] == gt.subj_label[triple]) & (p.obj_label[pair] == gt.obj_label[triple])
+    rank[triple[agree]] = in_image[pair[agree]]
+
+
 def evaluate(
     predictions: PredictionSet,
     test: Dataset,
@@ -300,23 +329,27 @@ def evaluate(
     """Full metric report over a test split: R@K, mR@K, zR@K, mRIC@K."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    c_pred = test.predicate_space.size
-    ranked = build_ranked(predictions, c_pred)
-    unknown = ranked.keys() - set(test.image_ids)
-    if unknown:
-        first = next(image_id for image_id in ranked if image_id in unknown)
-        count = sum(len(ranked[image_id]) for image_id in unknown)
-        raise ValueError(
-            f"{count} predictions for image ids not in the {test.split} split, first {first!r}"
-        )
+    c_pred, p = test.predicate_space.size, predictions
+    if protocol == SGGEN:
+        ranked = build_ranked(p, c_pred)
+    elif len(p):
+        top, score = _top_scores(p, c_pred)
+    index = {image_id: i for i, image_id in enumerate(test.image_ids)}
+    known = np.array([index.get(image_id, -1) for image_id in p.image_ids], dtype=np.int64)  # -1: not in the split
+    if len(p) and (known < 0).any():
+        raise ValueError(f"{np.count_nonzero(known[p.image] < 0)} predictions for image ids not in the {test.split} "
+                         f"split, first {p.image_ids[int(np.argmax(known < 0))]!r}")
     max_k = max(ks, default=0)
     gt = ground_truth(test)
-    bounds = test.triple_offsets.tolist()
-    rank = np.full(len(gt), max_k)  # per GT triple of the split: the first matching rank
-    for i, image_id in enumerate(test.image_ids):
-        first_rank = match_triples(ranked.get(image_id, ()), gt[bounds[i] : bounds[i + 1]], max_k, protocol)
-        rank[[bounds[i] + idx for idx in first_rank]] = list(first_rank.values())
     image, pred = owners(test.triple_offsets), gt.pred
+    rank = np.full(len(gt), max_k)  # per GT triple of the split: the first matching rank
+    if protocol == SGGEN:
+        bounds = test.triple_offsets.tolist()
+        for i, image_id in enumerate(test.image_ids):
+            first_rank = match_triples(ranked.get(image_id, ()), gt[bounds[i] : bounds[i + 1]], max_k, protocol)
+            rank[[bounds[i] + idx for idx in first_rank]] = list(first_rank.values())
+    elif len(p):
+        _first_ranks(p, top, score, known[p.image], gt, image, rank)
     zs = np.zeros(len(gt), dtype=bool)
     if zero_shot is not None:
         zs[:] = [signature in zero_shot for signature in map(tuple, test.signatures().tolist())]
@@ -423,6 +456,7 @@ def _unwritable(columns: dict[str, np.ndarray], num_labels: int) -> dict[str, li
         "a non-finite value": [~np.isfinite(columns["boxes"]), ~np.isfinite(label_scores), ~np.isfinite(probs)],
         "a negative value": [label_scores < 0.0, probs < 0.0],
         "probs whose sum is not finite": [~np.isfinite(sums)[:, None]],
+        "no predicate scores": [np.full((len(probs), 1), probs.shape[1] == 0)],
     }
 
 

@@ -10,6 +10,7 @@ boosted rather than penalized.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -87,10 +88,15 @@ def refine_dataset(
     """
     if not len(predictions):
         return predictions
-    keys, rows = np.unique(
-        np.stack([predictions.subj_label, predictions.obj_label, predictions.probs.argmax(axis=1)], axis=1),
-        axis=0, return_inverse=True,
-    )
+    # Each (subject label, object label, top) as one int64 key, columns offset by their minimum: keys order as rows.
+    columns = np.stack([predictions.subj_label, predictions.obj_label, predictions.probs.argmax(axis=1)])
+    low = columns.min(axis=1)
+    spans = [high - lowest + 1 for lowest, high in zip(low.tolist(), columns.max(axis=1).tolist())]
+    if math.prod(spans) >= 2**63:
+        raise ValueError(f"pair labels span {spans[0]} and {spans[1]} values: too far apart to key")
+    keys, rows = np.unique(((columns[0] - low[0]) * spans[1] + columns[1] - low[1]) * spans[2] + columns[2] - low[2],
+                           return_inverse=True)
+    keys = np.stack([keys // (spans[1] * spans[2]), keys // spans[2] % spans[1], keys % spans[2]], axis=1) + low
     objects = distance_vector(object_embeddings.vectors, predicate_embeddings)
     predicates = distance_vector(predicate_embeddings.vectors, predicate_embeddings)
     v = np.array([refinement_vector(objects[s], objects[o], predicates[p], alpha) for s, o, p in keys.tolist()])

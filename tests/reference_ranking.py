@@ -3,6 +3,12 @@
 Each definition is the replaced code unchanged, except that ``overlap`` was the
 ``BoundingBox.overlap`` method and is called as a function here, and box areas
 are computed inline.
+
+``evaluate_by_matching`` is the columnar ``sgrel.metrics.evaluate`` that ran
+``match_triples`` on every image under every protocol, before PredCls and
+SGCls took their first ranks from one join. It is unchanged except for its
+name and for reaching ``sgrel``'s names through their modules, as this module
+defines its own ``build_ranked`` and ``match_triples``.
 """
 
 from dataclasses import dataclass
@@ -21,6 +27,7 @@ from sgrel.metrics import (
     mric_at_k,
     recall_at_k,
 )
+from sgrel import core, metrics
 from sgrel.reweighting import InfoWeights
 
 from reference_annotations import BoundingBox, Dataset, ObjectInstance, SceneGraphAnnotation, Triple, triple_signature
@@ -238,4 +245,63 @@ def evaluate(
         num_images=len(test.annotations),
         num_gt_triples=int(sum(image_gt)),
         num_zero_shot_gt=num_zs_gt,
+    )
+
+
+def evaluate_by_matching(
+    predictions: metrics.PredictionSet,
+    test: core.Dataset,
+    zero_shot: frozenset[core.Signature] | None = None,
+    info: InfoWeights | None = None,
+    ks: tuple[int, ...] = DEFAULT_KS,
+    protocol: str = PREDCLS,
+) -> MetricReport:
+    """Full metric report over a test split: R@K, mR@K, zR@K, mRIC@K."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    c_pred = test.predicate_space.size
+    ranked = metrics.build_ranked(predictions, c_pred)
+    unknown = ranked.keys() - set(test.image_ids)
+    if unknown:
+        first = next(image_id for image_id in ranked if image_id in unknown)
+        count = sum(len(ranked[image_id]) for image_id in unknown)
+        raise ValueError(
+            f"{count} predictions for image ids not in the {test.split} split, first {first!r}"
+        )
+    max_k = max(ks, default=0)
+    gt = metrics.ground_truth(test)
+    bounds = test.triple_offsets.tolist()
+    rank = np.full(len(gt), max_k)  # per GT triple of the split: the first matching rank
+    for i, image_id in enumerate(test.image_ids):
+        first_rank = metrics.match_triples(
+            ranked.get(image_id, ()), gt[bounds[i] : bounds[i + 1]], max_k, protocol
+        )
+        rank[[bounds[i] + idx for idx in first_rank]] = list(first_rank.values())
+    image, pred = core.owners(test.triple_offsets), gt.pred
+    zs = np.zeros(len(gt), dtype=bool)
+    if zero_shot is not None:
+        zs[:] = [signature in zero_shot for signature in map(tuple, test.signatures().tolist())]
+    n_images = len(test.image_ids)
+    image_gt = np.bincount(image, minlength=n_images)
+    zs_image_gt = np.bincount(image[zs], minlength=n_images)
+    gt_per_pred = np.bincount(pred, minlength=c_pred)
+
+    mean_recall: dict[int, float | None] = {}
+    per_pred: dict[int, np.ndarray] = {}
+    for k in ks:
+        mean_recall[k], per_pred[k] = mean_recall_at_k(np.bincount(pred[rank < k], minlength=c_pred), gt_per_pred)
+    return MetricReport(
+        subtask=protocol,
+        ks=tuple(ks),
+        recall={k: recall_at_k(np.bincount(image[rank < k], minlength=n_images), image_gt) for k in ks},
+        mean_recall=mean_recall,
+        zero_shot_recall={
+            k: recall_at_k(np.bincount(image[(rank < k) & zs], minlength=n_images), zs_image_gt) for k in ks
+        },
+        mric={k: mric_at_k(per_pred[k], info) if info is not None else None for k in ks},
+        per_predicate_recall=per_pred,
+        predicate_gt_counts=gt_per_pred,
+        num_images=n_images,
+        num_gt_triples=len(rank),
+        num_zero_shot_gt=int(zs.sum()),
     )

@@ -10,6 +10,7 @@ from sgrel.alignment import (
     RelationModel,
     TrainConfig,
     backward,
+    batch_tables,
     contrastive_loss,
     forward_batch,
     load_model,
@@ -68,8 +69,8 @@ def toy_batch(seed, d_roi=5, d_emb=4, c_obj=6, c_pred=3, n_images=2):
 
 
 def forward_all(model, data, table):
-    """``forward_batch`` over every image of ``data``, with its own ``pair_inputs``."""
-    return forward_batch(model, data, pair_inputs(data), table)
+    """``forward_batch`` over every image of ``data``, with its own ``batch_tables``."""
+    return forward_batch(model, batch_tables(data, table))
 
 
 def batch_objective(model, data, table, weights, mu):

@@ -248,6 +248,49 @@ class TestExitCodes:
         assert code == 2
 
 
+def outcome_of(argv, capsys):
+    """``main``'s exit status (also from ``SystemExit``, as ``-h`` ends), stdout and stderr."""
+    try:
+        code = run(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserOfTheInvokedCommand:
+    """``main`` builds the parser of the command it runs alone; what it prints and returns is the full parser's."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], [], ["train", "-h"], ["eval", "--help"], ["report", "-h"],
+        ["train", "--object-labels", "o.txt"], ["synth", "--seed", "x", "--out", "o"],
+        ["zsplit", "--out", "o", "--bogus"],
+        ["trian", "--out", "o"], ["--out", "o", "train"], ["-h", "train"],
+    ], ids=["help", "nothing", "train-help", "eval-help", "report-help", "missing-out", "bad-seed", "unknown-flag",
+            "unknown-command", "flag-first", "help-first"])
+    def test_output_and_status_equal_the_full_parser(self, argv, capsys, monkeypatch):
+        from sgrel import cli
+
+        own = outcome_of(argv, capsys)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+        assert own == outcome_of(argv, capsys)
+        assert own[0] in (0, 1) and (own[1] or own[2])
+
+    def test_only_a_known_first_item_narrows_the_parser(self):
+        from sgrel.cli import _COMMANDS, build_parser
+
+        def commands(argv):
+            (sub,) = [action for action in build_parser(argv)._actions if action.dest == "command"]
+            return list(sub.choices)
+
+        assert commands(None) == commands([]) == commands(["-h"]) == commands(["trian"]) == list(_COMMANDS)
+        assert len(_COMMANDS) == 9
+        for name in _COMMANDS:
+            assert commands([name, "--out", "o"]) == [name]
+        assert commands(["--out", "o", "train"]) == list(_COMMANDS)
+
+
 # Every flag but --d-roi of each subcommand that reads annotations; a usage error comes before any file is read.
 D_ROI_FLAGS = {
     "ingest": ["--annotations", "a.jsonl"],

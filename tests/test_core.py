@@ -165,7 +165,7 @@ class TestValidateAnnotation:
     def test_valid_annotation_feeds_downstream(self, spaces, rng):
         # Validity implies every downstream consumer accepts the annotation.
         from conftest import random_embeddings
-        from sgrel.alignment import RelationModel, forward_batch, pair_inputs
+        from sgrel.alignment import RelationModel, batch_tables, forward_batch
         from sgrel.sampling import count_predicates
 
         dataset = make_dataset([make_annotation()])
@@ -173,7 +173,7 @@ class TestValidateAnnotation:
         count_predicates(dataset)
         table = random_embeddings(spaces[0], 4, rng)
         model = RelationModel.init(D_ROI, 4, spaces[1].size, rng)
-        forward_batch(model, dataset, pair_inputs(dataset), table)
+        forward_batch(model, batch_tables(dataset, table))
 
 
 class TestSignatures:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import reference_predictions as listed
 import reference_ranking as reference
@@ -751,6 +751,156 @@ class TestEvaluate:
         assert report.mean_recall[20] == np.mean(observed)
 
 
+JOIN_KS = (*range(1, 13), 20, 100)
+
+
+def assert_join_equals_matching(predictions, dataset, zero_shot=None, info=None, ks=JOIN_KS):
+    """Under PredCls and SGCls, ``evaluate``'s report, or its refusal, is exactly that of the evaluation that
+    matched every image with ``match_triples`` (``reference_ranking.evaluate_by_matching``)."""
+    for protocol in (PREDCLS, SGCLS):
+        try:
+            expected = reference.evaluate_by_matching(predictions, dataset, zero_shot, info, ks, protocol)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                evaluate(predictions, dataset, zero_shot, info, ks, protocol)
+            assert (type(got.value), str(got.value)) == (type(err), str(err))
+            continue
+        assert_same_reports(evaluate(predictions, dataset, zero_shot, info, ks, protocol), expected)
+
+
+def three_objects(labels=(0, 1, 2)):
+    return tuple(make_object(i, label=label) for i, label in enumerate(labels))
+
+
+def one_hot(pred, score=1.0, c_pred=3):
+    probs = np.zeros(c_pred)
+    probs[pred] = score
+    return probs
+
+
+class TestFirstRanksByJoin:
+    """PredCls and SGCls take each GT triple's first rank from one join of the GT triples to the pairs."""
+
+    def test_awkward_pairs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            dataset, predictions = awkward_scene(rng)
+            info = info_weights(rng.integers(1, 100, size=3))
+            assert_join_equals_matching(to_set(predictions), dataset, frozenset({(0, 0, 1), (1, 2, 3)}), info)
+
+    def test_random_fixtures(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            dataset, predictions, zero_shot = _random_fixture(rng)
+            info = info_weights(rng.integers(1, 100, size=4))
+            assert_join_equals_matching(to_set(predictions), dataset, zero_shot, info)
+
+    def test_repeated_gt_triples_rank_the_first_copy_only(self, monkeypatch):
+        """A ``Dataset`` built directly may hold a GT triple twice; the pair that matches it consumes one copy."""
+        triples = (Triple(0, 0, 1), Triple(0, 0, 1), Triple(1, 1, 2), Triple(0, 0, 1), Triple(0, 1, 1))
+        dataset = make_dataset([make_annotation("a", three_objects(), triples),
+                                make_annotation("b", three_objects(), triples[:2])])
+        predictions = to_set([pair("a", 0, 1, one_hot(0, 0.9)), pair("a", 1, 2, one_hot(1, 0.8), 1, 2),
+                              pair("b", 0, 1, one_hot(0))])
+        monkeypatch.setattr(metrics, "match_triples", None)  # not reached under these protocols
+        report = evaluate(predictions, dataset, ks=(1, 2, 3))
+        assert report.recall == pytest.approx({1: (1 / 5 + 1 / 2) / 2, 2: (2 / 5 + 1 / 2) / 2, 3: (2 / 5 + 1 / 2) / 2})
+        monkeypatch.undo()
+        assert_join_equals_matching(predictions, dataset)
+
+    def test_ids_and_labels_absent_from_the_gt(self):
+        """Pairs on ids that no object has, on labels that are not the GT's or outside the space, beside pairs that
+        match; each takes its rank in the image all the same."""
+        triples = (Triple(0, 0, 1), Triple(1, 1, 2), Triple(2, 2, 0))
+        dataset = make_dataset([make_annotation("a", three_objects(), triples)])
+        pairs = [pair("a", 7, 1, one_hot(0)), pair("a", 0, 7, one_hot(0)), pair("a", 2, 0, one_hot(2, 0.95), 3, 0),
+                 pair("a", 0, 1, one_hot(0, 0.9)), pair("a", 1, 2, one_hot(1, 0.5), 1, 9),
+                 pair("a", 2, 0, one_hot(2, 0.4), 2, -1)]
+        # The last pair repeats (2, 0): refused, as by the matching. Without it, triple 0 alone matches, at rank 3.
+        assert_join_equals_matching(to_set(pairs), dataset)
+        report = evaluate(to_set(pairs[:-1]), dataset, ks=(3, 4))
+        assert report.recall == {3: 0.0, 4: 1 / 3}
+        assert_join_equals_matching(to_set(pairs[:-1]), dataset)
+
+    def test_images_without_predictions_or_triples(self):
+        annotations = [make_annotation(f"im{i}", three_objects(), (Triple(0, i % 3, 1), Triple(1, 0, 2))[: i % 3])
+                       for i in range(5)]
+        dataset = make_dataset(annotations)
+        # Predicted images come in another order than the split's, so pair image 0 is split image 2.
+        pairs = [pair(f"im{i}", s, o, one_hot(p), s, o) for i in (2, 4, 1) for s, p, o in ((0, i % 3, 1), (1, 0, 2))]
+        assert evaluate(to_set(pairs), dataset, ks=(2,)).recall[2] == 1.0
+        assert_join_equals_matching(to_set(pairs), dataset)
+        assert_join_equals_matching(to_set([], 3), dataset)
+
+    @pytest.mark.parametrize("ks", [(1,), (1, 2, 3), (5, 2), ()])
+    def test_k_below_some_ranks(self, ks):
+        """Every ordered pair of six objects is predicted, so most GT triples rank past the window."""
+        rng = np.random.default_rng(41)
+        objects = tuple(make_object(i, label=int(rng.integers(4))) for i in range(6))
+        pairs = list(itertools.permutations(range(6), 2))
+        triples = [Triple(s, int(rng.integers(3)), o) for s, o in pairs if rng.uniform() < 0.4]
+        dataset = make_dataset([make_annotation("a", objects, triples)])
+        predictions = [pair("a", s, o, rng.dirichlet(np.ones(3)), objects[s].label, objects[o].label) for s, o in pairs]
+        assert_join_equals_matching(to_set(predictions), dataset, ks=ks)
+
+    @pytest.mark.parametrize("first, second", [
+        ("width", "duplicate"), ("duplicate", "non-finite"), ("non-finite", "unknown"), ("unknown", None),
+    ])
+    def test_refusals_in_the_matching_order(self, first, second):
+        """Probs width, a repeated pair, a non-finite score, then image ids outside the split, as the matching
+        refuses them."""
+        dataset = make_dataset([gt_annotation()])
+        broken = {
+            "width": lambda p: [dataclasses.replace(q, probs=np.ones(4)) for q in p],
+            "duplicate": lambda p: p + [p[0]],
+            "non-finite": lambda p: setattr(p[1], "subj_score", math.inf) or p,
+            "unknown": lambda p: p + [dataclasses.replace(p[0], image_id="elsewhere")],
+        }
+        pairs = [dataclasses.replace(p) for p in oracle_pairs(dataset)]
+        for name in (second, first):
+            if name is not None:
+                pairs = broken[name](pairs)
+        message = {"width": "prediction shape mismatch", "duplicate": "image img0: duplicate prediction",
+                   "non-finite": "image img0: pair (1, 2) has a non-finite", "unknown": "1 predictions for image ids"}
+        with pytest.raises(ValueError, match=f"^{re.escape(message[first])}"):
+            evaluate(to_set(pairs), dataset)
+        assert_join_equals_matching(to_set(pairs), dataset)
+
+
+PROBS_WITH_TIES = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 0.0])
+
+
+@st.composite
+def small_splits(draw):
+    """A few images with ids from a small range, GT triples that may repeat, and pairs in any order, most of them
+    on GT pairs, that may name ids or labels absent from the GT; now and then one pair of an image outside the split."""
+    annotations, pairs = [], []
+    for i in range(draw(st.integers(1, 4))):
+        ids = draw(st.lists(st.integers(-3, 5), max_size=4, unique=True))
+        labels = {object_id: draw(st.integers(0, 3)) for object_id in ids}
+        ends = st.sampled_from(ids) if ids else st.nothing()
+        triples = draw(st.lists(st.builds(Triple, ends, st.integers(0, 2), ends), max_size=5 if ids else 0))
+        annotations.append(make_annotation(f"im{i}", [make_object(k, label=v) for k, v in labels.items()], triples))
+        anywhere = st.tuples(st.sampled_from(ids + [9]), st.sampled_from(ids + [9]))
+        on_gt = st.sampled_from([(t.subj, t.obj) for t in triples]) if triples else anywhere
+        for s, o in draw(st.lists(st.one_of(on_gt, on_gt, anywhere), max_size=8, unique=True)):
+            label = lambda object_id: draw(st.sampled_from([labels.get(object_id, 0)] * 6 + [1, 4, -1]))
+            pairs.append(pair(f"im{i}", s, o, draw(st.sampled_from(PROBS_WITH_TIES)), label(s), label(o),
+                              subj_score=draw(st.sampled_from([1.0, 1.0, 0.5, 0.0]))))
+    if pairs and draw(st.integers(0, 9)) == 0:
+        pairs.append(dataclasses.replace(pairs[0], image_id="elsewhere"))
+    zero_shot = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 3)), max_size=6))
+    ks = tuple(draw(st.lists(st.integers(1, 10), max_size=4, unique=True)))
+    return make_dataset(annotations), draw(st.permutations(pairs)), frozenset(zero_shot), ks
+
+
+@settings(max_examples=300)
+@given(split=small_splits())
+def test_join_equals_matching_on_random_small_splits(split):
+    dataset, pairs, zero_shot, ks = split
+    assert_join_equals_matching(to_set(pairs, 3), dataset, zero_shot, info_weights(np.array([3, 1, 2])), ks)
+
+
 class TestPredictionIO:
     def test_round_trip(self, tmp_path, rng, spaces):
         object_space, _ = spaces
@@ -1012,6 +1162,19 @@ class TestCompanion:
         with pytest.raises(ValueError, match=f"holds {problem}$"):
             saved(to_set(pairs), object_space, fresh)
         assert not list(fresh.iterdir())
+
+    def test_pairs_without_predicate_scores_are_refused_at_write(self, tmp_path):
+        """Probs of shape ``(P, 0)``, ``P > 0``, would be written as ``"probs":[]``, which no reader accepts."""
+        object_space, _ = make_spaces(c_obj=4)
+        pairs = awkward_pairs(np.random.default_rng(5), 3, images=1)[:2]
+        predictions = dataclasses.replace(to_set(pairs), probs=np.zeros((2, 0)))
+        path = tmp_path / "z.jsonl"
+        message = f"{path}: image im0: pair (0, 1) holds no predicate scores"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_predictions(predictions, object_space, path)
+        assert not list(tmp_path.iterdir())
+        save_predictions(to_set([], 0), object_space, path)  # no pairs: an empty file, as before
+        assert path.read_bytes() == b"" and not companion_path(path).exists()
 
     @pytest.mark.parametrize("first, second", [("subj_score", "probs"), ("probs", "obj_score")])
     def test_the_first_pair_that_breaks_a_rule_is_named(self, written, first, second):

@@ -15,9 +15,9 @@ from sgrel.alignment import (
     RelationModel,
     _softmax_rows,
     backward,
+    batch_tables,
     contrastive_loss,
     forward_batch,
-    pair_inputs,
     predict,
 )
 import reference_annotations
@@ -183,7 +183,7 @@ def check_agreement(seed, counts, zero_projection=False, mu=1.2, compute_contras
     annotations = objects.annotations
     chosen = [annotations[i] for i in images]
 
-    batch = forward_batch(model, dataset, pair_inputs(dataset), table, images, compute_contrastive)
+    batch = forward_batch(model, batch_tables(dataset, table), images, compute_contrastive)
     caches, contrastive, probs, gold = reference_forward(model, chosen, table, compute_contrastive)
     assert abs(batch.contrastive - contrastive) <= TOL
     assert_close(batch.probs, probs)
@@ -223,7 +223,7 @@ class TestPackedMatchesPerImage:
 
     def test_contrastive_off(self):
         model, dataset, table, _ = random_case(3, [4, 2, 1])
-        batch = forward_batch(model, dataset, pair_inputs(dataset), table, compute_contrastive=False)
+        batch = forward_batch(model, batch_tables(dataset, table), compute_contrastive=False)
         assert batch.contrastive == 0.0 and batch.d_proj is None
         check_agreement(3, [4, 2, 1], compute_contrastive=False)
 

@@ -295,6 +295,35 @@ class TestStackedRefinement:
         keys = {(p.subj_label, p.obj_label, int(np.argmax(p.probs))) for p in pairs}
         assert len(calls) == len(keys) < len(pairs)
 
+    @pytest.mark.parametrize("low", [-4, 0, 3])
+    def test_label_keys_in_the_order_of_the_label_rows(self, rng, monkeypatch, low):
+        """One vector per distinct (subject label, object label, top) row, called in ``np.unique(..., axis=0)``'s
+        order, with negative labels (rows counted from the end) ordered as numbers."""
+        calls = []
+        monkeypatch.setattr(refinement, "refinement_vector", lambda *args: calls.append(args) or sum(args))
+        objects = table(rng.normal(size=(8, 3)), kind=OBJECT, prefix="thing")
+        predicates = table(rng.normal(size=(5, 3)))
+        predictions = to_set(awkward_pairs(rng, 5, images=4))
+        labels = rng.integers(low, low + 4, size=(2, len(predictions)))
+        predictions = replace(predictions, subj_label=labels[0], obj_label=labels[1])
+        refine_dataset(predictions, objects, predicates)
+        rows = np.stack([labels[0], labels[1], predictions.probs.argmax(axis=1)], axis=1)
+        objects_d = distance_vector(objects.vectors, predicates)
+        predicates_d = distance_vector(predicates.vectors, predicates)
+        expected = [(objects_d[s], objects_d[o], predicates_d[t]) for s, o, t in np.unique(rows, axis=0).tolist()]
+        assert len(calls) == len(expected) < len(predictions)
+        for got, want in zip(calls, expected):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, strict=True)
+
+    def test_labels_too_far_apart_to_key_are_refused(self, rng):
+        objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
+        predicates = table(rng.normal(size=(2, 3)))
+        predictions = to_set(awkward_pairs(rng, 2, images=1))
+        far = np.where(np.arange(len(predictions)) % 2, 2**62, -(2**62))
+        with pytest.raises(ValueError, match=r"^pair labels span 9223372036854775809 and \d+ values: too far apart"):
+            refine_dataset(replace(predictions, subj_label=far), objects, predicates)
+
     def test_input_pairs_are_left_as_they_were(self, rng):
         objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(5, 3)))

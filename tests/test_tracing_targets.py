@@ -149,6 +149,6 @@ def test_what_the_benchmark_reads_of_the_program(tmp_path, monkeypatch, source):
         name, passed, detail = checks.oracle_check(corpus, d_roi, [5, 10], protocol)
         assert passed, (protocol, detail)
     test_images = len((corpus / "test.jsonl").read_text().splitlines())
-    assert len(calls) == 2 * test_images > 0  # one call per test image and protocol
+    assert len(calls) == test_images > 0  # one call per test image under sggen; predcls joins without it
     assert parsed == ([] if source == "companion" else [corpus / "train.jsonl", corpus / "test.jsonl",
                                                         corpus / "test.jsonl"])

@@ -6,18 +6,20 @@ operations run in the same order, so losses, probabilities and all three
 gradients must agree bit for bit, signs of zero included.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import reference_training
-from sgrel import synth
-from sgrel.alignment import RelationModel, backward, forward_batch, pair_inputs
+from sgrel import alignment, synth
+from sgrel.alignment import RelationModel, TrainConfig, backward, batch_tables, forward_batch, pair_inputs
 from sgrel.ingest import EmbeddingTable
 from sgrel.reweighting import info_weights, uniform_weights
 
-from test_packed import random_case
+from test_packed import D_EMB, random_case
 
 
 def assert_identical(got, want):
@@ -28,10 +30,13 @@ def assert_identical(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def check_identical(model, dataset, table, weights, images=None, mu=1.2, compute_contrastive=True):
-    """Both forwards and backwards on one batch; returns the replaced forward's state for the caller's checks."""
+def check_identical(model, dataset, table, weights, images=None, mu=1.2, compute_contrastive=True, tables=None):
+    """Both forwards and backwards on one batch; returns the replaced forward's state for the caller's checks.
+
+    The forward reads ``tables``, by default ``batch_tables(dataset, table)``; the replaced one, the dataset.
+    """
     inputs = pair_inputs(dataset)
-    batch = forward_batch(model, dataset, inputs, table, images, compute_contrastive)
+    batch = forward_batch(model, tables or batch_tables(dataset, table), images, compute_contrastive)
     ref = reference_training.forward_batch(model, dataset, inputs, table, images, compute_contrastive)
     assert isinstance(batch.contrastive, float)
     assert batch.contrastive == ref.contrastive
@@ -136,3 +141,63 @@ class TestMatchesReplacedStep:
 def test_property_identical_to_the_replaced_step(seed, counts, zero_projection, mu, compute_contrastive, all_images):
     model, dataset, table, weights, images = random_batch(seed, counts, zero_projection)
     check_identical(model, dataset, table, weights, None if all_images else images, mu, compute_contrastive)
+
+
+def keep_triples(dataset, images):
+    """``dataset`` with the triples of ``images`` only."""
+    kept = [row for i in images for row in range(dataset.triple_offsets[i], dataset.triple_offsets[i + 1])]
+    counts = np.zeros(len(dataset.image_ids), dtype=np.int64)
+    counts[list(images)] = np.diff(dataset.triple_offsets)[list(images)]
+    return dataclasses.replace(dataset, triples=dataset.triples[kept],
+                               triple_offsets=np.concatenate([[0], np.cumsum(counts)]))
+
+
+class TestBatchTables:
+    """``forward_batch`` reads the split through the index tables ``batch_tables`` builds once."""
+
+    @pytest.mark.parametrize("use_alignment", [True, False])
+    def test_every_batch_of_a_training_run(self, monkeypatch, use_alignment):
+        """Each of the 600 batches ``train`` draws, on the model as it stands at that step, against the replaced
+        forward and backward; one table object serves the whole run."""
+        model, dataset, table, weights = synth_case(4)
+        seen = []
+
+        def checked(model, tables, images=None, compute_contrastive=True):
+            assert tables.dataset is dataset and compute_contrastive is use_alignment
+            check_identical(model, dataset, table, weights, images, 1.2, compute_contrastive, tables)
+            seen.append(tables)
+            return forward_batch(model, tables, images, compute_contrastive)
+
+        monkeypatch.setattr(alignment, "forward_batch", checked)
+        config = TrainConfig(lr=0.05, iterations=600, batch_size=4, seed=4, mu=1.2, use_alignment=use_alignment)
+        result = alignment.train(model, dataset, table, config, weights=weights)
+        assert len(seen) == 600 and all(tables is seen[0] for tables in seen)
+        assert not np.array_equal(result.model.w_cls, model.w_cls)
+
+    def test_a_batch_without_two_objects_in_any_image(self):
+        model, dataset, table, weights = random_case(5, [0, 1, 4, 1, 0, 3])
+        tables = batch_tables(dataset, table)
+        assert tables.object_rows.shape == (6, 4)
+        for images in ([0, 1], [3, 1, 4], [1]):
+            ref = check_identical(model, dataset, table, weights, images, tables=tables)
+            assert ref.sims.shape == (len(images), 0, 0)
+            assert forward_batch(model, tables, images).d_proj.shape == (len(images), 0, D_EMB)
+
+    def test_images_without_triples(self):
+        for seed, counts in enumerate([[3, 4, 2, 5], [2, 0, 6], [4]]):
+            model, dataset, table, weights = random_case(seed, counts)
+            for kept in ([], [0], list(range(1, len(counts)))):
+                without = keep_triples(dataset, kept)
+                check_identical(model, without, table, weights)
+                check_identical(model, without, table, weights, [len(counts) - 1, 0])
+                assert len(forward_batch(model, batch_tables(without, table), []).gold) == 0
+
+    def test_one_large_image_among_small_ones(self):
+        """The tables pad every image to the 1,100 objects of the largest; a batch without it is cut to its own."""
+        model, dataset, table, weights = random_case(7, [3, 2, 1100, 5, 0, 4])
+        tables = batch_tables(dataset, table)
+        assert tables.object_rows.shape == tables.object_mask.shape == (6, 1100)
+        assert tables.object_rows.nbytes + tables.object_mask.nbytes == 6 * 1100 * 9
+        for images in ([0, 1, 3, 5], [2], [5, 2, 4, 0], None):
+            check_identical(model, dataset, table, weights, images, tables=tables)
+        assert forward_batch(model, tables, [0, 1, 3, 5]).features.shape == (4, 5, model.d_roi)
