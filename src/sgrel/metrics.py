@@ -157,9 +157,10 @@ class RankedTriples:
         return RankedTriples(*(column[rows] for column in vars(self).values()))
 
 
-def _top_scores(p: PredictionSet, num_predicates: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair's top predicate and triple score (its score times both label confidences). Probs of another width
-    than ``num_predicates``, a pair repeated within an image and a non-finite triple score raise ``ValueError``."""
+def _ranking(p: PredictionSet, num_predicates: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair's top predicate and triple score (its score times both label confidences), and the rank order: by
+    image, then descending score, ties broken by subject and object id. Probs of another width than
+    ``num_predicates``, a pair repeated within an image and a non-finite triple score raise ``ValueError``."""
     if p.probs.shape[1:] != (num_predicates,):
         raise ValueError(f"prediction shape mismatch: expected ({num_predicates},) predicate scores")
     repeated = np.flatnonzero(repeats(p.image, p.subj_id, p.obj_id))
@@ -173,21 +174,20 @@ def _top_scores(p: PredictionSet, num_predicates: int) -> tuple[np.ndarray, np.n
     if bad.size:
         image_id, pair = p.pair(bad[0])
         raise ValueError(f"image {image_id}: pair {pair} has a non-finite triple score")
-    return top, score
+    return top, score, np.lexsort((p.obj_id, p.subj_id, -score, p.image))
 
 
 def build_ranked(predictions: PredictionSet, num_predicates: int) -> dict[str, RankedTriples]:
     """Group pair predictions per image and rank them (descending score).
 
     Each pair contributes its top predicate only (graph constraint), with its
-    triple score (``_top_scores``, which refuses what cannot be ranked). Ties
-    are broken by instance ids so ranking is deterministic.
+    triple score, in ``_ranking``'s order (which refuses what cannot be ranked).
+    Ties are broken by instance ids so ranking is deterministic.
     """
     if not len(predictions):
         return {}
     p = predictions
-    top, score = _top_scores(p, num_predicates)
-    order = np.lexsort((p.obj_id, p.subj_id, -score, p.image))
+    top, score, order = _ranking(p, num_predicates)
     ranked = RankedTriples(p.subj_id, p.obj_id, p.subj_label, p.obj_label, p.subj_box, p.obj_box, top, score)[order]
     bounds = np.searchsorted(p.image[order], np.arange(len(p.image_ids) + 1)).tolist()
     return {image_id: ranked[bounds[i] : bounds[i + 1]] for i, image_id in enumerate(p.image_ids)}
@@ -294,17 +294,16 @@ def ground_truth(test: Dataset) -> RankedTriples:
                          np.ones(len(pred)))
 
 
-def _first_ranks(p: PredictionSet, top: np.ndarray, score: np.ndarray, image: np.ndarray, gt: RankedTriples,
+def _first_ranks(p: PredictionSet, top: np.ndarray, order: np.ndarray, image: np.ndarray, gt: RankedTriples,
                  gt_image: np.ndarray, rank: np.ndarray) -> None:
     """PredCls/SGCls: ``match_triples``' first rank of each GT triple by one join, into ``rank`` (filled with max(K)).
 
     A pair may consume only GT triples of its own ids, top predicate and labels. Pairs do not repeat in an image
-    (``_top_scores``), nor object ids (``validate_annotation``), so the first of identical GT triples has at most
-    one such pair, and its first rank is that pair's rank in the image; one at or past max(K) counts at no K, as
-    the fill does. ``image`` holds each pair's test image and ``gt_image`` each GT triple's.
+    (``_ranking``), nor object ids (``validate_annotation``), so the first of identical GT triples has at most
+    one such pair, and its first rank is that pair's rank in the image, by ``_ranking``'s ``order``; one at or past
+    max(K) counts at no K, as the fill does. ``image`` holds each pair's test image and ``gt_image`` each GT triple's.
     """
     n = len(p)
-    order = np.lexsort((p.obj_id, p.subj_id, -score, p.image))
     in_image = np.empty(n, dtype=np.int64)
     in_image[order] = np.arange(n) - np.searchsorted(p.image[order], p.image[order])
     # One stable sort on (image, subject, object, predicate), ids unpacked: a pair's first GT copy lands behind it.
@@ -333,7 +332,7 @@ def evaluate(
     if protocol == SGGEN:
         ranked = build_ranked(p, c_pred)
     elif len(p):
-        top, score = _top_scores(p, c_pred)
+        top, _, order = _ranking(p, c_pred)
     index = {image_id: i for i, image_id in enumerate(test.image_ids)}
     known = np.array([index.get(image_id, -1) for image_id in p.image_ids], dtype=np.int64)  # -1: not in the split
     if len(p) and (known < 0).any():
@@ -349,7 +348,7 @@ def evaluate(
             first_rank = match_triples(ranked.get(image_id, ()), gt[bounds[i] : bounds[i + 1]], max_k, protocol)
             rank[[bounds[i] + idx for idx in first_rank]] = list(first_rank.values())
     elif len(p):
-        _first_ranks(p, top, score, known[p.image], gt, image, rank)
+        _first_ranks(p, top, order, known[p.image], gt, image, rank)
     zs = np.zeros(len(gt), dtype=bool)
     if zero_shot is not None:
         zs[:] = [signature in zero_shot for signature in map(tuple, test.signatures().tolist())]

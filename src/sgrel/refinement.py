@@ -10,7 +10,6 @@ boosted rather than penalized.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -83,20 +82,17 @@ def refine_dataset(
     is computed once per label. One refinement vector serves every pair with
     the same three labels. A pair whose refined scores are all zero takes the
     affinity of its profile shifted by its minimum, the same distribution in
-    exact arithmetic; if they are still all zero, ``refine`` raises. The result
-    holds the refined ``probs`` and shares every other column with the input.
+    exact arithmetic; if they are still all zero, ``refine`` raises. A label
+    outside its space raises ``ValueError``. The result holds the refined
+    ``probs`` and shares every other column with the input.
     """
     if not len(predictions):
         return predictions
-    # Each (subject label, object label, top) as one int64 key, columns offset by their minimum: keys order as rows.
-    columns = np.stack([predictions.subj_label, predictions.obj_label, predictions.probs.argmax(axis=1)])
-    low = columns.min(axis=1)
-    spans = [high - lowest + 1 for lowest, high in zip(low.tolist(), columns.max(axis=1).tolist())]
-    if math.prod(spans) >= 2**63:
-        raise ValueError(f"pair labels span {spans[0]} and {spans[1]} values: too far apart to key")
-    keys, rows = np.unique(((columns[0] - low[0]) * spans[1] + columns[1] - low[1]) * spans[2] + columns[2] - low[2],
-                           return_inverse=True)
-    keys = np.stack([keys // (spans[1] * spans[2]), keys // spans[2] % spans[1], keys % spans[2]], axis=1) + low
+    # Each (subject label, object label, top) as its index in the label-space grid: keys order as rows.
+    grid = (object_embeddings.space.size, object_embeddings.space.size, predicate_embeddings.space.size)
+    keys, rows = np.unique(np.ravel_multi_index((predictions.subj_label, predictions.obj_label,
+                                                 predictions.probs.argmax(axis=1)), grid), return_inverse=True)
+    keys = np.stack(np.unravel_index(keys, grid), axis=1)
     objects = distance_vector(object_embeddings.vectors, predicate_embeddings)
     predicates = distance_vector(predicate_embeddings.vectors, predicate_embeddings)
     v = np.array([refinement_vector(objects[s], objects[o], predicates[p], alpha) for s, o, p in keys.tolist()])

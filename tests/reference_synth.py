@@ -1,4 +1,5 @@
-"""The synthetic corpus drawing that made scalar generator calls per box and per predicate, kept as the differential oracle.
+"""The synthetic corpus drawing that made scalar generator calls per box and per predicate, kept as the
+differential oracle.
 
 Each definition is the replaced code unchanged: ``_random_box`` (four scalar ``uniform`` draws), ``_Images``, which
 stores each box and feature as it is drawn, ``_generate_images``, which draws each predicate with

@@ -101,7 +101,9 @@ class TestReaders:
         with pytest.raises(ParseError, match=r"^f.json:7: invalid JSON: nested too deeply$"):
             decode_json("[" * 100_000 + "]" * 100_000, "f.json", 7)
 
-    @pytest.mark.parametrize("line, problem", [("", "empty line"), ("  ", "empty line"), ("[1]", "expected a JSON object")])
+    @pytest.mark.parametrize(
+        "line, problem", [("", "empty line"), ("  ", "empty line"), ("[1]", "expected a JSON object")]
+    )
     def test_jsonl_line_that_is_not_an_object(self, tmp_path, spaces, line, problem):
         path = write(tmp_path, "ann.jsonl", json.dumps(annotation_record()) + "\n" + line + "\n")
         with pytest.raises(ParseError, match=rf"ann.jsonl:2: {problem}"):

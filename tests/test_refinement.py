@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -271,16 +272,27 @@ class TestStackedRefinement:
     # interleaved partial sums, and beyond that by recursive halving.
     @pytest.mark.parametrize("alpha", [0.0, 0.35, 1.0])
     def test_equals_per_pair_refinement_for_every_width(self, alpha):
-        rng = np.random.default_rng(11)
-        for c_pred in range(1, 131):
-            objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
-            predicates = table(rng.normal(size=(c_pred, 3)))
-            pairs = awkward_pairs(rng, c_pred)
+        def check(pairs, objects, predicates):
             refined = refine_dataset(to_set(pairs), objects, predicates, alpha)
             assert_same_pairs(to_pairs(refined), per_pair_refine_dataset(pairs, objects, predicates, alpha))
             # The list-based refine_dataset that the columns replaced gives the same set, bit for bit.
             listed = reference_predictions.refine_dataset(pairs, objects, predicates, alpha)
             assert_same_set(refined, to_set(listed))
+
+        rng, grid_rng = np.random.default_rng(11), np.random.default_rng(12)
+        for c_pred in range(1, 131):
+            objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
+            predicates = table(rng.normal(size=(c_pred, 3)))
+            check(awkward_pairs(rng, c_pred), objects, predicates)
+            # A table of 9 objects: pairs with labels 0-3 only, then pairs at each corner of the key grid.
+            objects = table(grid_rng.normal(size=(9, 3)), kind=OBJECT, prefix="thing")
+            check(awkward_pairs(grid_rng, c_pred), objects, predicates)
+            pairs = awkward_pairs(grid_rng, c_pred, c_obj=9)
+            for i, (s, o, top) in enumerate(itertools.product([0, 8], [0, 8], [0, c_pred - 1])):
+                probs = pairs[i].probs.copy()
+                probs[top] = probs.max() + 1.0
+                pairs[i] = replace(pairs[i], subj_label=s, obj_label=o, probs=probs)
+            check(pairs, objects, predicates)
 
     def test_one_refinement_vector_per_label_triple(self, rng, monkeypatch):
         calls = []
@@ -298,7 +310,7 @@ class TestStackedRefinement:
     @pytest.mark.parametrize("low", [-4, 0, 3])
     def test_label_keys_in_the_order_of_the_label_rows(self, rng, monkeypatch, low):
         """One vector per distinct (subject label, object label, top) row, called in ``np.unique(..., axis=0)``'s
-        order, with negative labels (rows counted from the end) ordered as numbers."""
+        order; negative labels lie outside the space and are refused before any vector."""
         calls = []
         monkeypatch.setattr(refinement, "refinement_vector", lambda *args: calls.append(args) or sum(args))
         objects = table(rng.normal(size=(8, 3)), kind=OBJECT, prefix="thing")
@@ -306,6 +318,11 @@ class TestStackedRefinement:
         predictions = to_set(awkward_pairs(rng, 5, images=4))
         labels = rng.integers(low, low + 4, size=(2, len(predictions)))
         predictions = replace(predictions, subj_label=labels[0], obj_label=labels[1])
+        if low < 0:
+            with pytest.raises(ValueError, match="^invalid entry in coordinates array$"):
+                refine_dataset(predictions, objects, predicates)
+            assert calls == []
+            return
         refine_dataset(predictions, objects, predicates)
         rows = np.stack([labels[0], labels[1], predictions.probs.argmax(axis=1)], axis=1)
         objects_d = distance_vector(objects.vectors, predicates)
@@ -316,13 +333,16 @@ class TestStackedRefinement:
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b, strict=True)
 
-    def test_labels_too_far_apart_to_key_are_refused(self, rng):
+    @pytest.mark.parametrize("side", ["subj_label", "obj_label"])
+    @pytest.mark.parametrize("label", [-1, 4, 2**62])
+    def test_labels_outside_the_spaces_are_refused(self, rng, side, label):
         objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
         predicates = table(rng.normal(size=(2, 3)))
         predictions = to_set(awkward_pairs(rng, 2, images=1))
-        far = np.where(np.arange(len(predictions)) % 2, 2**62, -(2**62))
-        with pytest.raises(ValueError, match=r"^pair labels span 9223372036854775809 and \d+ values: too far apart"):
-            refine_dataset(replace(predictions, subj_label=far), objects, predicates)
+        labels = getattr(predictions, side).copy()
+        labels[3] = label
+        with pytest.raises(ValueError, match="^invalid entry in coordinates array$"):
+            refine_dataset(replace(predictions, **{side: labels}), objects, predicates)
 
     def test_input_pairs_are_left_as_they_were(self, rng):
         objects = table(rng.normal(size=(4, 3)), kind=OBJECT, prefix="thing")
