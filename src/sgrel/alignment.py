@@ -280,6 +280,12 @@ class TrainConfig:
     box_loss: float = 0.0
     object_loss: float = 0.0
 
+    def check_training(self) -> None:
+        """Refuse a value that training cannot use: ``ValueError`` naming the first key below its least value."""
+        for key, least in {"mu": 0, "lr": 0, "iterations": 0, "eval_every": 0, "batch_size": 1, "patience": 1}.items():
+            if not getattr(self, key) >= least:  # NaN too
+                raise ValueError(f"invalid {key} {getattr(self, key)!r}: must be >= {least}")
+
 
 @dataclass(eq=False)
 class TrainResult:
@@ -311,6 +317,7 @@ def train(
     evaluations. An update that leaves a parameter that is not finite raises
     ``ValueError`` naming the iteration, and so does a total loss that is not finite.
     """
+    config.check_training()
     if not train_set.image_ids:
         raise ValueError("cannot train on an empty dataset")
     if weights is None:

@@ -78,7 +78,8 @@ _CONFIG_PARSERS = {key: _TYPE_PARSERS[kind] for key, kind in typing.get_type_hin
 
 
 def _check_ranges(config: RunConfig) -> None:
-    """Reject out-of-range values, naming the key; synth keys go through the inherited ``validate``."""
+    """Reject out-of-range values, naming the key; the inherited ``check_training`` and ``validate`` do so for
+    training and synth keys."""
     c = config
     for key, value in dataclasses.asdict(c).items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -88,12 +89,6 @@ def _check_ranges(config: RunConfig) -> None:
         "alpha": (0.0 <= c.alpha <= 1.0, "in [0, 1]"),
         "tau": (c.tau > 0.0, "> 0"),
         "beta": (c.beta > 0.0, "> 0"),
-        "mu": (c.mu >= 0.0, ">= 0"),
-        "lr": (c.lr >= 0.0, ">= 0"),
-        "iterations": (c.iterations >= 0, ">= 0"),
-        "eval_every": (c.eval_every >= 0, ">= 0"),
-        "batch_size": (c.batch_size >= 1, ">= 1"),
-        "patience": (c.patience >= 1, ">= 1"),
         "ks": (
             len(c.ks) == len(set(c.ks)) >= 1 and min(c.ks) >= 1,
             "a non-empty list of distinct cutoffs >= 1",
@@ -103,6 +98,10 @@ def _check_ranges(config: RunConfig) -> None:
     for key, (ok, allowed) in rules.items():
         if not ok:
             raise UsageError(f"invalid {key} {getattr(c, key)!r}: must be {allowed}")
+    try:
+        c.check_training()
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     try:
         c.validate()
     except ValueError as err:
@@ -153,6 +152,14 @@ def _naming(path: str | Path, func, *args):
         raise ValueError(f"{path}: {err}") from None
 
 
+def _out_dir(args: argparse.Namespace) -> Path:
+    """``--out``, made if missing. A stage makes it once its checks and loads have passed, so one that fails
+    leaves no directory behind."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _load_spaces(args: argparse.Namespace) -> tuple[LabelSpace, LabelSpace]:
     return load_labels(args.object_labels, OBJECT), load_labels(args.predicate_labels, PREDICATE)
 
@@ -194,9 +201,8 @@ def load_weights(path: str | Path, space: LabelSpace) -> InfoWeights:
 
 
 def cmd_synth(args: argparse.Namespace, config: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data = synth.generate(config)
+    out = _out_dir(args)
     for kind, embeddings in ((OBJECT, data.object_embeddings), (PREDICATE, data.predicate_embeddings)):
         labels = "".join(name + "\n" for name in embeddings.space.names)
         (out / f"{kind}_labels.txt").write_text(labels, encoding="utf-8")
@@ -226,8 +232,7 @@ def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
         "predicate_labels": predicate_space.size,
         "d_roi": dataset.d_roi,
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_json(summary, out / "ingest_summary.json")
     print(json.dumps({"images": summary["images"], "triples": summary["triples"]}, sort_keys=True))
     return 0
@@ -238,19 +243,17 @@ def cmd_zsplit(args: argparse.Namespace, config: RunConfig) -> int:
     train = load_annotations(args.train, object_space, predicate_space, args.d_roi, "train")
     test = load_annotations(args.test, object_space, predicate_space, args.d_roi, "test")
     index = build_zero_shot_index(train, test)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     ingest.save_zero_shot_index(index, object_space, predicate_space, out / "zero_shot.json")
     logger.info("zsplit: %d novel signatures -> %s", len(index), out / "zero_shot.json")
     return 0
 
 
 def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "train_resampled.jsonl"
+    target = "train_resampled.jsonl"
     if not config.use_resampling:
-        ingest.copy_with_companion(args.train, target)
+        out = _out_dir(args)
+        ingest.copy_with_companion(args.train, out / target)
         _write_json({"applied": False, "config": dataclasses.asdict(config)}, out / "sampling_plan.json")
         logger.info("resample: disabled, copied input unchanged")
         return 0
@@ -262,7 +265,8 @@ def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
     counts = count_predicates(train)
     plan = build_sampling_plan(counts, recalls, tau=config.tau, beta=config.beta, seed=config.seed)
     resampled = resample(train, plan)
-    ingest.save_annotations(resampled, target)
+    out = _out_dir(args)
+    ingest.save_annotations(resampled, out / target)
     _write_json(
         {
             "applied": True,
@@ -294,8 +298,7 @@ def cmd_weights(args: argparse.Namespace, config: RunConfig) -> int:
     train = load_annotations(args.train, object_space, predicate_space, args.d_roi, "train")
     counts = count_predicates(train)
     info = _naming(args.train, info_weights, counts)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     save_weights(info, counts, predicate_space, out / "info_weights.json")
     logger.info("weights: wrote %s", out / "info_weights.json")
     return 0
@@ -320,8 +323,7 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
     )
     result = _naming(args.train, alignment.train, model, train_set, embeddings, config, val_set, weights)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     alignment.save_model(result.model, out / "model.ckpt")
     alignment.save_history(result.history, out / "loss_history.csv")
     alignment.save_validation(result, out / "validation.csv")
@@ -335,13 +337,11 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    target = out / "predictions_refined.jsonl"
-    report_path = out / "refinement_report.jsonl"
+    target, report = "predictions_refined.jsonl", "refinement_report.jsonl"
     if not config.use_refinement:
-        ingest.copy_with_companion(args.predictions, target)
-        report_path.write_text("", encoding="utf-8")
+        out = _out_dir(args)
+        ingest.copy_with_companion(args.predictions, out / target)
+        (out / report).write_text("", encoding="utf-8")
         logger.info("refine: disabled, copied predictions unchanged")
         return 0
     if not (args.object_embeddings and args.predicate_embeddings):
@@ -359,7 +359,8 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
         )
     refined = _naming(args.predictions, refinement.refine_dataset,
                       predictions, object_embeddings, predicate_embeddings, config.alpha)
-    metrics.save_predictions(refined, object_space, target)
+    out = _out_dir(args)
+    metrics.save_predictions(refined, object_space, out / target)
     pre_top, post_top = predictions.probs.argmax(axis=1), refined.probs.argmax(axis=1)
     flipped = int(np.count_nonzero(pre_top != post_top))
     # The JSON lines json.dumps(..., separators=(",", ":")) writes, each id and name escaped once.
@@ -370,7 +371,7 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
         for i, s, o, before, after in zip(predictions.image.tolist(), predictions.subj_id.tolist(),
                                           predictions.obj_id.tolist(), pre_top.tolist(), post_top.tolist())
     )
-    with open(report_path, "w", encoding="utf-8") as handle:
+    with open(out / report, "w", encoding="utf-8") as handle:
         handle.writelines(lines)
     logger.info("refine: %d/%d pairs flipped", flipped, len(predictions))
     return 0
@@ -384,8 +385,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     info = load_weights(args.weights, predicate_space) if args.weights else None
     report = _naming(args.predictions, metrics.evaluate,
                      predictions, dataset, zero_shot, info, config.ks, config.subtask)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_json(
         {"config": dataclasses.asdict(config), "report": report.to_dict(predicate_space)},
         out / "report.json",
@@ -443,8 +443,7 @@ def cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
         table.append(cells)
     if len(seeds) > 1:
         raise ValueError(f"seed conflict across reports: {sorted(seeds)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     payload = {"config": dataclasses.asdict(config), "seed": sorted(seeds)[0] if seeds else None, "rows": rows}
     _write_json(payload, out / "summary.json")
 

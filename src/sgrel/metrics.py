@@ -11,12 +11,13 @@ sggen
 
 A ranked prediction list obeys the graph constraint (one predicate per ordered
 instance pair). Within the top-K window, predictions consume ground-truth
-triples one-to-one; consumption is resolved by augmenting paths in rank order,
-which yields the maximum possible number of matched triples. An augmenting path
-never unmatches a triple, so one pass over the top max(K) records, for each
-matched triple, the rank that first matched it, and serves every K. Under
-predcls and sgcls a GT triple has at most one pair that may consume it, so
-there the first ranks come from one join of GT triples to pairs instead.
+triples one-to-one. Under predcls and sgcls a GT triple has at most one pair
+that may consume it, so its first matching rank comes from one join of GT
+triples to pairs (``_first_ranks``). Under sggen ``match_triples`` resolves
+consumption by augmenting paths in rank order, which yields the maximum
+possible number of matched triples. An augmenting path never unmatches a
+triple, so one pass over the top max(K) records, for each matched triple, the
+rank that first matched it, and serves every K.
 """
 
 from __future__ import annotations
@@ -111,8 +112,8 @@ class MetricReport:
     num_gt_triples: int
     num_zero_shot_gt: int
 
-    def to_dict(self, predicate_space: LabelSpace | None = None) -> dict:
-        payload: dict = {
+    def to_dict(self, predicate_space: LabelSpace) -> dict:
+        return {
             "subtask": self.subtask,
             "ks": list(self.ks),
             "metrics": {
@@ -121,13 +122,11 @@ class MetricReport:
             "num_images": self.num_images,
             "num_gt_triples": self.num_gt_triples,
             "num_zero_shot_gt": self.num_zero_shot_gt,
-        }
-        if predicate_space is not None:
-            payload["per_predicate"] = [
+            "per_predicate": [
                 {"name": name, "gt_count": count, **{f"recall@{k}": value for k, value in zip(self.ks, recalls)}}
                 for name, count, recalls in self.per_predicate(predicate_space)
-            ]
-        return payload
+            ],
+        }
 
     def per_predicate(self, predicate_space: LabelSpace) -> Iterator[tuple[str, int, list[float | None]]]:
         """Each predicate's name, GT count and recall at each K (None where it has no GT)."""
@@ -207,29 +206,23 @@ def _untried(tried: dict[int, int], idx: int) -> int:
     return idx
 
 
-def match_triples(triples: RankedTriples, gt: RankedTriples, k: int, protocol: str) -> dict[int, int]:
-    """Match the top-``k`` ranked triples to an image's GT triples ``gt``; GT index -> first matching rank.
+def match_triples(triples: RankedTriples, gt: RankedTriples, k: int) -> dict[int, int]:
+    """SGGen: match the top-``k`` ranked triples to an image's GT triples ``gt``; GT index -> first matching rank.
 
-    Each prediction consumes at most one GT triple; processing in rank order
-    with augmenting paths makes the matched set as large as any assignment
-    could achieve. A matched GT triple stays matched, so the triples matched
-    within the top ``j <= k`` are those whose rank is below ``j``.
+    A prediction may consume a GT triple of its labels and predicate whose
+    boxes it overlaps at IoU >= 0.5, and consumes at most one; processing in
+    rank order with augmenting paths makes the matched set as large as any
+    assignment could achieve. A matched GT triple stays matched, so the triples
+    matched within the top ``j <= k`` are those whose rank is below ``j``.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
     top = triples[:k]
     if not (len(top) and len(gt)):
         return {}
+    overlaps = iou_matrix(np.stack([top.subj_box, top.obj_box], axis=1), np.stack([gt.subj_box, gt.obj_box], axis=1))
     compatible = (  # (top, GT): may this prediction consume this GT triple?
         (top.pred[:, None] == gt.pred) & (top.subj_label[:, None] == gt.subj_label)
-        & (top.obj_label[:, None] == gt.obj_label)
+        & (top.obj_label[:, None] == gt.obj_label) & (overlaps >= SGGEN_IOU_THRESHOLD).all(axis=2)
     )
-    if protocol == SGGEN:
-        ends = np.stack([gt.subj_box, gt.obj_box], axis=1)
-        overlaps = iou_matrix(np.stack([top.subj_box, top.obj_box], axis=1), ends)
-        compatible &= (overlaps >= SGGEN_IOU_THRESHOLD).all(axis=2)
-    else:
-        compatible &= (top.subj_id[:, None] == gt.subj_id) & (top.obj_id[:, None] == gt.obj_id)
     ranks, gt_indices = np.nonzero(compatible)
     bounds, gt_indices = np.searchsorted(ranks, np.arange(len(top) + 1)).tolist(), gt_indices.tolist()
     options = [gt_indices[a:b] for a, b in zip(bounds, bounds[1:])]  # compatible GT indices per rank, ascending
@@ -296,7 +289,7 @@ def ground_truth(test: Dataset) -> RankedTriples:
 
 def _first_ranks(p: PredictionSet, top: np.ndarray, order: np.ndarray, image: np.ndarray, gt: RankedTriples,
                  gt_image: np.ndarray, rank: np.ndarray) -> None:
-    """PredCls/SGCls: ``match_triples``' first rank of each GT triple by one join, into ``rank`` (filled with max(K)).
+    """PredCls/SGCls: the first matching rank of each GT triple by one join, into ``rank`` (filled with max(K)).
 
     A pair may consume only GT triples of its own ids, top predicate and labels. Pairs do not repeat in an image
     (``_ranking``), nor object ids (``validate_annotation``), so the first of identical GT triples has at most
@@ -345,7 +338,7 @@ def evaluate(
     if protocol == SGGEN:
         bounds = test.triple_offsets.tolist()
         for i, image_id in enumerate(test.image_ids):
-            first_rank = match_triples(ranked.get(image_id, ()), gt[bounds[i] : bounds[i + 1]], max_k, protocol)
+            first_rank = match_triples(ranked.get(image_id, ()), gt[bounds[i] : bounds[i + 1]], max_k)
             rank[[bounds[i] + idx for idx in first_rank]] = list(first_rank.values())
     elif len(p):
         _first_ranks(p, top, order, known[p.image], gt, image, rank)

@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -13,6 +16,13 @@ D_ROI = 5
 # so the suite stays deterministic.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+# Hypothesis reports a failing property test through ``hypothesis.extra._patching``, whose import of libcst warns
+# (``mypy_extensions.TypedDict`` is deprecated). Under ``filterwarnings = ["error"]`` that warning, raised while the
+# report is built, would end the run with an internal error; imported once here, the module is already loaded then.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):  # without libcst, hypothesis reports no patch
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def make_spaces(c_obj=4, c_pred=3):

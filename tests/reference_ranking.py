@@ -7,8 +7,10 @@ are computed inline.
 ``evaluate_by_matching`` is the columnar ``sgrel.metrics.evaluate`` that ran
 ``match_triples`` on every image under every protocol, before PredCls and
 SGCls took their first ranks from one join. It is unchanged except for its
-name and for reaching ``sgrel``'s names through their modules, as this module
-defines its own ``build_ranked`` and ``match_triples``.
+name, for reaching ``sgrel``'s names through their modules, as this module
+defines its own ``build_ranked`` and ``match_triples``, and for matching each
+image with ``reference_annotations.match_triples`` on ``to_objects(test)``, as
+``sgrel.metrics.match_triples`` now serves SGGen only.
 """
 
 from dataclasses import dataclass
@@ -30,6 +32,7 @@ from sgrel.metrics import (
 from sgrel import core, metrics
 from sgrel.reweighting import InfoWeights
 
+import reference_annotations
 from reference_annotations import BoundingBox, Dataset, ObjectInstance, SceneGraphAnnotation, Triple, triple_signature
 from reference_predictions import PairPrediction
 
@@ -272,9 +275,9 @@ def evaluate_by_matching(
     gt = metrics.ground_truth(test)
     bounds = test.triple_offsets.tolist()
     rank = np.full(len(gt), max_k)  # per GT triple of the split: the first matching rank
-    for i, image_id in enumerate(test.image_ids):
-        first_rank = metrics.match_triples(
-            ranked.get(image_id, ()), gt[bounds[i] : bounds[i + 1]], max_k, protocol
+    for i, annotation in enumerate(reference_annotations.to_objects(test).annotations):
+        first_rank = reference_annotations.match_triples(
+            ranked.get(annotation.image_id, ()), annotation, max_k, protocol
         )
         rank[[bounds[i] + idx for idx in first_rank]] = list(first_rank.values())
     image, pred = core.owners(test.triple_offsets), gt.pred

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -325,6 +326,17 @@ class TestTrain:
         model = RelationModel.init(6, 4, 4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty"):
             train(model, empty, data.object_embeddings, TrainConfig(iterations=1))
+
+    @pytest.mark.parametrize("key, value, least", [
+        ("mu", -0.5, 0), ("lr", -0.5, 0), ("lr", float("nan"), 0), ("iterations", -1, 0), ("eval_every", -1, 0),
+        ("batch_size", 0, 1), ("patience", 0, 1),
+    ])
+    def test_values_that_training_cannot_use_are_refused(self, key, value, least):
+        data = tiny_corpus()
+        model = RelationModel.init(6, 4, 4, np.random.default_rng(0))
+        config = dataclasses.replace(TrainConfig(lr=0.01, iterations=5, batch_size=8, seed=1), **{key: value})
+        with pytest.raises(ValueError, match=rf"^invalid {key} {value!r}: must be >= {least}$"):
+            train(model, data.train, data.object_embeddings, config, val=data.val)
 
     def test_training_reduces_contrastive_loss(self):
         # Synthetic 200-image corpus: dataset-level contrastive loss must drop.

@@ -248,6 +248,44 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestFailedStagesMakeNoOut:
+    """A stage whose checks or loads fail (exit 1 or 2) makes no ``--out`` directory."""
+
+    def test_synth_of_an_infeasible_corpus(self, tmp_path, capsys):
+        config = write_config(tmp_path, images=200, zero_shot_fraction=0.95, c_obj=5, c_pred=4)
+        assert run(["synth", "--out", tmp_path / "sx", "--config", config]) == 2
+        assert capsys.readouterr().err == ("data error: infeasible config: withholding removed every label pair of "
+                                           "predicate 0; lower zero_shot_fraction\n")
+        assert not (tmp_path / "sx").exists()
+
+    def test_resample_without_recalls(self, corpus, tmp_path, capsys):
+        config = write_config(tmp_path, use_resampling="true")
+        assert run(["resample", "--out", tmp_path / "rs", "--config", config, *corpus_flags(corpus),
+                    "--train", corpus / "train.jsonl", "--d-roi", 32]) == 1
+        assert capsys.readouterr().err == "usage error: --recalls is required when use_resampling is on\n"
+        assert not (tmp_path / "rs").exists()
+
+    def test_refine_without_embeddings(self, corpus, tmp_path, capsys):
+        config = write_config(tmp_path, use_refinement="true")
+        predictions = tmp_path / "predictions_test.jsonl"
+        save_oracle_predictions(corpus, "test", predictions)
+        assert run(["refine", "--out", tmp_path / "rf", "--config", config, *corpus_flags(corpus),
+                    "--predictions", predictions]) == 1
+        assert capsys.readouterr().err == ("usage error: --object-embeddings and --predicate-embeddings are required "
+                                           "when use_refinement is on\n")
+        assert not (tmp_path / "rf").exists()
+
+    def test_refine_of_predictions_that_do_not_parse(self, corpus, tmp_path, capsys):
+        config = write_config(tmp_path, use_refinement="true")
+        predictions = tmp_path / "predictions_test.jsonl"
+        predictions.write_text('{"image_id": "img0"}\n')
+        assert run(["refine", "--out", tmp_path / "rf", "--config", config, *corpus_flags(corpus),
+                    "--predictions", predictions, "--object-embeddings", corpus / "object_embeddings.txt",
+                    "--predicate-embeddings", corpus / "predicate_embeddings.txt"]) == 2
+        assert capsys.readouterr().err == f"data error: {predictions}:1: missing key 'subj_id'\n"
+        assert not (tmp_path / "rf").exists()
+
+
 def outcome_of(argv, capsys):
     """``main``'s exit status (also from ``SystemExit``, as ``-h`` ends), stdout and stderr."""
     try:
@@ -510,7 +548,7 @@ class TestJsonNestedTooDeeply:
         argv, path, line = self.argv(corpus, tmp_path, name)
         assert run([*argv, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"data error: {path}:{line}: invalid JSON: nested too deeply\n"
-        assert not any((tmp_path / "out").glob("*"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestZsplit:

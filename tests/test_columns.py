@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from sgrel import ingest, synth
 from sgrel.alignment import pair_inputs
 from sgrel.ingest import build_zero_shot_index, companion_path, load_annotations, save_annotations
-from sgrel.metrics import PROTOCOLS, PredictionSet, build_ranked, evaluate, ground_truth, match_triples
+from sgrel.metrics import PROTOCOLS, PredictionSet, build_ranked, evaluate, ground_truth
 from sgrel.sampling import build_sampling_plan, count_predicates, resample
 
 import reference_annotations as reference
@@ -27,7 +27,7 @@ from conftest import make_spaces
 from reference_annotations import to_columns
 from reference_predictions import assert_same_set
 from test_ingest import workload_corpus
-from test_metrics import assert_same_reports
+from test_metrics import assert_same_reports, first_ranks
 
 COLUMNS = ("sizes", "object_offsets", "triple_offsets", "object_ids", "labels", "boxes", "features", "triples")
 D_ROI = 2
@@ -166,7 +166,7 @@ def assert_stages_agree(dataset, objects, directory, seed=0):
         for i, annotation in enumerate(objects.annotations):
             for protocol in PROTOCOLS:
                 top = ranked.get(annotation.image_id, ())
-                assert match_triples(top, gt[bounds[i] : bounds[i + 1]], 50, protocol) == reference.match_triples(
+                assert first_ranks(top, gt[bounds[i] : bounds[i + 1]], 50, protocol) == reference.match_triples(
                     top, annotation, 50, protocol)
 
 

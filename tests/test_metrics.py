@@ -74,9 +74,25 @@ def image_gt(annotation):
     return ground_truth(make_dataset([annotation]))
 
 
+def first_ranks(ranked, gt, k, protocol):
+    """GT index -> first matching rank below ``k`` of one image's distinct pairs ``ranked``, given in rank order:
+    ``match_triples`` under SGGen; under PredCls and SGCls, ``evaluate``'s join (``metrics._first_ranks``) of the
+    pairs, in that order, to the image's GT triples ``gt``."""
+    if protocol == SGGEN:
+        return match_triples(ranked, gt, k)
+    n = len(ranked)
+    if not n:
+        return {}
+    image, gt_image, rank = np.zeros(n, dtype=np.int64), np.zeros(len(gt), dtype=np.int64), np.full(len(gt), k)
+    pairs = PredictionSet(("im",), image, ranked.subj_id, ranked.obj_id, ranked.subj_label, ranked.obj_label,
+                          ranked.subj_box, ranked.obj_box, np.ones(n), np.ones(n), np.ones((n, 1)))
+    metrics._first_ranks(pairs, ranked.pred, np.arange(n), image, gt, gt_image, rank)
+    return {idx: r for idx, r in enumerate(rank.tolist()) if r < k}
+
+
 def match(triples, annotation, k, protocol):
-    """``match_triples`` over ``PredictedTriple``s given in rank order."""
-    return match_triples(as_ranked(triples), image_gt(annotation), k, protocol)
+    """``first_ranks`` over ``PredictedTriple``s given in rank order."""
+    return first_ranks(as_ranked(triples), image_gt(annotation), k, protocol)
 
 
 def iou(a, b):
@@ -404,7 +420,8 @@ class TestOnePassMatching:
     def test_stack_search_equals_the_recursive_search_on_dense_images(self):
         # Two labels, two predicates and three boxes (two of them overlapping) over 12 objects: each
         # prediction is compatible with runs of GT triples, so augmenting paths are long and skip runs of
-        # GT triples already tried. The recursive search is the code the stack search replaced.
+        # GT triples already tried. The recursive search is the code the stack search replaced. Only SGGen
+        # searches: PredCls and SGCls take their first ranks from the join.
         rng = np.random.default_rng(23)
         boxes = np.array([[0.0, 0.0, 10.0, 10.0], [1.0, 1.0, 11.0, 11.0], [40.0, 40.0, 50.0, 50.0]])
         pairs = list(itertools.permutations(range(12), 2))
@@ -417,9 +434,8 @@ class TestOnePassMatching:
             n = int(rng.integers(1, 150))
             ranked = RankedTriples(*rng.integers(0, 12, (2, n)), *rng.integers(0, 2, (2, n)),
                                    *boxes[rng.integers(3, size=(2, n))], rng.integers(0, 2, n), np.ones(n))
-            for protocol in PROTOCOLS:
-                first = match_triples(ranked, image_gt(a), n, protocol)
-                assert list(first.items()) == list(reference_annotations.match_triples(ranked, a, n, protocol).items())
+            first = match_triples(ranked, image_gt(a), n)
+            assert list(first.items()) == list(reference_annotations.match_triples(ranked, a, n, SGGEN).items())
 
     def test_augmenting_paths_longer_than_the_recursion_limit(self):
         # Every one of 1,200 ranked triples may take every one of 1,200 GT triples (one label pair, one
@@ -427,7 +443,7 @@ class TestOnePassMatching:
         n = 1200
         zeros, box = np.zeros(n, dtype=np.int64), np.tile([0.0, 0.0, 10.0, 10.0], (n, 1))
         ranked = RankedTriples(np.arange(n), np.arange(n), zeros, zeros, box, box, zeros, np.ones(n))
-        assert match_triples(ranked, ranked, n, SGGEN) == {i: i for i in range(n)}
+        assert match_triples(ranked, ranked, n) == {i: i for i in range(n)}
 
 
 def assert_same_reports(report, expected):
@@ -453,7 +469,7 @@ def assert_same_ranked(ranked, expected):
 
 def assert_same_as_replaced_code(predictions, dataset, zero_shot=None, info=None,
                                  ks=(1, 2, 3, 5, 10, 20, 100), protocol=PREDCLS):
-    """Report, ranking and each image's first-rank dict equal those of the replaced code, exactly.
+    """Report, ranking and each image's first-rank dict (``first_ranks``) equal those of the replaced code, exactly.
 
     The replaced code is the list-based ``evaluate`` and ``build_ranked`` and,
     before them, the per-object ranking and matching.
@@ -473,7 +489,7 @@ def assert_same_as_replaced_code(predictions, dataset, zero_shot=None, info=None
     assert {image_id: as_triples(r) for image_id, r in ranked.items()} == replaced
     gt, bounds = ground_truth(dataset), dataset.triple_offsets
     for i, a in enumerate(objects.annotations):
-        first = match_triples(ranked.get(a.image_id, ()), gt[bounds[i] : bounds[i + 1]], max(ks), protocol)
+        first = first_ranks(ranked.get(a.image_id, ()), gt[bounds[i] : bounds[i + 1]], max(ks), protocol)
         assert first == reference.match_triples(replaced.get(a.image_id, ()), a, max(ks), protocol)
         assert first == reference_annotations.match_triples(ranked.get(a.image_id, ()), a, max(ks), protocol)
 
@@ -611,7 +627,7 @@ class TestMatchingProperties:
     def test_sggen_count_equals_brute_force_maximum_matching(self, scene):
         a, predictions = scene
         (ranked,) = build_ranked(to_set(predictions), 2).values()
-        first_rank = match_triples(ranked, image_gt(a), len(ranked), SGGEN)
+        first_rank = match_triples(ranked, image_gt(a), len(ranked))
         gt = [(t, a.object_by_id(t.subj), a.object_by_id(t.obj)) for t in a.triples]
         options = [
             [g for g, (t, subj, obj) in enumerate(gt) if reference._compatible(p, t, subj, obj, SGGEN)] + [None]
