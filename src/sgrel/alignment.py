@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Dataset, box_overlap, offsets, owners
-from .ingest import EmbeddingTable, framed_arrays, load_framed, save_framed
+from .ingest import EmbeddingTable, load_framed, save_framed
 from .metrics import PredictionSet, evaluate
 from .metrics import build_ranked, match_triples  # unused here; perfbench/tracing.py patches these names
 from .reweighting import DEFAULT_MU, InfoWeights, total_loss, uniform_weights, weighted_pred_loss
@@ -135,9 +135,10 @@ def pair_geometry(subj: np.ndarray, obj: np.ndarray, sizes: np.ndarray) -> np.nd
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Each row of ``z`` through softmax, in one new array; ``z`` is left as it is."""
+    e = z - z.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
 
 
 def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,15 +390,13 @@ def predict(model: RelationModel, dataset: Dataset) -> PredictionSet:
     base = dataset.object_offsets[image]
     subj, obj = base + s, base + j + (j >= s)  # object j skips the subject's own slot
 
-    # The classifier is linear: apply its subject and object blocks once per object, then gather.
+    # The classifier is linear: apply its subject and object blocks once per object, then gather into one array.
     d, features, boxes = model.d_roi, dataset.features, dataset.boxes
-    probs = _softmax_rows(
-        (features @ model.w_cls[:d])[subj]
-        + (features @ model.w_cls[d : 2 * d])[obj]
-        + pair_geometry(boxes[subj], boxes[obj], dataset.sizes[image]) @ model.w_cls[2 * d :]
-        + model.b_cls
-    )
-    return PredictionSet.of_objects(dataset, image, subj, obj, probs)
+    logits = (features @ model.w_cls[:d])[subj]
+    logits += (features @ model.w_cls[d : 2 * d])[obj]
+    logits += pair_geometry(boxes[subj], boxes[obj], dataset.sizes[image]) @ model.w_cls[2 * d :]
+    logits += model.b_cls
+    return PredictionSet.of_objects(dataset, image, subj, obj, _softmax_rows(logits))
 
 
 def save_history(history: list[tuple[float, float, float]], path: str | Path) -> None:
@@ -426,10 +425,10 @@ def save_model(model: RelationModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> RelationModel:
     """The model ``save_model`` wrote; any other file raises ``ValueError`` naming ``path`` (``load_framed``)."""
-    header, payload = load_framed(path)
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a model checkpoint")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    dtypes = dict.fromkeys(_ARRAY_ORDER, "<f8")
-    return RelationModel(**framed_arrays(path, header, payload, dtypes, "checkpoint", "parameter"))
+    def check(header: object) -> None:
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: not a model checkpoint")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
+
+    return RelationModel(**load_framed(path, dict.fromkeys(_ARRAY_ORDER, "<f8"), "checkpoint", "parameter", check)[1])

@@ -152,9 +152,11 @@ def _naming(path: str | Path, func, *args):
         raise ValueError(f"{path}: {err}") from None
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    """``--out``, made if missing. A stage makes it once its checks and loads have passed, so one that fails
-    leaves no directory behind."""
+def _out_dir(args: argparse.Namespace, source: str | None = None) -> Path:
+    """``--out``, made if missing, and only once ``source`` (the input a stage copies) opens. A stage makes it once
+    its checks and loads have passed, so one that fails leaves no directory behind."""
+    if source is not None:
+        open(source, "rb").close()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -252,7 +254,7 @@ def cmd_zsplit(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
     target = "train_resampled.jsonl"
     if not config.use_resampling:
-        out = _out_dir(args)
+        out = _out_dir(args, args.train)
         ingest.copy_with_companion(args.train, out / target)
         _write_json({"applied": False, "config": dataclasses.asdict(config)}, out / "sampling_plan.json")
         logger.info("resample: disabled, copied input unchanged")
@@ -287,9 +289,7 @@ def cmd_resample(args: argparse.Namespace, config: RunConfig) -> int:
         },
         out / "sampling_plan.json",
     )
-    logger.info(
-        "resample: %d -> %d triples", train.num_triples(), resampled.num_triples()
-    )
+    logger.info("resample: %d -> %d triples", train.num_triples(), resampled.num_triples())
     return 0
 
 
@@ -339,15 +339,13 @@ def cmd_train(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
     target, report = "predictions_refined.jsonl", "refinement_report.jsonl"
     if not config.use_refinement:
-        out = _out_dir(args)
+        out = _out_dir(args, args.predictions)
         ingest.copy_with_companion(args.predictions, out / target)
         (out / report).write_text("", encoding="utf-8")
         logger.info("refine: disabled, copied predictions unchanged")
         return 0
     if not (args.object_embeddings and args.predicate_embeddings):
-        raise UsageError(
-            "--object-embeddings and --predicate-embeddings are required when use_refinement is on"
-        )
+        raise UsageError("--object-embeddings and --predicate-embeddings are required when use_refinement is on")
     object_space, predicate_space = _load_spaces(args)
     predictions = metrics.load_predictions(args.predictions, object_space, predicate_space.size)
     object_embeddings = load_embeddings(args.object_embeddings, object_space)
@@ -359,21 +357,22 @@ def cmd_refine(args: argparse.Namespace, config: RunConfig) -> int:
         )
     refined = _naming(args.predictions, refinement.refine_dataset,
                       predictions, object_embeddings, predicate_embeddings, config.alpha)
+    pre_top, post_top = predictions.probs.argmax(axis=1), refined.probs.argmax(axis=1)
+    del predictions  # its probs: refined shares every other column
     out = _out_dir(args)
     metrics.save_predictions(refined, object_space, out / target)
-    pre_top, post_top = predictions.probs.argmax(axis=1), refined.probs.argmax(axis=1)
     flipped = int(np.count_nonzero(pre_top != post_top))
     # The JSON lines json.dumps(..., separators=(",", ":")) writes, each id and name escaped once.
-    image_text = metrics.line_prefixes(predictions.image_ids)
+    image_text = metrics.line_prefixes(refined.image_ids)
     top_text = list(map(encode_basestring_ascii, predicate_space.names))
     lines = (
         f'{image_text[i]}{s},"obj_id":{o},"pre_top":{top_text[before]},"post_top":{top_text[after]}}}\n'
-        for i, s, o, before, after in zip(predictions.image.tolist(), predictions.subj_id.tolist(),
-                                          predictions.obj_id.tolist(), pre_top.tolist(), post_top.tolist())
+        for i, s, o, before, after in zip(refined.image.tolist(), refined.subj_id.tolist(),
+                                          refined.obj_id.tolist(), pre_top.tolist(), post_top.tolist())
     )
     with open(out / report, "w", encoding="utf-8") as handle:
         handle.writelines(lines)
-    logger.info("refine: %d/%d pairs flipped", flipped, len(predictions))
+    logger.info("refine: %d/%d pairs flipped", flipped, len(refined))
     return 0
 
 

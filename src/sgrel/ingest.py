@@ -7,6 +7,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import shutil
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -90,49 +91,44 @@ def read_jsonl(path: str | Path) -> tuple[int, Iterator[dict]]:
 # line with sorted keys, whose "arrays" maps each array's name to its shape,
 # then each array's raw bytes, in the order the format defines.
 def save_framed(path: str | Path, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``header`` plus the shapes of ``arrays`` (already in their file dtypes), then their bytes."""
+    """Write ``header`` plus the shapes of ``arrays`` (already in their file dtypes), then each array's buffer."""
     header = {**header, "arrays": {name: list(array.shape) for name, array in arrays.items()}}
     with open(path, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for array in arrays.values():
-            handle.write(np.ascontiguousarray(array).tobytes())
+            handle.write(np.ascontiguousarray(array))
 
 
-def load_framed(path: str | Path) -> tuple[object, bytes]:
-    """The decoded header line of a framed file and the bytes after it.
+def load_framed(
+    path: str | Path, dtypes: dict[str, str], kind: str, unit: str, check: Callable[[object], None]
+) -> tuple[dict, dict[str, np.ndarray], str]:
+    """The decoded header line of a framed file, which ``check`` sees first (raising to refuse it); the arrays of
+    ``dtypes``, in its order, each read from the file into its own native writable array; the SHA-256 of their bytes.
 
     A header line that is not UTF-8 JSON (``read_text``, ``decode_json``) raises ``ParseError`` naming ``path``.
+    A header without a valid shape for each array, or a payload of another byte count, raises ``ValueError``
+    naming ``path``, the ``kind`` of file and the ``unit`` its bytes hold.
     """
     with open(path, "rb") as handle:
-        line = handle.readline()
-        payload = handle.read()
-    return decode_json(read_text(path, line), path), payload
-
-
-def framed_arrays(
-    path: str | Path, header: dict, payload: bytes, dtypes: dict[str, str], kind: str, unit: str
-) -> dict[str, np.ndarray]:
-    """The arrays named by ``dtypes``, in its order, as native writable copies of ``payload``'s bytes.
-
-    A header without a valid shape for each array, or a payload of another byte
-    count, raises ``ValueError`` naming ``path``, the ``kind`` of file and the
-    ``unit`` its bytes hold.
-    """
-    shapes = header.get("arrays")
-    for name in dtypes:
-        if not isinstance(shapes, dict) or name not in shapes:
-            raise ValueError(f"{path}: {kind} header has no arrays.{name} shape")
-        if not isinstance(shapes[name], list) or not all(type(n) is int and n >= 0 for n in shapes[name]):
-            raise ValueError(f"{path}: {kind} header arrays.{name} is not a list of non-negative integers")
-    expected = sum(np.dtype(dtype).itemsize * math.prod(shapes[name]) for name, dtype in dtypes.items())
-    if len(payload) != expected:
-        raise ValueError(f"{path}: expected {expected} {unit} bytes after the header, found {len(payload)}")
-    arrays, offset = {}, 0
-    for name, dtype in dtypes.items():
-        values = np.frombuffer(payload, dtype, math.prod(shapes[name]), offset)
-        arrays[name] = values.astype(values.dtype.newbyteorder("=")).reshape(shapes[name])
-        offset += values.nbytes
-    return arrays
+        header = decode_json(read_text(path, handle.readline()), path)
+        check(header)
+        shapes = header.get("arrays")
+        for name in dtypes:
+            if not isinstance(shapes, dict) or name not in shapes:
+                raise ValueError(f"{path}: {kind} header has no arrays.{name} shape")
+            if not isinstance(shapes[name], list) or not all(type(n) is int and n >= 0 for n in shapes[name]):
+                raise ValueError(f"{path}: {kind} header arrays.{name} is not a list of non-negative integers")
+        expected = sum(np.dtype(dtype).itemsize * math.prod(shapes[name]) for name, dtype in dtypes.items())
+        arrays, digest, found = {}, hashlib.sha256(), os.fstat(handle.fileno()).st_size - handle.tell()
+        if found == expected:  # nothing is allocated before the file is known to hold it
+            for name, dtype in dtypes.items():
+                array = np.empty(shapes[name], dtype)
+                found -= array.nbytes - handle.readinto(array)  # short only if the file shrank while read
+                digest.update(array)
+                arrays[name] = array.astype(array.dtype.newbyteorder("="), copy=False)  # a copy only if not native
+    if found != expected:
+        raise ValueError(f"{path}: expected {expected} {unit} bytes after the header, found {found}")
+    return header, arrays, digest.hexdigest()
 
 
 # A companion is a framed copy of the values of a JSON-lines file that this
@@ -192,20 +188,22 @@ def load_companion(
     missing, holds a header value other than ``expected``'s or a digest that does not match (of its header, of
     its payload, of ``path``'s bytes), or its image ids or shapes do not fit."""
     companion = companion_path(path)
-    try:
-        header, payload = load_framed(companion)
+
+    def check(header: object) -> None:
         if not (
             isinstance(header, dict) and header.pop("header_sha256", None) == _header_sha256(header)
             and all(header.get(key) == value for key, value in expected.items())
-            and header.get("payload_sha256") == hashlib.sha256(payload).hexdigest()
             and header.get("jsonl_sha256") == _sha256_file(path)
             and type(ids := header.get("image_ids")) is list and set(map(type, ids)) <= {str}
             and len(set(ids)) == len(ids)
         ):
-            return None
-        return header, framed_arrays(companion, header, payload, dtypes, "companion", "column")
+            raise ValueError(f"{companion}: does not match {path}")
+
+    try:
+        header, arrays, payload_sha256 = load_framed(companion, dtypes, "companion", "column", check)
     except (OSError, ValueError, RecursionError):  # _header_sha256's dumps recurses deeper than loads allows
         return None
+    return (header, arrays) if header.get("payload_sha256") == payload_sha256 else None
 
 
 def copy_with_companion(source: str | Path, target: str | Path) -> None:
@@ -242,15 +240,16 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     S is Dekker's double-double product of x and ``_POW10_HI`` + ``_LO``, exact to well within ``_REPR_DOUBT``.
     """
     xs = np.ldexp(x, 200)  # exact; it brings 10**(16 - E) for E down to -308 into range
-    e10 = np.floor(np.log10(xs) - 200 * math.log10(2)).astype(np.int16)
+    exponent = (xs.view(np.int64) >> 52) - 1023  # of xs, a positive normal float: its exponent bits less the bias
+    e10 = np.floor((exponent - 200) * math.log10(2)).astype(np.int16)  # floor(log10(2**e)) for x's e: E or E - 1
     p = xs * _POW10_HI[16 - e10]
-    e10 += (p >= 1e17).astype(np.int16) - (p < 1e16)  # where log10 rounded across a power of ten
+    e10 += (p >= 1e17).astype(np.int16) - (p < 1e16)  # where the estimate was one short, or p rounded across
     b_hi = _POW10_HI[16 - e10]
     np.multiply(xs, b_hi, out=p)  # an integer, above 2**53
     (a1, a2), (b1, b2) = _halves(xs), _halves(b_hi)
     q = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + xs * _POW10_LO[16 - e10]  # S - p
     whole = np.floor(q)
-    return e10, p.astype(np.int64) + whole.astype(np.int64), q - whole, 0.5 * np.spacing(xs) * b_hi
+    return e10, p.astype(np.int64) + whole.astype(np.int64), q - whole, np.ldexp(b_hi, exponent - 53)  # b_hi ulp(xs)/2
 
 
 def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -392,13 +392,17 @@ _COLUMNS = {
 
 
 def _distinct_boxes(boxes: np.ndarray) -> tuple[list[list[float]], np.ndarray]:
-    """The distinct 32-byte rows of ``boxes`` (``(P, 8)`` float64: subject, object) and each corner's row.
-
-    Rows are told apart by their bytes, so -0.0 and 0.0 stay apart. The index
-    array runs subject, object, subject, ... in pair order.
-    """
-    distinct, which = np.unique(boxes.reshape(-1, 4).view("V32").ravel(), return_inverse=True)
-    return distinct.view(boxes.dtype).reshape(-1, 4).tolist(), which
+    """The distinct 32-byte rows of ``boxes`` (``(P, 8)`` float64: subject, object), in byte order, and each corner's
+    row, subject, object, subject, ... in pair order. Rows are told apart by their bytes, so -0.0 and 0.0 stay apart.
+    This is ``np.unique(..., return_inverse=True)`` without its copy of the rows."""
+    corners = boxes.reshape(-1, 4).view("V32").ravel()  # a view of the contiguous boxes
+    order = corners.argsort()
+    ordered = corners[order]
+    first = np.ones(len(ordered), bool)  # where each distinct row's run starts
+    first[1:] = ordered[1:] != ordered[:-1]
+    which = np.empty_like(order)
+    which[order] = np.cumsum(first) - 1
+    return ordered[first].view(boxes.dtype).reshape(-1, 4).tolist(), which
 
 
 def line_prefixes(image_ids: tuple[str, ...]) -> list[str]:
@@ -434,7 +438,7 @@ def _column_lines(image_ids: tuple[str, ...], columns: dict, names: tuple[str, .
         )
 
 
-def _unwritable(columns: dict[str, np.ndarray], num_labels: int) -> dict[str, list[np.ndarray]]:
+def _unwritable(columns: dict[str, np.ndarray], num_labels: int) -> dict[str, Iterable[np.ndarray]]:
     """For each rule that every reader holds a pair's values to, the values of ``columns`` that break it, as masks
     with a row per pair; as in ``scores``, probs that pass the rules before must have a finite ``left_to_right_sum``."""
     labels = np.stack([columns["subj_label"], columns["obj_label"]], axis=1)
@@ -445,8 +449,8 @@ def _unwritable(columns: dict[str, np.ndarray], num_labels: int) -> dict[str, li
             left_to_right_sum(probs.T, sums)
     return {
         "a label outside the object labels": [(labels < 0) | (labels >= num_labels)],
-        "a non-finite value": [~np.isfinite(columns["boxes"]), ~np.isfinite(label_scores), ~np.isfinite(probs)],
-        "a negative value": [label_scores < 0.0, probs < 0.0],
+        "a non-finite value": (~np.isfinite(values) for values in (columns["boxes"], label_scores, probs)),
+        "a negative value": (values < 0.0 for values in (label_scores, probs)),
         "probs whose sum is not finite": [~np.isfinite(sums)[:, None]],
         "no predicate scores": [np.full((len(probs), 1), probs.shape[1] == 0)],
     }

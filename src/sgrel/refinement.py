@@ -47,21 +47,19 @@ def refinement_vector(
     return alpha * (subj_distances + obj_distances) + (1.0 - alpha) * pred_distances
 
 
-def refine(probs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def refine(probs: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Re-rank predicate distributions by elementwise affinity.
 
     ``probs`` is one distribution ``(C,)`` or a stack of them ``(P, C)``, and
     ``w`` the affinity ``exp(-v)`` of each (``v`` a ``refinement_vector``
     profile), of the same shape.
     Returns each refined top predicate (ties broken by lowest index) and the
-    renormalized score vectors used for ranking.
+    renormalized score vectors used for ranking, in ``out`` if given (``w`` may be).
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != w.shape:
-        raise ValueError(
-            f"length mismatch: distribution {probs.shape} vs refinement {w.shape}"
-        )
-    scores = probs * w
+        raise ValueError(f"length mismatch: distribution {probs.shape} vs refinement {w.shape}")
+    scores = np.multiply(probs, w, out=out)
     total = scores.sum(axis=-1, keepdims=True)
     if (total <= 0.0).any():
         raise ValueError("degenerate refinement: all refined scores are zero")
@@ -84,7 +82,8 @@ def refine_dataset(
     affinity of its profile shifted by its minimum, the same distribution in
     exact arithmetic; if they are still all zero, ``refine`` raises. A label
     outside its space raises ``ValueError``. The result holds the refined
-    ``probs`` and shares every other column with the input.
+    ``probs``, computed in the affinities' buffer (so the input's and one more
+    ``(P, C)`` array are all it holds at once), and shares every other column.
     """
     if not len(predictions):
         return predictions
@@ -99,5 +98,5 @@ def refine_dataset(
     affinity = np.exp(-v)[rows]
     underflowed = np.einsum("pc,pc->p", predictions.probs, affinity) == 0.0
     affinity[underflowed] = np.exp(v.min(axis=1, keepdims=True) - v)[rows[underflowed]]
-    _, scores = refine(predictions.probs, affinity)
+    _, scores = refine(predictions.probs, affinity, out=affinity)
     return dataclasses.replace(predictions, probs=scores)

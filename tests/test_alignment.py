@@ -10,6 +10,7 @@ import sgrel.alignment as alignment
 from sgrel.alignment import (
     RelationModel,
     TrainConfig,
+    _softmax_rows,
     backward,
     batch_tables,
     contrastive_loss,
@@ -455,6 +456,28 @@ class TestPairInputs:
             pair_inputs(make_dataset([make_annotation("ok"), dangling]))
 
 
+class TestSoftmaxRows:
+    """``_softmax_rows`` fills one new array and leaves its argument as it was, with the values of the three-array
+    formula it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_argument_unchanged_and_values_bit_identical(self, rng, transposed):
+        z = rng.normal(0.0, 30.0, (40, 7))
+        z[3] = 0.0
+        z[5, 2] = 700.0
+        z = z.T if transposed else z  # as the contrastive reference passes ``sims.T``
+        kept = z.copy()
+        e = np.exp(z - z.max(axis=1, keepdims=True))  # the replaced formula, on the same memory layout
+        expected = e / e.sum(axis=1, keepdims=True)
+        probs = _softmax_rows(z)
+        assert z.tobytes() == kept.tobytes() and not np.shares_memory(probs, z)
+        assert probs.tobytes() == expected.tobytes()
+
+    def test_twice_on_one_matrix(self, rng):
+        z = rng.normal(size=(6, 6))
+        assert _softmax_rows(z).tobytes() == _softmax_rows(z).tobytes()
+
+
 class TestPredict:
     def test_all_ordered_pairs_scored(self):
         data = tiny_corpus()
@@ -477,7 +500,8 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.w_cls, model.w_cls)
         np.testing.assert_array_equal(loaded.b_cls, model.b_cls)
 
-    @pytest.mark.parametrize("change, found", [(lambda b: b[:-8], -8), (lambda b: b + bytes(8), 8)])
+    @pytest.mark.parametrize("change, found", [(lambda b: b[:-8], -8), (lambda b: b + bytes(8), 8),
+                                               (lambda b: b[:-1], -1), (lambda b: b + bytes(1), 1)])
     def test_rejects_wrong_parameter_byte_count(self, tmp_path, rng, change, found):
         model = RelationModel.init(6, 4, 5, rng)
         path = tmp_path / "model.ckpt"
@@ -487,6 +511,21 @@ class TestCheckpoint:
         message = f"{path}: expected {expected} parameter bytes after the header, found {expected + found}"
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
+
+    def test_flipped_parameter_byte_loads_as_written(self, tmp_path, rng):
+        """A checkpoint holds no digest: a flipped byte is read as it is, into native, writable arrays."""
+        model = RelationModel.init(6, 4, 5, rng)
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x40
+        path.write_bytes(bytes(data))
+        loaded = load_model(path)
+        model.b_cls.view(np.uint8)[-1] ^= 0x40
+        for name in ("w_proj", "w_cls", "b_cls"):
+            array = getattr(loaded, name)
+            assert array.tobytes() == getattr(model, name).tobytes()
+            assert array.dtype.isnative and array.flags.writeable and array.flags.c_contiguous
 
     def test_rejects_header_without_arrays(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -285,6 +285,14 @@ class TestFailedStagesMakeNoOut:
         assert capsys.readouterr().err == f"data error: {predictions}:1: missing key 'subj_id'\n"
         assert not (tmp_path / "rf").exists()
 
+    @pytest.mark.parametrize("stage, flag, out", [("resample", "--train", "rs"), ("refine", "--predictions", "rf")])
+    def test_switched_off_copy_of_a_missing_input(self, corpus, tmp_path, capsys, stage, flag, out):
+        missing = tmp_path / "nope.jsonl"
+        extra = ["--d-roi", 32] if stage == "resample" else []
+        assert run([stage, "--out", tmp_path / out, *corpus_flags(corpus), flag, missing, *extra]) == 2
+        assert capsys.readouterr().err == f"data error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not (tmp_path / out).exists()
+
 
 def outcome_of(argv, capsys):
     """``main``'s exit status (also from ``SystemExit``, as ``-h`` ends), stdout and stderr."""

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -860,3 +861,99 @@ class TestAnnotationCompanion:
             for a in to_objects(dataset).annotations
         ]
         assert path.read_text() == "".join(lines)
+
+
+def rewrite_header(path, edit):
+    """Rewrite the header of the companion of ``path`` with ``edit`` and a ``header_sha256`` that matches again."""
+    companion = companion_path(path)
+    line, payload = companion.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    del header["header_sha256"]
+    edit(header)
+    header["header_sha256"] = ingest._header_sha256(header)
+    companion.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+class TestFramedReader:
+    """``load_framed`` reads each array straight from the file into its own native, writable buffer, hashing as it
+    reads, with the refusals of the reader that sliced one payload: a companion in doubt falls back to its text."""
+
+    DTYPES = {"empty": "<f8", "values": "<i8"}
+
+    def framed(self, tmp_path, change=lambda data: data, empty=(0, 3)):
+        path = tmp_path / "framed.bin"
+        ingest.save_framed(path, {"format": "test"}, {"empty": np.zeros(empty), "values": np.arange(4) - 2})
+        path.write_bytes(change(path.read_bytes()))
+        return path
+
+    def load(self, path):
+        return ingest.load_framed(path, self.DTYPES, "test", "value", lambda header: None)
+
+    def test_zero_length_array(self, tmp_path):
+        header, arrays, digest = self.load(self.framed(tmp_path))
+        assert header == {"arrays": {"empty": [0, 3], "values": [4]}, "format": "test"}
+        assert [(a.dtype.str, a.shape) for a in arrays.values()] == [("<f8", (0, 3)), ("<i8", (4,))]
+        assert arrays["values"].tolist() == [-2, -1, 0, 1]
+        assert all(a.flags.writeable and a.flags.owndata and a.flags.c_contiguous for a in arrays.values())
+        assert digest == hashlib.sha256((np.arange(4) - 2).astype("<i8").tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("change, found", [(lambda data: data[:-1], 31), (lambda data: data + b"\0", 33),
+                                               (lambda data: data[: data.index(b"\n") + 1], 0)])
+    def test_payload_of_another_length(self, tmp_path, change, found):
+        path = self.framed(tmp_path, change)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 32 value bytes after the header, "
+                                             f"found {found}$"):
+            self.load(path)
+
+    def test_shape_larger_than_the_file_is_refused_before_anything_is_allocated(self, tmp_path):
+        path = self.framed(tmp_path, empty=(0, 2**40))  # an empty array whose second axis could not be allocated
+        path.write_bytes(path.read_bytes().replace(b"[0, 1099511627776]", b"[1099511627776, 1099511627776]"))
+        message = f"expected {8 * 2**80 + 32} value bytes after the header, found 32$"
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": " + message):
+            self.load(path)
+
+    def test_the_check_sees_the_header_first(self, tmp_path):
+        path = self.framed(tmp_path, lambda data: data[:-1])
+
+        def refuse(header):
+            raise ValueError(f"refused {header['format']}")
+
+        with pytest.raises(ValueError, match="^refused test$"):
+            ingest.load_framed(path, self.DTYPES, "test", "value", refuse)
+
+    def test_split_without_triples_loads_from_its_companion(self, tmp_path, spaces):
+        path = tmp_path / "val.jsonl"
+        dataset = make_dataset([make_annotation("a", triples=()), make_annotation("b", triples=())], spaces, "val")
+        save_annotations(dataset, path)
+        header = json.loads(companion_path(path).read_bytes().split(b"\n", 1)[0])
+        assert header["arrays"]["triples"] == [0, 3]
+        loaded = ingest._companion_dataset(path, *spaces, dataset.d_roi, "val")
+        assert loaded is not None and loaded.triples.shape == (0, 3) and loaded.triples.flags.writeable
+        expected = jsonl_annotations_outcome(path, *spaces, dataset.d_roi)
+        assert annotations_outcome(path, *spaces, dataset.d_roi) == expected
+
+    @pytest.fixture
+    def written(self, tmp_path, spaces):
+        path = tmp_path / "val.jsonl"
+        save_annotations(awkward_dataset(spaces), path)
+        assert ingest._companion_dataset(path, *spaces, 5, "val") is not None
+        return path, spaces, jsonl_annotations_outcome(path, *spaces, 5)
+
+    @pytest.mark.parametrize("change", [lambda data: data + b"\0", lambda data: data[:-1] + bytes([data[-1] ^ 1])],
+                             ids=["one-byte-long", "last-byte-flipped"])  # TestAnnotationCompanion cuts, flips others
+    def test_companion_payload_changes_fall_back_to_the_text(self, written, change):
+        path, spaces, expected = written
+        companion = companion_path(path)
+        companion.write_bytes(change(companion.read_bytes()))
+        assert ingest._companion_dataset(path, *spaces, 5, "val") is None
+        assert annotations_outcome(path, *spaces, 5) == expected
+
+    @pytest.mark.parametrize("edit", [lambda h: h["arrays"].pop("features"),
+                                      lambda h: h["arrays"].update(boxes=[-1, 4]),
+                                      lambda h: h["arrays"].update(boxes=[2**40, 4]), lambda h: h.pop("arrays")],
+                             ids=["missing-shape", "negative-shape", "shape-beyond-the-file", "no-shapes"])
+    def test_companion_shapes_in_doubt_fall_back_to_the_text(self, written, edit):
+        path, spaces, expected = written
+        rewrite_header(path, edit)
+        assert ingest._companion_dataset(path, *spaces, 5, "val") is None
+        assert annotations_outcome(path, *spaces, 5) == expected

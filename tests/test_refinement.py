@@ -143,6 +143,15 @@ class TestRefine:
             assert idx_a == idx_b
             np.testing.assert_allclose(scores_a, scores_b, atol=1e-12)
 
+    def test_scores_computed_in_the_affinity_buffer(self, rng):
+        probs = rng.dirichlet(np.ones(5), size=6)
+        w = np.exp(-rng.uniform(0.0, 4.0, size=(6, 5)))
+        idx, scores = refine(probs, w)
+        kept = probs.copy()
+        idx_in, scores_in = refine(probs, w, out=w)
+        assert scores_in is w and probs.tobytes() == kept.tobytes()
+        assert idx_in.tolist() == idx.tolist() and scores_in.tobytes() == scores.tobytes()
+
     def test_brute_force_oracle_agreement(self, rng):
         # Exhaustive argmax over D_j * exp(-v_j) for small C.
         for _ in range(1000):
